@@ -37,6 +37,7 @@ class Graph:
     features: np.ndarray   # (n, l)
     label: int
     id: str = ""
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         adj = np.ascontiguousarray(np.asarray(self.adjacency, dtype=float))
@@ -74,6 +75,16 @@ class Graph:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
+
+    def memoised(self, key, build):
+        """``build()``, computed once per ``key`` and kept on this graph.
+
+        The graph is immutable, so a value derived from it stays valid. One
+        key is held at a time: a different key replaces the entry.
+        """
+        if self._memo is None or self._memo[0] != key:
+            object.__setattr__(self, "_memo", (key, build()))
+        return self._memo[1]
 
 
 @dataclass(frozen=True)
@@ -200,14 +211,14 @@ def load_tu_dataset(directory_path: str | Path, degree_cap: int = DEGREE_CAP) ->
     label_values = sorted(set(raw_labels))
     label_map = {v: k for k, v in enumerate(label_values)}
 
-    # local node index within each graph, preserving file order
+    # each graph's nodes, and every node's index within its graph, in file order
     local_index = np.empty(n_nodes, dtype=int)
-    counts: dict[int, int] = {gid: 0 for gid in graph_ids}
+    node_rows: dict[int, list[int]] = {gid: [] for gid in graph_ids}
     for node, gid in enumerate(graph_of_node):
-        local_index[node] = counts[gid]
-        counts[gid] += 1
+        local_index[node] = len(node_rows[gid])
+        node_rows[gid].append(node)
 
-    adjacencies = [np.zeros((counts[gid], counts[gid])) for gid in graph_ids]
+    adjacencies = [np.zeros((len(node_rows[gid]),) * 2) for gid in graph_ids]
     dropped_self_loops = 0
     for line_no, line in enumerate(_read_lines(a_path), start=1):
         if not line.strip():
@@ -284,9 +295,8 @@ def load_tu_dataset(directory_path: str | Path, degree_cap: int = DEGREE_CAP) ->
     for gid in graph_ids:
         k = graph_index[gid]
         adj = adjacencies[k]
-        node_rows = [i for i, g in enumerate(graph_of_node) if g == gid]
         if all_feats is not None:
-            feats = all_feats[node_rows]
+            feats = all_feats[node_rows[gid]]
         else:
             feats = degree_onehot_features(adj, cap=degree_cap)
         graphs.append(Graph(adj, feats, label_map[raw_labels[k]], id=f"{prefix}-{gid}"))

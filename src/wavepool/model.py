@@ -201,7 +201,6 @@ class CrossScaleModel:
             name: ad.parameter(np.array(value, dtype=np.float64))
             for name, value in sorted(tensors.items())
         }
-        self._basis_cache: dict[str, list[WaveletBasis]] = {}
         self._wire()
 
     def _wire(self) -> None:
@@ -241,15 +240,11 @@ class CrossScaleModel:
     # -- forward ----------------------------------------------------------
 
     def bases_for(self, graph: Graph) -> list[WaveletBasis]:
-        key = graph.id
-        if key and key in self._basis_cache:
-            return self._basis_cache[key]
-        l_tilde = normalized_laplacian(graph.adjacency)
-        bases = wavelet_bases(l_tilde, self.config.scales, self.config.order,
-                              self.config.basis_mode)
-        if key:
-            self._basis_cache[key] = bases
-        return bases
+        """The graph's wavelet bases, built once and shared by every model
+        with the same scales, order and basis mode."""
+        key = (self.config.scales, self.config.order, self.config.basis_mode)
+        return graph.memoised(
+            key, lambda: wavelet_bases(normalized_laplacian(graph.adjacency), *key))
 
     def _assign(self, stage: int, adjacency: Var, features: Var,
                 n: int, m: int) -> PoolStage:
@@ -314,9 +309,12 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ModelConfig:
-    d = dict(d)
-    d["scales"] = tuple(float(s) for s in d.get("scales", ()))
-    return ModelConfig(**d)
+    try:
+        d = dict(d)
+        d["scales"] = tuple(float(s) for s in d.get("scales", ()))
+        return ModelConfig(**d)
+    except (TypeError, ValueError) as exc:  # not a mapping, bad value, unknown or missing field
+        raise FormatError(f"invalid model config: {exc}") from exc
 
 
 def save_checkpoint(path, config: ModelConfig, tensors: dict[str, np.ndarray],
@@ -347,6 +345,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file (bad magic)")
+    if len(data) < 12:
+        raise FormatError(f"{path}: truncated checkpoint header")
     version, blob_len = struct.unpack_from("<II", data, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
@@ -356,9 +356,16 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint manifest: {exc}") from exc
     offset += blob_len
+    if not isinstance(manifest, dict) or not {"tensors", "config"} <= manifest.keys():
+        raise FormatError(f"{path}: checkpoint manifest needs 'tensors' and 'config'")
+    shapes = manifest["tensors"]
+    if not isinstance(shapes, dict) or not all(
+            isinstance(shape, list) and all(isinstance(d, int) and d >= 0 for d in shape)
+            for shape in shapes.values()):
+        raise FormatError(f"{path}: checkpoint tensor shapes must be lists of sizes")
     tensors: dict[str, np.ndarray] = {}
-    for name, shape in manifest["tensors"].items():
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape in shapes.items():
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(data):
             raise FormatError(f"{path}: truncated tensor data for {name}")

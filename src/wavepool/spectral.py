@@ -2,9 +2,14 @@
 bases with pseudoinverses, and the orthogonal cosine transform used by the
 pooling layer.
 
-The wavelet basis at scale ``f`` is a degree-``M`` Chebyshev polynomial in
-the shifted Laplacian ``L - I`` (spectrum mapped from [0, 2] to [-1, 1]).
-Two coefficient modes exist:
+The wavelet basis at scale ``f`` is a degree-``M`` Chebyshev polynomial
+``p_f`` in the shifted Laplacian ``L - I`` (spectrum mapped from [0, 2] to
+[-1, 1]). ``wavelet_bases`` builds every scale of a graph from one
+eigendecomposition ``L = U diag(lambda) U^T``: ``psi_f = U p_f(lambda) U^T``
+and ``psi_f^+ = U p_f(lambda)^+ U^T``, with ``p_f`` evaluated elementwise on
+the eigenvalues. ``CrossScaleModel.bases_for`` keeps the result on the
+``Graph`` itself, for one (scales, order, mode) setting at a time. Two
+coefficient modes exist:
 
 * ``fitted_kernel`` - Chebyshev-Gauss quadrature fit of the low-pass kernel
   ``g(x) = exp(-f (x + 1))``, i.e. ``exp(-f lambda)`` on the Laplacian
@@ -13,15 +18,16 @@ Two coefficient modes exist:
 * ``closed_form`` - coefficients ``2 exp(-f) J_i(-f)`` built from first-kind
   Bessel values. Kept as an opt-in alternative; its reconstruction target is
   oscillatory rather than low-pass, so only internal convergence is asserted.
+
+Cosine-transform matrices are cached per size for the life of the process;
+the entries are bounded by the distinct graph and pooled sizes in the data.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from functools import lru_cache
-from pathlib import Path
+from functools import cache
 
 import numpy as np
 
@@ -76,32 +82,21 @@ def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
     return lap
 
 
-def chebyshev_apply(l_scaled, order: int, operand=None) -> list:
-    """Chebyshev terms T_0 .. T_order of a matrix (or scalar) argument.
+def chebyshev_apply(x, order: int) -> list:
+    """Chebyshev terms T_0 .. T_order, evaluated elementwise at ``x``.
 
-    Uses the three-term recurrence T_i = 2 x T_{i-1} - T_{i-2}. The argument's
-    spectrum must lie in [-1, 1]; callers pass the shifted Laplacian L - I.
-    When ``operand`` is given, returns each T_i applied to it (T_i @ operand).
+    Uses the three-term recurrence T_i = 2 x T_{i-1} - T_{i-2}. ``x`` is a
+    scalar or an array with values in [-1, 1]; ``wavelet_bases`` passes the
+    Laplacian eigenvalues shifted by -1.
     """
     if order < 0:
         raise ContractViolationError(f"Chebyshev order must be >= 0, got {order}")
-    if np.isscalar(l_scaled):
-        x = float(l_scaled)
-        base = 1.0 if operand is None else operand
-        terms = [base]
-        if order >= 1:
-            terms.append(x * base)
-        for _ in range(2, order + 1):
-            terms.append(2.0 * x * terms[-1] - terms[-2])
-        return terms
-
-    mat = np.asarray(l_scaled, dtype=float)
-    base = np.eye(mat.shape[0]) if operand is None else np.asarray(operand, dtype=float)
-    terms = [base]
+    x = np.asarray(x, dtype=float)
+    terms = [np.ones_like(x)]
     if order >= 1:
-        terms.append(mat @ base)
+        terms.append(x)
     for _ in range(2, order + 1):
-        terms.append(2.0 * (mat @ terms[-1]) - terms[-2])
+        terms.append(2.0 * x * terms[-1] - terms[-2])
     return terms
 
 
@@ -184,24 +179,40 @@ def wavelet_basis(
 def wavelet_bases(
     l_tilde: np.ndarray, scales, order: int, mode: str = MODE_FITTED_KERNEL
 ) -> list[WaveletBasis]:
-    """Bases for several scales sharing one Chebyshev recurrence pass."""
+    """Bases for several scales from one eigendecomposition L = U diag(lambda) U^T.
+
+    psi = U p(lambda) U^T, where p is the scale's Chebyshev polynomial in
+    lambda - 1, and psi_pinv = U p(lambda)^+ U^T. Values with
+    |p(lambda)| <= n * machine_epsilon * max |p| count as zero: for a
+    symmetric psi these magnitudes are its singular values, so this is the
+    cutoff ``pseudoinverse`` applies.
+    """
     lap = np.asarray(l_tilde, dtype=float)
-    shifted = lap - np.eye(lap.shape[0])
-    terms = chebyshev_apply(shifted, order)
+    try:
+        eigvals, eigvecs = np.linalg.eigh(lap)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    terms = chebyshev_apply(eigvals - 1.0, order)
     bases = []
     for scale in scales:
         coeffs = wavelet_coefficients(scale, order, mode)
-        psi = 0.5 * coeffs[0] * terms[0].copy()
+        values = 0.5 * coeffs[0] * terms[0]
         for i in range(1, order + 1):
-            psi += coeffs[i] * terms[i]
-        psi = 0.5 * (psi + psi.T)  # polynomial of a symmetric matrix; kill rounding skew
+            values += coeffs[i] * terms[i]
+        magnitude = np.abs(values)
+        cutoff = lap.shape[0] * np.finfo(float).eps * magnitude.max()
+        keep = magnitude > cutoff
+        inverse = np.zeros_like(values)
+        inverse[keep] = 1.0 / values[keep]
+        psi = (eigvecs * values) @ eigvecs.T
+        psi = 0.5 * (psi + psi.T)  # kill rounding skew
         bases.append(
             WaveletBasis(
                 scale=float(scale),
                 order=order,
                 coefficients=coeffs,
                 psi=psi,
-                psi_pinv=pseudoinverse(psi),
+                psi_pinv=(eigvecs * inverse) @ eigvecs.T,
                 mode=mode,
             )
         )
@@ -224,7 +235,7 @@ def exact_wavelet_oracle(l_tilde: np.ndarray, scale: float, kernel) -> np.ndarra
     return (eigvecs * filtered) @ eigvecs.T
 
 
-@lru_cache(maxsize=64)
+@cache
 def cosine_transform(n: int) -> SpectralTransform:
     """Orthonormal DCT-II matrix; row k holds frequency k, and xi @ xi.T = I."""
     if n < 1:
@@ -236,36 +247,3 @@ def cosine_transform(n: int) -> SpectralTransform:
     xi[1:] *= np.sqrt(2.0 / n)
     xi.setflags(write=False)
     return SpectralTransform(size=n, matrix=xi)
-
-
-# ---------------------------------------------------------------------------
-# Binary cache format for wavelet bases
-
-_MAGIC = b"WVBS"
-
-
-def save_wavelet_basis(path: str | Path, basis: WaveletBasis) -> None:
-    """Dump a basis as little-endian float64 blocks with a fixed header."""
-    n = basis.size
-    mode_flag = _MODES.index(basis.mode)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<qqdq", n, basis.order, basis.scale, mode_flag))
-        fh.write(basis.coefficients.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(basis.psi, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(basis.psi_pinv, dtype="<f8").tobytes())
-
-
-def load_wavelet_basis(path: str | Path) -> WaveletBasis:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ContractViolationError(f"{path}: not a wavelet basis dump")
-        n, order, scale, mode_flag = struct.unpack("<qqdq", fh.read(32))
-        coeffs = np.frombuffer(fh.read(8 * (order + 1)), dtype="<f8").copy()
-        psi = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n).copy()
-        psi_pinv = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n).copy()
-    return WaveletBasis(
-        scale=scale, order=order, coefficients=coeffs, psi=psi, psi_pinv=psi_pinv,
-        mode=_MODES[mode_flag],
-    )

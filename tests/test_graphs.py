@@ -171,6 +171,16 @@ def test_load_node_labels_onehot(tmp_path):
     assert np.array_equal(ds.graphs[0].features, [[1, 0], [1, 0], [0, 1]])
 
 
+def test_load_interleaved_indicator_keeps_rows_in_file_order(tmp_path):
+    # nodes 1, 3, 5 form graph 1 and nodes 2, 4 form graph 2
+    write_tu(tmp_path, edges=[(1, 3), (3, 1), (2, 4), (4, 2)],
+             indicator=[1, 2, 1, 2, 1], labels=[0, 1], node_labels=[0, 1, 2, 3, 4])
+    ds = load_tu_dataset(tmp_path)
+    assert np.array_equal(ds.graphs[0].features, np.eye(5)[[0, 2, 4]])
+    assert np.array_equal(ds.graphs[1].features, np.eye(5)[[1, 3]])
+    assert ds.graphs[0].adjacency[0, 1] == 1.0 and ds.graphs[1].adjacency[0, 1] == 1.0
+
+
 def test_load_attributes_and_labels_stack(tmp_path):
     attrs = [[0.5, 1.5]] * 6
     two_triangles(tmp_path, node_labels=[0, 0, 0, 1, 1, 1], node_attributes=attrs)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ from wavepool import autodiff as ad
 from wavepool.errors import ContractViolationError, FormatError, NumericError
 from wavepool.graphs import Graph
 from wavepool.model import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     VARIANTS,
     CrossScaleModel,
     ModelConfig,
@@ -216,12 +221,17 @@ def test_load_state_validation():
         model.load_state({"gcn.weight": np.zeros((2, 2))})
 
 
-def test_basis_cache_by_graph_id(rng):
-    model = CrossScaleModel(small_config(), seed=0)
+def test_basis_memo_on_graph(rng):
+    first = CrossScaleModel(small_config(), seed=0)
+    second = CrossScaleModel(small_config(), seed=1)
     named = random_graph(6, 2, rng, graph_id="g1")
+    assert first.bases_for(named) is second.bases_for(named)
+    # same id, different adjacency: the memo lives on the graph, not the id
+    twin = Graph(cycle_adjacency(6), named.features, 0, id="g1")
+    assert not np.array_equal(first.bases_for(twin)[0].psi, first.bases_for(named)[0].psi)
     anonymous = random_graph(6, 2, rng, graph_id="")
-    assert model.bases_for(named) is model.bases_for(named)
-    assert model.bases_for(anonymous) is not model.bases_for(anonymous)
+    assert first.bases_for(anonymous) is first.bases_for(anonymous)
+    assert CrossScaleModel(small_config(order=7)).bases_for(named)[0].order == 7
 
 
 # -- checkpoints ----------------------------------------------------------
@@ -276,6 +286,28 @@ def test_checkpoint_rejects_truncation_and_trailing(tmp_path):
         load_checkpoint(path)
     path.write_bytes(data + b"\x00" * 8)
     with pytest.raises(FormatError, match="trailing"):
+        load_checkpoint(path)
+    path.write_bytes(data[:10])
+    with pytest.raises(FormatError, match="header"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("manifest", [
+    {"config": {"feature_dim": 2, "class_count": 2}},                  # no tensors
+    {"tensors": {}},                                                   # no config
+    {"tensors": {}, "config": {"feature_dim": 2, "class_count": 2, "colour": 1}},
+    {"tensors": {}, "config": {"feature_dim": 2}},                     # missing field
+    {"tensors": {"w": "ab"}, "config": {"feature_dim": 2, "class_count": 2}},
+    {"tensors": {"w": [-1]}, "config": {"feature_dim": 2, "class_count": 2}},
+    {"tensors": [], "config": {"feature_dim": 2, "class_count": 2}},
+    {"tensors": {}, "config": 5},
+    [],
+])
+def test_checkpoint_rejects_malformed_manifest(tmp_path, manifest):
+    blob = json.dumps(manifest).encode("utf-8")
+    path = tmp_path / "model.bin"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob)
+    with pytest.raises(FormatError):
         load_checkpoint(path)
 
 

@@ -14,10 +14,8 @@ from wavepool.spectral import (
     chebyshev_apply,
     cosine_transform,
     exact_wavelet_oracle,
-    load_wavelet_basis,
     normalized_laplacian,
     pseudoinverse,
-    save_wavelet_basis,
     wavelet_bases,
     wavelet_basis,
     wavelet_coefficients,
@@ -89,10 +87,10 @@ def test_chebyshev_scalar_pinned_values():
 
 
 def test_chebyshev_zero_matrix():
-    terms = chebyshev_apply(np.zeros((3, 3)), 2)
-    assert np.array_equal(terms[0], np.eye(3))
-    assert np.array_equal(terms[1], np.zeros((3, 3)))
-    assert np.allclose(terms[2], -np.eye(3), atol=1e-15)
+    terms = chebyshev_apply(np.zeros(3), 2)  # the zero matrix's eigenvalues
+    assert np.array_equal(terms[0], np.ones(3))
+    assert np.array_equal(terms[1], np.zeros(3))
+    assert np.allclose(terms[2], -np.ones(3), atol=1e-15)
 
 
 def test_chebyshev_scalar_against_numpy():
@@ -105,25 +103,17 @@ def test_chebyshev_scalar_against_numpy():
 
 
 def test_chebyshev_matrix_against_eigendecomposition(rng):
-    # build a symmetric matrix with spectrum inside [-1, 1]
+    # T_i(mat) = U T_i(lambda) U^T, checked against the dense matrix recurrence
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    eigvals = rng.uniform(-1.0, 1.0, size=6)
-    mat = (q * eigvals) @ q.T
+    mat = (q * rng.uniform(-1.0, 1.0, size=6)) @ q.T
     order = 8
-    terms = chebyshev_apply(mat, order)
-    vander = np.polynomial.chebyshev.chebvander(eigvals, order)
+    eigvals, eigvecs = np.linalg.eigh(mat)
+    terms = chebyshev_apply(eigvals, order)
+    reference = [np.eye(6), mat]
+    for _ in range(2, order + 1):
+        reference.append(2.0 * mat @ reference[-1] - reference[-2])
     for i in range(order + 1):
-        reference = (q * vander[:, i]) @ q.T
-        assert np.allclose(terms[i], reference, atol=1e-10)
-
-
-def test_chebyshev_operand_matches_post_multiplication(rng):
-    mat = random_adjacency(5, 0.5, rng) * 0.3
-    operand = rng.standard_normal((5, 2))
-    plain = chebyshev_apply(mat, 4)
-    applied = chebyshev_apply(mat, 4, operand=operand)
-    for t, ta in zip(plain, applied):
-        assert np.allclose(t @ operand, ta, atol=1e-12)
+        assert np.allclose((eigvecs * terms[i]) @ eigvecs.T, reference[i], atol=1e-10)
 
 
 def test_chebyshev_order_zero_and_validation():
@@ -305,6 +295,15 @@ def test_basis_symmetry_property(n, seed, scale):
     assert np.allclose(basis.psi_pinv, basis.psi_pinv.T, atol=1e-10)
 
 
+@pytest.mark.parametrize("mode", [MODE_FITTED_KERNEL, MODE_CLOSED_FORM])
+def test_basis_pinv_matches_svd_pseudoinverse(rng, mode):
+    for n in (1, 5, 17, 40):
+        lap = normalized_laplacian(random_adjacency(n, 0.15, rng))
+        for basis in wavelet_bases(lap, (0.5, 1.0, 3.0), 16, mode):
+            reference = pseudoinverse(basis.psi)
+            assert np.linalg.norm(basis.psi_pinv - reference) <= 1e-8 * np.linalg.norm(reference)
+
+
 def test_basis_pinv_inverts_on_connected_graph():
     lap = normalized_laplacian(cycle_adjacency(7))
     basis = wavelet_basis(lap, 1.0, 30)
@@ -346,27 +345,3 @@ def test_cosine_transform_cached_and_frozen():
 def test_cosine_transform_invalid_size():
     with pytest.raises(ContractViolationError):
         cosine_transform(0)
-
-
-# -- basis persistence ----------------------------------------------------
-
-
-def test_basis_io_roundtrip(tmp_path, rng):
-    adj = random_adjacency(9, 0.4, rng)
-    basis = wavelet_basis(normalized_laplacian(adj), 2.0, 14, mode=MODE_CLOSED_FORM)
-    path = tmp_path / "basis.bin"
-    save_wavelet_basis(path, basis)
-    loaded = load_wavelet_basis(path)
-    assert loaded.scale == basis.scale
-    assert loaded.order == basis.order
-    assert loaded.mode == basis.mode
-    assert np.array_equal(loaded.coefficients, basis.coefficients)
-    assert np.array_equal(loaded.psi, basis.psi)
-    assert np.array_equal(loaded.psi_pinv, basis.psi_pinv)
-
-
-def test_basis_io_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ContractViolationError, match="not a wavelet basis"):
-        load_wavelet_basis(path)
