@@ -3,9 +3,11 @@
 A ``Var`` wraps an ndarray plus the tape entries needed to backpropagate.
 Each parent entry carries a vjp callback that accumulates directly into the
 parent's gradient buffer, so gradients of sliced parameters land in the
-shared full-size buffer without materialising intermediate copies. Only the
-operations the forward pipeline needs are implemented; everything is 2-D
-(or 0-d for losses) and float64.
+shared full-size buffer without materialising intermediate copies. A node
+made by ``fused`` instead has one vjp for all its parents, for layers whose
+parents share most of their backward work. Only the operations the forward
+pipeline needs are implemented; everything is 2-D (or 0-d for losses) and
+float64.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .errors import ContractViolationError
 
 
 class Var:
-    __slots__ = ("value", "parents", "requires_grad", "grad")
+    __slots__ = ("value", "parents", "requires_grad", "grad", "vjp")
 
     # make ndarray <op> Var defer to our reflected operators instead of
     # broadcasting over the Var as a python object
@@ -29,6 +31,7 @@ class Var:
             requires_grad = any(p.requires_grad for p, _ in parents)
         self.requires_grad = requires_grad
         self.grad = None
+        self.vjp = None  # set by ``fused``: one callback for every parent
 
     @property
     def shape(self):
@@ -72,6 +75,18 @@ def constant(x) -> Var:
 
 def parameter(x) -> Var:
     return Var(np.array(x, dtype=float), requires_grad=True)
+
+
+def fused(value, inputs, vjp) -> Var:
+    """One tape node over ``inputs`` with a single ``vjp(g, grads)``.
+
+    ``grads[i]`` is the gradient buffer of ``inputs[i]``, or None when that
+    input needs no gradient; the callback accumulates into every buffer in
+    one call, so work the inputs share runs once per backward pass.
+    """
+    out = Var(value, parents=tuple((x, None) for x in inputs))
+    out.vjp = vjp
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -323,9 +338,12 @@ def backward(root: Var) -> None:
         g = node.grad
         if g is None:
             continue
-        for parent, vjp in node.parents:
-            if not parent.requires_grad:
-                continue
-            if parent.grad is None:
+        for parent, _ in node.parents:
+            if parent.requires_grad and parent.grad is None:
                 parent.grad = np.zeros_like(parent.value)
-            vjp(g, parent.grad)
+        if node.vjp is not None:
+            node.vjp(g, [p.grad if p.requires_grad else None for p, _ in node.parents])
+            continue
+        for parent, vjp in node.parents:
+            if parent.requires_grad:
+                vjp(g, parent.grad)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError
+from .errors import ConfigError, ContractViolationError, WavepoolError
 from .graphs import GraphDataset, SplitSpec, split_dataset
 from .model import VARIANTS, CrossScaleModel, ModelConfig
 from .spectral import MODE_FITTED_KERNEL
@@ -110,7 +110,9 @@ def run_single_seed(dataset: GraphDataset, plan: ExperimentPlan, seed: int) -> S
             seconds=time.perf_counter() - start,
             report=outcome.report,
         )
-    except Exception as exc:  # record the failure, keep the other seeds running
+    # record the failure and keep the other seeds running; anything else is a
+    # bug and propagates
+    except (WavepoolError, np.linalg.LinAlgError) as exc:
         warnings.warn(f"seed {seed} failed: {exc}")
         return SeedResult(
             variant=plan.variant,

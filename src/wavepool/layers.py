@@ -5,11 +5,20 @@ module can backpropagate through them. Learnable tensors are allocated at a
 configured maximum size and sliced to each graph's node count; the leading
 rows/columns of the pooling filter correspond to the lowest frequencies of
 the cosine transform.
+
+The wavelet convolution is one tape node over every scale, with a
+hand-written vjp that writes straight into the full-size filter and bias
+gradients. Its graph-only operands, psi_f and psi_f^+ X, can be passed in
+precomputed as ``ScaleInput``s, and the graph convolution accepts a
+``Renormalized`` constant adjacency instead of renormalizing on the tape;
+the model memoises both per graph.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,14 +39,18 @@ def activate(x: Var, activation: str) -> Var:
 
 
 def activation_lipschitz(activation: str) -> float:
-    if activation not in ACTIVATIONS:
-        raise ContractViolationError(f"unknown activation {activation!r}")
+    _check_activation(activation)
     return 1.0  # both relu and identity are 1-Lipschitz
 
 
 def _check_finite(name: str, var: Var) -> None:
     if not np.all(np.isfinite(var.value)):
         raise ContractViolationError(f"parameter {name} contains non-finite entries")
+
+
+def _check_activation(activation: str) -> None:
+    if activation not in ACTIVATIONS:
+        raise ContractViolationError(f"unknown activation {activation!r}")
 
 
 @dataclass
@@ -55,6 +68,7 @@ class GwcLayerParams:
         for k, theta in enumerate(self.thetas):
             _check_finite(f"gwc.theta.{k}", theta)
         _check_finite("gwc.bias", self.bias)
+        _check_activation(self.activation)
 
 
 @dataclass
@@ -78,6 +92,7 @@ class GcnLayerParams:
 
     def __post_init__(self):
         _check_finite("gcn.weight", self.weight)
+        _check_activation(self.activation)
 
 
 @dataclass
@@ -90,11 +105,22 @@ class ClassifierParams:
         _check_finite("classifier.bias", self.bias)
 
 
-def gwc_forward(h: Var, params: GwcLayerParams, bases: list[WaveletBasis]) -> Var:
+class ScaleInput(NamedTuple):
+    """One scale of the wavelet convolution for a constant input X."""
+
+    psi: np.ndarray        # (n, n)
+    projected: np.ndarray  # psi^+ X, (n, l)
+
+
+def gwc_forward(h: Var, params: GwcLayerParams,
+                bases: Sequence[WaveletBasis | ScaleInput]) -> Var:
     """Wavelet convolution: average over scales of act(psi theta psi^+ h + bias).
 
-    The per-scale filter acts in the wavelet domain; products are evaluated
-    right-to-left so the cost stays at n^2 l per scale.
+    Each scale comes as its ``WaveletBasis``, and psi^+ h is formed here,
+    or as a ``ScaleInput`` that already holds psi^+ h. Only a basis carries
+    psi^+, so ``h`` can take a gradient only when every scale is a basis.
+    Products run right to left, so a scale costs n^2 l per matmul. The
+    result is a single tape node.
     """
     n, width = h.value.shape
     if len(bases) != len(params.scales):
@@ -108,20 +134,55 @@ def gwc_forward(h: Var, params: GwcLayerParams, bases: list[WaveletBasis]) -> Va
         raise ContractViolationError(
             f"bias width {params.bias.value.shape[1]} != feature width {width}"
         )
-    bias = params.bias[:n, :]
-    total = None
-    for theta_full, basis in zip(params.thetas, bases):
-        if basis.size != n:
+    operands = []  # (psi, psi^+ h, psi^+ or None) per scale
+    for scale, basis in zip(params.scales, bases):
+        if basis.psi.shape != (n, n):
             raise ContractViolationError(
-                f"basis for scale {basis.scale} has size {basis.size}, graph has {n}"
+                f"basis for scale {scale} has size {basis.psi.shape[0]}, graph has {n}"
             )
-        theta = theta_full[:n, :n]
-        psi = ad.constant(basis.psi)
-        psi_pinv = ad.constant(basis.psi_pinv)
-        filtered = psi @ (theta @ (psi_pinv @ h))
-        scaled = activate(filtered + bias, params.activation)
-        total = scaled if total is None else total + scaled
-    return ad.scale(total, 1.0 / len(params.scales))
+        if isinstance(basis, WaveletBasis):
+            operands.append((basis.psi, basis.psi_pinv @ h.value, basis.psi_pinv))
+            continue
+        if basis.projected.shape != (n, width):
+            raise ContractViolationError(
+                f"projected input for scale {scale} has shape {basis.projected.shape}, "
+                f"features have {(n, width)}"
+            )
+        if h.requires_grad:
+            raise ContractViolationError(
+                "a projected scale input holds no psi^+, so h cannot take a gradient"
+            )
+        operands.append((basis.psi, basis.projected, None))
+
+    relu = params.activation == "relu"
+    thetas = [theta.value[:n, :n] for theta in params.thetas]
+    bias = params.bias.value[:n, :]
+    total, masks = None, []
+    for (psi, projected, _), theta in zip(operands, thetas):
+        pre = psi @ (theta @ projected) + bias
+        if relu:
+            masks.append(pre > 0)
+            pre = np.maximum(pre, 0.0)
+        if total is None:
+            total = pre
+        else:
+            total += pre
+    inv_count = 1.0 / len(params.scales)
+
+    def vjp(g, grads):
+        *theta_grads, bias_grad, h_grad = grads
+        g = g * inv_count
+        for k, ((psi, projected, pinv), theta) in enumerate(zip(operands, thetas)):
+            g_k = g * masks[k] if relu else g
+            if bias_grad is not None:
+                bias_grad[:n, :] += g_k
+            inner = psi.T @ g_k
+            if theta_grads[k] is not None:
+                theta_grads[k][:n, :n] += inner @ projected.T
+            if h_grad is not None:
+                h_grad += pinv.T @ (theta.T @ inner)
+
+    return ad.fused(total * inv_count, (*params.thetas, params.bias, h), vjp)
 
 
 def spectral_pool_assign(
@@ -167,24 +228,51 @@ def pool_apply(s: Var, adjacency: Var, features: Var) -> tuple[Var, Var]:
     return pooled_adj, pooled_feats
 
 
-def gcn_forward(adjacency: Var, features: Var, params: GcnLayerParams) -> Var:
+@dataclass(frozen=True)
+class Renormalized:
+    """D^{-1/2} (A + I) D^{-1/2} of a constant adjacency, formed once."""
+
+    matrix: np.ndarray
+
+
+def renormalize(adjacency: np.ndarray) -> Renormalized:
+    """The renormalized adjacency, computed as ``gcn_forward``'s tape does."""
+    a_hat = adjacency + np.eye(adjacency.shape[0])
+    sums = a_hat.sum(axis=-1, keepdims=True)
+    _check_row_sums(sums)
+    inv_sqrt = sums**-0.5
+    matrix = inv_sqrt * a_hat * inv_sqrt.T
+    matrix.setflags(write=False)
+    return Renormalized(matrix)
+
+
+def _check_row_sums(sums: np.ndarray) -> None:
+    if np.any(sums <= 0):
+        bad = int(np.argmax(sums.ravel() <= 0))
+        raise NumericError(f"row {bad} of A + I has nonpositive sum; cannot normalize")
+
+
+def gcn_forward(adjacency: Var | Renormalized, features: Var, params: GcnLayerParams) -> Var:
     """Renormalized graph convolution act(D^{-1/2} (A + I) D^{-1/2} X W).
 
-    The adjacency may carry real (pooled) weights; a row of A + I whose sum
-    is not positive cannot be normalized and raises.
+    A ``Var`` adjacency is renormalized on the tape, so a pooled adjacency
+    takes gradients; it may carry real weights, and a row of A + I whose sum
+    is not positive cannot be normalized and raises. A constant adjacency
+    can be renormalized once beforehand with ``renormalize``.
     """
-    n = adjacency.value.shape[0]
-    a_hat = adjacency + ad.constant(np.eye(n))
-    sums = ad.row_sum(a_hat)
-    if np.any(sums.value <= 0):
-        bad = int(np.argmax(sums.value.ravel() <= 0))
-        raise NumericError(f"row {bad} of A + I has nonpositive sum; cannot normalize")
-    inv_sqrt = ad.rsqrt(sums)
-    normalized = inv_sqrt * a_hat * ad.transpose(inv_sqrt)
+    if isinstance(adjacency, Renormalized):
+        normalized = ad.constant(adjacency.matrix)
+    else:
+        n = adjacency.value.shape[0]
+        a_hat = adjacency + ad.constant(np.eye(n))
+        sums = ad.row_sum(a_hat)
+        _check_row_sums(sums.value)
+        inv_sqrt = ad.rsqrt(sums)
+        normalized = inv_sqrt * a_hat * ad.transpose(inv_sqrt)
     return activate(normalized @ features @ params.weight, params.activation)
 
 
-def diffpool_assign(adjacency: Var, features: Var, weight: Var) -> Var:
+def diffpool_assign(adjacency: Var | Renormalized, features: Var, weight: Var) -> Var:
     """Assignment S = softmax(GCN(A, X)) with clusters along columns (n x m)."""
     gcn = GcnLayerParams(weight=weight, activation="identity")
     return ad.row_softmax(gcn_forward(adjacency, features, gcn))

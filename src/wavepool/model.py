@@ -30,18 +30,20 @@ from .layers import (
     ClassifierParams,
     GcnLayerParams,
     GwcLayerParams,
+    Renormalized,
+    ScaleInput,
     SpectralPoolParams,
     classify,
     diffpool_assign,
     gcn_forward,
     gwc_forward,
     pool_apply,
+    renormalize,
     spectral_pool_assign,
 )
 from .spectral import (
     MODE_CLOSED_FORM,
     MODE_FITTED_KERNEL,
-    WaveletBasis,
     cosine_transform,
     normalized_laplacian,
     wavelet_bases,
@@ -130,6 +132,23 @@ class ForwardResult:
     @property
     def prediction(self) -> int:
         return int(np.argmax(self.logits.value))
+
+
+@dataclass(frozen=True)
+class GraphInputs:
+    """The read-only operands a forward pass derives from its graph alone.
+
+    ``scales`` holds (psi_f, psi_f^+ X) per wavelet scale, empty without
+    wavelets; ``renormalized`` is set where a GCN reads the raw graph.
+    """
+
+    scales: tuple[ScaleInput, ...]
+    renormalized: Renormalized | None
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
@@ -239,21 +258,37 @@ class CrossScaleModel:
 
     # -- forward ----------------------------------------------------------
 
-    def bases_for(self, graph: Graph) -> list[WaveletBasis]:
-        """The graph's wavelet bases, built once and shared by every model
-        with the same scales, order and basis mode."""
-        key = (self.config.scales, self.config.order, self.config.basis_mode)
-        return graph.memoised(
-            key, lambda: wavelet_bases(normalized_laplacian(graph.adjacency), *key))
+    def inputs_for(self, graph: Graph) -> GraphInputs:
+        """What this variant's forward pass reads of the graph alone, built
+        once and shared by every model that reads the same: for wavelets,
+        the same scales, order and basis mode."""
+        cfg = self.config
+        wavelet_key = (cfg.scales, cfg.order, cfg.basis_mode) if cfg.uses_wavelets else None
+        # conv1, the first DiffPool assignment and the small-graph branch
+        # run a GCN on the raw graph
+        raw_gcn = (not cfg.uses_wavelets or not cfg.uses_spectral_pool
+                   or graph.node_count <= cfg.m_out)
 
-    def _assign(self, stage: int, adjacency: Var, features: Var,
-                n: int, m: int) -> PoolStage:
+        def build() -> GraphInputs:
+            scales = ()
+            if wavelet_key is not None:
+                bases = wavelet_bases(normalized_laplacian(graph.adjacency), *wavelet_key)
+                scales = tuple(
+                    ScaleInput(_read_only(b.psi), _read_only(b.psi_pinv @ graph.features))
+                    for b in bases)
+            return GraphInputs(scales, renormalize(graph.adjacency) if raw_gcn else None)
+
+        return graph.memoised((wavelet_key, raw_gcn), build)
+
+    def _assign(self, stage: int, adjacency: Var, gcn_adjacency: Var | Renormalized | None,
+                features: Var, n: int, m: int) -> PoolStage:
+        """Pool assignment; DiffPool's GCN reads ``gcn_adjacency``."""
         if self.config.uses_spectral_pool:
             params = self.pool1 if stage == 1 else self.pool2
             s = spectral_pool_assign(n, params, cosine_transform(n), cosine_transform(m))
             return PoolStage(adjacency, s, "rows")
         weight = self.params[f"pool{stage}.assign"][:, :m]
-        s = diffpool_assign(adjacency, features, weight)
+        s = diffpool_assign(gcn_adjacency, features, weight)
         return PoolStage(adjacency, s, "cols")
 
     def forward(self, graph: Graph) -> ForwardResult:
@@ -265,31 +300,32 @@ class CrossScaleModel:
             raise ContractViolationError(
                 f"graph features have width {graph.feature_dim}, model expects {cfg.feature_dim}"
             )
+        inputs = self.inputs_for(graph)
         adjacency = ad.constant(graph.adjacency)
         features = ad.constant(graph.features)
         if cfg.uses_wavelets:
-            h = gwc_forward(features, self.gwc, self.bases_for(graph))
+            h = gwc_forward(features, self.gwc, inputs.scales)
         else:
-            h = gcn_forward(adjacency, features, self.conv1)
+            h = gcn_forward(inputs.renormalized, features, self.conv1)
         stages: list[PoolStage] = []
         pooled_adjacencies: list[Var] = []
         if n > cfg.m_out:
             m1 = mid_pool_size(n, cfg.m_out)
-            stage1 = self._assign(1, adjacency, h, n, m1)
+            stage1 = self._assign(1, adjacency, inputs.renormalized, h, n, m1)
             stages.append(stage1)
             s1 = stage1.assignment if stage1.clusters == "rows" else ad.transpose(stage1.assignment)
             adjacency, h = pool_apply(s1, adjacency, h)
             pooled_adjacencies.append(adjacency)
             h = gcn_forward(adjacency, h, self.gcn)
             if m1 > cfg.m_out:
-                stage2 = self._assign(2, adjacency, h, m1, cfg.m_out)
+                stage2 = self._assign(2, adjacency, adjacency, h, m1, cfg.m_out)
                 stages.append(stage2)
                 s2 = (stage2.assignment if stage2.clusters == "rows"
                       else ad.transpose(stage2.assignment))
                 adjacency, h = pool_apply(s2, adjacency, h)
                 pooled_adjacencies.append(adjacency)
         else:
-            h = gcn_forward(adjacency, h, self.gcn)
+            h = gcn_forward(inputs.renormalized, h, self.gcn)
             if n < cfg.m_out:
                 h = ad.pad_rows(h, cfg.m_out)
         logits, probs = classify(h, self.classifier)

@@ -7,9 +7,9 @@ The wavelet basis at scale ``f`` is a degree-``M`` Chebyshev polynomial
 [-1, 1]). ``wavelet_bases`` builds every scale of a graph from one
 eigendecomposition ``L = U diag(lambda) U^T``: ``psi_f = U p_f(lambda) U^T``
 and ``psi_f^+ = U p_f(lambda)^+ U^T``, with ``p_f`` evaluated elementwise on
-the eigenvalues. ``CrossScaleModel.bases_for`` keeps the result on the
-``Graph`` itself, for one (scales, order, mode) setting at a time. Two
-coefficient modes exist:
+the eigenvalues. ``CrossScaleModel.inputs_for`` builds them once per graph
+and keeps only psi_f and psi_f^+ X on the ``Graph`` itself, for one
+(scales, order, mode) setting at a time. Two coefficient modes exist:
 
 * ``fitted_kernel`` - Chebyshev-Gauss quadrature fit of the low-pass kernel
   ``g(x) = exp(-f (x + 1))``, i.e. ``exp(-f lambda)`` on the Laplacian

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wavepool import harness
 from wavepool.errors import ConfigError, ContractViolationError
 from wavepool.graphs import SplitSpec, split_dataset
 from wavepool.harness import (
@@ -106,6 +107,22 @@ def test_run_single_seed_records_failure_instead_of_raising():
     assert not result.ok
     assert math.isnan(result.test_acc)
     assert "split is empty" in result.error
+
+
+def test_run_single_seed_lets_programming_errors_through(monkeypatch):
+    ds = toy_dataset(per_class=10)
+
+    def raising(exc):
+        def train(*args, **kwargs):
+            raise exc
+        return train
+
+    monkeypatch.setattr(harness, "train", raising(np.linalg.LinAlgError("no convergence")))
+    with pytest.warns(UserWarning, match="seed 0 failed"):
+        assert run_single_seed(ds, quick_plan(), seed=0).error == "no convergence"
+    monkeypatch.setattr(harness, "train", raising(TypeError("bad vjp shape")))
+    with pytest.raises(TypeError, match="bad vjp shape"):
+        run_single_seed(ds, quick_plan(), seed=0)
 
 
 def test_run_experiment_aggregates_and_flags_partial_failures():

@@ -8,9 +8,11 @@ from wavepool.errors import (
     PoolingDegenerateError,
 )
 from wavepool.layers import (
+    ACTIVATIONS,
     ClassifierParams,
     GcnLayerParams,
     GwcLayerParams,
+    ScaleInput,
     SpectralPoolParams,
     activate,
     activation_lipschitz,
@@ -19,6 +21,7 @@ from wavepool.layers import (
     gcn_forward,
     gwc_forward,
     pool_apply,
+    renormalize,
     spectral_pool_assign,
 )
 from wavepool.spectral import cosine_transform, normalized_laplacian, wavelet_bases
@@ -52,6 +55,14 @@ def test_activate_identity_and_relu():
     assert np.array_equal(activate(x, "relu").value, [[0.0, 2.0]])
     with pytest.raises(ContractViolationError):
         activate(x, "gelu")
+
+
+def test_layer_params_reject_unknown_activation():
+    with pytest.raises(ContractViolationError, match="activation"):
+        GwcLayerParams(scales=(1.0,), thetas=[ad.parameter(np.eye(2))],
+                       bias=ad.parameter(np.zeros((2, 1))), activation="tanh")
+    with pytest.raises(ContractViolationError, match="activation"):
+        GcnLayerParams(weight=ad.parameter(np.eye(2)), activation="tanh")
 
 
 def test_activation_lipschitz_constant():
@@ -141,6 +152,65 @@ def test_gwc_gradients_match_finite_differences(rng):
     ):
         numeric = central_difference(lambda x: pick(x).value, x0)
         assert max_rel_error(var.grad, numeric) < REL_TOL
+
+
+def per_op_gwc(h, params, bases):
+    """Reference: the wavelet convolution composed of one tape node per op."""
+    n = h.value.shape[0]
+    bias = params.bias[:n, :]
+    total = None
+    for theta_full, basis in zip(params.thetas, bases):
+        theta = theta_full[:n, :n]
+        filtered = ad.constant(basis.psi) @ (theta @ (ad.constant(basis.psi_pinv) @ h))
+        scaled = activate(filtered + bias, params.activation)
+        total = scaled if total is None else total + scaled
+    return ad.scale(total, 1.0 / len(params.scales))
+
+
+def close_relative(a, b, tol=1e-12):
+    return np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("scales", [(1.0,), (1.0, 2.0), (0.5, 1.5, 3.0)])
+@pytest.mark.parametrize("n", [1, 6])
+def test_fused_gwc_matches_per_op_composition(activation, scales, n, rng):
+    n_max, width = 8, 3
+    upper = np.triu(rng.random((n, n)) < 0.5, 1).astype(float)
+    bases = make_bases(upper + upper.T, scales, order=10)
+    h0 = rng.standard_normal((n, width))
+    weights = ad.constant(rng.standard_normal((n, width)))
+    thetas0 = [np.eye(n_max) + 0.3 * rng.standard_normal((n_max, n_max)) for _ in scales]
+    bias0 = 0.5 * rng.standard_normal((n_max, width))
+
+    def run(forward, h, operands):
+        params = GwcLayerParams(scales=scales, thetas=[ad.parameter(t) for t in thetas0],
+                                bias=ad.parameter(bias0), activation=activation)
+        out = forward(h, params, operands)
+        ad.backward(ad.sum_all(out * weights))
+        return out, params
+
+    h_ref, h_fused = ad.parameter(h0), ad.parameter(h0)
+    reference, ref_params = run(per_op_gwc, h_ref, bases)
+    projected = [ScaleInput(b.psi, b.psi_pinv @ h0) for b in bases]
+    for h, operands in ((h_fused, bases), (ad.constant(h0), projected)):
+        out, params = run(gwc_forward, h, operands)
+        assert np.array_equal(out.value, reference.value)
+        for theta, ref in zip(params.thetas, ref_params.thetas):
+            assert close_relative(theta.grad, ref.grad)
+            assert np.all(theta.grad[n:, :] == 0.0) and np.all(theta.grad[:, n:] == 0.0)
+        assert close_relative(params.bias.grad, ref_params.bias.grad)
+    assert close_relative(h_fused.grad, h_ref.grad)
+
+
+def test_gwc_projected_inputs_take_no_h_gradient(rng):
+    adj = cycle_adjacency(4)
+    h = ad.parameter(rng.standard_normal((4, 2)))
+    projected = [ScaleInput(b.psi, b.psi_pinv @ h.value) for b in make_bases(adj)]
+    with pytest.raises(ContractViolationError, match="gradient"):
+        gwc_forward(h, gwc_params(4, 2), projected)
+    with pytest.raises(ContractViolationError, match="projected input"):
+        gwc_forward(ad.constant(h.value[:, :1]), gwc_params(4, 1), projected)
 
 
 # -- pooling --------------------------------------------------------------
@@ -263,6 +333,19 @@ def test_gcn_gradients_through_pooled_adjacency(rng):
     ):
         numeric = central_difference(lambda x: pick(x).value, x0)
         assert max_rel_error(var.grad, numeric) < REL_TOL
+
+
+def test_folded_renormalization_matches_tape(rng):
+    for adj in (cycle_adjacency(7), path_adjacency(5), np.zeros((1, 1))):
+        n = adj.shape[0]
+        feats = ad.constant(rng.standard_normal((n, 3)))
+        for activation in ACTIVATIONS:
+            params = GcnLayerParams(weight=ad.parameter(rng.standard_normal((3, 2))),
+                                    activation=activation)
+            folded = renormalize(adj)
+            assert not folded.matrix.flags.writeable
+            assert np.array_equal(gcn_forward(folded, feats, params).value,
+                                  gcn_forward(ad.constant(adj), feats, params).value)
 
 
 def test_diffpool_assignment_is_row_stochastic(rng):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wavepool import autodiff as ad
+from wavepool import model as model_module
 from wavepool.errors import ContractViolationError, FormatError, NumericError
 from wavepool.graphs import Graph
 from wavepool.model import (
@@ -22,6 +23,7 @@ from wavepool.model import (
     parameter_names,
     save_checkpoint,
 )
+from wavepool.spectral import normalized_laplacian, wavelet_bases
 
 from .conftest import cycle_adjacency, make_graph, path_adjacency
 from .fdcheck import central_difference, max_rel_error
@@ -225,13 +227,57 @@ def test_basis_memo_on_graph(rng):
     first = CrossScaleModel(small_config(), seed=0)
     second = CrossScaleModel(small_config(), seed=1)
     named = random_graph(6, 2, rng, graph_id="g1")
-    assert first.bases_for(named) is second.bases_for(named)
+    inputs = first.inputs_for(named)
+    assert second.inputs_for(named) is inputs
+    # the entry holds (psi, psi^+ X) per scale; n > m_out, so no raw-graph GCN
+    basis, = wavelet_bases(normalized_laplacian(named.adjacency), (1.0,), 6)
+    assert len(inputs.scales) == 1 and inputs.renormalized is None
+    assert np.array_equal(inputs.scales[0].psi, basis.psi)
+    assert np.array_equal(inputs.scales[0].projected, basis.psi_pinv @ named.features)
     # same id, different adjacency: the memo lives on the graph, not the id
     twin = Graph(cycle_adjacency(6), named.features, 0, id="g1")
-    assert not np.array_equal(first.bases_for(twin)[0].psi, first.bases_for(named)[0].psi)
+    assert not np.array_equal(first.inputs_for(twin).scales[0].psi, inputs.scales[0].psi)
     anonymous = random_graph(6, 2, rng, graph_id="")
-    assert first.bases_for(anonymous) is first.bases_for(anonymous)
-    assert CrossScaleModel(small_config(order=7)).bases_for(named)[0].order == 7
+    assert first.inputs_for(anonymous) is first.inputs_for(anonymous)
+    seventh, = wavelet_bases(normalized_laplacian(named.adjacency), (1.0,), 7)
+    fresh = CrossScaleModel(small_config(order=7)).inputs_for(named)
+    assert np.array_equal(fresh.scales[0].psi, seventh.psi)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_memoised_inputs_are_read_only(variant, rng):
+    model = CrossScaleModel(small_config(variant, scales=(1.0, 2.0)), seed=0)
+    for n in (2, 7):  # the n <= m_out branch and the pooled one
+        inputs = model.inputs_for(random_graph(n, 2, rng))
+        arrays = [a for scale in inputs.scales for a in scale]
+        if inputs.renormalized is not None:
+            arrays.append(inputs.renormalized.matrix)
+        assert arrays
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+
+def test_wavelet_diffpool_builds_each_graph_entry_once(rng, monkeypatch):
+    calls = {"bases": 0, "renormalize": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(model_module, "wavelet_bases",
+                        counted("bases", model_module.wavelet_bases))
+    monkeypatch.setattr(model_module, "renormalize",
+                        counted("renormalize", model_module.renormalize))
+    model = CrossScaleModel(small_config("wavelet_diffpool"), seed=0)
+    graphs = [random_graph(n, 2, rng) for n in (2, 5, 9)]
+    for _ in range(2):
+        for graph in graphs:
+            model.forward(graph)
+    assert calls == {"bases": 3, "renormalize": 3}
 
 
 # -- checkpoints ----------------------------------------------------------
