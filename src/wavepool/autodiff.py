@@ -1,13 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A ``Var`` wraps an ndarray plus the tape entries needed to backpropagate.
-Each parent entry carries a vjp callback that accumulates directly into the
-parent's gradient buffer, so gradients of sliced parameters land in the
-shared full-size buffer without materialising intermediate copies. A node
-made by ``fused`` instead has one vjp for all its parents, for layers whose
-parents share most of their backward work. Only the operations the forward
-pipeline needs are implemented; everything is 2-D (or 0-d for losses) and
-float64.
+A ``Var`` wraps an ndarray. A node made by ``node`` also keeps its inputs
+and one ``vjp(g, grads)`` callback that accumulates the output gradient
+``g`` into every input's buffer at once: ``grads[i]`` is the gradient
+buffer of ``inputs[i]``, or None when that input needs no gradient. Writing
+into the buffers lets gradients of sliced parameters land in the shared
+full-size buffer without materialising intermediate copies, and lets a
+layer whose inputs share most of their backward work do it once. Only the
+operations the forward pipeline needs are implemented; everything is 2-D
+(or 0-d for losses) and float64.
 """
 
 from __future__ import annotations
@@ -18,20 +19,18 @@ from .errors import ContractViolationError
 
 
 class Var:
-    __slots__ = ("value", "parents", "requires_grad", "grad", "vjp")
+    __slots__ = ("value", "inputs", "vjp", "requires_grad", "grad")
 
     # make ndarray <op> Var defer to our reflected operators instead of
     # broadcasting over the Var as a python object
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=(), requires_grad=None):
+    def __init__(self, value, inputs=(), vjp=None, requires_grad=False):
         self.value = np.asarray(value, dtype=float)
-        self.parents = parents
-        if requires_grad is None:
-            requires_grad = any(p.requires_grad for p, _ in parents)
+        self.inputs = inputs
+        self.vjp = vjp
         self.requires_grad = requires_grad
         self.grad = None
-        self.vjp = None  # set by ``fused``: one callback for every parent
 
     @property
     def shape(self):
@@ -66,27 +65,24 @@ class Var:
 
 
 def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x, requires_grad=False)
+    return x if isinstance(x, Var) else Var(x)
 
 
 def constant(x) -> Var:
-    return Var(x, requires_grad=False)
+    return Var(x)
 
 
 def parameter(x) -> Var:
     return Var(np.array(x, dtype=float), requires_grad=True)
 
 
-def fused(value, inputs, vjp) -> Var:
-    """One tape node over ``inputs`` with a single ``vjp(g, grads)``.
-
-    ``grads[i]`` is the gradient buffer of ``inputs[i]``, or None when that
-    input needs no gradient; the callback accumulates into every buffer in
-    one call, so work the inputs share runs once per backward pass.
-    """
-    out = Var(value, parents=tuple((x, None) for x in inputs))
-    out.vjp = vjp
-    return out
+def node(value, inputs: tuple[Var, ...], vjp) -> Var:
+    """A tape node over ``inputs`` with a single ``vjp(g, grads)``, or a
+    constant when no input needs a gradient."""
+    for x in inputs:
+        if x.requires_grad:
+            return Var(value, inputs, vjp, requires_grad=True)
+    return Var(value)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -101,141 +97,97 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    out = Var(a.value + b.value)
-    parents = []
-    if a.requires_grad:
-        parents.append((a, lambda g, acc: acc.__iadd__(_unbroadcast(g, acc.shape))))
-    if b.requires_grad:
-        parents.append((b, lambda g, acc: acc.__iadd__(_unbroadcast(g, acc.shape))))
-    out.parents = tuple(parents)
-    out.requires_grad = bool(parents)
-    return out
+
+    def vjp(g, grads):
+        for acc in grads:
+            if acc is not None:
+                acc += _unbroadcast(g, acc.shape)
+
+    return node(a.value + b.value, (a, b), vjp)
 
 
 def sub(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    out = Var(a.value - b.value)
-    parents = []
-    if a.requires_grad:
-        parents.append((a, lambda g, acc: acc.__iadd__(_unbroadcast(g, acc.shape))))
-    if b.requires_grad:
-        parents.append((b, lambda g, acc: acc.__isub__(_unbroadcast(g, acc.shape))))
-    out.parents = tuple(parents)
-    out.requires_grad = bool(parents)
-    return out
+
+    def vjp(g, grads):
+        acc_a, acc_b = grads
+        if acc_a is not None:
+            acc_a += _unbroadcast(g, acc_a.shape)
+        if acc_b is not None:
+            acc_b -= _unbroadcast(g, acc_b.shape)
+
+    return node(a.value - b.value, (a, b), vjp)
 
 
 def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    out = Var(a.value * b.value)
-    parents = []
-    if a.requires_grad:
-        parents.append((a, lambda g, acc: acc.__iadd__(_unbroadcast(g * b.value, acc.shape))))
-    if b.requires_grad:
-        parents.append((b, lambda g, acc: acc.__iadd__(_unbroadcast(g * a.value, acc.shape))))
-    out.parents = tuple(parents)
-    out.requires_grad = bool(parents)
-    return out
+
+    def vjp(g, grads):
+        acc_a, acc_b = grads
+        if acc_a is not None:
+            acc_a += _unbroadcast(g * b.value, acc_a.shape)
+        if acc_b is not None:
+            acc_b += _unbroadcast(g * a.value, acc_b.shape)
+
+    return node(a.value * b.value, (a, b), vjp)
 
 
 def scale(a, s: float) -> Var:
     a = as_var(a)
-    out = Var(a.value * s)
-    if a.requires_grad:
-        out.parents = ((a, lambda g, acc: acc.__iadd__(_unbroadcast(g * s, acc.shape))),)
-        out.requires_grad = True
-    return out
+    return node(a.value * s, (a,), lambda g, grads: grads[0].__iadd__(g * s))
 
 
 def matmul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    out = Var(a.value @ b.value)
-    parents = []
-    if a.requires_grad:
-        parents.append((a, lambda g, acc: acc.__iadd__(g @ b.value.T)))
-    if b.requires_grad:
-        parents.append((b, lambda g, acc: acc.__iadd__(a.value.T @ g)))
-    out.parents = tuple(parents)
-    out.requires_grad = bool(parents)
-    return out
+
+    def vjp(g, grads):
+        acc_a, acc_b = grads
+        if acc_a is not None:
+            acc_a += g @ b.value.T
+        if acc_b is not None:
+            acc_b += a.value.T @ g
+
+    return node(a.value @ b.value, (a, b), vjp)
 
 
 def transpose(a) -> Var:
     a = as_var(a)
-    out = Var(a.value.T)
-    if a.requires_grad:
-        out.parents = ((a, lambda g, acc: acc.__iadd__(g.T)),)
-        out.requires_grad = True
-    return out
+    return node(a.value.T, (a,), lambda g, grads: grads[0].__iadd__(g.T))
 
 
 def relu(a) -> Var:
     a = as_var(a)
-    out = Var(np.maximum(a.value, 0.0))
-    if a.requires_grad:
-        mask = a.value > 0
-        out.parents = ((a, lambda g, acc: acc.__iadd__(g * mask)),)
-        out.requires_grad = True
-    return out
+    return node(np.maximum(a.value, 0.0), (a,),
+                lambda g, grads: grads[0].__iadd__(g * (a.value > 0)))
 
 
 def log(a) -> Var:
     a = as_var(a)
-    out = Var(np.log(a.value))
-    if a.requires_grad:
-        out.parents = ((a, lambda g, acc: acc.__iadd__(g / a.value)),)
-        out.requires_grad = True
-    return out
+    return node(np.log(a.value), (a,), lambda g, grads: grads[0].__iadd__(g / a.value))
 
 
 def clip_min(a, lo: float) -> Var:
     a = as_var(a)
-    out = Var(np.maximum(a.value, lo))
-    if a.requires_grad:
-        mask = a.value > lo
-        out.parents = ((a, lambda g, acc: acc.__iadd__(g * mask)),)
-        out.requires_grad = True
-    return out
-
-
-def sqrt(a) -> Var:
-    a = as_var(a)
-    root = np.sqrt(a.value)
-    out = Var(root)
-    if a.requires_grad:
-        out.parents = ((a, lambda g, acc: acc.__iadd__(g * (0.5 / root))),)
-        out.requires_grad = True
-    return out
+    return node(np.maximum(a.value, lo), (a,),
+                lambda g, grads: grads[0].__iadd__(g * (a.value > lo)))
 
 
 def rsqrt(a) -> Var:
     a = as_var(a)
-    val = a.value**-0.5
-    out = Var(val)
-    if a.requires_grad:
-        deriv = -0.5 * a.value**-1.5
-        out.parents = ((a, lambda g, acc: acc.__iadd__(g * deriv)),)
-        out.requires_grad = True
-    return out
+    return node(a.value**-0.5, (a,),
+                lambda g, grads: grads[0].__iadd__(g * (-0.5 * a.value**-1.5)))
 
 
 def row_sum(a) -> Var:
     """Sum along the last axis, keeping it as a length-1 dimension."""
     a = as_var(a)
-    out = Var(a.value.sum(axis=-1, keepdims=True))
-    if a.requires_grad:
-        out.parents = ((a, lambda g, acc: acc.__iadd__(g)),)
-        out.requires_grad = True
-    return out
+    return node(a.value.sum(axis=-1, keepdims=True), (a,),
+                lambda g, grads: grads[0].__iadd__(g))
 
 
 def sum_all(a) -> Var:
     a = as_var(a)
-    out = Var(a.value.sum())
-    if a.requires_grad:
-        out.parents = ((a, lambda g, acc: acc.__iadd__(g)),)
-        out.requires_grad = True
-    return out
+    return node(a.value.sum(), (a,), lambda g, grads: grads[0].__iadd__(g))
 
 
 def row_softmax(a) -> Var:
@@ -244,27 +196,21 @@ def row_softmax(a) -> Var:
     shifted = a.value - a.value.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     sm = e / e.sum(axis=-1, keepdims=True)
-    out = Var(sm)
-    if a.requires_grad:
-        def vjp(g, acc):
-            inner = (g * sm).sum(axis=-1, keepdims=True)
-            acc += sm * (g - inner)
 
-        out.parents = ((a, vjp),)
-        out.requires_grad = True
-    return out
+    def vjp(g, grads):
+        inner = (g * sm).sum(axis=-1, keepdims=True)
+        grads[0] += sm * (g - inner)
+
+    return node(sm, (a,), vjp)
 
 
 def getitem(a, idx) -> Var:
     a = as_var(a)
-    out = Var(a.value[idx])
-    if a.requires_grad:
-        def vjp(g, acc):
-            acc[idx] += g
 
-        out.parents = ((a, vjp),)
-        out.requires_grad = True
-    return out
+    def vjp(g, grads):
+        grads[0][idx] += g
+
+    return node(a.value[idx], (a,), vjp)
 
 
 def pad_rows(a, total_rows: int) -> Var:
@@ -275,35 +221,25 @@ def pad_rows(a, total_rows: int) -> Var:
         raise ContractViolationError(f"cannot pad {n} rows down to {total_rows}")
     padded = np.zeros((total_rows, width))
     padded[:n] = a.value
-    out = Var(padded)
-    if a.requires_grad:
-        out.parents = ((a, lambda g, acc: acc.__iadd__(g[:n])),)
-        out.requires_grad = True
-    return out
+    return node(padded, (a,), lambda g, grads: grads[0].__iadd__(g[:n]))
 
 
 def reshape(a, shape) -> Var:
     a = as_var(a)
-    out = Var(a.value.reshape(shape))
-    if a.requires_grad:
-        out.parents = ((a, lambda g, acc: acc.__iadd__(g.reshape(acc.shape))),)
-        out.requires_grad = True
-    return out
+    return node(a.value.reshape(shape), (a,),
+                lambda g, grads: grads[0].__iadd__(g.reshape(a.value.shape)))
 
 
 def frobenius_norm(a) -> Var:
     """sqrt(sum of squares); subgradient 0 at the origin."""
     a = as_var(a)
     norm = float(np.sqrt((a.value * a.value).sum()))
-    out = Var(norm)
-    if a.requires_grad:
-        def vjp(g, acc):
-            if norm > 0.0:
-                acc += (float(g) / norm) * a.value
 
-        out.parents = ((a, vjp),)
-        out.requires_grad = True
-    return out
+    def vjp(g, grads):
+        if norm > 0.0:
+            grads[0] += (float(g) / norm) * a.value
+
+    return node(norm, (a,), vjp)
 
 
 def backward(root: Var) -> None:
@@ -319,31 +255,27 @@ def backward(root: Var) -> None:
     seen: set[int] = set()
     stack: list[tuple[Var, bool]] = [(root, False)]
     while stack:
-        node, processed = stack.pop()
+        var, processed = stack.pop()
         if processed:
-            topo.append(node)
+            topo.append(var)
             continue
-        if id(node) in seen:
+        if id(var) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node.parents:
-            if parent.requires_grad and id(parent) not in seen:
-                stack.append((parent, False))
+        seen.add(id(var))
+        stack.append((var, True))
+        for x in var.inputs:
+            if x.requires_grad and id(x) not in seen:
+                stack.append((x, False))
 
     if root.grad is None:
         root.grad = np.zeros_like(root.value)
     root.grad += 1.0
-    for node in reversed(topo):
-        g = node.grad
-        if g is None:
-            continue
-        for parent, _ in node.parents:
-            if parent.requires_grad and parent.grad is None:
-                parent.grad = np.zeros_like(parent.value)
-        if node.vjp is not None:
-            node.vjp(g, [p.grad if p.requires_grad else None for p, _ in node.parents])
-            continue
-        for parent, vjp in node.parents:
-            if parent.requires_grad:
-                vjp(g, parent.grad)
+    for var in reversed(topo):
+        if var.vjp is None:
+            continue  # a parameter
+        grads = []
+        for x in var.inputs:
+            if x.requires_grad and x.grad is None:
+                x.grad = np.zeros_like(x.value)
+            grads.append(x.grad if x.requires_grad else None)
+        var.vjp(var.grad, grads)

@@ -131,15 +131,25 @@ def plan_from(cfg: dict, args, seeds: tuple[int, ...]) -> ExperimentPlan:
 
 def seeds_from(cfg: dict, args) -> tuple[int, ...]:
     if getattr(args, "seeds", None):
-        return tuple(int(s) for s in args.seeds.split(","))
-    if getattr(args, "num_seeds", None):
-        return tuple(range(args.num_seeds))
-    if "seeds" in cfg:
+        try:
+            seeds = tuple(int(s) for s in args.seeds.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse seed list {args.seeds!r}") from exc
+    elif getattr(args, "num_seeds", None) is not None:
+        if args.num_seeds < 1:
+            raise ConfigError(f"--num-seeds must be at least 1, got {args.num_seeds}")
+        seeds = tuple(range(args.num_seeds))
+    elif "seeds" in cfg:
         seeds = cfg["seeds"]
-        if not isinstance(seeds, list) or not seeds:
+        if (not isinstance(seeds, list) or not seeds
+                or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
             raise ConfigError("config 'seeds' must be a nonempty list of integers")
-        return tuple(int(s) for s in seeds)
-    return tuple(range(10))
+        seeds = tuple(seeds)
+    else:
+        seeds = tuple(range(10))
+    if any(s < 0 for s in seeds):
+        raise ConfigError(f"seeds must be non-negative, got {list(seeds)}")
+    return seeds
 
 
 # -- small parsers --------------------------------------------------------

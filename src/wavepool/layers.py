@@ -8,9 +8,9 @@ the cosine transform.
 
 The wavelet convolution is one tape node over every scale, with a
 hand-written vjp that writes straight into the full-size filter and bias
-gradients. Its graph-only operands, psi_f and psi_f^+ X, can be passed in
-precomputed as ``ScaleInput``s, and the graph convolution accepts a
-``Renormalized`` constant adjacency instead of renormalizing on the tape;
+gradients. It reads the graph only through its precomputed operands, psi_f
+and psi_f^+ X per scale (``ScaleInput``), and the graph convolution accepts
+a ``Renormalized`` constant adjacency instead of renormalizing on the tape;
 the model memoises both per graph.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .errors import ContractViolationError, NumericError, PoolingDegenerateError
-from .spectral import SpectralTransform, WaveletBasis
+from .spectral import SpectralTransform
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -112,21 +112,19 @@ class ScaleInput(NamedTuple):
     projected: np.ndarray  # psi^+ X, (n, l)
 
 
-def gwc_forward(h: Var, params: GwcLayerParams,
-                bases: Sequence[WaveletBasis | ScaleInput]) -> Var:
-    """Wavelet convolution: average over scales of act(psi theta psi^+ h + bias).
+def gwc_forward(params: GwcLayerParams, scales: Sequence[ScaleInput]) -> Var:
+    """Wavelet convolution: average over scales of act(psi theta psi^+ X + bias).
 
-    Each scale comes as its ``WaveletBasis``, and psi^+ h is formed here,
-    or as a ``ScaleInput`` that already holds psi^+ h. Only a basis carries
-    psi^+, so ``h`` can take a gradient only when every scale is a basis.
-    Products run right to left, so a scale costs n^2 l per matmul. The
-    result is a single tape node.
+    Each scale brings psi and the projected input psi^+ X, so the graph and
+    its features come in through ``scales`` alone. Products run right to
+    left, so a scale costs n^2 l per matmul. The result is a single tape
+    node over the filters and the bias.
     """
-    n, width = h.value.shape
-    if len(bases) != len(params.scales):
+    if len(scales) != len(params.scales):
         raise ContractViolationError(
-            f"got {len(bases)} bases for {len(params.scales)} scales"
+            f"got {len(scales)} scale inputs for {len(params.scales)} scales"
         )
+    n, width = scales[0].projected.shape
     n_max = params.thetas[0].value.shape[0]
     if n > n_max:
         raise ContractViolationError(f"graph size {n} exceeds theta allocation {n_max}")
@@ -134,32 +132,18 @@ def gwc_forward(h: Var, params: GwcLayerParams,
         raise ContractViolationError(
             f"bias width {params.bias.value.shape[1]} != feature width {width}"
         )
-    operands = []  # (psi, psi^+ h, psi^+ or None) per scale
-    for scale, basis in zip(params.scales, bases):
-        if basis.psi.shape != (n, n):
+    for scale, (psi, projected) in zip(params.scales, scales):
+        if psi.shape != (n, n) or projected.shape != (n, width):
             raise ContractViolationError(
-                f"basis for scale {scale} has size {basis.psi.shape[0]}, graph has {n}"
+                f"scale {scale} has psi {psi.shape} and projected input {projected.shape}, "
+                f"expected {(n, n)} and {(n, width)}"
             )
-        if isinstance(basis, WaveletBasis):
-            operands.append((basis.psi, basis.psi_pinv @ h.value, basis.psi_pinv))
-            continue
-        if basis.projected.shape != (n, width):
-            raise ContractViolationError(
-                f"projected input for scale {scale} has shape {basis.projected.shape}, "
-                f"features have {(n, width)}"
-            )
-        if h.requires_grad:
-            raise ContractViolationError(
-                "a projected scale input holds no psi^+, so h cannot take a gradient"
-            )
-        operands.append((basis.psi, basis.projected, None))
 
     relu = params.activation == "relu"
-    thetas = [theta.value[:n, :n] for theta in params.thetas]
     bias = params.bias.value[:n, :]
     total, masks = None, []
-    for (psi, projected, _), theta in zip(operands, thetas):
-        pre = psi @ (theta @ projected) + bias
+    for (psi, projected), theta in zip(scales, params.thetas):
+        pre = psi @ (theta.value[:n, :n] @ projected) + bias
         if relu:
             masks.append(pre > 0)
             pre = np.maximum(pre, 0.0)
@@ -170,19 +154,16 @@ def gwc_forward(h: Var, params: GwcLayerParams,
     inv_count = 1.0 / len(params.scales)
 
     def vjp(g, grads):
-        *theta_grads, bias_grad, h_grad = grads
+        *theta_grads, bias_grad = grads
         g = g * inv_count
-        for k, ((psi, projected, pinv), theta) in enumerate(zip(operands, thetas)):
+        for k, (psi, projected) in enumerate(scales):
             g_k = g * masks[k] if relu else g
             if bias_grad is not None:
                 bias_grad[:n, :] += g_k
-            inner = psi.T @ g_k
             if theta_grads[k] is not None:
-                theta_grads[k][:n, :n] += inner @ projected.T
-            if h_grad is not None:
-                h_grad += pinv.T @ (theta.T @ inner)
+                theta_grads[k][:n, :n] += (psi.T @ g_k) @ projected.T
 
-    return ad.fused(total * inv_count, (*params.thetas, params.bias, h), vjp)
+    return ad.node(total * inv_count, (*params.thetas, params.bias), vjp)
 
 
 def spectral_pool_assign(

@@ -302,11 +302,10 @@ class CrossScaleModel:
             )
         inputs = self.inputs_for(graph)
         adjacency = ad.constant(graph.adjacency)
-        features = ad.constant(graph.features)
         if cfg.uses_wavelets:
-            h = gwc_forward(features, self.gwc, inputs.scales)
+            h = gwc_forward(self.gwc, inputs.scales)
         else:
-            h = gcn_forward(inputs.renormalized, features, self.conv1)
+            h = gcn_forward(inputs.renormalized, ad.constant(graph.features), self.conv1)
         stages: list[PoolStage] = []
         pooled_adjacencies: list[Var] = []
         if n > cfg.m_out:

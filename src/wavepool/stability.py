@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolationError
-from .layers import GwcLayerParams, activation_lipschitz, gwc_forward
+from .layers import GwcLayerParams, ScaleInput, activation_lipschitz, gwc_forward
 from .spectral import (
     MODE_FITTED_KERNEL,
     WaveletBasis,
@@ -153,7 +153,7 @@ def make_gwc_layer(basis: WaveletBasis, theta: np.ndarray, bias: np.ndarray,
     )
 
     def layer(x: np.ndarray) -> np.ndarray:
-        return gwc_forward(ad.constant(x), params, [basis]).value
+        return gwc_forward(params, [ScaleInput(basis.psi, basis.psi_pinv @ x)]).value
 
     return layer
 

@@ -65,6 +65,26 @@ def test_config_file_wrong_schema_version(tmp_path):
         load_config_file(str(cfg))
 
 
+@pytest.mark.parametrize("flags", [["--seeds", "a,b"], ["--seeds", "1,-2"],
+                                   ["--num-seeds", "0"], ["--num-seeds", "-3"]])
+def test_bad_seed_flags_exit_2(bench_dir, tmp_path, capsys, flags):
+    code = main(["evaluate", "--data", str(bench_dir), "--out", str(tmp_path / "o"),
+                 *flags, *FAST])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "per_seed.csv").exists()
+
+
+@pytest.mark.parametrize("seeds", [["x"], [1.5], [True], [], 3])
+def test_bad_config_seeds_exit_2(bench_dir, tmp_path, capsys, seeds):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "seeds": seeds}))
+    code = main(["evaluate", "--config", str(cfg), "--data", str(bench_dir),
+                 "--out", str(tmp_path / "o"), *FAST])
+    assert code == 2
+    assert "seeds" in capsys.readouterr().err
+
+
 def test_sweep_requires_axis(bench_dir, tmp_path, capsys):
     code = main(["sweep", "--data", str(bench_dir), "--out", str(tmp_path / "o"),
                  "--values", "0,0.5"])

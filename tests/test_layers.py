@@ -34,6 +34,11 @@ def make_bases(adj, scales=(1.0,), order=12):
     return wavelet_bases(normalized_laplacian(adj), scales, order)
 
 
+def project(bases, h):
+    """The wavelet convolution's operands for the input features ``h``."""
+    return [ScaleInput(b.psi, b.psi_pinv @ h) for b in bases]
+
+
 def gwc_params(n_max, width, scales=(1.0,), activation="identity", rng=None):
     thetas = []
     for _ in scales:
@@ -77,28 +82,28 @@ def test_activation_lipschitz_constant():
 
 def test_gwc_identity_filter_is_passthrough(rng):
     adj = cycle_adjacency(6)
-    h = ad.constant(rng.standard_normal((6, 3)))
+    h = rng.standard_normal((6, 3))
     params = gwc_params(6, 3)
-    out = gwc_forward(h, params, make_bases(adj))
+    out = gwc_forward(params, project(make_bases(adj), h))
     # theta = I and invertible psi collapse psi theta psi^+ to the identity
-    assert np.allclose(out.value, h.value, atol=1e-8)
+    assert np.allclose(out.value, h, atol=1e-8)
 
 
 def test_gwc_scale_average(rng):
     adj = cycle_adjacency(5)
-    h = ad.constant(rng.standard_normal((5, 2)))
-    single = gwc_forward(h, gwc_params(5, 2, scales=(1.0,)), make_bases(adj))
+    h = rng.standard_normal((5, 2))
+    single = gwc_forward(gwc_params(5, 2, scales=(1.0,)), project(make_bases(adj), h))
     doubled = gwc_forward(
-        h, gwc_params(5, 2, scales=(1.0, 1.0)), make_bases(adj, (1.0, 1.0))
+        gwc_params(5, 2, scales=(1.0, 1.0)), project(make_bases(adj, (1.0, 1.0)), h)
     )
     assert np.allclose(single.value, doubled.value, atol=1e-12)
 
 
 def test_gwc_slices_oversized_parameters(rng):
     adj = path_adjacency(4)
-    h = ad.constant(rng.standard_normal((4, 2)))
+    h = rng.standard_normal((4, 2))
     params = gwc_params(10, 2, rng=rng)
-    out = gwc_forward(h, params, make_bases(adj))
+    out = gwc_forward(params, project(make_bases(adj), h))
     assert out.value.shape == (4, 2)
     ad.backward(ad.sum_all(out))
     theta_grad = params.thetas[0].grad
@@ -109,15 +114,13 @@ def test_gwc_slices_oversized_parameters(rng):
 
 def test_gwc_validation_errors(rng):
     adj = path_adjacency(4)
-    h = ad.constant(rng.standard_normal((4, 2)))
-    with pytest.raises(ContractViolationError, match="bases for"):
-        gwc_forward(h, gwc_params(4, 2, scales=(1.0, 2.0)), make_bases(adj))
+    operands = project(make_bases(adj), rng.standard_normal((4, 2)))
+    with pytest.raises(ContractViolationError, match="scale inputs for"):
+        gwc_forward(gwc_params(4, 2, scales=(1.0, 2.0)), operands)
     with pytest.raises(ContractViolationError, match="exceeds theta allocation"):
-        gwc_forward(h, gwc_params(3, 2), make_bases(adj))
+        gwc_forward(gwc_params(3, 2), operands)
     with pytest.raises(ContractViolationError, match="bias width"):
-        gwc_forward(h, gwc_params(4, 3), make_bases(adj))
-    with pytest.raises(ContractViolationError, match="graph has"):
-        gwc_forward(h, gwc_params(5, 2), make_bases(path_adjacency(5)))
+        gwc_forward(gwc_params(4, 3), operands)
 
 
 def test_gwc_params_validation():
@@ -136,19 +139,20 @@ def test_gwc_gradients_match_finite_differences(rng):
     theta0 = np.eye(4) + 0.2 * rng.standard_normal((4, 4))
     bias0 = 0.1 * rng.standard_normal((4, 2))
 
-    def run(h, theta, bias):
+    operands = project(bases, h0)
+
+    def run(theta, bias):
         params = GwcLayerParams(
             scales=(1.0,), thetas=[ad.as_var(theta)], bias=ad.as_var(bias),
             activation="identity",
         )
-        return ad.frobenius_norm(gwc_forward(ad.as_var(h), params, bases))
+        return ad.frobenius_norm(gwc_forward(params, operands))
 
-    h_var, t_var, b_var = (ad.parameter(x) for x in (h0, theta0, bias0))
-    ad.backward(run(h_var, t_var, b_var))
+    t_var, b_var = ad.parameter(theta0), ad.parameter(bias0)
+    ad.backward(run(t_var, b_var))
     for var, x0, pick in (
-        (h_var, h0, lambda x: run(x, theta0, bias0)),
-        (t_var, theta0, lambda x: run(h0, x, bias0)),
-        (b_var, bias0, lambda x: run(h0, theta0, x)),
+        (t_var, theta0, lambda x: run(x, bias0)),
+        (b_var, bias0, lambda x: run(theta0, x)),
     ):
         numeric = central_difference(lambda x: pick(x).value, x0)
         assert max_rel_error(var.grad, numeric) < REL_TOL
@@ -183,34 +187,31 @@ def test_fused_gwc_matches_per_op_composition(activation, scales, n, rng):
     thetas0 = [np.eye(n_max) + 0.3 * rng.standard_normal((n_max, n_max)) for _ in scales]
     bias0 = 0.5 * rng.standard_normal((n_max, width))
 
-    def run(forward, h, operands):
+    def run(forward):
         params = GwcLayerParams(scales=scales, thetas=[ad.parameter(t) for t in thetas0],
                                 bias=ad.parameter(bias0), activation=activation)
-        out = forward(h, params, operands)
+        out = forward(params)
         ad.backward(ad.sum_all(out * weights))
         return out, params
 
-    h_ref, h_fused = ad.parameter(h0), ad.parameter(h0)
-    reference, ref_params = run(per_op_gwc, h_ref, bases)
-    projected = [ScaleInput(b.psi, b.psi_pinv @ h0) for b in bases]
-    for h, operands in ((h_fused, bases), (ad.constant(h0), projected)):
-        out, params = run(gwc_forward, h, operands)
-        assert np.array_equal(out.value, reference.value)
-        for theta, ref in zip(params.thetas, ref_params.thetas):
-            assert close_relative(theta.grad, ref.grad)
-            assert np.all(theta.grad[n:, :] == 0.0) and np.all(theta.grad[:, n:] == 0.0)
-        assert close_relative(params.bias.grad, ref_params.bias.grad)
-    assert close_relative(h_fused.grad, h_ref.grad)
+    reference, ref_params = run(lambda params: per_op_gwc(ad.constant(h0), params, bases))
+    out, params = run(lambda params: gwc_forward(params, project(bases, h0)))
+    assert np.array_equal(out.value, reference.value)
+    for theta, ref in zip(params.thetas, ref_params.thetas):
+        assert close_relative(theta.grad, ref.grad)
+        assert np.all(theta.grad[n:, :] == 0.0) and np.all(theta.grad[:, n:] == 0.0)
+    assert close_relative(params.bias.grad, ref_params.bias.grad)
 
 
-def test_gwc_projected_inputs_take_no_h_gradient(rng):
-    adj = cycle_adjacency(4)
-    h = ad.parameter(rng.standard_normal((4, 2)))
-    projected = [ScaleInput(b.psi, b.psi_pinv @ h.value) for b in make_bases(adj)]
-    with pytest.raises(ContractViolationError, match="gradient"):
-        gwc_forward(h, gwc_params(4, 2), projected)
+def test_gwc_rejects_mismatched_scale_inputs(rng):
+    h = rng.standard_normal((4, 2))
+    (four,) = project(make_bases(path_adjacency(4)), h)
+    (five,) = project(make_bases(path_adjacency(5)), rng.standard_normal((5, 2)))
+    params = gwc_params(5, 2, scales=(1.0, 2.0))
     with pytest.raises(ContractViolationError, match="projected input"):
-        gwc_forward(ad.constant(h.value[:, :1]), gwc_params(4, 1), projected)
+        gwc_forward(params, [four, five])
+    with pytest.raises(ContractViolationError, match="projected input"):
+        gwc_forward(params, [four, ScaleInput(four.psi, h[:, :1])])
 
 
 # -- pooling --------------------------------------------------------------
