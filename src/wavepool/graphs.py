@@ -7,6 +7,8 @@ statistics are pure functions.
 
 from __future__ import annotations
 
+import io
+import re
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -149,15 +151,90 @@ class SplitSpec:
 # ---------------------------------------------------------------------------
 # TU benchmark format
 
-def _read_lines(path: Path) -> list[str]:
-    return path.read_text().splitlines()
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
 
 
-def _parse_int(token: str, path: Path, line_no: int) -> int:
+def _read_text(path: Path) -> str:
     try:
-        return int(token.strip())
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path.name}: not UTF-8 text (byte {exc.start})") from None
+
+
+def _rows(text: str) -> list[tuple[int, str]]:
+    """(line number, line) of each non-blank line: the rescan behind error messages."""
+    return [(no, line) for no, line in enumerate(text.split("\n"), start=1) if line.strip()]
+
+
+def _load_table(text: str, dtype) -> np.ndarray | None:
+    """Every non-blank row of whitespace-separated ``text`` in one C-level parse.
+
+    None when a token does not parse as ``dtype`` or the rows differ in width.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            return np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=2)
     except ValueError:
-        raise FormatError(f"{path.name}:{line_no}: expected integer, got {token.strip()!r}") from None
+        return None
+
+
+def _integer_table(path: Path, columns: int) -> np.ndarray:
+    """The file's non-blank rows as an int64 array of shape (rows, columns).
+
+    A row of several columns may separate its integers by commas or
+    whitespace; a one-column row is a single integer.
+    """
+    text = _read_text(path)
+    table = _load_table(text.replace(",", " ") if columns > 1 else text, np.int64)
+    if table is not None and (table.size == 0 or table.shape[1] == columns):
+        return table.reshape(-1, columns)
+    for line_no, line in _rows(text):
+        parts = line.replace(",", " ").split() if columns > 1 else [line.strip()]
+        if len(parts) != columns:
+            raise FormatError(f"{path.name}:{line_no}: expected 'row, col', got {line.strip()!r}")
+        for token in parts:
+            if not _INTEGER.fullmatch(token):
+                raise FormatError(f"{path.name}:{line_no}: expected integer, got {token!r}")
+            if not _INT64.min <= int(token) <= _INT64.max:
+                raise FormatError(f"{path.name}:{line_no}: integer {token} outside int64")
+    raise FormatError(f"{path.name}: cannot parse as a table of integers")
+
+
+def _attribute_fault(line: str) -> str | None:
+    tokens = line.replace(",", " ").split()
+    # float() also takes digit separators and non-ASCII digits; the table parse does not
+    if not all(tok.isascii() and "_" not in tok for tok in tokens):
+        return "malformed attribute row"
+    try:
+        values = [float(tok) for tok in tokens]
+    except ValueError:
+        return "malformed attribute row"
+    if not np.isfinite(values).all():
+        return "non-finite attribute"
+    return None
+
+
+def _attribute_table(path: Path, n_nodes: int) -> np.ndarray:
+    """The (n_nodes, width) float attribute rows, every value finite."""
+    text = _read_text(path)
+    table = _load_table(text.replace(",", " "), float)
+    if table is not None and np.isfinite(table).all():
+        if len(table) != n_nodes:
+            raise FormatError(f"{path.name}: {len(table)} rows for {n_nodes} nodes")
+        return table
+    rows = _rows(text)
+    for line_no, line in rows:
+        fault = _attribute_fault(line)
+        if fault:
+            raise FormatError(f"{path.name}:{line_no}: {fault}")
+    if len(rows) != n_nodes:
+        raise FormatError(f"{path.name}: {len(rows)} rows for {n_nodes} nodes")
+    widths = sorted({len(line.replace(",", " ").split()) for _, line in rows})
+    if len(widths) > 1:
+        raise FormatError(f"{path.name}: inconsistent attribute widths {widths}")
+    raise FormatError(f"{path.name}: cannot parse as a table of numbers")
 
 
 def load_tu_dataset(directory_path: str | Path, degree_cap: int = DEGREE_CAP) -> GraphDataset:
@@ -169,6 +246,13 @@ def load_tu_dataset(directory_path: str | Path, degree_cap: int = DEGREE_CAP) ->
     Node labels are one-hot encoded; when neither labels nor attributes
     exist, features fall back to one-hot degree encodings capped at
     ``degree_cap`` with an overflow bucket.
+
+    Files are UTF-8 text, one row per line. Integers are base-10 ASCII
+    digits with an optional sign, within int64; attributes are finite
+    decimal floats. The values of an edge or attribute row are separated
+    by commas or whitespace. Blank lines are skipped; there are no
+    comments. A malformed row raises ``FormatError`` naming
+    ``file:line``.
     """
     directory = Path(directory_path)
     if not directory.is_dir():
@@ -190,116 +274,73 @@ def load_tu_dataset(directory_path: str | Path, degree_cap: int = DEGREE_CAP) ->
     node_labels_path = directory / f"{prefix}_node_labels.txt"
     node_attrs_path = directory / f"{prefix}_node_attributes.txt"
 
-    graph_of_node: list[int] = []
-    for line_no, line in enumerate(_read_lines(indicator_path), start=1):
-        if line.strip():
-            graph_of_node.append(_parse_int(line, indicator_path, line_no))
+    graph_of_node = _integer_table(indicator_path, 1)[:, 0]
     n_nodes = len(graph_of_node)
     if n_nodes == 0:
         raise FormatError(f"{indicator_path.name}: no nodes listed")
-    graph_ids = sorted(set(graph_of_node))
-    graph_index = {gid: k for k, gid in enumerate(graph_ids)}
+    graph_ids, node_graph = np.unique(graph_of_node, return_inverse=True)
 
-    raw_labels: list[int] = []
-    for line_no, line in enumerate(_read_lines(labels_path), start=1):
-        if line.strip():
-            raw_labels.append(_parse_int(line, labels_path, line_no))
+    raw_labels = _integer_table(labels_path, 1)[:, 0]
     if len(raw_labels) != len(graph_ids):
         raise FormatError(
             f"{labels_path.name}: {len(raw_labels)} labels for {len(graph_ids)} graphs"
         )
-    label_values = sorted(set(raw_labels))
-    label_map = {v: k for k, v in enumerate(label_values)}
+    label_values, labels = np.unique(raw_labels, return_inverse=True)
 
     # each graph's nodes, and every node's index within its graph, in file order
-    local_index = np.empty(n_nodes, dtype=int)
-    node_rows: dict[int, list[int]] = {gid: [] for gid in graph_ids}
-    for node, gid in enumerate(graph_of_node):
-        local_index[node] = len(node_rows[gid])
-        node_rows[gid].append(node)
+    sizes = np.bincount(node_graph)
+    node_order = np.argsort(node_graph, kind="stable")
+    local_index = np.empty(n_nodes, dtype=np.int64)
+    local_index[node_order] = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    adjacencies = [np.zeros((len(node_rows[gid]),) * 2) for gid in graph_ids]
-    dropped_self_loops = 0
-    for line_no, line in enumerate(_read_lines(a_path), start=1):
-        if not line.strip():
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise FormatError(f"{a_path.name}:{line_no}: expected 'row, col', got {line.strip()!r}")
-        u = _parse_int(parts[0], a_path, line_no)
-        v = _parse_int(parts[1], a_path, line_no)
-        if not (1 <= u <= n_nodes) or not (1 <= v <= n_nodes):
-            raise FormatError(
-                f"{a_path.name}:{line_no}: node id outside [1, {n_nodes}]"
-            )
-        gu, gv = graph_of_node[u - 1], graph_of_node[v - 1]
-        if gu != gv:
-            raise FormatError(
-                f"{a_path.name}:{line_no}: edge joins nodes of different graphs {gu} and {gv}"
-            )
-        if u == v:
-            dropped_self_loops += 1
-            continue
-        adj = adjacencies[graph_index[gu]]
-        adj[local_index[u - 1], local_index[v - 1]] = 1.0
-        adj[local_index[v - 1], local_index[u - 1]] = 1.0
-    if dropped_self_loops:
-        warnings.warn(f"{a_path.name}: dropped {dropped_self_loops} self-loop(s)")
+    edges = _integer_table(a_path, 2)
+    outside = ((edges < 1) | (edges > n_nodes)).any(axis=1)
+    end_graphs = node_graph[np.clip(edges, 1, n_nodes) - 1]
+    faulty = outside | (end_graphs[:, 0] != end_graphs[:, 1])
+    if faulty.any():
+        row = int(np.argmax(faulty))
+        line_no = _rows(_read_text(a_path))[row][0]
+        if outside[row]:
+            raise FormatError(f"{a_path.name}:{line_no}: node id outside [1, {n_nodes}]")
+        gu, gv = graph_ids[end_graphs[row]]
+        raise FormatError(
+            f"{a_path.name}:{line_no}: edge joins nodes of different graphs {gu} and {gv}"
+        )
+    self_loops = edges[:, 0] == edges[:, 1]
+    if self_loops.any():
+        warnings.warn(f"{a_path.name}: dropped {int(self_loops.sum())} self-loop(s)")
+    edges = edges[~self_loops] - 1
+    edge_graph = node_graph[edges[:, 0]]
+    edge_order = np.argsort(edge_graph)
+    graph_edges = np.split(local_index[edges[edge_order]],
+                           np.cumsum(np.bincount(edge_graph, minlength=len(graph_ids)))[:-1])
 
-    node_label_feats = None
+    feature_blocks = []
     if node_labels_path.is_file():
-        raw = []
-        for line_no, line in enumerate(_read_lines(node_labels_path), start=1):
-            if line.strip():
-                raw.append(_parse_int(line, node_labels_path, line_no))
+        raw = _integer_table(node_labels_path, 1)[:, 0]
         if len(raw) != n_nodes:
             raise FormatError(
                 f"{node_labels_path.name}: {len(raw)} labels for {n_nodes} nodes"
             )
-        values = sorted(set(raw))
-        vmap = {v: k for k, v in enumerate(values)}
-        node_label_feats = np.zeros((n_nodes, len(values)))
-        node_label_feats[np.arange(n_nodes), [vmap[v] for v in raw]] = 1.0
-
-    node_attr_feats = None
-    if node_attrs_path.is_file():
-        rows = []
-        for line_no, line in enumerate(_read_lines(node_attrs_path), start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append([float(tok) for tok in line.replace(",", " ").split()])
-            except ValueError:
-                raise FormatError(
-                    f"{node_attrs_path.name}:{line_no}: malformed attribute row"
-                ) from None
-        if len(rows) != n_nodes:
-            raise FormatError(
-                f"{node_attrs_path.name}: {len(rows)} rows for {n_nodes} nodes"
-            )
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise FormatError(f"{node_attrs_path.name}: inconsistent attribute widths {sorted(widths)}")
-        node_attr_feats = np.array(rows)
-
-    if node_attr_feats is not None and node_label_feats is not None:
-        all_feats = np.hstack([node_attr_feats, node_label_feats])
-    elif node_attr_feats is not None:
-        all_feats = node_attr_feats
-    elif node_label_feats is not None:
-        all_feats = node_label_feats
-    else:
-        all_feats = None  # degree fallback, computed per graph below
+        values, codes = np.unique(raw, return_inverse=True)
+        onehot = np.zeros((n_nodes, len(values)))
+        onehot[np.arange(n_nodes), codes] = 1.0
+        feature_blocks.append(onehot)
+    if node_attrs_path.is_file():  # attribute columns come first
+        feature_blocks.insert(0, _attribute_table(node_attrs_path, n_nodes))
+    all_feats = np.hstack(feature_blocks) if feature_blocks else None  # None: degree fallback
 
     graphs = []
-    for gid in graph_ids:
-        k = graph_index[gid]
-        adj = adjacencies[k]
+    node_rows = np.split(node_order, np.cumsum(sizes)[:-1])
+    for gid, label, rows, ends in zip(graph_ids, labels, node_rows, graph_edges):
+        adj = np.zeros((len(rows), len(rows)))
+        adj[ends[:, 0], ends[:, 1]] = 1.0
+        adj[ends[:, 1], ends[:, 0]] = 1.0
         if all_feats is not None:
-            feats = all_feats[node_rows[gid]]
+            feats = all_feats[rows]
         else:
             feats = degree_onehot_features(adj, cap=degree_cap)
-        graphs.append(Graph(adj, feats, label_map[raw_labels[k]], id=f"{prefix}-{gid}"))
+        graphs.append(Graph(adj, feats, label, id=f"{prefix}-{gid}"))
 
     return GraphDataset(tuple(graphs), len(label_values), graphs[0].feature_dim, name=prefix)
 

@@ -1,3 +1,7 @@
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +207,182 @@ def test_load_label_count_mismatch(tmp_path):
     (tmp_path / "demo_graph_labels.txt").write_text("1\n")
     with pytest.raises(FormatError, match="1 labels for 2 graphs"):
         load_tu_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("suffix, text, message", [
+    ("_A.txt", "1, 2\n\n2, 1, 3\n", r"demo_A.txt:3: expected 'row, col', got '2, 1, 3'"),
+    ("_A.txt", "1, 2\n\n2, x\n", r"demo_A.txt:3: expected integer, got 'x'"),
+    ("_A.txt", "1, 2\n\n1, 9\n", r"demo_A.txt:3: node id outside \[1, 6\]"),
+    ("_A.txt", "1, 2\n\n3, 4\n", r"demo_A.txt:3: edge joins nodes of different graphs 1 and 2"),
+    ("_A.txt", "1, 2\n\n# edges\n", r"demo_A.txt:3: expected integer, got '#'"),
+    ("_node_labels.txt", "5\n\n5.0\n8\n8\n5\n8\n", r"demo_node_labels.txt:3: expected integer, got '5.0'"),
+    ("_graph_indicator.txt", "1\n\n99999999999999999999\n", r"demo_graph_indicator.txt:3: integer \d+ outside int64"),
+    ("_node_attributes.txt", "0.5, 1\n\n0.5, abc\n", r"demo_node_attributes.txt:3: malformed attribute row"),
+    ("_node_attributes.txt", "0.5, 1\n\n0.5, nan\n", r"demo_node_attributes.txt:3: non-finite attribute"),
+    ("_node_attributes.txt", "0.5, 1\n\n-inf, 1\n", r"demo_node_attributes.txt:3: non-finite attribute"),
+])
+def test_load_error_names_file_and_line(tmp_path, suffix, text, message):
+    two_triangles(tmp_path, node_labels=[5, 5, 8, 8, 5, 8], node_attributes=[[0.5, 1.5]] * 6)
+    (tmp_path / f"demo{suffix}").write_text(text)
+    with pytest.raises(FormatError, match=message):
+        load_tu_dataset(tmp_path)
+
+
+def test_load_undecodable_file(tmp_path):
+    two_triangles(tmp_path)
+    (tmp_path / "demo_graph_indicator.txt").write_bytes(b"1\n1\n\xff\n")
+    with pytest.raises(FormatError, match="demo_graph_indicator.txt: not UTF-8"):
+        load_tu_dataset(tmp_path)
+
+
+# The per-line loader the vectorised one replaced, kept as its reference.
+
+def per_line_load_tu(directory, degree_cap=DEGREE_CAP):
+    def read_lines(path):
+        return path.read_text().splitlines()
+
+    def parse_int(token, path, line_no):
+        try:
+            return int(token.strip())
+        except ValueError:
+            raise FormatError(f"{path.name}:{line_no}: expected integer, got {token.strip()!r}") from None
+
+    a_path = sorted(directory.glob("*_A.txt"))[0]
+    prefix = a_path.name[: -len("_A.txt")]
+    indicator_path = directory / f"{prefix}_graph_indicator.txt"
+    labels_path = directory / f"{prefix}_graph_labels.txt"
+    node_labels_path = directory / f"{prefix}_node_labels.txt"
+    node_attrs_path = directory / f"{prefix}_node_attributes.txt"
+
+    graph_of_node = [parse_int(line, indicator_path, no)
+                     for no, line in enumerate(read_lines(indicator_path), 1) if line.strip()]
+    n_nodes = len(graph_of_node)
+    graph_ids = sorted(set(graph_of_node))
+    graph_index = {gid: k for k, gid in enumerate(graph_ids)}
+    raw_labels = [parse_int(line, labels_path, no)
+                  for no, line in enumerate(read_lines(labels_path), 1) if line.strip()]
+    label_values = sorted(set(raw_labels))
+    label_map = {v: k for k, v in enumerate(label_values)}
+
+    local_index = np.empty(n_nodes, dtype=int)
+    node_rows = {gid: [] for gid in graph_ids}
+    for node, gid in enumerate(graph_of_node):
+        local_index[node] = len(node_rows[gid])
+        node_rows[gid].append(node)
+
+    adjacencies = [np.zeros((len(node_rows[gid]),) * 2) for gid in graph_ids]
+    dropped_self_loops = 0
+    for line_no, line in enumerate(read_lines(a_path), start=1):
+        if not line.strip():
+            continue
+        parts = line.replace(",", " ").split()
+        if len(parts) != 2:
+            raise FormatError(f"{a_path.name}:{line_no}: expected 'row, col', got {line.strip()!r}")
+        u = parse_int(parts[0], a_path, line_no)
+        v = parse_int(parts[1], a_path, line_no)
+        if not (1 <= u <= n_nodes) or not (1 <= v <= n_nodes):
+            raise FormatError(f"{a_path.name}:{line_no}: node id outside [1, {n_nodes}]")
+        gu, gv = graph_of_node[u - 1], graph_of_node[v - 1]
+        if gu != gv:
+            raise FormatError(
+                f"{a_path.name}:{line_no}: edge joins nodes of different graphs {gu} and {gv}")
+        if u == v:
+            dropped_self_loops += 1
+            continue
+        adj = adjacencies[graph_index[gu]]
+        adj[local_index[u - 1], local_index[v - 1]] = 1.0
+        adj[local_index[v - 1], local_index[u - 1]] = 1.0
+    if dropped_self_loops:
+        warnings.warn(f"{a_path.name}: dropped {dropped_self_loops} self-loop(s)")
+
+    blocks = []
+    if node_attrs_path.is_file():
+        blocks.append(np.array([[float(tok) for tok in line.replace(",", " ").split()]
+                                for line in read_lines(node_attrs_path) if line.strip()]))
+    if node_labels_path.is_file():
+        raw = [parse_int(line, node_labels_path, no)
+               for no, line in enumerate(read_lines(node_labels_path), 1) if line.strip()]
+        vmap = {v: k for k, v in enumerate(sorted(set(raw)))}
+        onehot = np.zeros((n_nodes, len(vmap)))
+        onehot[np.arange(n_nodes), [vmap[v] for v in raw]] = 1.0
+        blocks.append(onehot)
+    all_feats = np.hstack(blocks) if blocks else None
+
+    graphs = []
+    for gid in graph_ids:
+        k = graph_index[gid]
+        adj = adjacencies[k]
+        if all_feats is not None:
+            feats = all_feats[node_rows[gid]]
+        else:
+            feats = degree_onehot_features(adj, cap=degree_cap)
+        graphs.append(Graph(adj, feats, label_map[raw_labels[k]], id=f"{prefix}-{gid}"))
+    return GraphDataset(tuple(graphs), len(label_values), graphs[0].feature_dim, name=prefix)
+
+
+@st.composite
+def tu_directories(draw):
+    """Files of a small valid TU directory, as {suffix: text}."""
+    graph_ids = draw(st.lists(st.integers(-3, 40), min_size=1, max_size=4, unique=True))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=len(graph_ids), max_size=len(graph_ids)))
+    owners = draw(st.permutations([g for g, size in zip(graph_ids, sizes) for _ in range(size)]))
+    members = {g: [node for node, o in enumerate(owners, 1) if o == g] for g in graph_ids}
+    edges = draw(st.lists(
+        st.sampled_from(graph_ids).flatmap(
+            lambda g: st.tuples(st.sampled_from(members[g]), st.sampled_from(members[g]))),
+        max_size=12))
+    blank = st.sampled_from(["", "  ", "\t"])
+
+    def lines(rows):
+        out = []
+        for row in rows:
+            out.extend(draw(st.lists(blank, max_size=1)))
+            out.append(row)
+        return "\n".join(out) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+    separator = st.sampled_from([", ", " ", ",", "\t", " ,  "])
+    files = {
+        "_graph_indicator.txt": lines(str(g) for g in owners),
+        "_graph_labels.txt": lines(str(draw(st.integers(-2, 3))) for _ in graph_ids),
+        "_A.txt": lines(f"{u}{draw(separator)}{v}" for u, v in edges),
+    }
+    if draw(st.booleans()):
+        files["_node_labels.txt"] = lines(str(draw(st.integers(-1, 4))) for _ in owners)
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 3))
+        # %.3e of a float near the largest one may round to inf
+        value = st.floats(-1e300, 1e300).flatmap(
+            lambda x: st.sampled_from([repr(x), f"{x:.17g}", f"{x:.3e}"]))
+        files["_node_attributes.txt"] = lines(
+            draw(separator).join(draw(value) for _ in range(width)) for _ in owners)
+    return files
+
+
+def load_recording_warnings(loader, directory):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ds = loader(directory)
+    return ds, [str(w.message) for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(files=tu_directories())
+def test_load_matches_per_line_reference(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for suffix, text in files.items():
+            (directory / f"ds{suffix}").write_text(text)
+        got, got_warnings = load_recording_warnings(load_tu_dataset, directory)
+        want, want_warnings = load_recording_warnings(per_line_load_tu, directory)
+    assert got_warnings == want_warnings
+    assert (got.name, got.class_count, got.feature_dim) == (want.name, want.class_count,
+                                                            want.feature_dim)
+    assert len(got.graphs) == len(want.graphs)
+    for g, w in zip(got.graphs, want.graphs):
+        assert (g.id, g.label) == (w.id, w.label)
+        assert g.adjacency.shape == w.adjacency.shape and g.features.shape == w.features.shape
+        assert g.adjacency.tobytes() == w.adjacency.tobytes()
+        assert g.features.tobytes() == w.features.tobytes()
 
 
 # -- splitting ------------------------------------------------------------

@@ -250,6 +250,16 @@ def test_build_empirical_missing_source_raises(tmp_path):
         build_msg(cfg)
 
 
+def test_build_empirical_undecodable_source_raises(tmp_path):
+    export_tu(small_build(per_class=2), tmp_path / "src", "src")
+    (tmp_path / "src" / "src_graph_labels.txt").write_bytes(b"0\n\xff\n")
+    cfg = MsgConfig(classes=(
+        ClassSpec(family="empirical", count=2, source=str(tmp_path / "src")),
+    ), seed=0)
+    with pytest.raises(IngestionError, match="class 0: cannot load.*src_graph_labels.txt"):
+        build_msg(cfg)
+
+
 # -- text export ----------------------------------------------------------
 
 
