@@ -52,7 +52,9 @@ def load_config_file(path: str | None) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text (byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

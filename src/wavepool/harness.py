@@ -242,17 +242,3 @@ def sweep_svg(result: SweepResult) -> str:
         xlabel=result.axis, ylabel="test accuracy",
     )
 
-
-def parse_per_seed_csv(text: str) -> list[SeedResult]:
-    """Reload the per-seed CSV; aggregates must recompute from it exactly."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != PER_SEED_HEADER:
-        raise ContractViolationError("per-seed CSV header mismatch")
-    out = []
-    for ln in lines[1:]:
-        variant, seed, acc, epochs, seconds = ln.split(",")
-        out.append(SeedResult(
-            variant=variant, seed=int(seed), test_acc=float(acc),
-            epochs_run=int(epochs), seconds=float(seconds) if seconds else 0.0,
-        ))
-    return out

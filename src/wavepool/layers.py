@@ -1,17 +1,21 @@
 """Forward computations for the pipeline layers.
 
-All operations consume and produce autodiff ``Var`` nodes so the training
-module can backpropagate through them. Learnable tensors are allocated at a
-configured maximum size and sliced to each graph's node count; the leading
-rows/columns of the pooling filter correspond to the lowest frequencies of
-the cosine transform.
+Every stage is one autodiff node with a hand-written vjp: the wavelet
+convolution over all scales, the spectral and DiffPool assignments, the
+pooled adjacency and pooled features, the graph convolution and the
+classifier's logits and probabilities. Each takes ``Var`` operands (or
+read-only arrays for what the graph alone determines) and returns ``Var``
+nodes; inside ``autodiff.no_grad()`` those are constants, so the same code
+serves inference. Learnable tensors are allocated at a configured maximum
+size and sliced to each graph's node count, and each vjp adds straight into
+the slice of the full-size gradient buffer; the leading rows/columns of the
+pooling filter correspond to the lowest frequencies of the cosine
+transform.
 
-The wavelet convolution is one tape node over every scale, with a
-hand-written vjp that writes straight into the full-size filter and bias
-gradients. It reads the graph only through its precomputed operands, psi_f
-and psi_f^+ X per scale (``ScaleInput``), and the graph convolution accepts
-a ``Renormalized`` constant adjacency instead of renormalizing on the tape;
-the model memoises both per graph.
+The wavelet convolution reads the graph only through its precomputed
+operands, psi_f and psi_f^+ X per scale (``ScaleInput``), and the graph
+convolution accepts a ``Renormalized`` constant adjacency instead of
+renormalizing a ``Var`` one; the model memoises both per graph.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from .spectral import SpectralTransform
 ACTIVATIONS = ("relu", "identity")
 
 
-def activate(x: Var, activation: str) -> Var:
+def activate(x: np.ndarray, activation: str) -> np.ndarray:
     if activation == "relu":
-        return ad.relu(x)
+        return np.maximum(x, 0.0)
     if activation == "identity":
         return x
     raise ContractViolationError(f"unknown activation {activation!r}")
@@ -146,7 +150,7 @@ def gwc_forward(params: GwcLayerParams, scales: Sequence[ScaleInput]) -> Var:
         pre = psi @ (theta.value[:n, :n] @ projected) + bias
         if relu:
             masks.append(pre > 0)
-            pre = np.maximum(pre, 0.0)
+        pre = activate(pre, params.activation)
         if total is None:
             total = pre
         else:
@@ -166,15 +170,28 @@ def gwc_forward(params: GwcLayerParams, scales: Sequence[ScaleInput]) -> Var:
     return ad.node(total * inv_count, (*params.thetas, params.bias), vjp)
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(g: np.ndarray, sm: np.ndarray) -> np.ndarray:
+    """The gradient at the softmax's input, given ``g`` at its output ``sm``."""
+    return sm * (g - (g * sm).sum(axis=-1, keepdims=True))
+
+
 def spectral_pool_assign(
     n: int,
     params: SpectralPoolParams,
     xi_n: SpectralTransform,
     xi_m: SpectralTransform,
 ) -> Var:
-    """Assignment matrix S = xi_m theta_slice xi_n^T, optionally row-softmaxed.
+    """Assignment matrix S = xi_m theta[:m, :n] xi_n^T, optionally row-softmaxed.
 
-    The pooled size is xi_m.size; it must be strictly smaller than n.
+    The pooled size is xi_m.size; it must be strictly smaller than n. The
+    vjp adds xi_m^T G xi_n into the filter's leading m x n block, G being
+    the gradient at the raw (pre-softmax) assignment.
     """
     m = xi_m.size
     if m >= n:
@@ -186,27 +203,65 @@ def spectral_pool_assign(
         raise ContractViolationError(
             f"pool filter allocation {params.theta.value.shape} too small for ({m}, {n})"
         )
-    theta = params.theta[:m, :n]
-    raw = ad.constant(xi_m.matrix) @ theta @ ad.constant(xi_n.matrix.T)
-    if params.softmax_rows:
-        return ad.row_softmax(raw)
-    return raw
+    softmax_rows = params.softmax_rows
+    s = xi_m.matrix @ params.theta.value[:m, :n] @ xi_n.matrix.T
+    if softmax_rows:
+        s = _softmax(s)
+
+    def vjp(g, grads):
+        if softmax_rows:
+            g = _softmax_vjp(g, s)
+        grads[0][:m, :n] += xi_m.matrix.T @ (g @ xi_n.matrix)
+
+    return ad.node(s, (params.theta,), vjp)
 
 
-def pool_apply(s: Var, adjacency: Var, features: Var) -> tuple[Var, Var]:
-    """Pool structure and features: A' = S A S^T, X' = S X."""
-    m, n = s.value.shape
-    if adjacency.value.shape != (n, n):
+CLUSTER_AXES = ("rows", "cols")
+
+
+def pool_apply(s: Var, adjacency: Var, features: Var,
+               clusters: str = "rows") -> tuple[Var, Var]:
+    """Pool structure and features: A' = S A S^T, X' = S X.
+
+    ``clusters`` names the axis of ``s`` that indexes pooled nodes: "rows"
+    for an m x n assignment, "cols" for an n x m one, which is applied
+    transposed. A' and X' are one node each.
+    """
+    if clusters not in CLUSTER_AXES:
+        raise ContractViolationError(f"clusters must be one of {CLUSTER_AXES}, got {clusters!r}")
+    rows = clusters == "rows"
+    s_mn = s.value if rows else s.value.T
+    n = s_mn.shape[1]
+    a, x = adjacency.value, features.value
+    if a.shape != (n, n):
         raise ContractViolationError(
-            f"adjacency shape {adjacency.value.shape} incompatible with S {s.value.shape}"
+            f"adjacency shape {a.shape} incompatible with S {s.value.shape}"
         )
-    if features.value.shape[0] != n:
+    if x.shape[0] != n:
         raise ContractViolationError(
-            f"features rows {features.value.shape[0]} incompatible with S columns {n}"
+            f"features rows {x.shape[0]} incompatible with S columns {n}"
         )
-    pooled_adj = s @ adjacency @ ad.transpose(s)
-    pooled_feats = s @ features
-    return pooled_adj, pooled_feats
+    left = s_mn @ a
+
+    def adjacency_vjp(g, grads):
+        acc_s, acc_a = grads
+        g_left = g @ s_mn
+        if acc_s is not None:
+            g_s = g_left @ a.T + g.T @ left
+            acc_s += g_s if rows else g_s.T
+        if acc_a is not None:
+            acc_a += s_mn.T @ g_left
+
+    def features_vjp(g, grads):
+        acc_s, acc_x = grads
+        if acc_s is not None:
+            g_s = g @ x.T
+            acc_s += g_s if rows else g_s.T
+        if acc_x is not None:
+            acc_x += s_mn.T @ g
+
+    return (ad.node(left @ s_mn.T, (s, adjacency), adjacency_vjp),
+            ad.node(s_mn @ x, (s, features), features_vjp))
 
 
 @dataclass(frozen=True)
@@ -216,53 +271,95 @@ class Renormalized:
     matrix: np.ndarray
 
 
-def renormalize(adjacency: np.ndarray) -> Renormalized:
-    """The renormalized adjacency, computed as ``gcn_forward``'s tape does."""
+def _renormalized(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D^{-1/2} (A + I) D^{-1/2} and the column of D^{-1/2}'s diagonal."""
     a_hat = adjacency + np.eye(adjacency.shape[0])
     sums = a_hat.sum(axis=-1, keepdims=True)
-    _check_row_sums(sums)
+    if np.any(sums <= 0):
+        bad = int(np.argmax(sums.ravel() <= 0))
+        raise NumericError(f"row {bad} of A + I has nonpositive sum; cannot normalize")
     inv_sqrt = sums**-0.5
-    matrix = inv_sqrt * a_hat * inv_sqrt.T
+    return inv_sqrt * a_hat * inv_sqrt.T, inv_sqrt
+
+
+def renormalize(adjacency: np.ndarray) -> Renormalized:
+    """The renormalized adjacency, computed as ``gcn_forward`` does for a Var."""
+    matrix, _ = _renormalized(adjacency)
     matrix.setflags(write=False)
     return Renormalized(matrix)
 
 
-def _check_row_sums(sums: np.ndarray) -> None:
-    if np.any(sums <= 0):
-        bad = int(np.argmax(sums.ravel() <= 0))
-        raise NumericError(f"row {bad} of A + I has nonpositive sum; cannot normalize")
+def _propagate(adjacency: Var | Renormalized, features: Var, weight: Var, width: int):
+    """Z = Â X W[:, :width], the node inputs, and a vjp adding dL/dZ into them.
+
+    The inputs are (adjacency, features, weight) for a ``Var`` adjacency,
+    whose gradient goes back through the renormalization, and (features,
+    weight) for a ``Renormalized`` one.
+    """
+    if isinstance(adjacency, Renormalized):
+        normalized, inv_sqrt = adjacency.matrix, None
+        inputs = (features, weight)
+    else:
+        normalized, inv_sqrt = _renormalized(adjacency.value)
+        inputs = (adjacency, features, weight)
+    x, w = features.value, weight.value[:, :width]
+    propagated = normalized @ x
+
+    def vjp(g, grads):
+        *acc_a, acc_x, acc_w = grads
+        acc_a = acc_a[0] if acc_a else None
+        if acc_w is not None:
+            acc_w[:, :width] += propagated.T @ g
+        if acc_x is None and acc_a is None:
+            return
+        g_propagated = g @ w.T
+        if acc_x is not None:
+            acc_x += normalized.T @ g_propagated
+        if acc_a is not None:
+            g_normalized = g_propagated @ x.T
+            # each row sum of A + I scales its row and its column of Â
+            through = g_normalized * normalized
+            g_sums = -0.5 * (through.sum(axis=0)[:, None]
+                             + through.sum(axis=1, keepdims=True)) * inv_sqrt**2
+            acc_a += inv_sqrt * g_normalized * inv_sqrt.T + g_sums
+
+    return propagated @ w, inputs, vjp
 
 
 def gcn_forward(adjacency: Var | Renormalized, features: Var, params: GcnLayerParams) -> Var:
     """Renormalized graph convolution act(D^{-1/2} (A + I) D^{-1/2} X W).
 
-    A ``Var`` adjacency is renormalized on the tape, so a pooled adjacency
-    takes gradients; it may carry real weights, and a row of A + I whose sum
-    is not positive cannot be normalized and raises. A constant adjacency
-    can be renormalized once beforehand with ``renormalize``.
+    A ``Var`` adjacency is renormalized inside the node, so a pooled
+    adjacency takes gradients; it may carry real weights, and a row of A + I
+    whose sum is not positive cannot be normalized and raises. A constant
+    adjacency can be renormalized once beforehand with ``renormalize``.
     """
-    if isinstance(adjacency, Renormalized):
-        normalized = ad.constant(adjacency.matrix)
-    else:
-        n = adjacency.value.shape[0]
-        a_hat = adjacency + ad.constant(np.eye(n))
-        sums = ad.row_sum(a_hat)
-        _check_row_sums(sums.value)
-        inv_sqrt = ad.rsqrt(sums)
-        normalized = inv_sqrt * a_hat * ad.transpose(inv_sqrt)
-    return activate(normalized @ features @ params.weight, params.activation)
+    z, inputs, propagate_vjp = _propagate(adjacency, features, params.weight,
+                                          params.weight.value.shape[1])
+    relu = params.activation == "relu"
+
+    def vjp(g, grads):
+        propagate_vjp(g * (z > 0) if relu else g, grads)
+
+    return ad.node(activate(z, params.activation), inputs, vjp)
 
 
-def diffpool_assign(adjacency: Var | Renormalized, features: Var, weight: Var) -> Var:
-    """Assignment S = softmax(GCN(A, X)) with clusters along columns (n x m)."""
-    gcn = GcnLayerParams(weight=weight, activation="identity")
-    return ad.row_softmax(gcn_forward(adjacency, features, gcn))
+def diffpool_assign(adjacency: Var | Renormalized, features: Var, weight: Var,
+                    width: int) -> Var:
+    """Assignment S = softmax(Â X W[:, :width]) with clusters along columns
+    (n x width)."""
+    cols = weight.value.shape[1]
+    if not 1 <= width <= cols:
+        raise ContractViolationError(f"assignment width {width} outside [1, {cols}]")
+    z, inputs, propagate_vjp = _propagate(adjacency, features, weight, width)
+    s = _softmax(z)
+    return ad.node(s, inputs, lambda g, grads: propagate_vjp(_softmax_vjp(g, s), grads))
 
 
 def classify(x_final: Var, params: ClassifierParams) -> tuple[Var, Var]:
     """Flatten the fixed-size pooled features and apply the linear head.
 
-    Returns (logits, probabilities), both length-c vectors.
+    Returns (logits, probabilities), both length-c vectors, one node each.
     """
     q, c = params.weight.value.shape
     rows, width = x_final.value.shape
@@ -271,7 +368,24 @@ def classify(x_final: Var, params: ClassifierParams) -> tuple[Var, Var]:
             f"classifier expects {q} inputs, pipeline produced {rows}x{width}; "
             "the pooled size is wrong"
         )
-    flat = ad.reshape(x_final, (1, q))
-    logits = flat @ params.weight + params.bias
-    probs = ad.row_softmax(logits)
-    return ad.reshape(logits, (c,)), ad.reshape(probs, (c,))
+    flat = x_final.value.reshape(1, q)
+    weight = params.weight.value
+
+    def logits_vjp(g, grads):
+        acc_x, acc_w, acc_b = grads
+        g = g.reshape(1, c)
+        if acc_x is not None:
+            acc_x += (g @ weight.T).reshape(rows, width)
+        if acc_w is not None:
+            acc_w += flat.T @ g
+        if acc_b is not None:
+            acc_b += g[0]
+
+    logit_values = (flat @ weight + params.bias.value).reshape(c)
+    logits = ad.node(logit_values, (x_final, params.weight, params.bias), logits_vjp)
+    probs = _softmax(logit_values)
+
+    def probs_vjp(g, grads):
+        grads[0] += _softmax_vjp(g, probs)
+
+    return logits, ad.node(probs, (logits,), probs_vjp)

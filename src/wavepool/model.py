@@ -157,19 +157,27 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-limit, limit, size=shape)
 
 
-def parameter_names(config: ModelConfig) -> tuple[str, ...]:
-    names: list[str] = []
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter tensor of the variant, by name, with its shape."""
+    n, l, c = config.n_max, config.feature_dim, config.class_count
+    m1, m2 = config.mid_size_max, config.m_out
+    shapes: dict[str, tuple[int, ...]] = {}
     if config.uses_wavelets:
-        names += [f"gwc.theta.{k}" for k in range(len(config.scales))]
-        names.append("gwc.bias")
+        shapes.update({f"gwc.theta.{k}": (n, n) for k in range(len(config.scales))})
+        shapes["gwc.bias"] = (n, l)
     else:
-        names.append("conv1.weight")
+        shapes["conv1.weight"] = (l, l)
     if config.uses_spectral_pool:
-        names += ["pool1.theta", "pool2.theta"]
+        shapes.update({"pool1.theta": (m1, n), "pool2.theta": (m2, m1)})
     else:
-        names += ["pool1.assign", "pool2.assign"]
-    names += ["gcn.weight", "classifier.weight", "classifier.bias"]
-    return tuple(sorted(names))
+        shapes.update({"pool1.assign": (l, m1), "pool2.assign": (l, m2)})
+    shapes.update({"gcn.weight": (l, l), "classifier.weight": (m2 * l, c),
+                   "classifier.bias": (c,)})
+    return shapes
+
+
+def parameter_names(config: ModelConfig) -> tuple[str, ...]:
+    return tuple(sorted(parameter_shapes(config)))
 
 
 def init_parameters(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
@@ -287,8 +295,7 @@ class CrossScaleModel:
             params = self.pool1 if stage == 1 else self.pool2
             s = spectral_pool_assign(n, params, cosine_transform(n), cosine_transform(m))
             return PoolStage(adjacency, s, "rows")
-        weight = self.params[f"pool{stage}.assign"][:, :m]
-        s = diffpool_assign(gcn_adjacency, features, weight)
+        s = diffpool_assign(gcn_adjacency, features, self.params[f"pool{stage}.assign"], m)
         return PoolStage(adjacency, s, "cols")
 
     def forward(self, graph: Graph) -> ForwardResult:
@@ -312,16 +319,13 @@ class CrossScaleModel:
             m1 = mid_pool_size(n, cfg.m_out)
             stage1 = self._assign(1, adjacency, inputs.renormalized, h, n, m1)
             stages.append(stage1)
-            s1 = stage1.assignment if stage1.clusters == "rows" else ad.transpose(stage1.assignment)
-            adjacency, h = pool_apply(s1, adjacency, h)
+            adjacency, h = pool_apply(stage1.assignment, adjacency, h, stage1.clusters)
             pooled_adjacencies.append(adjacency)
             h = gcn_forward(adjacency, h, self.gcn)
             if m1 > cfg.m_out:
                 stage2 = self._assign(2, adjacency, adjacency, h, m1, cfg.m_out)
                 stages.append(stage2)
-                s2 = (stage2.assignment if stage2.clusters == "rows"
-                      else ad.transpose(stage2.assignment))
-                adjacency, h = pool_apply(s2, adjacency, h)
+                adjacency, h = pool_apply(stage2.assignment, adjacency, h, stage2.clusters)
                 pooled_adjacencies.append(adjacency)
         else:
             h = gcn_forward(inputs.renormalized, h, self.gcn)
@@ -331,7 +335,9 @@ class CrossScaleModel:
         return ForwardResult(logits, probs, stages, pooled_adjacencies)
 
     def predict(self, graph: Graph) -> int:
-        return self.forward(graph).prediction
+        """The predicted class, from a forward pass that records no tape."""
+        with ad.no_grad():
+            return self.forward(graph).prediction
 
 
 # -- checkpoint serialization ---------------------------------------------
@@ -398,6 +404,13 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
             isinstance(shape, list) and all(isinstance(d, int) and d >= 0 for d in shape)
             for shape in shapes.values()):
         raise FormatError(f"{path}: checkpoint tensor shapes must be lists of sizes")
+    config = config_from_dict(manifest["config"])
+    expected = {name: list(shape) for name, shape in parameter_shapes(config).items()}
+    if shapes != expected:
+        wrong = sorted(name for name in shapes.keys() | expected.keys()
+                       if shapes.get(name) != expected.get(name))
+        raise FormatError(f"{path}: checkpoint tensors {wrong} do not match the "
+                          f"{config.variant} parameters of its config")
     tensors: dict[str, np.ndarray] = {}
     for name, shape in shapes.items():
         count = math.prod(shape)
@@ -409,7 +422,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
         offset += nbytes
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing bytes after tensors")
-    return config_from_dict(manifest["config"]), tensors, manifest.get("extra", {})
+    return config, tensors, manifest.get("extra", {})
 
 
 def model_from_checkpoint(path, seed: int = 0) -> CrossScaleModel:

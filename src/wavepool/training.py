@@ -8,7 +8,9 @@ where the structure term is the Frobenius distance between each pre-pool
 adjacency and the gram matrix of that stage's assignment, reduced over
 stages by ``lp_stage_mode`` ("mean" by default, or "sum" / "first"). At
 beta = 0 the structure term is skipped outright (no residual graph is
-built).
+built). The objective is one tape node over the class probabilities and
+each counted stage's (adjacency, assignment), with a hand-written vjp.
+Validation goes through ``CrossScaleModel.predict`` and records no tape.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ class TrainConfig:
 # -- losses ---------------------------------------------------------------
 
 
-def cross_entropy_loss(label: int, probs: Var, class_count: int) -> Var:
-    """Scaled cross-entropy -(1/c) sum_i p_i log q_i for a one-hot target."""
+def _cross_entropy(label: int, probs: Var, class_count: int):
+    """The scaled cross-entropy's value and a vjp adding g * dCE/dq into a
+    buffer; the gradient is zero where the clip floor is active."""
     if not 0 <= label < class_count:
         raise ContractViolationError(f"label {label} outside [0, {class_count})")
     q = probs.value
@@ -80,18 +83,49 @@ def cross_entropy_loss(label: int, probs: Var, class_count: int) -> Var:
         raise ContractViolationError(f"probability vector has shape {q.shape}, expected ({class_count},)")
     if abs(float(q.sum()) - 1.0) > 1e-6 or np.any(q < 0):
         raise ContractViolationError("probabilities must form a distribution over classes")
-    onehot = np.zeros(class_count)
-    onehot[label] = 1.0
-    picked = ad.sum_all(ad.constant(onehot) * ad.log(ad.clip_min(probs, PROB_FLOOR)))
-    return ad.scale(picked, -1.0 / class_count)
+    clipped = np.maximum(q, PROB_FLOOR)
+    factor = -1.0 / class_count
+
+    def vjp(g, acc):
+        if q[label] > PROB_FLOOR:
+            acc[label] += g * factor / clipped[label]
+
+    return np.log(clipped)[label] * factor, vjp
+
+
+def _structure(stage: PoolStage):
+    """||A - S S^T||_F with S taken n x m, and a vjp adding g times its
+    gradient into the (adjacency, assignment) buffers; subgradient 0 at
+    a zero residual."""
+    rows = stage.clusters == "rows"
+    s_nm = stage.assignment.value.T if rows else stage.assignment.value
+    residual = stage.adjacency.value - s_nm @ s_nm.T
+    norm = float(np.sqrt((residual * residual).sum()))
+
+    def vjp(g, acc_adjacency, acc_assignment):
+        if norm == 0.0:
+            return
+        g_residual = (g / norm) * residual
+        if acc_adjacency is not None:
+            acc_adjacency += g_residual
+        if acc_assignment is not None:
+            g_s = -((g_residual + g_residual.T) @ s_nm)
+            acc_assignment += g_s.T if rows else g_s
+
+    return norm, vjp
+
+
+def cross_entropy_loss(label: int, probs: Var, class_count: int) -> Var:
+    """Scaled cross-entropy -(1/c) sum_i p_i log q_i for a one-hot target."""
+    value, vjp = _cross_entropy(label, probs, class_count)
+    return ad.node(value, (probs,), lambda g, grads: vjp(g, grads[0]))
 
 
 def link_prediction_loss(stage: PoolStage) -> Var:
     """Frobenius distance between the pre-pool adjacency and S_{n x m} its gram."""
-    s_nm = (ad.transpose(stage.assignment) if stage.clusters == "rows"
-            else stage.assignment)
-    residual = stage.adjacency - s_nm @ ad.transpose(s_nm)
-    return ad.frobenius_norm(residual)
+    value, vjp = _structure(stage)
+    return ad.node(value, (stage.adjacency, stage.assignment),
+                   lambda g, grads: vjp(g, *grads))
 
 
 @dataclass(frozen=True)
@@ -103,7 +137,9 @@ class LossParts:
 
 def graph_loss(result: ForwardResult, label: int, class_count: int,
                beta: float, stage_mode: str = "mean") -> tuple[Var, LossParts]:
-    """Blended objective for one graph; beta = 0 never touches the stages.
+    """Blended objective for one graph as one node over the probabilities
+    and every counted stage's (adjacency, assignment); beta = 0 never
+    touches the stages.
 
     ``stage_mode`` picks how multi-stage structure terms combine: "mean"
     (default), "sum", or "first" (only the initial pooling step).
@@ -111,19 +147,27 @@ def graph_loss(result: ForwardResult, label: int, class_count: int,
     if stage_mode not in STAGE_MODES:
         raise ContractViolationError(
             f"stage_mode must be one of {STAGE_MODES}, got {stage_mode!r}")
-    ce = cross_entropy_loss(label, result.probs, class_count)
-    if beta == 0.0 or not result.stages:
-        total = ce if beta == 0.0 else ad.scale(ce, 1.0 - beta)
-        return total, LossParts(float(ce.value), 0.0, float(total.value))
-    stages = result.stages[:1] if stage_mode == "first" else result.stages
-    terms = [link_prediction_loss(stage) for stage in stages]
-    lp = terms[0]
-    for term in terms[1:]:
-        lp = lp + term
-    if stage_mode == "mean":
-        lp = ad.scale(lp, 1.0 / len(terms))
-    total = ad.scale(ce, 1.0 - beta) + ad.scale(lp, beta)
-    return total, LossParts(float(ce.value), float(lp.value), float(total.value))
+    ce, ce_vjp = _cross_entropy(label, result.probs, class_count)
+    stages = []
+    if beta != 0.0:
+        stages = result.stages[:1] if stage_mode == "first" else result.stages
+    terms = [_structure(stage) for stage in stages]
+    share = 1.0 / len(terms) if terms and stage_mode == "mean" else 1.0
+    total, lp = ce * (1.0 - beta), 0.0
+    if terms:
+        lp = sum(value for value, _ in terms) * share
+        total = total + lp * beta
+
+    def vjp(g, grads):
+        acc_probs, *acc_stages = grads
+        if acc_probs is not None:
+            ce_vjp(g * (1.0 - beta), acc_probs)
+        for k, (_, term_vjp) in enumerate(terms):
+            term_vjp(g * beta * share, *acc_stages[2 * k:2 * k + 2])
+
+    inputs = (result.probs,) + tuple(
+        var for stage in stages for var in (stage.adjacency, stage.assignment))
+    return ad.node(total, inputs, vjp), LossParts(float(ce), float(lp), float(total))
 
 
 # -- optimizers -----------------------------------------------------------
@@ -234,6 +278,7 @@ class TrainOutcome:
 
 
 def evaluate_accuracy(model: CrossScaleModel, dataset: GraphDataset) -> float:
+    """Share of graphs whose ``predict`` (no tape) matches the label."""
     correct = sum(1 for g in dataset.graphs if model.predict(g) == g.label)
     return correct / len(dataset.graphs)
 

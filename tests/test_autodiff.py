@@ -4,6 +4,7 @@ import pytest
 from wavepool import autodiff as ad
 from wavepool.errors import ContractViolationError
 
+from . import per_op as ops
 from .fdcheck import REL_TOL, central_difference, max_rel_error
 
 
@@ -23,88 +24,88 @@ def check_gradient(build, x0, tol=REL_TOL):
 def test_grad_add_sub_mul(rng):
     x0 = rng.standard_normal((3, 4))
     other = rng.standard_normal((3, 4))
-    check_gradient(lambda v: ad.sum_all(v + other), x0)
-    check_gradient(lambda v: ad.sum_all(other - v), x0)
-    check_gradient(lambda v: ad.sum_all(v * other), x0)
-    check_gradient(lambda v: ad.sum_all(v * v), x0)
+    check_gradient(lambda v: ops.sum_all(ops.add(v, other)), x0)
+    check_gradient(lambda v: ops.sum_all(ops.sub(other, v)), x0)
+    check_gradient(lambda v: ops.sum_all(ops.mul(v, other)), x0)
+    check_gradient(lambda v: ops.sum_all(ops.mul(v, v)), x0)
 
 
 def test_grad_scale_neg(rng):
     x0 = rng.standard_normal((2, 3))
-    check_gradient(lambda v: ad.sum_all(ad.scale(v, -2.5)), x0)
-    check_gradient(lambda v: ad.sum_all(-v), x0)
+    check_gradient(lambda v: ops.sum_all(ops.scale(v, -2.5)), x0)
+    check_gradient(lambda v: ops.sum_all(ops.neg(v)), x0)
 
 
 def test_grad_matmul_both_sides(rng):
     left = rng.standard_normal((4, 3))
     right = rng.standard_normal((3, 2))
-    check_gradient(lambda v: ad.sum_all(v @ ad.constant(right)), left)
-    check_gradient(lambda v: ad.sum_all(ad.constant(left) @ v), right)
+    check_gradient(lambda v: ops.sum_all(ops.matmul(v, ad.constant(right))), left)
+    check_gradient(lambda v: ops.sum_all(ops.matmul(ad.constant(left), v)), right)
 
 
 def test_grad_transpose(rng):
     x0 = rng.standard_normal((2, 5))
     w = rng.standard_normal((2, 5))
-    check_gradient(lambda v: ad.sum_all(ad.transpose(v) * w.T), x0)
+    check_gradient(lambda v: ops.sum_all(ops.mul(ops.transpose(v), w.T)), x0)
 
 
 def test_grad_relu_away_from_kink(rng):
     x0 = rng.standard_normal((4, 4))
     x0[np.abs(x0) < 1e-2] = 0.5  # keep FD probes off the kink
-    check_gradient(lambda v: ad.sum_all(ad.relu(v)), x0)
+    check_gradient(lambda v: ops.sum_all(ops.relu(v)), x0)
 
 
 def test_relu_zero_subgradient():
     leaf = ad.parameter(np.array([[0.0, -1.0, 2.0]]))
-    ad.backward(ad.sum_all(ad.relu(leaf)))
+    ad.backward(ops.sum_all(ops.relu(leaf)))
     assert np.array_equal(leaf.grad, [[0.0, 0.0, 1.0]])
 
 
 def test_grad_log(rng):
     x0 = rng.uniform(0.5, 2.0, size=(3, 3))
-    check_gradient(lambda v: ad.sum_all(ad.log(v)), x0)
+    check_gradient(lambda v: ops.sum_all(ops.log(v)), x0)
 
 
 def test_grad_clip_min(rng):
     x0 = rng.standard_normal((3, 3))
     x0[np.abs(x0 - 0.2) < 1e-2] += 0.1  # probes away from the clip threshold
-    check_gradient(lambda v: ad.sum_all(ad.clip_min(v, 0.2)), x0)
+    check_gradient(lambda v: ops.sum_all(ops.clip_min(v, 0.2)), x0)
     leaf = ad.parameter(np.array([[0.1, 0.5]]))
-    ad.backward(ad.sum_all(ad.clip_min(leaf, 0.2)))
+    ad.backward(ops.sum_all(ops.clip_min(leaf, 0.2)))
     assert np.array_equal(leaf.grad, [[0.0, 1.0]])
 
 
 def test_grad_rsqrt(rng):
     x0 = rng.uniform(0.5, 3.0, size=(2, 4))
-    check_gradient(lambda v: ad.sum_all(ad.rsqrt(v) * x0), x0)
+    check_gradient(lambda v: ops.sum_all(ops.mul(ops.rsqrt(v), x0)), x0)
 
 
 def test_grad_row_sum_shapes(rng):
     x0 = rng.standard_normal((3, 5))
     w = rng.standard_normal((3, 1))
-    check_gradient(lambda v: ad.sum_all(ad.row_sum(v) * w), x0)
+    check_gradient(lambda v: ops.sum_all(ops.mul(ops.row_sum(v), w)), x0)
 
 
 def test_grad_row_softmax(rng):
     x0 = rng.standard_normal((3, 4))
     w = rng.standard_normal((3, 4))
-    check_gradient(lambda v: ad.sum_all(ad.row_softmax(v) * w), x0)
+    check_gradient(lambda v: ops.sum_all(ops.mul(ops.row_softmax(v), w)), x0)
 
 
 def test_row_softmax_rows_sum_to_one(rng):
-    out = ad.row_softmax(ad.constant(rng.standard_normal((5, 7)) * 10))
+    out = ops.row_softmax(ad.constant(rng.standard_normal((5, 7)) * 10))
     assert np.allclose(out.value.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_grad_getitem_slice(rng):
     x0 = rng.standard_normal((5, 5))
     w = rng.standard_normal((3, 2))
-    check_gradient(lambda v: ad.sum_all(v[:3, 1:3] * w), x0)
+    check_gradient(lambda v: ops.sum_all(ops.mul(ops.getitem(v, np.s_[:3, 1:3]), w)), x0)
 
 
 def test_getitem_gradient_lands_in_full_buffer():
     leaf = ad.parameter(np.zeros((4, 4)))
-    ad.backward(ad.sum_all(leaf[:2, :2]))
+    ad.backward(ops.sum_all(ops.getitem(leaf, np.s_[:2, :2])))
     expected = np.zeros((4, 4))
     expected[:2, :2] = 1.0
     assert np.array_equal(leaf.grad, expected)
@@ -113,7 +114,7 @@ def test_getitem_gradient_lands_in_full_buffer():
 def test_grad_pad_rows(rng):
     x0 = rng.standard_normal((2, 3))
     w = rng.standard_normal((5, 3))
-    check_gradient(lambda v: ad.sum_all(ad.pad_rows(v, 5) * w), x0)
+    check_gradient(lambda v: ops.sum_all(ops.mul(ad.pad_rows(v, 5), w)), x0)
     with pytest.raises(ContractViolationError):
         ad.pad_rows(ad.constant(np.zeros((3, 2))), 2)
 
@@ -121,25 +122,25 @@ def test_grad_pad_rows(rng):
 def test_grad_reshape(rng):
     x0 = rng.standard_normal((2, 6))
     w = rng.standard_normal((12,))
-    check_gradient(lambda v: ad.sum_all(ad.reshape(v, (12,)) * w), x0)
+    check_gradient(lambda v: ops.sum_all(ops.mul(ops.reshape(v, (12,)), w)), x0)
 
 
 def test_grad_frobenius_norm(rng):
     x0 = rng.standard_normal((3, 3)) + 0.5
-    check_gradient(ad.frobenius_norm, x0)
+    check_gradient(ops.frobenius_norm, x0)
 
 
 def test_frobenius_norm_zero_subgradient():
     leaf = ad.parameter(np.zeros((2, 2)))
-    ad.backward(ad.frobenius_norm(leaf))
+    ad.backward(ops.frobenius_norm(leaf))
     assert np.array_equal(leaf.grad, np.zeros((2, 2)))
 
 
 def test_grad_broadcast_bias(rng):
     x = rng.standard_normal((4, 3))
     b0 = rng.standard_normal((1, 3))
-    check_gradient(lambda v: ad.sum_all(ad.constant(x) + v), b0)
-    check_gradient(lambda v: ad.sum_all(ad.constant(x) * v), b0)
+    check_gradient(lambda v: ops.sum_all(ops.add(ad.constant(x), v)), b0)
+    check_gradient(lambda v: ops.sum_all(ops.mul(ad.constant(x), v)), b0)
 
 
 # -- graph mechanics ------------------------------------------------------
@@ -147,7 +148,7 @@ def test_grad_broadcast_bias(rng):
 
 def test_diamond_reuse_accumulates(rng):
     x0 = rng.standard_normal((3, 3))
-    check_gradient(lambda v: ad.sum_all((v @ v) + v * v), x0)
+    check_gradient(lambda v: ops.sum_all(ops.add(ops.matmul(v, v), ops.mul(v, v))), x0)
 
 
 def test_deep_chain(rng):
@@ -156,8 +157,8 @@ def test_deep_chain(rng):
     def build(v):
         h = v
         for _ in range(6):
-            h = ad.row_softmax(h @ ad.constant(np.eye(2) * 1.3))
-        return ad.frobenius_norm(h)
+            h = ops.row_softmax(ops.matmul(h, ad.constant(np.eye(2) * 1.3)))
+        return ops.frobenius_norm(h)
 
     check_gradient(build, x0)
 
@@ -165,14 +166,14 @@ def test_deep_chain(rng):
 def test_repeated_backward_accumulates_like_a_batch():
     leaf = ad.parameter(np.array([[1.0, 2.0]]))
     for _ in range(3):
-        ad.backward(ad.sum_all(leaf * leaf))
+        ad.backward(ops.sum_all(ops.mul(leaf, leaf)))
     assert np.allclose(leaf.grad, 3 * 2 * leaf.value)
 
 
 def test_backward_requires_scalar_root():
     leaf = ad.parameter(np.ones((2, 2)))
     with pytest.raises(ContractViolationError, match="scalar"):
-        ad.backward(leaf * leaf)
+        ad.backward(ops.mul(leaf, leaf))
 
 
 def test_backward_on_constant_is_noop():
@@ -184,15 +185,15 @@ def test_backward_on_constant_is_noop():
 def test_requires_grad_propagation():
     p = ad.parameter(np.ones((2, 2)))
     c = ad.constant(np.ones((2, 2)))
-    assert (p @ c).requires_grad
-    assert not (c @ c).requires_grad
-    assert not ad.sum_all(c * 2.0).requires_grad
+    assert ops.matmul(p, c).requires_grad
+    assert not ops.matmul(c, c).requires_grad
+    assert not ops.sum_all(ops.mul(c, 2.0)).requires_grad
 
 
 def test_constants_collect_no_gradient():
     p = ad.parameter(np.ones((2, 2)))
     c = ad.constant(np.full((2, 2), 2.0))
-    out = ad.sum_all(p * c)
+    out = ops.sum_all(ops.mul(p, c))
     ad.backward(out)
     assert c.grad is None
     assert np.array_equal(p.grad, c.value)
@@ -201,24 +202,24 @@ def test_constants_collect_no_gradient():
 # -- tape contract ---------------------------------------------------------
 
 OPS = {
-    "add": lambda x: x + x,
-    "sub": lambda x: x - 1.0,
-    "mul": lambda x: x * x,
-    "neg": lambda x: -x,
-    "scale": lambda x: ad.scale(x, 2.0),
-    "matmul": lambda x: x @ x,
-    "transpose": ad.transpose,
-    "relu": ad.relu,
-    "log": ad.log,
-    "clip_min": lambda x: ad.clip_min(x, 0.5),
-    "rsqrt": ad.rsqrt,
-    "row_sum": ad.row_sum,
-    "sum_all": ad.sum_all,
-    "row_softmax": ad.row_softmax,
-    "getitem": lambda x: x[:1, 1:],
+    "add": lambda x: ops.add(x, x),
+    "sub": lambda x: ops.sub(x, 1.0),
+    "mul": lambda x: ops.mul(x, x),
+    "neg": ops.neg,
+    "scale": lambda x: ops.scale(x, 2.0),
+    "matmul": lambda x: ops.matmul(x, x),
+    "transpose": ops.transpose,
+    "relu": ops.relu,
+    "log": ops.log,
+    "clip_min": lambda x: ops.clip_min(x, 0.5),
+    "rsqrt": ops.rsqrt,
+    "row_sum": ops.row_sum,
+    "sum_all": ops.sum_all,
+    "row_softmax": ops.row_softmax,
+    "getitem": lambda x: ops.getitem(x, np.s_[:1, 1:]),
     "pad_rows": lambda x: ad.pad_rows(x, 4),
-    "reshape": lambda x: ad.reshape(x, (4,)),
-    "frobenius_norm": ad.frobenius_norm,
+    "reshape": lambda x: ops.reshape(x, (4,)),
+    "frobenius_norm": ops.frobenius_norm,
 }
 
 
@@ -238,11 +239,11 @@ def test_shared_node_vjp_runs_once_per_backward():
         grads[0] += 3.0 * g
 
     shared = ad.node(3.0 * p.value, (p,), vjp)
-    ad.backward(ad.sum_all(shared * 2.0) + ad.sum_all(ad.relu(shared)))
+    ad.backward(ops.add(ops.sum_all(ops.mul(shared, 2.0)), ops.sum_all(ops.relu(shared))))
     assert len(calls) == 1
     assert np.array_equal(calls[0], [[3.0, 3.0]])  # both consumers' gradients summed
     assert np.array_equal(p.grad, [[9.0, 9.0]])
-    ad.backward(ad.sum_all(shared))
+    ad.backward(ops.sum_all(shared))
     assert len(calls) == 2
 
 
@@ -255,7 +256,7 @@ def test_vjp_gets_none_for_constants_and_buffers_for_parameters():
         seen.append(list(grads))
         grads[1] += g
 
-    ad.backward(ad.sum_all(ad.node(c.value + p.value, (c, p), vjp)))
+    ad.backward(ops.sum_all(ad.node(c.value + p.value, (c, p), vjp)))
     ((c_slot, p_slot),) = seen
     assert c_slot is None and c.grad is None
     assert p_slot is p.grad
@@ -265,3 +266,17 @@ def test_vjp_gets_none_for_constants_and_buffers_for_parameters():
 def test_values_are_float64():
     v = ad.as_var(np.array([[1, 2]], dtype=np.int64))
     assert v.value.dtype == np.float64
+
+
+def test_no_grad_makes_constants_and_restores_recording():
+    p = ad.parameter(np.array([[1.0, 2.0]]))
+    with ad.no_grad():
+        out = ops.sum_all(ops.mul(p, p))
+        with ad.no_grad():
+            pass
+        assert not ops.relu(p).requires_grad  # still off after the inner block
+    assert out.value == 5.0
+    assert not out.requires_grad and out.inputs == () and out.vjp is None
+    with pytest.raises(RuntimeError), ad.no_grad():
+        raise RuntimeError
+    assert ops.sum_all(p).requires_grad

@@ -58,6 +58,17 @@ def test_config_file_bad_json(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and "bad.json" in err
+    with pytest.raises(ConfigError, match="byte 0"):
+        load_config_file(str(cfg))
+
+
 def test_config_file_wrong_schema_version(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"schema_version": 99}))

@@ -16,7 +16,6 @@ from wavepool.harness import (
     aggregate_csv,
     majority_baseline,
     model_config_for,
-    parse_per_seed_csv,
     per_seed_csv,
     plan_for_axis_value,
     run_ablation,
@@ -234,22 +233,6 @@ def test_per_seed_csv_default_empty_seconds():
 def test_per_seed_csv_with_timing():
     text = per_seed_csv(fixture_results(), timing=True)
     assert "wavelet_spectral,0,0.875,2,1.234" in text
-
-
-def test_per_seed_csv_roundtrip_recomputes_aggregate():
-    results = fixture_results()
-    parsed = parse_per_seed_csv(per_seed_csv(results))
-    assert [(r.variant, r.seed, r.test_acc, r.epochs_run) for r in parsed] == [
-        ("wavelet_spectral", 0, 0.875, 2), ("wavelet_spectral", 1, 0.75, 2)
-    ]
-    original = aggregate([r.test_acc for r in results])
-    recomputed = aggregate([r.test_acc for r in parsed])
-    assert original == recomputed
-
-
-def test_parse_per_seed_csv_rejects_wrong_header():
-    with pytest.raises(ContractViolationError, match="header"):
-        parse_per_seed_csv("nope\n1,2,3,4,5\n")
 
 
 def test_aggregate_csv_format():

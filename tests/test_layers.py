@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wavepool import autodiff as ad
+from wavepool import layers
 from wavepool.errors import (
     ContractViolationError,
     NumericError,
@@ -26,6 +27,7 @@ from wavepool.layers import (
 )
 from wavepool.spectral import cosine_transform, normalized_laplacian, wavelet_bases
 
+from . import per_op as ops
 from .conftest import cycle_adjacency, path_adjacency
 from .fdcheck import REL_TOL, central_difference, max_rel_error
 
@@ -55,9 +57,9 @@ def gwc_params(n_max, width, scales=(1.0,), activation="identity", rng=None):
 
 
 def test_activate_identity_and_relu():
-    x = ad.constant(np.array([[-1.0, 2.0]]))
-    assert np.array_equal(activate(x, "identity").value, [[-1.0, 2.0]])
-    assert np.array_equal(activate(x, "relu").value, [[0.0, 2.0]])
+    x = np.array([[-1.0, 2.0]])
+    assert np.array_equal(activate(x, "identity"), [[-1.0, 2.0]])
+    assert np.array_equal(activate(x, "relu"), [[0.0, 2.0]])
     with pytest.raises(ContractViolationError):
         activate(x, "gelu")
 
@@ -105,7 +107,7 @@ def test_gwc_slices_oversized_parameters(rng):
     params = gwc_params(10, 2, rng=rng)
     out = gwc_forward(params, project(make_bases(adj), h))
     assert out.value.shape == (4, 2)
-    ad.backward(ad.sum_all(out))
+    ad.backward(ops.sum_all(out))
     theta_grad = params.thetas[0].grad
     assert np.any(theta_grad[:4, :4] != 0.0)
     assert np.all(theta_grad[4:, :] == 0.0) and np.all(theta_grad[:, 4:] == 0.0)
@@ -146,7 +148,7 @@ def test_gwc_gradients_match_finite_differences(rng):
             scales=(1.0,), thetas=[ad.as_var(theta)], bias=ad.as_var(bias),
             activation="identity",
         )
-        return ad.frobenius_norm(gwc_forward(params, operands))
+        return ops.frobenius_norm(gwc_forward(params, operands))
 
     t_var, b_var = ad.parameter(theta0), ad.parameter(bias0)
     ad.backward(run(t_var, b_var))
@@ -156,19 +158,6 @@ def test_gwc_gradients_match_finite_differences(rng):
     ):
         numeric = central_difference(lambda x: pick(x).value, x0)
         assert max_rel_error(var.grad, numeric) < REL_TOL
-
-
-def per_op_gwc(h, params, bases):
-    """Reference: the wavelet convolution composed of one tape node per op."""
-    n = h.value.shape[0]
-    bias = params.bias[:n, :]
-    total = None
-    for theta_full, basis in zip(params.thetas, bases):
-        theta = theta_full[:n, :n]
-        filtered = ad.constant(basis.psi) @ (theta @ (ad.constant(basis.psi_pinv) @ h))
-        scaled = activate(filtered + bias, params.activation)
-        total = scaled if total is None else total + scaled
-    return ad.scale(total, 1.0 / len(params.scales))
 
 
 def close_relative(a, b, tol=1e-12):
@@ -191,10 +180,10 @@ def test_fused_gwc_matches_per_op_composition(activation, scales, n, rng):
         params = GwcLayerParams(scales=scales, thetas=[ad.parameter(t) for t in thetas0],
                                 bias=ad.parameter(bias0), activation=activation)
         out = forward(params)
-        ad.backward(ad.sum_all(out * weights))
+        ad.backward(ops.sum_all(ops.mul(out, weights)))
         return out, params
 
-    reference, ref_params = run(lambda params: per_op_gwc(ad.constant(h0), params, bases))
+    reference, ref_params = run(lambda params: ops.gwc_forward(params, project(bases, h0)))
     out, params = run(lambda params: gwc_forward(params, project(bases, h0)))
     assert np.array_equal(out.value, reference.value)
     for theta, ref in zip(params.thetas, ref_params.thetas):
@@ -290,7 +279,7 @@ def test_pool_gradients_match_finite_differences(rng):
         params = SpectralPoolParams(target_size=m, theta=ad.as_var(theta))
         s = spectral_pool_assign(n, params, cosine_transform(n), cosine_transform(m))
         pooled_adj, pooled_feats = pool_apply(s, ad.constant(adj), ad.constant(feats))
-        return ad.frobenius_norm(pooled_adj) + ad.frobenius_norm(pooled_feats)
+        return ops.add(ops.frobenius_norm(pooled_adj), ops.frobenius_norm(pooled_feats))
 
     var = ad.parameter(theta0)
     ad.backward(run(var))
@@ -324,7 +313,7 @@ def test_gcn_gradients_through_pooled_adjacency(rng):
 
     def run(adj, weight):
         params = GcnLayerParams(weight=ad.as_var(weight), activation="identity")
-        return ad.frobenius_norm(gcn_forward(ad.as_var(adj), ad.constant(feats), params))
+        return ops.frobenius_norm(gcn_forward(ad.as_var(adj), ad.constant(feats), params))
 
     a_var, w_var = ad.parameter(adj0), ad.parameter(weight0)
     ad.backward(run(a_var, w_var))
@@ -353,9 +342,11 @@ def test_diffpool_assignment_is_row_stochastic(rng):
     n, m = 6, 3
     weight = ad.parameter(rng.standard_normal((2, m)))
     feats = ad.constant(rng.standard_normal((n, 2)))
-    s = diffpool_assign(ad.constant(cycle_adjacency(n)), feats, weight)
+    s = diffpool_assign(ad.constant(cycle_adjacency(n)), feats, weight, m)
     assert s.value.shape == (n, m)
     assert np.allclose(s.value.sum(axis=1), 1.0, atol=1e-12)
+    with pytest.raises(ContractViolationError, match="width"):
+        diffpool_assign(ad.constant(cycle_adjacency(n)), feats, weight, m + 1)
 
 
 # -- classifier -----------------------------------------------------------
@@ -382,3 +373,81 @@ def test_classify_size_mismatch(rng):
     )
     with pytest.raises(ContractViolationError, match="pooled size"):
         classify(ad.constant(np.zeros((3, 3))), params)
+
+
+# -- fused stages against their per-op composition -------------------------
+
+
+def stage_cases(rng):
+    """(name, fused, per-op, parameter arrays): each builder maps parameter
+    Vars to a tuple of output Vars."""
+    n, m, width = 7, 3, 2
+    upper = np.triu(rng.random((n, n)) < 0.5, 1)
+    adj = upper + upper.T + 0.1 * np.abs(rng.standard_normal((n, n)))
+    adj = 0.5 * (adj + adj.T)
+    xi_n, xi_m = cosine_transform(n), cosine_transform(m)
+
+    def spectral(softmax):
+        def build(layer):
+            return lambda theta: (layer.spectral_pool_assign(
+                n, SpectralPoolParams(m, theta, softmax), xi_n, xi_m),)
+        return build
+
+    def apply(clusters):
+        def build(layer):
+            return lambda s, a, x: layer.pool_apply(s, a, x, clusters)
+        return build
+
+    def gcn(activation):
+        def build(layer):
+            return lambda a, x, w: (layer.gcn_forward(a, x, GcnLayerParams(w, activation)),)
+        return build
+
+    def diffpool(layer):
+        return lambda a, x, w: (layer.diffpool_assign(a, x, w, m),)
+
+    def diffpool_renormalized(layer):
+        return lambda x, w: (layer.diffpool_assign(renormalize(adj), x, w, m),)
+
+    def classify(layer):
+        return lambda x, w, b: layer.classify(x, ClassifierParams(w, b))
+
+    s_mn = rng.random((m, n))
+    return [
+        ("spectral softmax", spectral(True), [rng.standard_normal((m + 1, n + 2))]),
+        ("spectral raw", spectral(False), [rng.standard_normal((m, n))]),
+        ("apply rows", apply("rows"), [s_mn, adj, rng.standard_normal((n, width))]),
+        ("apply cols", apply("cols"), [s_mn.T.copy(), adj, rng.standard_normal((n, width))]),
+        ("gcn relu", gcn("relu"), [adj, rng.standard_normal((n, width)),
+                                   rng.standard_normal((width, 3))]),
+        ("gcn identity", gcn("identity"), [adj, rng.standard_normal((n, width)),
+                                           rng.standard_normal((width, 3))]),
+        ("diffpool", diffpool, [adj, rng.standard_normal((n, width)),
+                                rng.standard_normal((width, m + 2))]),
+        ("diffpool renormalized", diffpool_renormalized,
+         [rng.standard_normal((n, width)), rng.standard_normal((width, m))]),
+        ("classify", classify, [rng.standard_normal((m, width)),
+                                rng.standard_normal((m * width, 4)), rng.standard_normal(4)]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_fused_stage_matches_per_op_composition(case):
+    rng = np.random.default_rng(case)
+    name, build, arrays = stage_cases(rng)[case]
+    runs = []
+    for layer in (layers, ops):
+        params = [ad.parameter(a) for a in arrays]
+        outputs = build(layer)(*params)
+        loss = None
+        for k, out in enumerate(outputs):
+            weights = np.random.default_rng(100 + k).standard_normal(out.value.shape)
+            term = ops.sum_all(ops.mul(out, weights))
+            loss = term if loss is None else ops.add(loss, term)
+        ad.backward(loss)
+        runs.append((outputs, params))
+    (fused, fused_params), (ref, ref_params) = runs
+    for a, b in zip(fused, ref):
+        assert np.array_equal(a.value, b.value), name
+    for p, r in zip(fused_params, ref_params):
+        assert close_relative(p.grad, r.grad), name

@@ -3,11 +3,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavepool import autodiff as ad
 from wavepool import model as model_module
 from wavepool.errors import ContractViolationError, FormatError, NumericError
-from wavepool.graphs import Graph
+from wavepool.graphs import Graph, GraphDataset
 from wavepool.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -21,10 +23,13 @@ from wavepool.model import (
     mid_pool_size,
     model_from_checkpoint,
     parameter_names,
+    parameter_shapes,
     save_checkpoint,
 )
 from wavepool.spectral import normalized_laplacian, wavelet_bases
+from wavepool.training import evaluate_accuracy, graph_loss
 
+from . import per_op as ops
 from .conftest import cycle_adjacency, make_graph, path_adjacency
 from .fdcheck import central_difference, max_rel_error
 
@@ -109,6 +114,13 @@ def test_init_parameters_shapes_and_determinism():
     # node filters start near the identity
     limit = np.sqrt(6.0 / 40.0)
     assert np.max(np.abs(a["gwc.theta.0"] - np.eye(20))) <= limit
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_parameter_shapes_match_initial_tensors(variant):
+    cfg = small_config(variant=variant, scales=(1.0, 2.0), n_max=20, m_out=3)
+    tensors = init_parameters(cfg, seed=0)
+    assert {name: t.shape for name, t in tensors.items()} == parameter_shapes(cfg)
 
 
 # -- forward pass ---------------------------------------------------------
@@ -366,11 +378,11 @@ def test_model_gradients_match_finite_differences(rng):
     graph = random_graph(12, 2, rng, graph_id="fd")
 
     def loss_value() -> float:
-        return float(ad.frobenius_norm(model.forward(graph).logits).value)
+        return float(ops.frobenius_norm(model.forward(graph).logits).value)
 
     for var in model.params.values():
         var.grad = None
-    ad.backward(ad.frobenius_norm(model.forward(graph).logits))
+    ad.backward(ops.frobenius_norm(model.forward(graph).logits))
 
     for name, var in model.params.items():
         x0 = var.value.copy()
@@ -385,3 +397,119 @@ def test_model_gradients_match_finite_differences(rng):
         err = max_rel_error(var.grad if var.grad is not None else np.zeros_like(x0),
                             numeric)
         assert err < 1e-4, f"{name}: gradient error {err}"
+
+
+def test_checkpoint_rejects_tensors_that_do_not_fit_the_config(tmp_path):
+    cfg = small_config()
+    state = CrossScaleModel(cfg).state()
+    path = tmp_path / "model.bin"
+    transposed = dict(state, **{"gcn.weight": np.zeros((2, 3))})
+    save_checkpoint(path, cfg, transposed)
+    with pytest.raises(FormatError, match="gcn.weight"):
+        load_checkpoint(path)
+    renamed = {("pool9.theta" if name == "pool2.theta" else name): value
+               for name, value in state.items()}
+    save_checkpoint(path, cfg, renamed)
+    with pytest.raises(FormatError, match="pool2.theta"):
+        load_checkpoint(path)
+    save_checkpoint(path, small_config(variant="gcn_spectral"), state)
+    with pytest.raises(FormatError, match="gcn_spectral"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    cfg = small_config(scales=(1.0, 2.0))
+    path = tmp_path_factory.mktemp("checkpoint") / "model.bin"
+    save_checkpoint(path, cfg, CrossScaleModel(cfg, seed=5).state(), extra={"epoch": 3})
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupted_checkpoint_is_format_error_or_loads(checkpoint_file, data):
+    """Truncation at any length, or one flipped bit in the header or the
+    manifest, either raises FormatError or yields a model that loads."""
+    original = checkpoint_file.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", original, 8)
+    if data.draw(st.booleans(), label="truncate"):
+        corrupted = original[:data.draw(st.integers(0, len(original) - 1), label="length")]
+    else:
+        position = data.draw(st.integers(0, 12 + blob_len - 1), label="byte")
+        corrupted = bytearray(original)
+        corrupted[position] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    path = checkpoint_file.with_name("corrupted.bin")
+    path.write_bytes(bytes(corrupted))
+    try:
+        model = model_from_checkpoint(path)
+    except FormatError:
+        return
+    assert set(model.params) == set(parameter_names(model.config))
+
+
+# -- fused stages and tape-free inference ---------------------------------
+
+# node counts on each side of m_out = 3: two pooling stages, one, none
+# (n = m_out) and zero-padded (n < m_out)
+SIZES = (17, 9, 3, 2)
+
+
+def close_relative(a, b, tol=1e-10):
+    return np.max(np.abs(a - b)) <= tol * max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("stage_mode", ["mean", "sum", "first"])
+def test_fused_pipeline_matches_per_op_composition(variant, stage_mode, rng):
+    """Forward values are bit-identical to the per-op pipeline; the loss and
+    every parameter gradient agree within 1e-10 relative."""
+    cfg = small_config(variant=variant, n_max=20, m_out=3, scales=(1.0, 2.0),
+                       activation="relu")
+    for n in SIZES:
+        graph = random_graph(n, 2, rng, label=n % 2)
+        runs = []
+        for forward, loss in ((model_module.CrossScaleModel.forward, graph_loss),
+                              (ops.forward, ops.graph_loss)):
+            model = CrossScaleModel(cfg, seed=3)
+            result = forward(model, graph)
+            total = loss(result, graph.label, 2, 0.3, stage_mode)
+            total = total[0] if isinstance(total, tuple) else total
+            ad.backward(total)
+            runs.append((result, total, model))
+        (fused, fused_total, fused_model), (ref, ref_total, ref_model) = runs
+        assert np.array_equal(fused.logits.value, ref.logits.value)
+        assert np.array_equal(fused.probs.value, ref.probs.value)
+        for a, b in zip(fused.stages, ref.stages):
+            assert np.array_equal(a.assignment.value, b.assignment.value)
+            assert np.array_equal(a.adjacency.value, b.adjacency.value)
+        assert float(fused_total.value) == pytest.approx(float(ref_total.value), rel=1e-12)
+        for name, param in fused_model.params.items():
+            expected = ref_model.params[name].grad
+            if expected is None:
+                assert param.grad is None, (n, name)
+            else:
+                assert close_relative(param.grad, expected), (n, name)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_predict_records_no_tape(variant, rng, monkeypatch):
+    cfg = small_config(variant=variant, m_out=3, activation="relu")
+    model = CrossScaleModel(cfg, seed=4)
+    graphs = [random_graph(n, 2, rng, label=n % 2) for n in (9, 3, 2)]
+    expected = [model.forward(g).prediction for g in graphs]
+    recorded = []
+    original = ad.Var.__init__
+
+    def recording(var, value, inputs=(), vjp=None, requires_grad=False):
+        if inputs:
+            recorded.append(var)
+        original(var, value, inputs, vjp, requires_grad)
+
+    monkeypatch.setattr(ad.Var, "__init__", recording)
+    assert [model.predict(g) for g in graphs] == expected
+    dataset = GraphDataset(graphs=tuple(graphs), class_count=2, feature_dim=2)
+    correct = sum(p == g.label for p, g in zip(expected, graphs))
+    assert evaluate_accuracy(model, dataset) == correct / len(graphs)
+    assert recorded == []
+    model.forward(graphs[0])  # the same pass outside no_grad records its stages
+    assert recorded

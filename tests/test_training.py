@@ -21,6 +21,7 @@ from wavepool.training import (
     train,
 )
 
+from . import per_op as ops
 from .conftest import toy_dataset
 from .fdcheck import REL_TOL, central_difference, max_rel_error
 
@@ -65,7 +66,7 @@ def test_cross_entropy_gradient_through_softmax(rng):
     logits0 = rng.standard_normal(4)
 
     def build(v):
-        probs = ad.reshape(ad.row_softmax(ad.reshape(v, (1, 4))), (4,))
+        probs = ops.reshape(ops.row_softmax(ops.reshape(v, (1, 4))), (4,))
         return cross_entropy_loss(1, probs, 4)
 
     leaf = ad.parameter(logits0)
@@ -160,6 +161,49 @@ def test_graph_loss_stage_modes():
     assert first.l_p == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ContractViolationError, match="stage_mode"):
         graph_loss(result(), 0, 2, beta=1.0, stage_mode="last")
+
+
+def random_stage(rng, n, m, clusters):
+    adj = rng.random((n, n))
+    adj = adj + adj.T
+    shape = (m, n) if clusters == "rows" else (n, m)
+    return ad.parameter(adj), ad.parameter(rng.random(shape)), clusters
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("stage_mode", ["mean", "sum", "first"])
+def test_fused_loss_matches_per_op_composition(beta, stage_mode, rng):
+    stages = [random_stage(rng, 6, 3, "rows"), random_stage(rng, 3, 2, "cols")]
+    logits = rng.standard_normal(3)
+    probs0 = np.exp(logits) / np.exp(logits).sum()
+    runs = []
+    for loss in (graph_loss, ops.graph_loss):
+        probs = ad.parameter(probs0)
+        vars_ = [(ad.parameter(a.value), ad.parameter(s.value), c) for a, s, c in stages]
+        result = ForwardResult(ad.constant(logits), probs,
+                               [PoolStage(a, s, c) for a, s, c in vars_])
+        total = loss(result, 1, 3, beta, stage_mode)
+        total = total[0] if isinstance(total, tuple) else total
+        ad.backward(total)
+        runs.append((total, [probs] + [v for a, s, _ in vars_ for v in (a, s)]))
+    (fused, fused_vars), (ref, ref_vars) = runs
+    assert float(fused.value) == float(ref.value)
+    for var, expected in zip(fused_vars, ref_vars):
+        if expected.grad is None:
+            assert var.grad is None
+        else:
+            assert np.allclose(var.grad, expected.grad, rtol=1e-12, atol=1e-15)
+
+
+def test_loss_gradients_vanish_below_clip_floor_and_at_zero_residual():
+    probs = ad.parameter([1.0, 0.0])
+    ad.backward(cross_entropy_loss(1, probs, 2))
+    assert np.array_equal(probs.grad, [0.0, 0.0])
+    s = ad.parameter(np.eye(2))
+    adjacency = ad.parameter(np.eye(2))
+    ad.backward(link_prediction_loss(PoolStage(adjacency, s, "rows")))
+    assert np.array_equal(s.grad, np.zeros((2, 2)))
+    assert np.array_equal(adjacency.grad, np.zeros((2, 2)))
 
 
 # -- configuration --------------------------------------------------------
