@@ -18,7 +18,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .graphs import SplitSpec, dataset_statistics, load_tu_dataset, split_dataset
+from .graphs import SplitSpec, dataset_statistics, load_tu_dataset
 from .harness import (
     ExperimentPlan,
     ablation_text_table,
@@ -31,12 +31,13 @@ from .harness import (
     run_sensitivity,
     sweep_csv,
     sweep_svg,
+    train_seed,
 )
-from .model import VARIANTS, CrossScaleModel, config_to_dict, save_checkpoint
+from .model import VARIANTS, config_to_dict, save_checkpoint
 from .stability import run_stability_suite, suite_to_json
 from .svgplot import bar_chart
 from .synth import ClassSpec, MsgConfig, build_msg, export_tu, size_histogram, three_class_config
-from .training import TrainConfig, evaluate_accuracy, train
+from .training import TrainConfig
 
 SCHEMA_VERSION = 1
 TOP_LEVEL_KEYS = {"schema_version", "msg", "train", "model", "split", "seeds"}
@@ -102,7 +103,10 @@ def split_spec_from(cfg: dict, args, seed: int) -> SplitSpec:
 def _model_section(cfg: dict, args) -> dict:
     section = dict(cfg.get("model", {}))
     if "scales" in section:
-        section["scales"] = tuple(float(s) for s in section["scales"])
+        try:
+            section["scales"] = tuple(float(s) for s in section["scales"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config model scales must be a list of numbers: {exc}") from exc
     overrides = {
         "variant": args.variant,
         "m_out": args.m_out,
@@ -256,14 +260,10 @@ def _msg_config(cfg: dict, args) -> MsgConfig:
 
 def cmd_train(args) -> int:
     cfg = load_config_file(args.config)
-    train_cfg = train_config_from(cfg, args, args.seed)
-    dataset = _dataset(args)
     plan = plan_from(cfg, args, (args.seed,))
-    split = replace(plan.split, seed=args.seed)
-    train_ds, val_ds, test_ds = split_dataset(dataset, split)
-    model = CrossScaleModel(model_config_for(dataset, plan), seed=args.seed)
-    outcome = train(model, train_ds, val_ds, train_cfg)
-    test_acc = evaluate_accuracy(model, test_ds)
+    dataset = _dataset(args)
+    model, outcome, (train_ds, _, test_ds), test_acc = train_seed(
+        dataset, plan, model_config_for(dataset, plan), args.seed)
     out = _outdir(args)
     save_checkpoint(
         out / "checkpoint.bin", model.config, model.state(),
@@ -275,7 +275,7 @@ def cmd_train(args) -> int:
     summary.update({
         "test_acc": test_acc,
         "model": config_to_dict(model.config),
-        "train": asdict(train_cfg),
+        "train": asdict(plan.train),
         "majority_baseline": majority_baseline(train_ds, test_ds),
     })
     _write_json(out / "summary.json", summary)

@@ -3,7 +3,9 @@
 Each seed gets its own split, model initialization, and shuffling stream, all
 derived from that seed alone, so sweep cells that share a seed share the same
 split and only the swept hyperparameter varies. Test accuracy is taken at
-the best-validation checkpoint.
+the best-validation checkpoint. ``train_seed`` is the one seed run, shared
+by the ``train`` command. Model settings do not depend on the seed, so a bad
+one raises ``ConfigError`` before any seed runs instead of failing each.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +22,7 @@ from .graphs import GraphDataset, SplitSpec, split_dataset
 from .model import VARIANTS, CrossScaleModel, ModelConfig
 from .spectral import MODE_FITTED_KERNEL
 from .svgplot import line_plot
-from .training import RunReport, TrainConfig, evaluate_accuracy, train
+from .training import RunReport, TrainConfig, TrainOutcome, evaluate_accuracy, train
 
 SWEEP_AXES = ("F", "M", "beta")
 
@@ -82,33 +85,54 @@ def aggregate(values: list[float]) -> tuple[float, float, int]:
 
 
 def model_config_for(dataset: GraphDataset, plan: ExperimentPlan) -> ModelConfig:
+    """The plan's model settings for this dataset; invalid settings raise
+    ``ConfigError``."""
     n_max = plan.n_max if plan.n_max is not None else int(dataset.sizes.max())
-    return ModelConfig(
-        feature_dim=dataset.feature_dim,
-        class_count=dataset.class_count,
-        variant=plan.variant,
-        n_max=n_max,
-        m_out=plan.m_out,
-        scales=plan.scales,
-        order=plan.order,
-        basis_mode=plan.basis_mode,
-    )
+    try:
+        return ModelConfig(
+            feature_dim=dataset.feature_dim,
+            class_count=dataset.class_count,
+            variant=plan.variant,
+            n_max=n_max,
+            m_out=plan.m_out,
+            scales=plan.scales,
+            order=plan.order,
+            basis_mode=plan.basis_mode,
+        )
+    # ContractViolationError is a ValueError; a string m_out raises TypeError
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad model settings: {exc}") from exc
+
+
+class SeedRun(NamedTuple):
+    model: CrossScaleModel  # holding its best-validation parameters
+    outcome: TrainOutcome
+    splits: tuple[GraphDataset, GraphDataset, GraphDataset]  # train, val, test
+    test_acc: float
+
+
+def train_seed(dataset: GraphDataset, plan: ExperimentPlan, config: ModelConfig,
+               seed: int) -> SeedRun:
+    """One seed's split, model, training and test accuracy."""
+    splits = split_dataset(dataset, replace(plan.split, seed=seed))
+    model = CrossScaleModel(config, seed=seed)
+    outcome = train(model, splits[0], splits[1], replace(plan.train, seed=seed))
+    return SeedRun(model, outcome, splits, evaluate_accuracy(model, splits[2]))
 
 
 def run_single_seed(dataset: GraphDataset, plan: ExperimentPlan, seed: int) -> SeedResult:
+    # outside the try: bad model settings are the run's error, not this seed's
+    config = model_config_for(dataset, plan)
     start = time.perf_counter()
     try:
-        train_ds, val_ds, test_ds = split_dataset(dataset, replace(plan.split, seed=seed))
-        model = CrossScaleModel(model_config_for(dataset, plan), seed=seed)
-        outcome = train(model, train_ds, val_ds, replace(plan.train, seed=seed))
-        test_acc = evaluate_accuracy(model, test_ds)
+        run = train_seed(dataset, plan, config, seed)
         return SeedResult(
             variant=plan.variant,
             seed=seed,
-            test_acc=test_acc,
-            epochs_run=len(outcome.report.epochs),
+            test_acc=run.test_acc,
+            epochs_run=len(run.outcome.report.epochs),
             seconds=time.perf_counter() - start,
-            report=outcome.report,
+            report=run.outcome.report,
         )
     # record the failure and keep the other seeds running; anything else is a
     # bug and propagates
@@ -197,7 +221,10 @@ def run_sensitivity(dataset: GraphDataset, plan: ExperimentPlan, axis: str,
                     values: list[float]) -> SweepResult:
     if not values:
         raise ContractViolationError("sweep needs at least one axis value")
-    cells = [run_experiment(dataset, plan_for_axis_value(plan, axis, v)) for v in values]
+    plans = [plan_for_axis_value(plan, axis, v) for v in values]
+    for cell in plans:
+        model_config_for(dataset, cell)  # a bad axis value fails before any cell runs
+    cells = [run_experiment(dataset, cell) for cell in plans]
     return SweepResult(axis=axis, values=[float(v) for v in values], cells=cells)
 
 

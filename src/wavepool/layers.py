@@ -12,6 +12,9 @@ the slice of the full-size gradient buffer; the leading rows/columns of the
 pooling filter correspond to the lowest frequencies of the cosine
 transform.
 
+Both assignments, spectral and DiffPool, are m x n: one row per pooled
+node, one column per input node. ``pool_apply`` takes either.
+
 The wavelet convolution reads the graph only through its precomputed
 operands, psi_f and psi_f^+ X per scale (``ScaleInput``), and the graph
 convolution accepts a ``Renormalized`` constant adjacency instead of
@@ -216,26 +219,15 @@ def spectral_pool_assign(
     return ad.node(s, (params.theta,), vjp)
 
 
-CLUSTER_AXES = ("rows", "cols")
-
-
-def pool_apply(s: Var, adjacency: Var, features: Var,
-               clusters: str = "rows") -> tuple[Var, Var]:
-    """Pool structure and features: A' = S A S^T, X' = S X.
-
-    ``clusters`` names the axis of ``s`` that indexes pooled nodes: "rows"
-    for an m x n assignment, "cols" for an n x m one, which is applied
-    transposed. A' and X' are one node each.
-    """
-    if clusters not in CLUSTER_AXES:
-        raise ContractViolationError(f"clusters must be one of {CLUSTER_AXES}, got {clusters!r}")
-    rows = clusters == "rows"
-    s_mn = s.value if rows else s.value.T
+def pool_apply(s: Var, adjacency: Var, features: Var) -> tuple[Var, Var]:
+    """Pool structure and features with an m x n assignment: A' = S A S^T,
+    X' = S X, one node each."""
+    s_mn = s.value
     n = s_mn.shape[1]
     a, x = adjacency.value, features.value
     if a.shape != (n, n):
         raise ContractViolationError(
-            f"adjacency shape {a.shape} incompatible with S {s.value.shape}"
+            f"adjacency shape {a.shape} incompatible with S {s_mn.shape}"
         )
     if x.shape[0] != n:
         raise ContractViolationError(
@@ -247,16 +239,14 @@ def pool_apply(s: Var, adjacency: Var, features: Var,
         acc_s, acc_a = grads
         g_left = g @ s_mn
         if acc_s is not None:
-            g_s = g_left @ a.T + g.T @ left
-            acc_s += g_s if rows else g_s.T
+            acc_s += g_left @ a.T + g.T @ left
         if acc_a is not None:
             acc_a += s_mn.T @ g_left
 
     def features_vjp(g, grads):
         acc_s, acc_x = grads
         if acc_s is not None:
-            g_s = g @ x.T
-            acc_s += g_s if rows else g_s.T
+            acc_s += g @ x.T
         if acc_x is not None:
             acc_x += s_mn.T @ g
 
@@ -346,14 +336,14 @@ def gcn_forward(adjacency: Var | Renormalized, features: Var, params: GcnLayerPa
 
 def diffpool_assign(adjacency: Var | Renormalized, features: Var, weight: Var,
                     width: int) -> Var:
-    """Assignment S = softmax(Â X W[:, :width]) with clusters along columns
-    (n x width)."""
+    """Assignment S = softmax(Â X W[:, :width])^T, one row per pooled node
+    (width x n); each node's memberships sum to one."""
     cols = weight.value.shape[1]
     if not 1 <= width <= cols:
         raise ContractViolationError(f"assignment width {width} outside [1, {cols}]")
     z, inputs, propagate_vjp = _propagate(adjacency, features, weight, width)
     s = _softmax(z)
-    return ad.node(s, inputs, lambda g, grads: propagate_vjp(_softmax_vjp(g, s), grads))
+    return ad.node(s.T, inputs, lambda g, grads: propagate_vjp(_softmax_vjp(g.T, s), grads))
 
 
 def classify(x_final: Var, params: ClassifierParams) -> tuple[Var, Var]:

@@ -7,6 +7,10 @@ batches share weights. The pooling schedule is size-adaptive:
   n > m_out      conv -> pool to max(ceil(n/4), m_out) -> conv -> pool to m_out
   n <= m_out     conv -> conv -> zero-pad features to m_out rows
 
+Both pooling assignments are m x n, one row per pooled node.
+``parameter_shapes`` is the one table of parameter names and shapes that
+initialization, the constructor, ``load_state`` and checkpoints all read.
+
 Checkpoints are a single binary file: a JSON manifest (configuration plus
 tensor shapes) followed by raw little-endian float64 tensor data.
 """
@@ -92,7 +96,7 @@ class ModelConfig:
     @property
     def mid_size_max(self) -> int:
         """Largest possible first-stage pooled size."""
-        return max(math.ceil(self.n_max / 4), self.m_out)
+        return mid_pool_size(self.n_max, self.m_out)
 
     @property
     def uses_wavelets(self) -> bool:
@@ -110,16 +114,10 @@ def mid_pool_size(n: int, m_out: int) -> int:
 
 @dataclass
 class PoolStage:
-    """One pooling step, recorded for the structure loss.
-
-    ``clusters`` says which axis of the assignment indexes pooled nodes:
-    "rows" for the frequency-filter assignment (m x n), "cols" for the
-    learned-membership assignment (n x m).
-    """
+    """One pooling step, recorded for the structure loss."""
 
     adjacency: Var   # pre-pool adjacency (n x n)
-    assignment: Var
-    clusters: str    # "rows" | "cols"
+    assignment: Var  # (m x n), one row per pooled node
 
 
 @dataclass
@@ -151,14 +149,9 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
-            fan_in: int, fan_out: int) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Every parameter tensor of the variant, by name, with its shape."""
+    """Every parameter tensor of the variant, by name, with its shape, in
+    the order ``init_parameters`` draws them."""
     n, l, c = config.n_max, config.feature_dim, config.class_count
     m1, m2 = config.mid_size_max, config.m_out
     shapes: dict[str, tuple[int, ...]] = {}
@@ -176,36 +169,40 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def parameter_names(config: ModelConfig) -> tuple[str, ...]:
-    return tuple(sorted(parameter_shapes(config)))
-
-
 def init_parameters(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Seeded initial tensors for the given variant, keyed by name.
 
-    Node filters start at identity plus uniform Glorot noise so the wavelet
-    convolution begins near a smoothing pass-through; biases start at zero.
+    Tensors are drawn in ``parameter_shapes`` order from uniform Glorot
+    noise with limit sqrt(6 / (fan_in + fan_out)). Node filters add the
+    identity, so the wavelet convolution begins near a smoothing
+    pass-through; biases start at zero.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _INIT_STREAM])))
-    n, l, c = config.n_max, config.feature_dim, config.class_count
-    m1, m2 = config.mid_size_max, config.m_out
     tensors: dict[str, np.ndarray] = {}
-    if config.uses_wavelets:
-        for k in range(len(config.scales)):
-            tensors[f"gwc.theta.{k}"] = np.eye(n) + _glorot(rng, (n, n), n, n)
-        tensors["gwc.bias"] = np.zeros((n, l))
-    else:
-        tensors["conv1.weight"] = _glorot(rng, (l, l), l, l)
-    if config.uses_spectral_pool:
-        tensors["pool1.theta"] = _glorot(rng, (m1, n), n, m1)
-        tensors["pool2.theta"] = _glorot(rng, (m2, m1), m1, m2)
-    else:
-        tensors["pool1.assign"] = _glorot(rng, (l, m1), l, m1)
-        tensors["pool2.assign"] = _glorot(rng, (l, m2), l, m2)
-    tensors["gcn.weight"] = _glorot(rng, (l, l), l, l)
-    tensors["classifier.weight"] = _glorot(rng, (m2 * l, c), m2 * l, c)
-    tensors["classifier.bias"] = np.zeros(c)
+    for name, shape in parameter_shapes(config).items():
+        if name.endswith(".bias"):
+            tensors[name] = np.zeros(shape)
+            continue
+        limit = math.sqrt(6.0 / sum(shape))
+        tensors[name] = rng.uniform(-limit, limit, size=shape)
+        if name.startswith("gwc.theta."):
+            tensors[name] += np.eye(shape[0])
     return tensors
+
+
+def _mismatched(config: ModelConfig, shapes: dict[str, tuple[int, ...]]) -> list[str]:
+    """Sorted names whose shape differs from the table's, or that one side lacks."""
+    expected = parameter_shapes(config)
+    return sorted(name for name in shapes.keys() | expected.keys()
+                  if shapes.get(name) != expected.get(name))
+
+
+def _check_tensors(config: ModelConfig, tensors: dict[str, np.ndarray]) -> None:
+    wrong = _mismatched(config, {name: np.shape(t) for name, t in tensors.items()})
+    if wrong:
+        raise ContractViolationError(
+            f"tensors {wrong} do not match the names and shapes of the "
+            f"{config.variant} parameters (n_max={config.n_max})")
 
 
 class CrossScaleModel:
@@ -217,13 +214,7 @@ class CrossScaleModel:
         self.seed = seed
         if tensors is None:
             tensors = init_parameters(config, seed)
-        expected = set(parameter_names(config))
-        if set(tensors) != expected:
-            missing = expected - set(tensors)
-            extra = set(tensors) - expected
-            raise ContractViolationError(
-                f"parameter names mismatch (missing={sorted(missing)}, extra={sorted(extra)})"
-            )
+        _check_tensors(config, tensors)
         self.params: dict[str, Var] = {
             name: ad.parameter(np.array(value, dtype=np.float64))
             for name, value in sorted(tensors.items())
@@ -244,6 +235,8 @@ class CrossScaleModel:
         if cfg.uses_spectral_pool:
             self.pool1 = SpectralPoolParams(cfg.mid_size_max, p["pool1.theta"], cfg.softmax_rows)
             self.pool2 = SpectralPoolParams(cfg.m_out, p["pool2.theta"], cfg.softmax_rows)
+        else:
+            self.pool1, self.pool2 = p["pool1.assign"], p["pool2.assign"]
         self.gcn = GcnLayerParams(p["gcn.weight"], cfg.activation)
         self.classifier = ClassifierParams(p["classifier.weight"], p["classifier.bias"])
 
@@ -253,16 +246,9 @@ class CrossScaleModel:
         return {name: var.value.copy() for name, var in self.params.items()}
 
     def load_state(self, tensors: dict[str, np.ndarray]) -> None:
-        if set(tensors) != set(self.params):
-            raise ContractViolationError("checkpoint tensor names do not match model")
+        _check_tensors(self.config, tensors)
         for name, value in tensors.items():
-            arr = np.asarray(value, dtype=np.float64)
-            if arr.shape != self.params[name].value.shape:
-                raise ContractViolationError(
-                    f"tensor {name} has shape {arr.shape}, "
-                    f"expected {self.params[name].value.shape}"
-                )
-            self.params[name].value = arr.copy()
+            self.params[name].value = np.array(value, dtype=np.float64)
 
     # -- forward ----------------------------------------------------------
 
@@ -288,15 +274,13 @@ class CrossScaleModel:
 
         return graph.memoised((wavelet_key, raw_gcn), build)
 
-    def _assign(self, stage: int, adjacency: Var, gcn_adjacency: Var | Renormalized | None,
-                features: Var, n: int, m: int) -> PoolStage:
-        """Pool assignment; DiffPool's GCN reads ``gcn_adjacency``."""
+    def _assign(self, stage: int, gcn_adjacency: Var | Renormalized | None,
+                features: Var, n: int, m: int) -> Var:
+        """The m x n pool assignment; DiffPool's GCN reads ``gcn_adjacency``."""
+        params = self.pool1 if stage == 1 else self.pool2
         if self.config.uses_spectral_pool:
-            params = self.pool1 if stage == 1 else self.pool2
-            s = spectral_pool_assign(n, params, cosine_transform(n), cosine_transform(m))
-            return PoolStage(adjacency, s, "rows")
-        s = diffpool_assign(gcn_adjacency, features, self.params[f"pool{stage}.assign"], m)
-        return PoolStage(adjacency, s, "cols")
+            return spectral_pool_assign(n, params, cosine_transform(n), cosine_transform(m))
+        return diffpool_assign(gcn_adjacency, features, params, m)
 
     def forward(self, graph: Graph) -> ForwardResult:
         cfg = self.config
@@ -317,15 +301,15 @@ class CrossScaleModel:
         pooled_adjacencies: list[Var] = []
         if n > cfg.m_out:
             m1 = mid_pool_size(n, cfg.m_out)
-            stage1 = self._assign(1, adjacency, inputs.renormalized, h, n, m1)
-            stages.append(stage1)
-            adjacency, h = pool_apply(stage1.assignment, adjacency, h, stage1.clusters)
+            s = self._assign(1, inputs.renormalized, h, n, m1)
+            stages.append(PoolStage(adjacency, s))
+            adjacency, h = pool_apply(s, adjacency, h)
             pooled_adjacencies.append(adjacency)
             h = gcn_forward(adjacency, h, self.gcn)
             if m1 > cfg.m_out:
-                stage2 = self._assign(2, adjacency, adjacency, h, m1, cfg.m_out)
-                stages.append(stage2)
-                adjacency, h = pool_apply(stage2.assignment, adjacency, h, stage2.clusters)
+                s = self._assign(2, adjacency, h, m1, cfg.m_out)
+                stages.append(PoolStage(adjacency, s))
+                adjacency, h = pool_apply(s, adjacency, h)
                 pooled_adjacencies.append(adjacency)
         else:
             h = gcn_forward(inputs.renormalized, h, self.gcn)
@@ -405,10 +389,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
             for shape in shapes.values()):
         raise FormatError(f"{path}: checkpoint tensor shapes must be lists of sizes")
     config = config_from_dict(manifest["config"])
-    expected = {name: list(shape) for name, shape in parameter_shapes(config).items()}
-    if shapes != expected:
-        wrong = sorted(name for name in shapes.keys() | expected.keys()
-                       if shapes.get(name) != expected.get(name))
+    wrong = _mismatched(config, {name: tuple(shape) for name, shape in shapes.items()})
+    if wrong:
         raise FormatError(f"{path}: checkpoint tensors {wrong} do not match the "
                           f"{config.variant} parameters of its config")
     tensors: dict[str, np.ndarray] = {}

@@ -5,12 +5,13 @@ The objective blends a scaled cross-entropy with a structure-recovery term:
     total = (1 - beta) * classification + beta * structure
 
 where the structure term is the Frobenius distance between each pre-pool
-adjacency and the gram matrix of that stage's assignment, reduced over
+adjacency and S^T S for that stage's m x n assignment S, reduced over
 stages by ``lp_stage_mode`` ("mean" by default, or "sum" / "first"). At
 beta = 0 the structure term is skipped outright (no residual graph is
-built). The objective is one tape node over the class probabilities and
-each counted stage's (adjacency, assignment), with a hand-written vjp.
-Validation goes through ``CrossScaleModel.predict`` and records no tape.
+built). ``graph_loss`` is the only loss: one tape node over the class
+probabilities and each counted stage's (adjacency, assignment), with a
+hand-written vjp. Validation goes through ``CrossScaleModel.predict`` and
+records no tape.
 """
 
 from __future__ import annotations
@@ -94,11 +95,10 @@ def _cross_entropy(label: int, probs: Var, class_count: int):
 
 
 def _structure(stage: PoolStage):
-    """||A - S S^T||_F with S taken n x m, and a vjp adding g times its
-    gradient into the (adjacency, assignment) buffers; subgradient 0 at
-    a zero residual."""
-    rows = stage.clusters == "rows"
-    s_nm = stage.assignment.value.T if rows else stage.assignment.value
+    """||A - S^T S||_F for the m x n assignment S, and a vjp adding g times
+    its gradient into the (adjacency, assignment) buffers; subgradient 0
+    at a zero residual."""
+    s_nm = stage.assignment.value.T
     residual = stage.adjacency.value - s_nm @ s_nm.T
     norm = float(np.sqrt((residual * residual).sum()))
 
@@ -109,23 +109,9 @@ def _structure(stage: PoolStage):
         if acc_adjacency is not None:
             acc_adjacency += g_residual
         if acc_assignment is not None:
-            g_s = -((g_residual + g_residual.T) @ s_nm)
-            acc_assignment += g_s.T if rows else g_s
+            acc_assignment -= ((g_residual + g_residual.T) @ s_nm).T
 
     return norm, vjp
-
-
-def cross_entropy_loss(label: int, probs: Var, class_count: int) -> Var:
-    """Scaled cross-entropy -(1/c) sum_i p_i log q_i for a one-hot target."""
-    value, vjp = _cross_entropy(label, probs, class_count)
-    return ad.node(value, (probs,), lambda g, grads: vjp(g, grads[0]))
-
-
-def link_prediction_loss(stage: PoolStage) -> Var:
-    """Frobenius distance between the pre-pool adjacency and S_{n x m} its gram."""
-    value, vjp = _structure(stage)
-    return ad.node(value, (stage.adjacency, stage.assignment),
-                   lambda g, grads: vjp(g, *grads))
 
 
 @dataclass(frozen=True)

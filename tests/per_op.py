@@ -200,9 +200,8 @@ def spectral_pool_assign(n, params, xi_n, xi_m):
     return row_softmax(raw) if params.softmax_rows else raw
 
 
-def pool_apply(s, adjacency, features, clusters="rows"):
-    s_mn = s if clusters == "rows" else transpose(s)
-    return (matmul(matmul(s_mn, adjacency), transpose(s_mn)), matmul(s_mn, features))
+def pool_apply(s, adjacency, features):
+    return (matmul(matmul(s, adjacency), transpose(s)), matmul(s, features))
 
 
 def renormalized(adjacency):
@@ -226,7 +225,7 @@ def gcn_forward(adjacency, features, params):
 
 def diffpool_assign(adjacency, features, weight, width):
     params = GcnLayerParams(getitem(weight, np.s_[:, :width]), "identity")
-    return row_softmax(gcn_forward(adjacency, features, params))
+    return transpose(row_softmax(gcn_forward(adjacency, features, params)))
 
 
 def classify(x_final, params):
@@ -243,7 +242,7 @@ def cross_entropy_loss(label, probs, class_count):
 
 
 def link_prediction_loss(stage):
-    s_nm = transpose(stage.assignment) if stage.clusters == "rows" else stage.assignment
+    s_nm = transpose(stage.assignment)
     return frobenius_norm(sub(stage.adjacency, matmul(s_nm, transpose(s_nm))))
 
 
@@ -269,12 +268,12 @@ def forward(model, graph):
     inputs = model.inputs_for(graph)
 
     def assign(stage, adjacency, gcn_adjacency, features, n, m):
+        params = model.pool1 if stage == 1 else model.pool2
         if cfg.uses_spectral_pool:
-            params = model.pool1 if stage == 1 else model.pool2
             s = spectral_pool_assign(n, params, cosine_transform(n), cosine_transform(m))
-            return PoolStage(adjacency, s, "rows")
-        s = diffpool_assign(gcn_adjacency, features, model.params[f"pool{stage}.assign"], m)
-        return PoolStage(adjacency, s, "cols")
+        else:
+            s = diffpool_assign(gcn_adjacency, features, params, m)
+        return PoolStage(adjacency, s)
 
     adjacency = ad.constant(graph.adjacency)
     if cfg.uses_wavelets:
@@ -285,11 +284,11 @@ def forward(model, graph):
     if n > cfg.m_out:
         m1 = mid_pool_size(n, cfg.m_out)
         stages.append(assign(1, adjacency, inputs.renormalized, h, n, m1))
-        adjacency, h = pool_apply(stages[-1].assignment, adjacency, h, stages[-1].clusters)
+        adjacency, h = pool_apply(stages[-1].assignment, adjacency, h)
         h = gcn_forward(adjacency, h, model.gcn)
         if m1 > cfg.m_out:
             stages.append(assign(2, adjacency, adjacency, h, m1, cfg.m_out))
-            adjacency, h = pool_apply(stages[-1].assignment, adjacency, h, stages[-1].clusters)
+            adjacency, h = pool_apply(stages[-1].assignment, adjacency, h)
     else:
         h = gcn_forward(inputs.renormalized, h, model.gcn)
         if n < cfg.m_out:

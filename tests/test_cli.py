@@ -96,6 +96,29 @@ def test_bad_config_seeds_exit_2(bench_dir, tmp_path, capsys, seeds):
     assert "seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+@pytest.mark.parametrize("model", [{"order": 0}, {"m_out": "4"}, {"scales": ["a"]}])
+def test_bad_model_settings_exit_2_before_any_seed(bench_dir, tmp_path, capsys,
+                                                   command, model):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "model": model}))
+    out = tmp_path / "o"
+    code = main([command, "--config", str(cfg), "--data", str(bench_dir),
+                 "--out", str(out), "--epochs", "1"])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "per_seed.csv").exists()
+    assert not (out / "checkpoint.bin").exists()
+
+
+def test_sweep_rejects_a_bad_axis_value_before_any_cell(bench_dir, tmp_path, capsys):
+    code = main(["sweep", "--data", str(bench_dir), "--out", str(tmp_path / "o"),
+                 "--axis", "M", "--values", "6,0", "--seeds", "0", *FAST])
+    assert code == 2
+    assert "order" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_requires_axis(bench_dir, tmp_path, capsys):
     code = main(["sweep", "--data", str(bench_dir), "--out", str(tmp_path / "o"),
                  "--values", "0,0.5"])

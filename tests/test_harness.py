@@ -25,6 +25,7 @@ from wavepool.harness import (
     scales_for_count,
     sweep_csv,
     sweep_svg,
+    train_seed,
 )
 from wavepool.model import VARIANTS
 from wavepool.training import TrainConfig
@@ -85,7 +86,28 @@ def test_model_config_infers_n_max_from_data():
     assert cfg_fixed.n_max == 64
 
 
+@pytest.mark.parametrize("settings", [{"order": 0}, {"m_out": "2"}, {"scales": (-1.0,)}])
+def test_bad_model_settings_fail_the_run_not_each_seed(settings):
+    ds = toy_dataset(per_class=10)
+    plan = quick_plan(**settings)
+    with pytest.raises(ConfigError, match="model settings"):
+        model_config_for(ds, plan)
+    with pytest.raises(ConfigError, match="model settings"):
+        run_experiment(ds, plan)
+
+
 # -- seed runs ------------------------------------------------------------
+
+
+def test_train_seed_is_the_seed_run_of_the_experiment():
+    ds = toy_dataset(per_class=10)
+    plan = quick_plan()
+    run = train_seed(ds, plan, model_config_for(ds, plan), 1)
+    result = run_single_seed(ds, plan, seed=1)
+    assert run.test_acc == result.test_acc
+    assert run.outcome.report.to_csv() == result.report.to_csv()
+    assert sum(len(split.graphs) for split in run.splits) == len(ds.graphs)
+    assert run.model.config == model_config_for(ds, plan)
 
 
 def test_run_single_seed_success():

@@ -343,8 +343,9 @@ def test_diffpool_assignment_is_row_stochastic(rng):
     weight = ad.parameter(rng.standard_normal((2, m)))
     feats = ad.constant(rng.standard_normal((n, 2)))
     s = diffpool_assign(ad.constant(cycle_adjacency(n)), feats, weight, m)
-    assert s.value.shape == (n, m)
-    assert np.allclose(s.value.sum(axis=1), 1.0, atol=1e-12)
+    # one row per pooled node; softmax(Â X W), its transpose, is row-stochastic
+    assert s.value.shape == (m, n)
+    assert np.allclose(s.value.T.sum(axis=1), 1.0, atol=1e-12)
     with pytest.raises(ContractViolationError, match="width"):
         diffpool_assign(ad.constant(cycle_adjacency(n)), feats, weight, m + 1)
 
@@ -393,10 +394,8 @@ def stage_cases(rng):
                 n, SpectralPoolParams(m, theta, softmax), xi_n, xi_m),)
         return build
 
-    def apply(clusters):
-        def build(layer):
-            return lambda s, a, x: layer.pool_apply(s, a, x, clusters)
-        return build
+    def apply(layer):
+        return lambda s, a, x: layer.pool_apply(s, a, x)
 
     def gcn(activation):
         def build(layer):
@@ -416,8 +415,10 @@ def stage_cases(rng):
     return [
         ("spectral softmax", spectral(True), [rng.standard_normal((m + 1, n + 2))]),
         ("spectral raw", spectral(False), [rng.standard_normal((m, n))]),
-        ("apply rows", apply("rows"), [s_mn, adj, rng.standard_normal((n, width))]),
-        ("apply cols", apply("cols"), [s_mn.T.copy(), adj, rng.standard_normal((n, width))]),
+        ("apply", apply, [s_mn, adj, rng.standard_normal((n, width))]),
+        # DiffPool's assignment is the transpose of a C-ordered n x m array
+        ("apply column-major", apply,
+         [np.asfortranarray(s_mn), adj, rng.standard_normal((n, width))]),
         ("gcn relu", gcn("relu"), [adj, rng.standard_normal((n, width)),
                                    rng.standard_normal((width, 3))]),
         ("gcn identity", gcn("identity"), [adj, rng.standard_normal((n, width)),

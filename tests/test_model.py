@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -22,7 +23,6 @@ from wavepool.model import (
     load_checkpoint,
     mid_pool_size,
     model_from_checkpoint,
-    parameter_names,
     parameter_shapes,
     save_checkpoint,
 )
@@ -87,12 +87,12 @@ def test_mid_pool_size_values():
 
 
 def test_parameter_names_by_variant():
-    spectral = parameter_names(small_config(scales=(1.0, 2.0)))
+    spectral = tuple(sorted(parameter_shapes(small_config(scales=(1.0, 2.0)))))
     assert spectral == tuple(sorted([
         "gwc.theta.0", "gwc.theta.1", "gwc.bias", "pool1.theta", "pool2.theta",
         "gcn.weight", "classifier.weight", "classifier.bias",
     ]))
-    diff = parameter_names(small_config(variant="gcn_diffpool"))
+    diff = parameter_shapes(small_config(variant="gcn_diffpool"))
     assert "conv1.weight" in diff and "pool1.assign" in diff
     assert not any(name.startswith("gwc") for name in diff)
 
@@ -102,7 +102,7 @@ def test_init_parameters_shapes_and_determinism():
     a = init_parameters(cfg, seed=7)
     b = init_parameters(cfg, seed=7)
     c = init_parameters(cfg, seed=8)
-    assert set(a) == set(parameter_names(cfg))
+    assert set(a) == set(parameter_shapes(cfg))
     for name in a:
         assert np.array_equal(a[name], b[name])
     assert any(not np.array_equal(a[n], c[n]) for n in a)
@@ -114,6 +114,30 @@ def test_init_parameters_shapes_and_determinism():
     # node filters start near the identity
     limit = np.sqrt(6.0 / 40.0)
     assert np.max(np.abs(a["gwc.theta.0"] - np.eye(20))) <= limit
+
+
+# SHA-256 over (name, float64 bytes) of every initial tensor in name order,
+# for small_config(variant, scales=(1.0, 2.0), n_max=20, m_out=3)
+INIT_DIGESTS = {
+    ("gcn_diffpool", 0): "6ce69e014676495ff1f4ca6ba9ac975727de01b578672b5bc143ea9c2569705b",
+    ("gcn_diffpool", 7): "8b08bf0d8b67eba9d5b810a58918187c32afe25fbc5d1e9ab5b5430911e0e10c",
+    ("gcn_spectral", 0): "006995ec318effbac97a0a6f2bf969af50402cc8c077a585b7506d82691e54e8",
+    ("gcn_spectral", 7): "1f43d86d5e2344291865ef325cd5729c5d2209553322e92f6e4f31a2287aa0c1",
+    ("wavelet_diffpool", 0): "22d3a98892e2a8bde2afb2f33ae132089f2c1236c27d8f0218a1527359862719",
+    ("wavelet_diffpool", 7): "6272081db6e92eb119c9699d671015c7c3c849a6893be5a27dc378f828487120",
+    ("wavelet_spectral", 0): "5d44f4ab6d379faffb77c1d96b27717bbbedd2f085b4f8702a3d70ee973821c7",
+    ("wavelet_spectral", 7): "2ccc2c1e062157490330ebf88c053180badc5a44973a5b2acb611faa348e56d0",
+}
+
+
+@pytest.mark.parametrize("variant, seed", sorted(INIT_DIGESTS))
+def test_init_parameters_draw_recorded_tensors(variant, seed):
+    cfg = small_config(variant=variant, scales=(1.0, 2.0), n_max=20, m_out=3)
+    digest = hashlib.sha256()
+    for name, tensor in sorted(init_parameters(cfg, seed).items()):
+        digest.update(name.encode())
+        digest.update(tensor.tobytes())
+    assert digest.hexdigest() == INIT_DIGESTS[variant, seed]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -139,8 +163,8 @@ def test_forward_all_variants(variant, rng):
     assert len(result.pooled_adjacencies) == 2
     assert result.pooled_adjacencies[0].value.shape == (3, 3)
     assert result.pooled_adjacencies[1].value.shape == (2, 2)
-    expected_axis = "rows" if cfg.uses_spectral_pool else "cols"
-    assert all(st.clusters == expected_axis for st in result.stages)
+    # every assignment is m x n, one row per pooled node
+    assert [st.assignment.value.shape for st in result.stages] == [(3, 12), (2, 3)]
     assert result.prediction in (0, 1)
 
 
@@ -211,6 +235,14 @@ def test_constructor_rejects_wrong_tensor_names():
     tensors = init_parameters(cfg, 0)
     del tensors["gcn.weight"]
     with pytest.raises(ContractViolationError, match="gcn.weight"):
+        CrossScaleModel(cfg, tensors=tensors)
+
+
+def test_constructor_rejects_wrong_tensor_shape():
+    cfg = small_config(n_max=10)
+    tensors = init_parameters(cfg, 0)
+    tensors["gwc.theta.0"] = np.eye(4)
+    with pytest.raises(ContractViolationError, match=r"gwc\.theta\.0"):
         CrossScaleModel(cfg, tensors=tensors)
 
 
@@ -444,7 +476,7 @@ def test_corrupted_checkpoint_is_format_error_or_loads(checkpoint_file, data):
         model = model_from_checkpoint(path)
     except FormatError:
         return
-    assert set(model.params) == set(parameter_names(model.config))
+    assert set(model.params) == set(parameter_shapes(model.config))
 
 
 # -- fused stages and tape-free inference ---------------------------------

@@ -14,10 +14,8 @@ from wavepool.training import (
     Optimizer,
     RunReport,
     TrainConfig,
-    cross_entropy_loss,
     evaluate_accuracy,
     graph_loss,
-    link_prediction_loss,
     train,
 )
 
@@ -37,29 +35,45 @@ def toy_splits(per_class=10, seed=0):
     return split_dataset(toy_dataset(per_class=per_class), SplitSpec(seed=seed))
 
 
+def fabricated_result(probs, stages=()):
+    p = ad.as_var(probs)
+    return ForwardResult(logits=ad.constant(np.log(np.maximum(p.value, 1e-9))),
+                         probs=p, stages=list(stages))
+
+
+def cross_entropy(label, probs, class_count):
+    """graph_loss at beta = 0 without stages: the scaled cross-entropy alone."""
+    return graph_loss(fabricated_result(probs), label, class_count, beta=0.0)[0]
+
+
+def structure(stage):
+    """graph_loss at beta = 1 with one stage: its structure term alone."""
+    return graph_loss(fabricated_result([0.5, 0.5], [stage]), 0, 2, beta=1.0)[0]
+
+
 # -- cross-entropy --------------------------------------------------------
 
 
 def test_cross_entropy_hand_value():
-    loss = cross_entropy_loss(0, ad.constant([0.75, 0.25]), 2)
+    loss = cross_entropy(0, ad.constant([0.75, 0.25]), 2)
     assert loss.value == pytest.approx(-0.5 * math.log(0.75), abs=1e-15)
 
 
 def test_cross_entropy_clamps_zero_probability():
-    loss = cross_entropy_loss(1, ad.constant([1.0, 0.0]), 2)
+    loss = cross_entropy(1, ad.constant([1.0, 0.0]), 2)
     assert loss.value == pytest.approx(-0.5 * math.log(PROB_FLOOR), rel=1e-12)
     assert math.isfinite(float(loss.value))
 
 
 def test_cross_entropy_validation():
     with pytest.raises(ContractViolationError, match="label"):
-        cross_entropy_loss(2, ad.constant([0.5, 0.5]), 2)
+        cross_entropy(2, ad.constant([0.5, 0.5]), 2)
     with pytest.raises(ContractViolationError, match="shape"):
-        cross_entropy_loss(0, ad.constant([0.5, 0.3, 0.2]), 2)
+        cross_entropy(0, ad.constant([0.5, 0.3, 0.2]), 2)
     with pytest.raises(ContractViolationError, match="distribution"):
-        cross_entropy_loss(0, ad.constant([0.9, 0.4]), 2)
+        cross_entropy(0, ad.constant([0.9, 0.4]), 2)
     with pytest.raises(ContractViolationError, match="distribution"):
-        cross_entropy_loss(0, ad.constant([1.2, -0.2]), 2)
+        cross_entropy(0, ad.constant([1.2, -0.2]), 2)
 
 
 def test_cross_entropy_gradient_through_softmax(rng):
@@ -67,7 +81,7 @@ def test_cross_entropy_gradient_through_softmax(rng):
 
     def build(v):
         probs = ops.reshape(ops.row_softmax(ops.reshape(v, (1, 4))), (4,))
-        return cross_entropy_loss(1, probs, 4)
+        return cross_entropy(1, probs, 4)
 
     leaf = ad.parameter(logits0)
     ad.backward(build(leaf))
@@ -78,37 +92,28 @@ def test_cross_entropy_gradient_through_softmax(rng):
 # -- structure loss -------------------------------------------------------
 
 
-def test_link_prediction_hand_value_rows():
+def test_link_prediction_hand_value_one_member():
     stage = PoolStage(
         adjacency=ad.constant(np.eye(2)),
         assignment=ad.constant(np.array([[1.0, 0.0]])),  # (m=1, n=2)
-        clusters="rows",
     )
-    # S_{n x m} gram = [[1,0],[0,0]]; residual = diag(0, 1)
-    assert link_prediction_loss(stage).value == pytest.approx(1.0, abs=1e-15)
+    # S^T S = [[1,0],[0,0]]; residual = diag(0, 1)
+    assert structure(stage).value == pytest.approx(1.0, abs=1e-15)
 
 
-def test_link_prediction_hand_value_cols():
+def test_link_prediction_hand_value_two_members():
     stage = PoolStage(
         adjacency=ad.constant(np.zeros((2, 2))),
-        assignment=ad.constant(np.array([[1.0], [1.0]])),  # (n=2, m=1)
-        clusters="cols",
+        assignment=ad.constant(np.array([[1.0, 1.0]])),  # (m=1, n=2)
     )
-    # gram = ones(2); residual norm = 2
-    assert link_prediction_loss(stage).value == pytest.approx(2.0, abs=1e-14)
-
-
-def fabricated_result(probs, stages=()):
-    p = ad.constant(probs)
-    return ForwardResult(logits=ad.constant(np.log(np.asarray(probs) + 1e-9)),
-                         probs=p, stages=list(stages))
+    # S^T S = ones(2); residual norm = 2
+    assert structure(stage).value == pytest.approx(2.0, abs=1e-14)
 
 
 def test_graph_loss_blend_hand_value():
     stage = PoolStage(
         adjacency=ad.constant(np.eye(2)),
         assignment=ad.constant(np.array([[1.0, 0.0]])),
-        clusters="rows",
     )
     result = fabricated_result([0.75, 0.25], [stage])
     total, parts = graph_loss(result, 0, 2, beta=0.4)
@@ -121,8 +126,7 @@ def test_graph_loss_blend_hand_value():
 
 def test_graph_loss_beta_zero_skips_structure_term():
     boobytrapped = PoolStage(adjacency=ad.constant(np.eye(3)),
-                             assignment=ad.constant(np.zeros((2, 4))),  # wrong n
-                             clusters="rows")
+                             assignment=ad.constant(np.zeros((2, 4))))  # wrong n
     result = fabricated_result([0.5, 0.5], [boobytrapped])
     total, parts = graph_loss(result, 0, 2, beta=0.0)
     # the malformed stage would raise if touched; beta = 0 must never build it
@@ -138,10 +142,9 @@ def test_graph_loss_without_stages_scales_ce():
 
 
 def test_graph_loss_averages_stages():
-    stage1 = PoolStage(ad.constant(np.eye(2)),
-                       ad.constant(np.array([[1.0, 0.0]])), "rows")
+    stage1 = PoolStage(ad.constant(np.eye(2)), ad.constant(np.array([[1.0, 0.0]])))
     stage2 = PoolStage(ad.constant(np.zeros((2, 2))),
-                       ad.constant(np.array([[1.0], [1.0]])), "cols")
+                       ad.constant(np.array([[1.0, 1.0]])))
     result = fabricated_result([0.5, 0.5], [stage1, stage2])
     _, parts = graph_loss(result, 0, 2, beta=1.0)
     assert parts.l_p == pytest.approx((1.0 + 2.0) / 2.0, abs=1e-12)
@@ -149,10 +152,9 @@ def test_graph_loss_averages_stages():
 
 def test_graph_loss_stage_modes():
     def result():
-        stage1 = PoolStage(ad.constant(np.eye(2)),
-                           ad.constant(np.array([[1.0, 0.0]])), "rows")
+        stage1 = PoolStage(ad.constant(np.eye(2)), ad.constant(np.array([[1.0, 0.0]])))
         stage2 = PoolStage(ad.constant(np.zeros((2, 2))),
-                           ad.constant(np.array([[1.0], [1.0]])), "cols")
+                           ad.constant(np.array([[1.0, 1.0]])))
         return fabricated_result([0.5, 0.5], [stage1, stage2])
 
     _, summed = graph_loss(result(), 0, 2, beta=1.0, stage_mode="sum")
@@ -163,29 +165,27 @@ def test_graph_loss_stage_modes():
         graph_loss(result(), 0, 2, beta=1.0, stage_mode="last")
 
 
-def random_stage(rng, n, m, clusters):
+def random_stage(rng, n, m):
     adj = rng.random((n, n))
-    adj = adj + adj.T
-    shape = (m, n) if clusters == "rows" else (n, m)
-    return ad.parameter(adj), ad.parameter(rng.random(shape)), clusters
+    return adj + adj.T, rng.random((m, n))
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("stage_mode", ["mean", "sum", "first"])
 def test_fused_loss_matches_per_op_composition(beta, stage_mode, rng):
-    stages = [random_stage(rng, 6, 3, "rows"), random_stage(rng, 3, 2, "cols")]
+    stages = [random_stage(rng, 6, 3), random_stage(rng, 3, 2)]
     logits = rng.standard_normal(3)
     probs0 = np.exp(logits) / np.exp(logits).sum()
     runs = []
     for loss in (graph_loss, ops.graph_loss):
         probs = ad.parameter(probs0)
-        vars_ = [(ad.parameter(a.value), ad.parameter(s.value), c) for a, s, c in stages]
+        vars_ = [(ad.parameter(a), ad.parameter(s)) for a, s in stages]
         result = ForwardResult(ad.constant(logits), probs,
-                               [PoolStage(a, s, c) for a, s, c in vars_])
+                               [PoolStage(a, s) for a, s in vars_])
         total = loss(result, 1, 3, beta, stage_mode)
         total = total[0] if isinstance(total, tuple) else total
         ad.backward(total)
-        runs.append((total, [probs] + [v for a, s, _ in vars_ for v in (a, s)]))
+        runs.append((total, [probs] + [v for pair in vars_ for v in pair]))
     (fused, fused_vars), (ref, ref_vars) = runs
     assert float(fused.value) == float(ref.value)
     for var, expected in zip(fused_vars, ref_vars):
@@ -197,11 +197,11 @@ def test_fused_loss_matches_per_op_composition(beta, stage_mode, rng):
 
 def test_loss_gradients_vanish_below_clip_floor_and_at_zero_residual():
     probs = ad.parameter([1.0, 0.0])
-    ad.backward(cross_entropy_loss(1, probs, 2))
+    ad.backward(cross_entropy(1, probs, 2))
     assert np.array_equal(probs.grad, [0.0, 0.0])
     s = ad.parameter(np.eye(2))
     adjacency = ad.parameter(np.eye(2))
-    ad.backward(link_prediction_loss(PoolStage(adjacency, s, "rows")))
+    ad.backward(structure(PoolStage(adjacency, s)))
     assert np.array_equal(s.grad, np.zeros((2, 2)))
     assert np.array_equal(adjacency.grad, np.zeros((2, 2)))
 
