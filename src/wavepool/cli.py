@@ -41,6 +41,8 @@ from .training import TrainConfig
 
 SCHEMA_VERSION = 1
 TOP_LEVEL_KEYS = {"schema_version", "msg", "train", "model", "split", "seeds"}
+# the model settings an ExperimentPlan carries; the config's "model" object takes only these
+MODEL_KEYS = ("variant", "m_out", "order", "basis_mode", "n_max", "scales")
 
 
 # -- config file ----------------------------------------------------------
@@ -101,7 +103,14 @@ def split_spec_from(cfg: dict, args, seed: int) -> SplitSpec:
 
 
 def _model_section(cfg: dict, args) -> dict:
-    section = dict(cfg.get("model", {}))
+    section = cfg.get("model", {})
+    if not isinstance(section, dict):
+        raise ConfigError("config 'model' must be an object")
+    unknown = sorted(set(section) - set(MODEL_KEYS))
+    if unknown:
+        raise ConfigError(f"config model section has unknown keys {unknown}; "
+                          f"accepted: {list(MODEL_KEYS)}")
+    section = dict(section)
     if "scales" in section:
         try:
             section["scales"] = tuple(float(s) for s in section["scales"])
@@ -126,9 +135,7 @@ def plan_from(cfg: dict, args, seeds: tuple[int, ...]) -> ExperimentPlan:
         "train": train_config_from(cfg, args, seeds[0]),
         "split": split_spec_from(cfg, args, seeds[0]),
     }
-    for key in ("variant", "m_out", "order", "basis_mode", "n_max", "scales"):
-        if key in section:
-            fields[key] = section[key]
+    fields.update(section)
     try:
         return ExperimentPlan(**fields)
     except TypeError as exc:

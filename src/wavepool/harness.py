@@ -5,7 +5,9 @@ derived from that seed alone, so sweep cells that share a seed share the same
 split and only the swept hyperparameter varies. Test accuracy is taken at
 the best-validation checkpoint. ``train_seed`` is the one seed run, shared
 by the ``train`` command. Model settings do not depend on the seed, so a bad
-one raises ``ConfigError`` before any seed runs instead of failing each.
+one raises ``ConfigError`` before any seed runs instead of failing each; a
+``ConfigError`` inside a seed (an empty split depends only on class counts)
+fails the run too.
 """
 
 from __future__ import annotations
@@ -85,23 +87,26 @@ def aggregate(values: list[float]) -> tuple[float, float, int]:
 
 
 def model_config_for(dataset: GraphDataset, plan: ExperimentPlan) -> ModelConfig:
-    """The plan's model settings for this dataset; invalid settings raise
-    ``ConfigError``."""
-    n_max = plan.n_max if plan.n_max is not None else int(dataset.sizes.max())
+    """The plan's model settings for this dataset; invalid settings, or an
+    ``n_max`` below the largest graph, raise ``ConfigError``."""
+    largest = int(dataset.sizes.max())
     try:
-        return ModelConfig(
+        config = ModelConfig(
             feature_dim=dataset.feature_dim,
             class_count=dataset.class_count,
             variant=plan.variant,
-            n_max=n_max,
+            n_max=plan.n_max if plan.n_max is not None else largest,
             m_out=plan.m_out,
             scales=plan.scales,
             order=plan.order,
             basis_mode=plan.basis_mode,
         )
-    # ContractViolationError is a ValueError; a string m_out raises TypeError
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:  # ContractViolationError names the field
         raise ConfigError(f"bad model settings: {exc}") from exc
+    if config.n_max < largest:
+        raise ConfigError(f"bad model settings: n_max {config.n_max} is below the "
+                          f"largest graph's {largest} nodes")
+    return config
 
 
 class SeedRun(NamedTuple):
@@ -134,6 +139,9 @@ def run_single_seed(dataset: GraphDataset, plan: ExperimentPlan, seed: int) -> S
             seconds=time.perf_counter() - start,
             report=run.outcome.report,
         )
+    # a configuration error, such as an empty split, fails every seed alike
+    except ConfigError:
+        raise
     # record the failure and keep the other seeds running; anything else is a
     # bug and propagates
     except (WavepoolError, np.linalg.LinAlgError) as exc:

@@ -3,14 +3,16 @@
 Every stage is one autodiff node with a hand-written vjp: the wavelet
 convolution over all scales, the spectral and DiffPool assignments, the
 pooled adjacency and pooled features, the graph convolution and the
-classifier's logits and probabilities. Each takes ``Var`` operands (or
-read-only arrays for what the graph alone determines) and returns ``Var``
-nodes; inside ``autodiff.no_grad()`` those are constants, so the same code
-serves inference. Learnable tensors are allocated at a configured maximum
-size and sliced to each graph's node count, and each vjp adds straight into
-the slice of the full-size gradient buffer; the leading rows/columns of the
-pooling filter correspond to the lowest frequencies of the cosine
-transform.
+classifier's logits and probabilities. Each takes the model's parameter
+``Var``s themselves (``model.parameter_shapes`` names them), activations and
+other settings as plain values, and read-only arrays for what the graph
+alone determines; it returns ``Var`` nodes. Inside ``autodiff.no_grad()``
+those are constants, so the same code serves inference. Layers check
+shapes only; the model checks that its tensors are finite. Learnable
+tensors are allocated at a configured maximum size and sliced to each
+graph's node count, and each vjp adds straight into the slice of the
+full-size gradient buffer; the leading rows/columns of the pooling filter
+correspond to the lowest frequencies of the cosine transform.
 
 Both assignments, spectral and DiffPool, are m x n: one row per pooled
 node, one column per input node. ``pool_apply`` takes either.
@@ -32,7 +34,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .errors import ContractViolationError, NumericError, PoolingDegenerateError
-from .spectral import SpectralTransform
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -46,70 +47,9 @@ def activate(x: np.ndarray, activation: str) -> np.ndarray:
 
 
 def activation_lipschitz(activation: str) -> float:
-    _check_activation(activation)
-    return 1.0  # both relu and identity are 1-Lipschitz
-
-
-def _check_finite(name: str, var: Var) -> None:
-    if not np.all(np.isfinite(var.value)):
-        raise ContractViolationError(f"parameter {name} contains non-finite entries")
-
-
-def _check_activation(activation: str) -> None:
     if activation not in ACTIVATIONS:
         raise ContractViolationError(f"unknown activation {activation!r}")
-
-
-@dataclass
-class GwcLayerParams:
-    """Multi-scale wavelet convolution: per-scale node filters plus a bias."""
-
-    scales: tuple[float, ...]
-    thetas: list[Var]  # one (n_max, n_max) filter per scale
-    bias: Var          # (n_max, feature_dim)
-    activation: str = "relu"
-
-    def __post_init__(self):
-        if len(self.scales) < 1 or len(self.thetas) != len(self.scales):
-            raise ContractViolationError("need one theta per scale and at least one scale")
-        for k, theta in enumerate(self.thetas):
-            _check_finite(f"gwc.theta.{k}", theta)
-        _check_finite("gwc.bias", self.bias)
-        _check_activation(self.activation)
-
-
-@dataclass
-class SpectralPoolParams:
-    """Frequency-domain assignment filter; rows map to pooled nodes."""
-
-    target_size: int
-    theta: Var  # (m_max, n_max)
-    softmax_rows: bool = True
-
-    def __post_init__(self):
-        if self.target_size < 1:
-            raise ContractViolationError("target_size must be positive")
-        _check_finite("pool.theta", self.theta)
-
-
-@dataclass
-class GcnLayerParams:
-    weight: Var  # (l_in, l_out)
-    activation: str = "relu"
-
-    def __post_init__(self):
-        _check_finite("gcn.weight", self.weight)
-        _check_activation(self.activation)
-
-
-@dataclass
-class ClassifierParams:
-    weight: Var  # (m_out * l, c)
-    bias: Var    # (c,)
-
-    def __post_init__(self):
-        _check_finite("classifier.weight", self.weight)
-        _check_finite("classifier.bias", self.bias)
+    return 1.0  # both relu and identity are 1-Lipschitz
 
 
 class ScaleInput(NamedTuple):
@@ -119,46 +59,49 @@ class ScaleInput(NamedTuple):
     projected: np.ndarray  # psi^+ X, (n, l)
 
 
-def gwc_forward(params: GwcLayerParams, scales: Sequence[ScaleInput]) -> Var:
+def gwc_forward(thetas: Sequence[Var], bias: Var, scales: Sequence[ScaleInput],
+                activation: str) -> Var:
     """Wavelet convolution: average over scales of act(psi theta psi^+ X + bias).
 
-    Each scale brings psi and the projected input psi^+ X, so the graph and
-    its features come in through ``scales`` alone. Products run right to
-    left, so a scale costs n^2 l per matmul. The result is a single tape
-    node over the filters and the bias.
+    ``thetas`` holds one (n_max, n_max) filter per scale and ``bias`` is
+    (n_max, l). Each scale brings psi and the projected input psi^+ X, so
+    the graph and its features come in through ``scales`` alone. Products
+    run right to left, so a scale costs n^2 l per matmul. The result is a
+    single tape node over the filters and the bias.
     """
-    if len(scales) != len(params.scales):
+    if not thetas or len(scales) != len(thetas):
         raise ContractViolationError(
-            f"got {len(scales)} scale inputs for {len(params.scales)} scales"
+            f"got {len(scales)} scale inputs for {len(thetas)} filters; "
+            "need one per filter and at least one"
         )
     n, width = scales[0].projected.shape
-    n_max = params.thetas[0].value.shape[0]
+    n_max = thetas[0].value.shape[0]
     if n > n_max:
         raise ContractViolationError(f"graph size {n} exceeds theta allocation {n_max}")
-    if params.bias.value.shape[1] != width:
+    if bias.value.shape[1] != width:
         raise ContractViolationError(
-            f"bias width {params.bias.value.shape[1]} != feature width {width}"
+            f"bias width {bias.value.shape[1]} != feature width {width}"
         )
-    for scale, (psi, projected) in zip(params.scales, scales):
+    for k, (psi, projected) in enumerate(scales):
         if psi.shape != (n, n) or projected.shape != (n, width):
             raise ContractViolationError(
-                f"scale {scale} has psi {psi.shape} and projected input {projected.shape}, "
+                f"scale {k} has psi {psi.shape} and projected input {projected.shape}, "
                 f"expected {(n, n)} and {(n, width)}"
             )
 
-    relu = params.activation == "relu"
-    bias = params.bias.value[:n, :]
+    relu = activation == "relu"
+    bias_rows = bias.value[:n, :]
     total, masks = None, []
-    for (psi, projected), theta in zip(scales, params.thetas):
-        pre = psi @ (theta.value[:n, :n] @ projected) + bias
+    for (psi, projected), theta in zip(scales, thetas):
+        pre = psi @ (theta.value[:n, :n] @ projected) + bias_rows
         if relu:
             masks.append(pre > 0)
-        pre = activate(pre, params.activation)
+        pre = activate(pre, activation)
         if total is None:
             total = pre
         else:
             total += pre
-    inv_count = 1.0 / len(params.scales)
+    inv_count = 1.0 / len(thetas)
 
     def vjp(g, grads):
         *theta_grads, bias_grad = grads
@@ -170,7 +113,7 @@ def gwc_forward(params: GwcLayerParams, scales: Sequence[ScaleInput]) -> Var:
             if theta_grads[k] is not None:
                 theta_grads[k][:n, :n] += (psi.T @ g_k) @ projected.T
 
-    return ad.node(total * inv_count, (*params.thetas, params.bias), vjp)
+    return ad.node(total * inv_count, (*thetas, bias), vjp)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -184,39 +127,33 @@ def _softmax_vjp(g: np.ndarray, sm: np.ndarray) -> np.ndarray:
     return sm * (g - (g * sm).sum(axis=-1, keepdims=True))
 
 
-def spectral_pool_assign(
-    n: int,
-    params: SpectralPoolParams,
-    xi_n: SpectralTransform,
-    xi_m: SpectralTransform,
-) -> Var:
+def spectral_pool_assign(theta: Var, xi_n: np.ndarray, xi_m: np.ndarray,
+                         softmax_rows: bool) -> Var:
     """Assignment matrix S = xi_m theta[:m, :n] xi_n^T, optionally row-softmaxed.
 
-    The pooled size is xi_m.size; it must be strictly smaller than n. The
-    vjp adds xi_m^T G xi_n into the filter's leading m x n block, G being
-    the gradient at the raw (pre-softmax) assignment.
+    ``xi_n`` and ``xi_m`` are the n- and m-point cosine transforms; the
+    pooled size m must be strictly smaller than n. The vjp adds
+    xi_m^T G xi_n into the filter's leading m x n block, G being the
+    gradient at the raw (pre-softmax) assignment.
     """
-    m = xi_m.size
+    m, n = xi_m.shape[0], xi_n.shape[0]
     if m >= n:
         raise PoolingDegenerateError(f"pooled size {m} must be < graph size {n}")
-    if xi_n.size != n:
-        raise ContractViolationError(f"xi_n has size {xi_n.size}, graph has {n}")
-    mm, nm = params.theta.value.shape
+    mm, nm = theta.value.shape
     if m > mm or n > nm:
         raise ContractViolationError(
-            f"pool filter allocation {params.theta.value.shape} too small for ({m}, {n})"
+            f"pool filter allocation {theta.value.shape} too small for ({m}, {n})"
         )
-    softmax_rows = params.softmax_rows
-    s = xi_m.matrix @ params.theta.value[:m, :n] @ xi_n.matrix.T
+    s = xi_m @ theta.value[:m, :n] @ xi_n.T
     if softmax_rows:
         s = _softmax(s)
 
     def vjp(g, grads):
         if softmax_rows:
             g = _softmax_vjp(g, s)
-        grads[0][:m, :n] += xi_m.matrix.T @ (g @ xi_n.matrix)
+        grads[0][:m, :n] += xi_m.T @ (g @ xi_n)
 
-    return ad.node(s, (params.theta,), vjp)
+    return ad.node(s, (theta,), vjp)
 
 
 def pool_apply(s: Var, adjacency: Var, features: Var) -> tuple[Var, Var]:
@@ -316,7 +253,8 @@ def _propagate(adjacency: Var | Renormalized, features: Var, weight: Var, width:
     return propagated @ w, inputs, vjp
 
 
-def gcn_forward(adjacency: Var | Renormalized, features: Var, params: GcnLayerParams) -> Var:
+def gcn_forward(adjacency: Var | Renormalized, features: Var, weight: Var,
+                activation: str) -> Var:
     """Renormalized graph convolution act(D^{-1/2} (A + I) D^{-1/2} X W).
 
     A ``Var`` adjacency is renormalized inside the node, so a pooled
@@ -324,14 +262,13 @@ def gcn_forward(adjacency: Var | Renormalized, features: Var, params: GcnLayerPa
     whose sum is not positive cannot be normalized and raises. A constant
     adjacency can be renormalized once beforehand with ``renormalize``.
     """
-    z, inputs, propagate_vjp = _propagate(adjacency, features, params.weight,
-                                          params.weight.value.shape[1])
-    relu = params.activation == "relu"
+    z, inputs, propagate_vjp = _propagate(adjacency, features, weight, weight.value.shape[1])
+    relu = activation == "relu"
 
     def vjp(g, grads):
         propagate_vjp(g * (z > 0) if relu else g, grads)
 
-    return ad.node(activate(z, params.activation), inputs, vjp)
+    return ad.node(activate(z, activation), inputs, vjp)
 
 
 def diffpool_assign(adjacency: Var | Renormalized, features: Var, weight: Var,
@@ -346,12 +283,13 @@ def diffpool_assign(adjacency: Var | Renormalized, features: Var, weight: Var,
     return ad.node(s.T, inputs, lambda g, grads: propagate_vjp(_softmax_vjp(g.T, s), grads))
 
 
-def classify(x_final: Var, params: ClassifierParams) -> tuple[Var, Var]:
-    """Flatten the fixed-size pooled features and apply the linear head.
+def classify(x_final: Var, weight: Var, bias: Var) -> tuple[Var, Var]:
+    """Flatten the fixed-size pooled features and apply the linear head,
+    ``weight`` (m_out * l, c) and ``bias`` (c,).
 
     Returns (logits, probabilities), both length-c vectors, one node each.
     """
-    q, c = params.weight.value.shape
+    q, c = weight.value.shape
     rows, width = x_final.value.shape
     if rows * width != q:
         raise ContractViolationError(
@@ -359,20 +297,20 @@ def classify(x_final: Var, params: ClassifierParams) -> tuple[Var, Var]:
             "the pooled size is wrong"
         )
     flat = x_final.value.reshape(1, q)
-    weight = params.weight.value
+    w = weight.value
 
     def logits_vjp(g, grads):
         acc_x, acc_w, acc_b = grads
         g = g.reshape(1, c)
         if acc_x is not None:
-            acc_x += (g @ weight.T).reshape(rows, width)
+            acc_x += (g @ w.T).reshape(rows, width)
         if acc_w is not None:
             acc_w += flat.T @ g
         if acc_b is not None:
             acc_b += g[0]
 
-    logit_values = (flat @ weight + params.bias.value).reshape(c)
-    logits = ad.node(logit_values, (x_final, params.weight, params.bias), logits_vjp)
+    logit_values = (flat @ w + bias.value).reshape(c)
+    logits = ad.node(logit_values, (x_final, weight, bias), logits_vjp)
     probs = _softmax(logit_values)
 
     def probs_vjp(g, grads):

@@ -10,6 +10,10 @@ batches share weights. The pooling schedule is size-adaptive:
 Both pooling assignments are m x n, one row per pooled node.
 ``parameter_shapes`` is the one table of parameter names and shapes that
 initialization, the constructor, ``load_state`` and checkpoints all read.
+``CrossScaleModel.params`` is the only handle on the parameters: the
+forward pass passes each layer its ``Var``s by those names, and the
+constructor and ``load_state`` reject tensors that are misnamed,
+misshapen or non-finite.
 
 Checkpoints are a single binary file: a JSON manifest (configuration plus
 tensor shapes) followed by raw little-endian float64 tensor data.
@@ -20,6 +24,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -31,12 +36,8 @@ from .errors import ContractViolationError, FormatError
 from .graphs import Graph
 from .layers import (
     ACTIVATIONS,
-    ClassifierParams,
-    GcnLayerParams,
-    GwcLayerParams,
     Renormalized,
     ScaleInput,
-    SpectralPoolParams,
     classify,
     diffpool_assign,
     gcn_forward,
@@ -76,6 +77,17 @@ class ModelConfig:
     softmax_rows: bool = True
 
     def __post_init__(self):
+        for name in ("feature_dim", "class_count", "n_max", "m_out", "order"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ContractViolationError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.scales, tuple) or not all(
+                isinstance(s, numbers.Real) and not isinstance(s, bool) for s in self.scales):
+            raise ContractViolationError(
+                f"scales must be a tuple of real numbers, got {self.scales!r}")
+        if not isinstance(self.softmax_rows, bool):
+            raise ContractViolationError(
+                f"softmax_rows must be true or false, got {self.softmax_rows!r}")
         if self.variant not in VARIANTS:
             raise ContractViolationError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
@@ -84,8 +96,8 @@ class ModelConfig:
             raise ContractViolationError("need feature_dim >= 1 and class_count >= 2")
         if self.m_out < 1 or self.n_max < self.m_out:
             raise ContractViolationError("need 1 <= m_out <= n_max")
-        if len(self.scales) < 1 or any(s <= 0 for s in self.scales):
-            raise ContractViolationError("scales must be positive and nonempty")
+        if len(self.scales) < 1 or not all(0 < s < math.inf for s in self.scales):
+            raise ContractViolationError("scales must be finite, positive and nonempty")
         if self.order < 1:
             raise ContractViolationError("order must be >= 1")
         if self.basis_mode not in (MODE_CLOSED_FORM, MODE_FITTED_KERNEL):
@@ -198,15 +210,23 @@ def _mismatched(config: ModelConfig, shapes: dict[str, tuple[int, ...]]) -> list
 
 
 def _check_tensors(config: ModelConfig, tensors: dict[str, np.ndarray]) -> None:
+    """Every parameter of the variant, by its name and shape, and all finite."""
     wrong = _mismatched(config, {name: np.shape(t) for name, t in tensors.items()})
     if wrong:
         raise ContractViolationError(
             f"tensors {wrong} do not match the names and shapes of the "
             f"{config.variant} parameters (n_max={config.n_max})")
+    nonfinite = sorted(name for name, t in tensors.items() if not np.all(np.isfinite(t)))
+    if nonfinite:
+        raise ContractViolationError(f"tensors {nonfinite} contain non-finite entries")
 
 
 class CrossScaleModel:
-    """Graph classifier with shared parameters across graph sizes."""
+    """Graph classifier with shared parameters across graph sizes.
+
+    ``params`` holds one ``Var`` per ``parameter_shapes`` entry, and the
+    forward pass hands those Vars to the layers by name.
+    """
 
     def __init__(self, config: ModelConfig, seed: int = 0,
                  tensors: dict[str, np.ndarray] | None = None):
@@ -219,26 +239,6 @@ class CrossScaleModel:
             name: ad.parameter(np.array(value, dtype=np.float64))
             for name, value in sorted(tensors.items())
         }
-        self._wire()
-
-    def _wire(self) -> None:
-        cfg, p = self.config, self.params
-        if cfg.uses_wavelets:
-            self.gwc = GwcLayerParams(
-                scales=cfg.scales,
-                thetas=[p[f"gwc.theta.{k}"] for k in range(len(cfg.scales))],
-                bias=p["gwc.bias"],
-                activation=cfg.activation,
-            )
-        else:
-            self.conv1 = GcnLayerParams(p["conv1.weight"], cfg.activation)
-        if cfg.uses_spectral_pool:
-            self.pool1 = SpectralPoolParams(cfg.mid_size_max, p["pool1.theta"], cfg.softmax_rows)
-            self.pool2 = SpectralPoolParams(cfg.m_out, p["pool2.theta"], cfg.softmax_rows)
-        else:
-            self.pool1, self.pool2 = p["pool1.assign"], p["pool2.assign"]
-        self.gcn = GcnLayerParams(p["gcn.weight"], cfg.activation)
-        self.classifier = ClassifierParams(p["classifier.weight"], p["classifier.bias"])
 
     # -- parameter access -------------------------------------------------
 
@@ -277,13 +277,14 @@ class CrossScaleModel:
     def _assign(self, stage: int, gcn_adjacency: Var | Renormalized | None,
                 features: Var, n: int, m: int) -> Var:
         """The m x n pool assignment; DiffPool's GCN reads ``gcn_adjacency``."""
-        params = self.pool1 if stage == 1 else self.pool2
-        if self.config.uses_spectral_pool:
-            return spectral_pool_assign(n, params, cosine_transform(n), cosine_transform(m))
-        return diffpool_assign(gcn_adjacency, features, params, m)
+        cfg = self.config
+        if cfg.uses_spectral_pool:
+            return spectral_pool_assign(self.params[f"pool{stage}.theta"], cosine_transform(n),
+                                        cosine_transform(m), cfg.softmax_rows)
+        return diffpool_assign(gcn_adjacency, features, self.params[f"pool{stage}.assign"], m)
 
     def forward(self, graph: Graph) -> ForwardResult:
-        cfg = self.config
+        cfg, p = self.config, self.params
         n = graph.node_count
         if n > cfg.n_max:
             raise ContractViolationError(f"graph has {n} nodes, model allocated for {cfg.n_max}")
@@ -294,9 +295,11 @@ class CrossScaleModel:
         inputs = self.inputs_for(graph)
         adjacency = ad.constant(graph.adjacency)
         if cfg.uses_wavelets:
-            h = gwc_forward(self.gwc, inputs.scales)
+            thetas = [p[f"gwc.theta.{k}"] for k in range(len(cfg.scales))]
+            h = gwc_forward(thetas, p["gwc.bias"], inputs.scales, cfg.activation)
         else:
-            h = gcn_forward(inputs.renormalized, ad.constant(graph.features), self.conv1)
+            h = gcn_forward(inputs.renormalized, ad.constant(graph.features),
+                            p["conv1.weight"], cfg.activation)
         stages: list[PoolStage] = []
         pooled_adjacencies: list[Var] = []
         if n > cfg.m_out:
@@ -305,17 +308,17 @@ class CrossScaleModel:
             stages.append(PoolStage(adjacency, s))
             adjacency, h = pool_apply(s, adjacency, h)
             pooled_adjacencies.append(adjacency)
-            h = gcn_forward(adjacency, h, self.gcn)
+            h = gcn_forward(adjacency, h, p["gcn.weight"], cfg.activation)
             if m1 > cfg.m_out:
                 s = self._assign(2, adjacency, h, m1, cfg.m_out)
                 stages.append(PoolStage(adjacency, s))
                 adjacency, h = pool_apply(s, adjacency, h)
                 pooled_adjacencies.append(adjacency)
         else:
-            h = gcn_forward(inputs.renormalized, h, self.gcn)
+            h = gcn_forward(inputs.renormalized, h, p["gcn.weight"], cfg.activation)
             if n < cfg.m_out:
                 h = ad.pad_rows(h, cfg.m_out)
-        logits, probs = classify(h, self.classifier)
+        logits, probs = classify(h, p["classifier.weight"], p["classifier.bias"])
         return ForwardResult(logits, probs, stages, pooled_adjacencies)
 
     def predict(self, graph: Graph) -> int:

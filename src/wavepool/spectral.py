@@ -19,8 +19,9 @@ and keeps only psi_f and psi_f^+ X on the ``Graph`` itself, for one
   Bessel values. Kept as an opt-in alternative; its reconstruction target is
   oscillatory rather than low-pass, so only internal convergence is asserted.
 
-Cosine-transform matrices are cached per size for the life of the process;
-the entries are bounded by the distinct graph and pooled sizes in the data.
+``cosine_transform`` returns the read-only n x n DCT-II matrix itself and
+caches it per size for the life of the process; the entries are bounded by
+the distinct graph and pooled sizes in the data.
 """
 
 from __future__ import annotations
@@ -43,22 +44,13 @@ BESSEL_TERM_TOL = 1e-16
 
 @dataclass(frozen=True)
 class WaveletBasis:
-    scale: float
-    order: int
     coefficients: np.ndarray  # length order + 1
     psi: np.ndarray           # (n, n), symmetric
     psi_pinv: np.ndarray      # (n, n), Moore-Penrose pseudoinverse of psi
-    mode: str
 
     @property
     def size(self) -> int:
         return self.psi.shape[0]
-
-
-@dataclass(frozen=True)
-class SpectralTransform:
-    size: int
-    matrix: np.ndarray  # (n, n), orthogonal
 
 
 def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
@@ -206,16 +198,7 @@ def wavelet_bases(
         inverse[keep] = 1.0 / values[keep]
         psi = (eigvecs * values) @ eigvecs.T
         psi = 0.5 * (psi + psi.T)  # kill rounding skew
-        bases.append(
-            WaveletBasis(
-                scale=float(scale),
-                order=order,
-                coefficients=coeffs,
-                psi=psi,
-                psi_pinv=(eigvecs * inverse) @ eigvecs.T,
-                mode=mode,
-            )
-        )
+        bases.append(WaveletBasis(coeffs, psi, (eigvecs * inverse) @ eigvecs.T))
     return bases
 
 
@@ -236,8 +219,9 @@ def exact_wavelet_oracle(l_tilde: np.ndarray, scale: float, kernel) -> np.ndarra
 
 
 @cache
-def cosine_transform(n: int) -> SpectralTransform:
-    """Orthonormal DCT-II matrix; row k holds frequency k, and xi @ xi.T = I."""
+def cosine_transform(n: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix, read-only; row k holds frequency k, and
+    xi @ xi.T = I."""
     if n < 1:
         raise ContractViolationError(f"transform size must be >= 1, got {n}")
     j = np.arange(n)
@@ -246,4 +230,4 @@ def cosine_transform(n: int) -> SpectralTransform:
     xi[0] *= np.sqrt(1.0 / n)
     xi[1:] *= np.sqrt(2.0 / n)
     xi.setflags(write=False)
-    return SpectralTransform(size=n, matrix=xi)
+    return xi

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolationError
-from .layers import GwcLayerParams, ScaleInput, activation_lipschitz, gwc_forward
+from .layers import ScaleInput, activation_lipschitz, gwc_forward
 from .spectral import (
     MODE_FITTED_KERNEL,
     WaveletBasis,
@@ -145,15 +145,11 @@ class LayerCheck:
 def make_gwc_layer(basis: WaveletBasis, theta: np.ndarray, bias: np.ndarray,
                    activation: str = "relu"):
     """Closure running the actual convolution layer on a plain array input."""
-    params = GwcLayerParams(
-        scales=(basis.scale,),
-        thetas=[ad.constant(theta)],
-        bias=ad.constant(bias),
-        activation=activation,
-    )
+    thetas, bias_var = [ad.constant(theta)], ad.constant(bias)
 
     def layer(x: np.ndarray) -> np.ndarray:
-        return gwc_forward(params, [ScaleInput(basis.psi, basis.psi_pinv @ x)]).value
+        scales = [ScaleInput(basis.psi, basis.psi_pinv @ x)]
+        return gwc_forward(thetas, bias_var, scales, activation).value
 
     return layer
 
@@ -227,7 +223,7 @@ def run_stability_suite(
         ))
 
         m = max(2, n // 4)
-        raw = cosine_transform(m).matrix @ rng.standard_normal((m, n)) @ cosine_transform(n).matrix.T
+        raw = cosine_transform(m) @ rng.standard_normal((m, n)) @ cosine_transform(n).T
         exp = np.exp(raw - raw.max(axis=1, keepdims=True))
         s = exp / exp.sum(axis=1, keepdims=True)
         bound2 = lipschitz_bound_pool(s)

@@ -15,7 +15,6 @@ import numpy as np
 
 from wavepool import autodiff as ad
 from wavepool.errors import ContractViolationError, NumericError
-from wavepool.layers import GcnLayerParams
 from wavepool.model import ForwardResult, PoolStage, mid_pool_size
 from wavepool.spectral import cosine_transform
 from wavepool.training import PROB_FLOOR, STAGE_MODES
@@ -180,24 +179,23 @@ def activate(x, activation: str):
     return relu(x) if activation == "relu" else x
 
 
-def gwc_forward(params, scales):
+def gwc_forward(thetas, bias, scales, activation):
     """Wavelet convolution from per-scale (psi, psi^+ X) operands."""
     n = scales[0].psi.shape[0]
-    bias = getitem(params.bias, np.s_[:n, :])
+    bias = getitem(bias, np.s_[:n, :])
     total = None
-    for theta_full, (psi, projected) in zip(params.thetas, scales):
+    for theta_full, (psi, projected) in zip(thetas, scales):
         theta = getitem(theta_full, np.s_[:n, :n])
         filtered = matmul(ad.constant(psi), matmul(theta, ad.constant(projected)))
-        scaled = activate(add(filtered, bias), params.activation)
+        scaled = activate(add(filtered, bias), activation)
         total = scaled if total is None else add(total, scaled)
-    return scale(total, 1.0 / len(params.scales))
+    return scale(total, 1.0 / len(thetas))
 
 
-def spectral_pool_assign(n, params, xi_n, xi_m):
-    m = xi_m.size
-    theta = getitem(params.theta, np.s_[:m, :n])
-    raw = matmul(matmul(ad.constant(xi_m.matrix), theta), ad.constant(xi_n.matrix.T))
-    return row_softmax(raw) if params.softmax_rows else raw
+def spectral_pool_assign(theta, xi_n, xi_m, softmax_rows):
+    m, n = xi_m.shape[0], xi_n.shape[0]
+    raw = matmul(matmul(ad.constant(xi_m), getitem(theta, np.s_[:m, :n])), ad.constant(xi_n.T))
+    return row_softmax(raw) if softmax_rows else raw
 
 
 def pool_apply(s, adjacency, features):
@@ -214,23 +212,23 @@ def renormalized(adjacency):
     return mul(mul(inv_sqrt, a_hat), transpose(inv_sqrt))
 
 
-def gcn_forward(adjacency, features, params):
+def gcn_forward(adjacency, features, weight, activation):
     """Graph convolution; ``adjacency`` is a Var or a ``Renormalized``."""
     if isinstance(adjacency, ad.Var):
         normalized = renormalized(adjacency)
     else:
         normalized = ad.constant(adjacency.matrix)
-    return activate(matmul(matmul(normalized, features), params.weight), params.activation)
+    return activate(matmul(matmul(normalized, features), weight), activation)
 
 
 def diffpool_assign(adjacency, features, weight, width):
-    params = GcnLayerParams(getitem(weight, np.s_[:, :width]), "identity")
-    return transpose(row_softmax(gcn_forward(adjacency, features, params)))
+    z = gcn_forward(adjacency, features, getitem(weight, np.s_[:, :width]), "identity")
+    return transpose(row_softmax(z))
 
 
-def classify(x_final, params):
-    q, c = params.weight.value.shape
-    logits = add(matmul(reshape(x_final, (1, q)), params.weight), params.bias)
+def classify(x_final, weight, bias):
+    q, c = weight.value.shape
+    logits = add(matmul(reshape(x_final, (1, q)), weight), bias)
     return reshape(logits, (c,)), reshape(row_softmax(logits), (c,))
 
 
@@ -263,35 +261,37 @@ def graph_loss(result, label, class_count, beta, stage_mode="mean"):
 
 def forward(model, graph):
     """``CrossScaleModel.forward`` composed from the stages above."""
-    cfg = model.config
+    cfg, p = model.config, model.params
     n = graph.node_count
     inputs = model.inputs_for(graph)
 
     def assign(stage, adjacency, gcn_adjacency, features, n, m):
-        params = model.pool1 if stage == 1 else model.pool2
         if cfg.uses_spectral_pool:
-            s = spectral_pool_assign(n, params, cosine_transform(n), cosine_transform(m))
+            s = spectral_pool_assign(p[f"pool{stage}.theta"], cosine_transform(n),
+                                     cosine_transform(m), cfg.softmax_rows)
         else:
-            s = diffpool_assign(gcn_adjacency, features, params, m)
+            s = diffpool_assign(gcn_adjacency, features, p[f"pool{stage}.assign"], m)
         return PoolStage(adjacency, s)
 
     adjacency = ad.constant(graph.adjacency)
     if cfg.uses_wavelets:
-        h = gwc_forward(model.gwc, inputs.scales)
+        thetas = [p[f"gwc.theta.{k}"] for k in range(len(cfg.scales))]
+        h = gwc_forward(thetas, p["gwc.bias"], inputs.scales, cfg.activation)
     else:
-        h = gcn_forward(inputs.renormalized, ad.constant(graph.features), model.conv1)
+        h = gcn_forward(inputs.renormalized, ad.constant(graph.features), p["conv1.weight"],
+                        cfg.activation)
     stages = []
     if n > cfg.m_out:
         m1 = mid_pool_size(n, cfg.m_out)
         stages.append(assign(1, adjacency, inputs.renormalized, h, n, m1))
         adjacency, h = pool_apply(stages[-1].assignment, adjacency, h)
-        h = gcn_forward(adjacency, h, model.gcn)
+        h = gcn_forward(adjacency, h, p["gcn.weight"], cfg.activation)
         if m1 > cfg.m_out:
             stages.append(assign(2, adjacency, adjacency, h, m1, cfg.m_out))
             adjacency, h = pool_apply(stages[-1].assignment, adjacency, h)
     else:
-        h = gcn_forward(inputs.renormalized, h, model.gcn)
+        h = gcn_forward(inputs.renormalized, h, p["gcn.weight"], cfg.activation)
         if n < cfg.m_out:
             h = ad.pad_rows(h, cfg.m_out)
-    logits, probs = classify(h, model.classifier)
+    logits, probs = classify(h, p["classifier.weight"], p["classifier.bias"])
     return ForwardResult(logits, probs, stages)

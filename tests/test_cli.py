@@ -106,9 +106,38 @@ def test_bad_model_settings_exit_2_before_any_seed(bench_dir, tmp_path, capsys,
     code = main([command, "--config", str(cfg), "--data", str(bench_dir),
                  "--out", str(out), "--epochs", "1"])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
-    assert not (out / "per_seed.csv").exists()
-    assert not (out / "checkpoint.bin").exists()
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert next(iter(model)) in err  # names the field
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+@pytest.mark.parametrize("model, message", [
+    ({"activation": "identity", "softmax_rows": False, "bogus": 3, "order": 6},
+     "unknown keys ['activation', 'bogus', 'softmax_rows']"),
+    (3, "'model' must be an object"),
+])
+def test_unknown_model_keys_exit_2_and_are_named(bench_dir, tmp_path, capsys, command,
+                                                 model, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "model": model}))
+    out = tmp_path / "o"
+    code = main([command, "--config", str(cfg), "--data", str(bench_dir),
+                 "--out", str(out), *FAST])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_n_max_below_the_largest_graph_exits_2(bench_dir, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    code = main([command, "--data", str(bench_dir), "--out", str(out), "--n-max", "7",
+                 *FAST])
+    assert code == 2
+    assert "n_max 7" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_a_bad_axis_value_before_any_cell(bench_dir, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavepool import harness
-from wavepool.errors import ConfigError, ContractViolationError
+from wavepool.errors import ConfigError, ContractViolationError, NumericError
 from wavepool.graphs import SplitSpec, split_dataset
 from wavepool.harness import (
     SWEEP_AXES,
@@ -86,6 +86,14 @@ def test_model_config_infers_n_max_from_data():
     assert cfg_fixed.n_max == 64
 
 
+def test_model_config_rejects_n_max_below_the_largest_graph():
+    ds = toy_dataset(per_class=5)
+    largest = int(ds.sizes.max())
+    assert model_config_for(ds, quick_plan(n_max=largest)).n_max == largest
+    with pytest.raises(ConfigError, match=f"n_max {largest - 1} .* {largest} nodes"):
+        model_config_for(ds, quick_plan(n_max=largest - 1))
+
+
 @pytest.mark.parametrize("settings", [{"order": 0}, {"m_out": "2"}, {"scales": (-1.0,)}])
 def test_bad_model_settings_fail_the_run_not_each_seed(settings):
     ds = toy_dataset(per_class=10)
@@ -121,13 +129,26 @@ def test_run_single_seed_success():
     assert result.report is not None
 
 
-def test_run_single_seed_records_failure_instead_of_raising():
-    ds = toy_dataset(per_class=4)  # too small: the test split comes out empty
+def test_run_single_seed_records_failure_instead_of_raising(monkeypatch):
+    ds = toy_dataset(per_class=10)
+
+    def train(*args, **kwargs):
+        raise NumericError("loss is not finite")
+
+    monkeypatch.setattr(harness, "train", train)
     with pytest.warns(UserWarning, match="seed 0 failed"):
         result = run_single_seed(ds, quick_plan(), seed=0)
     assert not result.ok
     assert math.isnan(result.test_acc)
-    assert "split is empty" in result.error
+    assert result.error == "loss is not finite"
+
+
+def test_empty_split_fails_the_run_not_each_seed():
+    ds = toy_dataset(per_class=4)  # too small: the test split comes out empty
+    with pytest.raises(ConfigError, match="split is empty"):
+        run_single_seed(ds, quick_plan(), seed=0)
+    with pytest.raises(ConfigError, match="split is empty"):
+        run_experiment(ds, quick_plan())
 
 
 def test_run_single_seed_lets_programming_errors_through(monkeypatch):

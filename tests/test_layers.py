@@ -10,11 +10,7 @@ from wavepool.errors import (
 )
 from wavepool.layers import (
     ACTIVATIONS,
-    ClassifierParams,
-    GcnLayerParams,
-    GwcLayerParams,
     ScaleInput,
-    SpectralPoolParams,
     activate,
     activation_lipschitz,
     classify,
@@ -41,16 +37,15 @@ def project(bases, h):
     return [ScaleInput(b.psi, b.psi_pinv @ h) for b in bases]
 
 
-def gwc_params(n_max, width, scales=(1.0,), activation="identity", rng=None):
+def gwc_params(n_max, width, count=1, rng=None):
+    """(thetas, bias): ``count`` filters near the identity and a zero bias."""
     thetas = []
-    for _ in scales:
+    for _ in range(count):
         theta = np.eye(n_max)
         if rng is not None:
             theta = theta + 0.1 * rng.standard_normal((n_max, n_max))
         thetas.append(ad.parameter(theta))
-    bias = ad.parameter(np.zeros((n_max, width)))
-    return GwcLayerParams(scales=tuple(scales), thetas=thetas, bias=bias,
-                          activation=activation)
+    return thetas, ad.parameter(np.zeros((n_max, width)))
 
 
 # -- activations ----------------------------------------------------------
@@ -64,12 +59,13 @@ def test_activate_identity_and_relu():
         activate(x, "gelu")
 
 
-def test_layer_params_reject_unknown_activation():
+def test_layer_params_reject_unknown_activation(rng):
+    adj = path_adjacency(2)
+    operands = project(make_bases(adj), rng.standard_normal((2, 1)))
     with pytest.raises(ContractViolationError, match="activation"):
-        GwcLayerParams(scales=(1.0,), thetas=[ad.parameter(np.eye(2))],
-                       bias=ad.parameter(np.zeros((2, 1))), activation="tanh")
+        gwc_forward(*gwc_params(2, 1), operands, "tanh")
     with pytest.raises(ContractViolationError, match="activation"):
-        GcnLayerParams(weight=ad.parameter(np.eye(2)), activation="tanh")
+        gcn_forward(ad.constant(adj), ad.constant(np.eye(2)), ad.parameter(np.eye(2)), "tanh")
 
 
 def test_activation_lipschitz_constant():
@@ -85,8 +81,7 @@ def test_activation_lipschitz_constant():
 def test_gwc_identity_filter_is_passthrough(rng):
     adj = cycle_adjacency(6)
     h = rng.standard_normal((6, 3))
-    params = gwc_params(6, 3)
-    out = gwc_forward(params, project(make_bases(adj), h))
+    out = gwc_forward(*gwc_params(6, 3), project(make_bases(adj), h), "identity")
     # theta = I and invertible psi collapse psi theta psi^+ to the identity
     assert np.allclose(out.value, h, atol=1e-8)
 
@@ -94,44 +89,41 @@ def test_gwc_identity_filter_is_passthrough(rng):
 def test_gwc_scale_average(rng):
     adj = cycle_adjacency(5)
     h = rng.standard_normal((5, 2))
-    single = gwc_forward(gwc_params(5, 2, scales=(1.0,)), project(make_bases(adj), h))
-    doubled = gwc_forward(
-        gwc_params(5, 2, scales=(1.0, 1.0)), project(make_bases(adj, (1.0, 1.0)), h)
-    )
+    single = gwc_forward(*gwc_params(5, 2), project(make_bases(adj), h), "identity")
+    doubled = gwc_forward(*gwc_params(5, 2, count=2), project(make_bases(adj, (1.0, 1.0)), h),
+                          "identity")
     assert np.allclose(single.value, doubled.value, atol=1e-12)
 
 
 def test_gwc_slices_oversized_parameters(rng):
     adj = path_adjacency(4)
     h = rng.standard_normal((4, 2))
-    params = gwc_params(10, 2, rng=rng)
-    out = gwc_forward(params, project(make_bases(adj), h))
+    thetas, bias = gwc_params(10, 2, rng=rng)
+    out = gwc_forward(thetas, bias, project(make_bases(adj), h), "identity")
     assert out.value.shape == (4, 2)
     ad.backward(ops.sum_all(out))
-    theta_grad = params.thetas[0].grad
+    theta_grad = thetas[0].grad
     assert np.any(theta_grad[:4, :4] != 0.0)
     assert np.all(theta_grad[4:, :] == 0.0) and np.all(theta_grad[:, 4:] == 0.0)
-    assert np.all(params.bias.grad[4:, :] == 0.0)
+    assert np.all(bias.grad[4:, :] == 0.0)
 
 
 def test_gwc_validation_errors(rng):
     adj = path_adjacency(4)
     operands = project(make_bases(adj), rng.standard_normal((4, 2)))
-    with pytest.raises(ContractViolationError, match="scale inputs for"):
-        gwc_forward(gwc_params(4, 2, scales=(1.0, 2.0)), operands)
     with pytest.raises(ContractViolationError, match="exceeds theta allocation"):
-        gwc_forward(gwc_params(3, 2), operands)
+        gwc_forward(*gwc_params(3, 2), operands, "identity")
     with pytest.raises(ContractViolationError, match="bias width"):
-        gwc_forward(gwc_params(4, 3), operands)
+        gwc_forward(*gwc_params(4, 3), operands, "identity")
 
 
-def test_gwc_params_validation():
-    with pytest.raises(ContractViolationError):
-        GwcLayerParams(scales=(1.0, 2.0), thetas=[ad.parameter(np.eye(2))],
-                       bias=ad.parameter(np.zeros((2, 1))))
-    with pytest.raises(ContractViolationError, match="non-finite"):
-        GwcLayerParams(scales=(1.0,), thetas=[ad.parameter(np.full((2, 2), np.nan))],
-                       bias=ad.parameter(np.zeros((2, 1))))
+def test_gwc_params_validation(rng):
+    """One filter per scale input, and at least one."""
+    operands = project(make_bases(path_adjacency(4)), rng.standard_normal((4, 2)))
+    with pytest.raises(ContractViolationError, match="1 scale inputs for 2 filters"):
+        gwc_forward(*gwc_params(4, 2, count=2), operands, "identity")
+    with pytest.raises(ContractViolationError, match="0 scale inputs for 0 filters"):
+        gwc_forward([], ad.parameter(np.zeros((4, 2))), [], "identity")
 
 
 def test_gwc_gradients_match_finite_differences(rng):
@@ -144,11 +136,8 @@ def test_gwc_gradients_match_finite_differences(rng):
     operands = project(bases, h0)
 
     def run(theta, bias):
-        params = GwcLayerParams(
-            scales=(1.0,), thetas=[ad.as_var(theta)], bias=ad.as_var(bias),
-            activation="identity",
-        )
-        return ops.frobenius_norm(gwc_forward(params, operands))
+        return ops.frobenius_norm(
+            gwc_forward([ad.as_var(theta)], ad.as_var(bias), operands, "identity"))
 
     t_var, b_var = ad.parameter(theta0), ad.parameter(bias0)
     ad.backward(run(t_var, b_var))
@@ -177,44 +166,42 @@ def test_fused_gwc_matches_per_op_composition(activation, scales, n, rng):
     bias0 = 0.5 * rng.standard_normal((n_max, width))
 
     def run(forward):
-        params = GwcLayerParams(scales=scales, thetas=[ad.parameter(t) for t in thetas0],
-                                bias=ad.parameter(bias0), activation=activation)
-        out = forward(params)
+        thetas, bias = [ad.parameter(t) for t in thetas0], ad.parameter(bias0)
+        out = forward(thetas, bias, project(bases, h0), activation)
         ad.backward(ops.sum_all(ops.mul(out, weights)))
-        return out, params
+        return out, thetas, bias
 
-    reference, ref_params = run(lambda params: ops.gwc_forward(params, project(bases, h0)))
-    out, params = run(lambda params: gwc_forward(params, project(bases, h0)))
+    reference, ref_thetas, ref_bias = run(ops.gwc_forward)
+    out, thetas, bias = run(gwc_forward)
     assert np.array_equal(out.value, reference.value)
-    for theta, ref in zip(params.thetas, ref_params.thetas):
+    for theta, ref in zip(thetas, ref_thetas):
         assert close_relative(theta.grad, ref.grad)
         assert np.all(theta.grad[n:, :] == 0.0) and np.all(theta.grad[:, n:] == 0.0)
-    assert close_relative(params.bias.grad, ref_params.bias.grad)
+    assert close_relative(bias.grad, ref_bias.grad)
 
 
 def test_gwc_rejects_mismatched_scale_inputs(rng):
     h = rng.standard_normal((4, 2))
     (four,) = project(make_bases(path_adjacency(4)), h)
     (five,) = project(make_bases(path_adjacency(5)), rng.standard_normal((5, 2)))
-    params = gwc_params(5, 2, scales=(1.0, 2.0))
+    thetas, bias = gwc_params(5, 2, count=2)
     with pytest.raises(ContractViolationError, match="projected input"):
-        gwc_forward(params, [four, five])
+        gwc_forward(thetas, bias, [four, five], "identity")
     with pytest.raises(ContractViolationError, match="projected input"):
-        gwc_forward(params, [four, ScaleInput(four.psi, h[:, :1])])
+        gwc_forward(thetas, bias, [four, ScaleInput(four.psi, h[:, :1])], "identity")
 
 
 # -- pooling --------------------------------------------------------------
 
 
-def pool_params(m_max, n_max, rng, softmax=True):
-    theta = ad.parameter(rng.standard_normal((m_max, n_max)))
-    return SpectralPoolParams(target_size=m_max, theta=theta, softmax_rows=softmax)
+def pool_theta(m_max, n_max, rng):
+    return ad.parameter(rng.standard_normal((m_max, n_max)))
 
 
 def test_spectral_pool_rows_stochastic(rng):
     n, m = 7, 3
-    s = spectral_pool_assign(n, pool_params(m, n, rng),
-                             cosine_transform(n), cosine_transform(m))
+    s = spectral_pool_assign(pool_theta(m, n, rng), cosine_transform(n), cosine_transform(m),
+                             True)
     assert s.value.shape == (m, n)
     assert np.allclose(s.value.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(s.value > 0)
@@ -222,36 +209,31 @@ def test_spectral_pool_rows_stochastic(rng):
 
 def test_spectral_pool_raw_matches_numpy(rng):
     n, m = 6, 2
-    params = pool_params(m, n, rng, softmax=False)
-    s = spectral_pool_assign(n, params, cosine_transform(n), cosine_transform(m))
-    expected = cosine_transform(m).matrix @ params.theta.value @ cosine_transform(n).matrix.T
+    theta = pool_theta(m, n, rng)
+    s = spectral_pool_assign(theta, cosine_transform(n), cosine_transform(m), False)
+    expected = cosine_transform(m) @ theta.value @ cosine_transform(n).T
     assert np.allclose(s.value, expected, atol=1e-12)
 
 
 def test_spectral_pool_degenerate_sizes(rng):
     with pytest.raises(PoolingDegenerateError):
-        spectral_pool_assign(3, pool_params(3, 3, rng),
-                             cosine_transform(3), cosine_transform(3))
+        spectral_pool_assign(pool_theta(3, 3, rng), cosine_transform(3), cosine_transform(3),
+                             True)
     with pytest.raises(PoolingDegenerateError):
-        spectral_pool_assign(2, pool_params(4, 4, rng),
-                             cosine_transform(2), cosine_transform(4))
+        spectral_pool_assign(pool_theta(4, 4, rng), cosine_transform(2), cosine_transform(4),
+                             True)
 
 
 def test_spectral_pool_validation(rng):
-    with pytest.raises(ContractViolationError, match="xi_n"):
-        spectral_pool_assign(5, pool_params(2, 5, rng),
-                             cosine_transform(4), cosine_transform(2))
     with pytest.raises(ContractViolationError, match="allocation"):
-        spectral_pool_assign(8, pool_params(2, 5, rng),
-                             cosine_transform(8), cosine_transform(2))
-    with pytest.raises(ContractViolationError):
-        SpectralPoolParams(target_size=0, theta=ad.parameter(np.zeros((1, 4))))
+        spectral_pool_assign(pool_theta(2, 5, rng), cosine_transform(8), cosine_transform(2),
+                             True)
 
 
 def test_pool_apply_shapes_and_symmetry(rng):
     n, m, width = 6, 2, 3
-    s = spectral_pool_assign(n, pool_params(m, n, rng),
-                             cosine_transform(n), cosine_transform(m))
+    s = spectral_pool_assign(pool_theta(m, n, rng), cosine_transform(n), cosine_transform(m),
+                             True)
     adj = ad.constant(cycle_adjacency(n))
     feats = ad.constant(rng.standard_normal((n, width)))
     pooled_adj, pooled_feats = pool_apply(s, adj, feats)
@@ -276,8 +258,7 @@ def test_pool_gradients_match_finite_differences(rng):
     theta0 = rng.standard_normal((m, n))
 
     def run(theta):
-        params = SpectralPoolParams(target_size=m, theta=ad.as_var(theta))
-        s = spectral_pool_assign(n, params, cosine_transform(n), cosine_transform(m))
+        s = spectral_pool_assign(ad.as_var(theta), cosine_transform(n), cosine_transform(m), True)
         pooled_adj, pooled_feats = pool_apply(s, ad.constant(adj), ad.constant(feats))
         return ops.add(ops.frobenius_norm(pooled_adj), ops.frobenius_norm(pooled_feats))
 
@@ -291,16 +272,15 @@ def test_pool_gradients_match_finite_differences(rng):
 
 
 def test_gcn_two_node_oracle():
-    params = GcnLayerParams(weight=ad.parameter(np.eye(2)), activation="identity")
-    out = gcn_forward(ad.constant(path_adjacency(2)), ad.constant(np.eye(2)), params)
+    out = gcn_forward(ad.constant(path_adjacency(2)), ad.constant(np.eye(2)),
+                      ad.parameter(np.eye(2)), "identity")
     assert np.allclose(out.value, [[0.5, 0.5], [0.5, 0.5]], atol=1e-14)
 
 
 def test_gcn_nonpositive_row_raises():
     adj = ad.constant(np.array([[0.0, -2.0], [-2.0, 0.0]]))
-    params = GcnLayerParams(weight=ad.parameter(np.eye(2)))
     with pytest.raises(NumericError, match="row 0"):
-        gcn_forward(adj, ad.constant(np.eye(2)), params)
+        gcn_forward(adj, ad.constant(np.eye(2)), ad.parameter(np.eye(2)), "relu")
 
 
 def test_gcn_gradients_through_pooled_adjacency(rng):
@@ -312,8 +292,8 @@ def test_gcn_gradients_through_pooled_adjacency(rng):
     np.fill_diagonal(adj0, 0.0)
 
     def run(adj, weight):
-        params = GcnLayerParams(weight=ad.as_var(weight), activation="identity")
-        return ops.frobenius_norm(gcn_forward(ad.as_var(adj), ad.constant(feats), params))
+        return ops.frobenius_norm(gcn_forward(ad.as_var(adj), ad.constant(feats),
+                                              ad.as_var(weight), "identity"))
 
     a_var, w_var = ad.parameter(adj0), ad.parameter(weight0)
     ad.backward(run(a_var, w_var))
@@ -330,12 +310,11 @@ def test_folded_renormalization_matches_tape(rng):
         n = adj.shape[0]
         feats = ad.constant(rng.standard_normal((n, 3)))
         for activation in ACTIVATIONS:
-            params = GcnLayerParams(weight=ad.parameter(rng.standard_normal((3, 2))),
-                                    activation=activation)
+            weight = ad.parameter(rng.standard_normal((3, 2)))
             folded = renormalize(adj)
             assert not folded.matrix.flags.writeable
-            assert np.array_equal(gcn_forward(folded, feats, params).value,
-                                  gcn_forward(ad.constant(adj), feats, params).value)
+            assert np.array_equal(gcn_forward(folded, feats, weight, activation).value,
+                                  gcn_forward(ad.constant(adj), feats, weight, activation).value)
 
 
 def test_diffpool_assignment_is_row_stochastic(rng):
@@ -355,11 +334,9 @@ def test_diffpool_assignment_is_row_stochastic(rng):
 
 def test_classify_shapes_and_softmax(rng):
     m_out, width, classes = 4, 3, 5
-    params = ClassifierParams(
-        weight=ad.parameter(rng.standard_normal((m_out * width, classes))),
-        bias=ad.parameter(rng.standard_normal(classes)),
-    )
-    logits, probs = classify(ad.constant(rng.standard_normal((m_out, width))), params)
+    weight = ad.parameter(rng.standard_normal((m_out * width, classes)))
+    bias = ad.parameter(rng.standard_normal(classes))
+    logits, probs = classify(ad.constant(rng.standard_normal((m_out, width))), weight, bias)
     assert logits.value.shape == (classes,)
     assert probs.value.shape == (classes,)
     assert probs.value.sum() == pytest.approx(1.0, abs=1e-12)
@@ -368,12 +345,9 @@ def test_classify_shapes_and_softmax(rng):
 
 
 def test_classify_size_mismatch(rng):
-    params = ClassifierParams(
-        weight=ad.parameter(rng.standard_normal((8, 2))),
-        bias=ad.parameter(np.zeros(2)),
-    )
+    weight, bias = ad.parameter(rng.standard_normal((8, 2))), ad.parameter(np.zeros(2))
     with pytest.raises(ContractViolationError, match="pooled size"):
-        classify(ad.constant(np.zeros((3, 3))), params)
+        classify(ad.constant(np.zeros((3, 3))), weight, bias)
 
 
 # -- fused stages against their per-op composition -------------------------
@@ -390,8 +364,7 @@ def stage_cases(rng):
 
     def spectral(softmax):
         def build(layer):
-            return lambda theta: (layer.spectral_pool_assign(
-                n, SpectralPoolParams(m, theta, softmax), xi_n, xi_m),)
+            return lambda theta: (layer.spectral_pool_assign(theta, xi_n, xi_m, softmax),)
         return build
 
     def apply(layer):
@@ -399,7 +372,7 @@ def stage_cases(rng):
 
     def gcn(activation):
         def build(layer):
-            return lambda a, x, w: (layer.gcn_forward(a, x, GcnLayerParams(w, activation)),)
+            return lambda a, x, w: (layer.gcn_forward(a, x, w, activation),)
         return build
 
     def diffpool(layer):
@@ -409,7 +382,7 @@ def stage_cases(rng):
         return lambda x, w: (layer.diffpool_assign(renormalize(adj), x, w, m),)
 
     def classify(layer):
-        return lambda x, w, b: layer.classify(x, ClassifierParams(w, b))
+        return layer.classify
 
     s_mn = rng.random((m, n))
     return [

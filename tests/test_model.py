@@ -267,6 +267,26 @@ def test_load_state_validation():
         model.load_state({"gcn.weight": np.zeros((2, 2))})
 
 
+@pytest.mark.parametrize("variant, names", [
+    ("wavelet_spectral", ["gwc.theta.0", "pool2.theta"]),
+    ("gcn_diffpool", ["classifier.bias", "pool1.assign"]),
+])
+def test_constructor_and_load_state_reject_non_finite_tensors(variant, names):
+    cfg = small_config(variant=variant)
+    tensors = init_parameters(cfg, 0)
+    for name, bad in zip(names, (np.nan, np.inf)):
+        tensors[name].flat[-1] = bad
+    pattern = r"\[" + ", ".join(f"'{name}'" for name in sorted(names)) + r"\] .*non-finite"
+    with pytest.raises(ContractViolationError, match=pattern):
+        CrossScaleModel(cfg, tensors=tensors)
+    model = CrossScaleModel(cfg, seed=0)
+    before = model.state()
+    with pytest.raises(ContractViolationError, match=pattern):
+        model.load_state(tensors)
+    for name, value in model.state().items():  # a rejected state changes nothing
+        assert np.array_equal(value, before[name])
+
+
 def test_basis_memo_on_graph(rng):
     first = CrossScaleModel(small_config(), seed=0)
     second = CrossScaleModel(small_config(), seed=1)
@@ -545,3 +565,38 @@ def test_predict_records_no_tape(variant, rng, monkeypatch):
     assert recorded == []
     model.forward(graphs[0])  # the same pass outside no_grad records its stages
     assert recorded
+
+
+# SHA-256 over the logits, the loss and every parameter gradient of one
+# forward and backward pass per size in SIZES; any change to the pipeline's
+# arithmetic, or to which parameters a stage reads, changes these
+PIPELINE_DIGESTS = {
+    "gcn_diffpool": "fb3bac7957c9396419a951b7dde55a8e44a55ca4c9589d5ff9cccce0bf8001ad",
+    "gcn_spectral": "d72eec48558d2e125f0d0f26d7fa45dc34353f093330eddb66c2b221290bac9d",
+    "wavelet_diffpool": "c0b48570aade21dcab52186525b2c63bbbb168873afdfc9ae902589a78e2708e",
+    "wavelet_spectral": "a7d12d7c488890b89617210a931d3ca2643393f7220558772ba13c8d55263d0d",
+}
+
+
+def pipeline_digest(variant):
+    rng = np.random.default_rng(21)
+    cfg = small_config(variant=variant, n_max=20, m_out=3, scales=(1.0, 2.0),
+                       activation="relu")
+    digest = hashlib.sha256()
+    for n in SIZES:
+        model = CrossScaleModel(cfg, seed=5)
+        graph = random_graph(n, 2, rng, label=n % 2)
+        result = model.forward(graph)
+        loss, _ = graph_loss(result, graph.label, 2, 0.3)
+        ad.backward(loss)
+        digest.update(result.logits.value.tobytes())
+        digest.update(np.float64(loss.value).tobytes())
+        for name, var in sorted(model.params.items()):
+            digest.update(name.encode())
+            digest.update(b"none" if var.grad is None else var.grad.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pipeline_outputs_and_gradients_match_recorded_digests(variant):
+    assert pipeline_digest(variant) == PIPELINE_DIGESTS[variant]

@@ -320,26 +320,26 @@ def test_oracle_size_gate():
 
 
 def test_cosine_transform_two_by_two():
-    mat = cosine_transform(2).matrix
+    mat = cosine_transform(2)
     r = math.sqrt(0.5)
     assert np.allclose(mat, [[r, r], [r, -r]], atol=1e-15)
     assert np.allclose(np.round(mat, 5), [[0.70711, 0.70711], [0.70711, -0.70711]])
 
 
 def test_cosine_transform_single():
-    assert np.allclose(cosine_transform(1).matrix, [[1.0]])
+    assert np.allclose(cosine_transform(1), [[1.0]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33])
 def test_cosine_transform_orthonormal(n):
-    xi = cosine_transform(n).matrix
+    xi = cosine_transform(n)
     assert np.max(np.abs(xi @ xi.T - np.eye(n))) < 1e-10
 
 
 def test_cosine_transform_cached_and_frozen():
     assert cosine_transform(8) is cosine_transform(8)
     with pytest.raises(ValueError):
-        cosine_transform(8).matrix[0, 0] = 9.0
+        cosine_transform(8)[0, 0] = 9.0
 
 
 def test_cosine_transform_invalid_size():
