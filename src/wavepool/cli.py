@@ -1,11 +1,13 @@
 """Command-line entry point: generate, train, evaluate, ablate, sweep,
 stability, stats.
 
-Configuration comes from an optional JSON file (``--config``, with a
-``schema_version`` field) overridden by flags. Exit codes: 0 success,
-1 runtime/numeric failure, 2 usage or configuration error. All CSV and JSON
-outputs are deterministic given (inputs, seed); measured wall-clock appears
-only in the JSON summaries.
+Each section of the optional JSON config (``--config``, with a
+``schema_version`` field) is decoded into its settings dataclass by
+``settings.decode``; a flag whose argparse ``dest`` names a field wins. Exit
+codes: 0 success, 1 a package, OS or linear-algebra failure, 2 usage or
+configuration error; any other exception is a bug and escapes. All CSV and
+JSON outputs are deterministic given (inputs, seed); wall-clock appears only
+in the JSON summaries.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, WavepoolError
 from .graphs import SplitSpec, dataset_statistics, load_tu_dataset
 from .harness import (
     ExperimentPlan,
@@ -34,6 +38,7 @@ from .harness import (
     train_seed,
 )
 from .model import VARIANTS, config_to_dict, save_checkpoint
+from .settings import decode, typed
 from .stability import run_stability_suite, suite_to_json
 from .svgplot import bar_chart
 from .synth import ClassSpec, MsgConfig, build_msg, export_tu, size_histogram, three_class_config
@@ -41,8 +46,6 @@ from .training import TrainConfig
 
 SCHEMA_VERSION = 1
 TOP_LEVEL_KEYS = {"schema_version", "msg", "train", "model", "split", "seeds"}
-# the model settings an ExperimentPlan carries; the config's "model" object takes only these
-MODEL_KEYS = ("variant", "m_out", "order", "basis_mode", "n_max", "scales")
 
 
 # -- config file ----------------------------------------------------------
@@ -73,73 +76,11 @@ def load_config_file(path: str | None) -> dict:
     return data
 
 
-def _build(cls, section: dict, overrides: dict, label: str):
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return cls(**merged)
-    except TypeError as exc:
-        raise ConfigError(f"bad {label} settings: {exc}") from exc
-
-
-def train_config_from(cfg: dict, args, seed: int) -> TrainConfig:
-    overrides = {
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "learning_rate": args.lr,
-        "beta": args.beta,
-        "optimizer": args.optimizer,
-        "grad_clip_norm": args.grad_clip,
-        "seed": seed,
-    }
-    return _build(TrainConfig, cfg.get("train", {}), overrides, "train")
-
-
-def split_spec_from(cfg: dict, args, seed: int) -> SplitSpec:
-    overrides: dict = {"seed": seed}
-    if getattr(args, "no_stratify", False):
-        overrides["stratified"] = False
-    return _build(SplitSpec, cfg.get("split", {}), overrides, "split")
-
-
-def _model_section(cfg: dict, args) -> dict:
-    section = cfg.get("model", {})
-    if not isinstance(section, dict):
-        raise ConfigError("config 'model' must be an object")
-    unknown = sorted(set(section) - set(MODEL_KEYS))
-    if unknown:
-        raise ConfigError(f"config model section has unknown keys {unknown}; "
-                          f"accepted: {list(MODEL_KEYS)}")
-    section = dict(section)
-    if "scales" in section:
-        try:
-            section["scales"] = tuple(float(s) for s in section["scales"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config model scales must be a list of numbers: {exc}") from exc
-    overrides = {
-        "variant": args.variant,
-        "m_out": args.m_out,
-        "order": args.order,
-        "basis_mode": args.basis_mode,
-        "n_max": args.n_max,
-        "scales": _parse_floats(args.scales) if args.scales else None,
-    }
-    section.update({k: v for k, v in overrides.items() if v is not None})
-    return section
-
-
 def plan_from(cfg: dict, args, seeds: tuple[int, ...]) -> ExperimentPlan:
-    section = _model_section(cfg, args)
-    fields = {
-        "seeds": seeds,
-        "train": train_config_from(cfg, args, seeds[0]),
-        "split": split_spec_from(cfg, args, seeds[0]),
-    }
-    fields.update(section)
-    try:
-        return ExperimentPlan(**fields)
-    except TypeError as exc:
-        raise ConfigError(f"bad model settings: {exc}") from exc
+    train = decode(TrainConfig, cfg.get("train", {}), "train", args, {"seed": seeds[0]})
+    split = decode(SplitSpec, cfg.get("split", {}), "split", args, {"seed": seeds[0]})
+    return decode(ExperimentPlan, cfg.get("model", {}), "model", args,
+                  {"seeds": seeds, "train": train, "split": split})
 
 
 def seeds_from(cfg: dict, args) -> tuple[int, ...]:
@@ -153,11 +94,9 @@ def seeds_from(cfg: dict, args) -> tuple[int, ...]:
             raise ConfigError(f"--num-seeds must be at least 1, got {args.num_seeds}")
         seeds = tuple(range(args.num_seeds))
     elif "seeds" in cfg:
-        seeds = cfg["seeds"]
-        if (not isinstance(seeds, list) or not seeds
-                or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
+        seeds = typed(tuple[int, ...], cfg["seeds"], "seeds", ConfigError)
+        if not seeds:
             raise ConfigError("config 'seeds' must be a nonempty list of integers")
-        seeds = tuple(seeds)
     else:
         seeds = tuple(range(10))
     if any(s < 0 for s in seeds):
@@ -171,19 +110,31 @@ def seeds_from(cfg: dict, args) -> tuple[int, ...]:
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse number list {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse number list {text!r}") from None
     if not values:
-        raise ConfigError(f"empty number list {text!r}")
+        raise argparse.ArgumentTypeError(f"empty number list {text!r}")
     return values
 
 
 def _parse_span(text: str) -> tuple[int, int]:
     try:
         lo, hi = (int(v) for v in text.split(":"))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse range {text!r}; expected LO:HI") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse range {text!r}; expected LO:HI") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"range {text!r} has LO above HI")
     return lo, hi
+
+
+def _parse_positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _dataset(args):
@@ -231,38 +182,29 @@ def cmd_generate(args) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class MsgSection:
+    """The config's ``msg`` object; ``classes`` (with ``name``) replaces the preset."""
+
+    preset: str = "default"
+    per_class: int | None = None
+    size_range: tuple[int, int] | None = None
+    classes: tuple[ClassSpec, ...] | None = None
+    name: str = "msg"
+
+
 def _msg_config(cfg: dict, args) -> MsgConfig:
-    section = dict(cfg.get("msg", {}))
-    preset = args.preset or section.get("preset", "default")
-    per_class = args.per_class or section.get("per_class")
-    span = _parse_span(args.size_range) if args.size_range else (
-        tuple(section["size_range"]) if "size_range" in section else None)
-    if "classes" in section:
-        try:
-            classes = tuple(
-                ClassSpec(**{**d, "size_range": tuple(d.get("size_range", (4, 1000)))})
-                for d in section["classes"]
-            )
-        except TypeError as exc:
-            raise ConfigError(f"bad msg class spec: {exc}") from exc
-        return MsgConfig(classes=classes, seed=args.seed, name=section.get("name", "msg"))
-    if preset in ("three_class", "three-class"):
-        return three_class_config(
-            per_class=per_class or 60,
-            size_range=span or (20, 200),
-            seed=args.seed,
-        )
-    if preset != "default":
-        raise ConfigError(f"unknown msg preset {preset!r}")
-    base = MsgConfig(seed=args.seed)
-    if per_class or span:
-        classes = tuple(
-            replace(spec, count=per_class or spec.count,
-                    size_range=span or spec.size_range)
-            for spec in base.classes
-        )
-        base = MsgConfig(classes=classes, seed=args.seed)
-    return base
+    msg = decode(MsgSection, cfg.get("msg", {}), "msg", args)
+    if msg.classes is not None:
+        return MsgConfig(classes=msg.classes, seed=args.seed, name=msg.name)
+    presets = {"default": MsgConfig, "three_class": three_class_config,
+               "three-class": three_class_config}
+    if msg.preset not in presets:
+        raise ConfigError(f"unknown msg preset {msg.preset!r}")
+    base = presets[msg.preset](seed=args.seed)
+    changes = {k: v for k, v in dict(count=msg.per_class, size_range=msg.size_range).items()
+               if v is not None}
+    return replace(base, classes=tuple(replace(spec, **changes) for spec in base.classes))
 
 
 def cmd_train(args) -> int:
@@ -343,8 +285,7 @@ def cmd_sweep(args) -> int:
     seeds = seeds_from(cfg, args)
     dataset = _dataset(args)
     plan = plan_from(cfg, args, seeds)
-    values = list(_parse_floats(args.values))
-    result = run_sensitivity(dataset, plan, args.axis, values)
+    result = run_sensitivity(dataset, plan, args.axis, list(args.values))
     out = _outdir(args)
     _write_text(out / f"sweep_{args.axis}.csv", sweep_csv(result))
     _write_text(out / f"sweep_{args.axis}.svg", sweep_svg(result))
@@ -360,9 +301,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    span = _parse_span(args.size_range) if args.size_range else (8, 32)
     report, checks, notes = run_stability_suite(
-        seed=args.seed, graph_count=args.graphs, size_range=span,
+        seed=args.seed, graph_count=args.graphs, size_range=args.size_range or (8, 32),
         trials=args.trials,
     )
     for c in checks:
@@ -399,7 +339,8 @@ def _add_common(p: argparse.ArgumentParser, out_required: bool = True) -> None:
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--scales", help="comma-separated wavelet scales, e.g. 1,2,3")
+    p.add_argument("--scales", type=_parse_floats,
+                   help="comma-separated wavelet scales, e.g. 1,2,3")
     p.add_argument("--order", type=int, help="polynomial approximation order")
     p.add_argument("--m-out", type=int, help="final pooled size")
     p.add_argument("--n-max", type=int, help="largest supported graph size")
@@ -409,11 +350,12 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float, help="learning rate")
+    p.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
     p.add_argument("--beta", type=float, help="structure-loss mixing weight")
     p.add_argument("--optimizer", choices=("adam", "momentum"))
-    p.add_argument("--grad-clip", type=float, help="global gradient-norm cap")
-    p.add_argument("--no-stratify", action="store_true",
+    p.add_argument("--grad-clip", dest="grad_clip_norm", type=float,
+                   help="global gradient-norm cap")
+    p.add_argument("--no-stratify", dest="stratified", action="store_const", const=False,
                    help="split without per-class stratification")
 
 
@@ -435,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--preset", choices=("default", "three-class", "three_class"))
     p.add_argument("--per-class", type=int)
-    p.add_argument("--size-range", help="node-count range LO:HI")
-    p.add_argument("--bins", type=int, default=20, help="histogram bins")
+    p.add_argument("--size-range", type=_parse_span, help="node-count range LO:HI")
+    p.add_argument("--bins", type=_parse_positive, default=20, help="histogram bins")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train one model on a TU-format dataset")
@@ -466,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--axis", choices=("F", "M", "beta"), required=True)
-    p.add_argument("--values", required=True, help="comma-separated axis values")
+    p.add_argument("--values", type=_parse_floats, required=True,
+                   help="comma-separated axis values")
     _add_model_flags(p)
     _add_train_flags(p)
     _add_seed_flags(p)
@@ -474,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="perturbation-bound checks")
     _add_common(p, out_required=False)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--graphs", type=int, default=5)
-    p.add_argument("--size-range", help="graph size range LO:HI (default 8:32)")
+    p.add_argument("--trials", type=_parse_positive, default=10_000)
+    p.add_argument("--graphs", type=_parse_positive, default=5)
+    p.add_argument("--size-range", type=_parse_span, help="graph size range LO:HI (default 8:32)")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("stats", help="dataset statistics report")
@@ -502,7 +445,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (WavepoolError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

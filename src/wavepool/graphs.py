@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, IngestionError
+from .settings import check_fields
 
 DEGREE_CAP = 64  # degrees above this share one overflow bucket
 DEGREE_FEATURE_DIM = DEGREE_CAP + 2
@@ -141,6 +142,7 @@ class SplitSpec:
     stratified: bool = True
 
     def __post_init__(self):
+        check_fields(self, ConfigError)
         fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
         if any(f <= 0 for f in fracs):
             raise ConfigError(f"split fractions must be positive, got {fracs}")

@@ -24,7 +24,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import numbers
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -46,6 +45,7 @@ from .layers import (
     renormalize,
     spectral_pool_assign,
 )
+from .settings import check_fields, decode
 from .spectral import (
     MODE_CLOSED_FORM,
     MODE_FITTED_KERNEL,
@@ -77,17 +77,7 @@ class ModelConfig:
     softmax_rows: bool = True
 
     def __post_init__(self):
-        for name in ("feature_dim", "class_count", "n_max", "m_out", "order"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ContractViolationError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.scales, tuple) or not all(
-                isinstance(s, numbers.Real) and not isinstance(s, bool) for s in self.scales):
-            raise ContractViolationError(
-                f"scales must be a tuple of real numbers, got {self.scales!r}")
-        if not isinstance(self.softmax_rows, bool):
-            raise ContractViolationError(
-                f"softmax_rows must be true or false, got {self.softmax_rows!r}")
+        check_fields(self, ContractViolationError)
         if self.variant not in VARIANTS:
             raise ContractViolationError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
@@ -338,10 +328,8 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 def config_from_dict(d: dict) -> ModelConfig:
     try:
-        d = dict(d)
-        d["scales"] = tuple(float(s) for s in d.get("scales", ()))
-        return ModelConfig(**d)
-    except (TypeError, ValueError) as exc:  # not a mapping, bad value, unknown or missing field
+        return decode(ModelConfig, d, "config", error=FormatError)
+    except ContractViolationError as exc:  # a well-typed value out of range
         raise FormatError(f"invalid model config: {exc}") from exc
 
 

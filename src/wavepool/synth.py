@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolationError, FormatError, IngestionError
 from .graphs import Graph, GraphDataset, degree_onehot_features, load_tu_dataset
+from .settings import check_fields
 
 FAMILIES = ("er", "ws", "ba", "empirical")
 
@@ -109,6 +110,7 @@ class ClassSpec:
     source: str | None = None  # empirical: TU directory
 
     def __post_init__(self):
+        check_fields(self, ConfigError)
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.count < 1:

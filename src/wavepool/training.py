@@ -27,6 +27,7 @@ from .autodiff import Var
 from .errors import ConfigError, ContractViolationError, NumericError
 from .graphs import GraphDataset
 from .model import CrossScaleModel, ForwardResult, PoolStage
+from .settings import check_fields
 
 OPTIMIZERS = ("adam", "momentum")
 
@@ -54,6 +55,7 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
+        check_fields(self, ConfigError)
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

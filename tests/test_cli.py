@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from wavepool.cli import load_config_file, main
-from wavepool.errors import ConfigError
+from wavepool import cli
+from wavepool.cli import build_parser, load_config_file, main, plan_from
+from wavepool.errors import ConfigError, NumericError
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,84 @@ def test_unknown_model_keys_exit_2_and_are_named(bench_dir, tmp_path, capsys, co
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, section, names", [
+    ("train", {"train": [1]}, "'train' must be an object"),
+    ("train", {"split": [1]}, "'split' must be an object"),
+    ("generate", {"msg": [1]}, "'msg' must be an object"),
+    ("train", {"model": {"scales": "12"}}, "model.scales"),
+    ("train", {"train": {"shuffle": "no"}}, "train.shuffle"),
+    ("train", {"split": {"stratified": "yes"}}, "split.stratified"),
+    ("train", {"train": {"grad_clip_norm": True}}, "train.grad_clip_norm"),
+    ("train", {"train": {"epochs": True}}, "train.epochs"),
+    ("train", {"train": {"batch_size": 2.5}}, "train.batch_size"),
+    ("train", {"train": {"epochs": "2"}}, "train.epochs"),
+    ("generate", {"msg": {"per_class": "3"}}, "msg.per_class"),
+    ("generate", {"msg": {"size_range": "ab"}}, "msg.size_range"),
+    ("generate", {"msg": {"per_clas": 3}}, "'msg' has unknown keys ['per_clas']"),
+    ("generate", {"msg": {"per_class": True}}, "msg.per_class"),
+    ("train", {"train": {"learning_rate": NAN}}, "train.learning_rate"),
+    ("train", {"train": {"learning_rate": INF}}, "train.learning_rate"),
+    ("train", {"train": {"grad_clip_norm": NAN}}, "train.grad_clip_norm"),
+    ("train", {"split": {"train_fraction": NAN}}, "split.train_fraction"),
+])
+def test_mistyped_config_values_exit_2_and_name_the_key(bench_dir, tmp_path, capsys,
+                                                        command, section, names):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"schema_version": 1, **section}))
+    out = tmp_path / "o"
+    data = ["--data", str(bench_dir)] if command == "train" else []
+    code = main([command, "--config", str(cfg), "--out", str(out), *data])
+    assert code == 2
+    assert names in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "--bins", "0"], "--bins"),
+    (["stability", "--size-range", "10:5"], "--size-range"),
+    (["stability", "--trials", "0"], "--trials"),
+])
+def test_out_of_range_flags_exit_2_and_name_the_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_training_and_split_flags_reach_their_settings():
+    cfg = {"train": {"learning_rate": 0.5, "grad_clip_norm": 1.0}}
+    args = build_parser().parse_args(["train", "--data", "d", "--out", "o", "--lr", "0.25",
+                                      "--grad-clip", "2", "--no-stratify"])
+    plan = plan_from(cfg, args, (0,))
+    assert (plan.train.learning_rate, plan.train.grad_clip_norm) == (0.25, 2.0)
+    assert plan.split.stratified is False
+    plan = plan_from(cfg, build_parser().parse_args(["train", "--data", "d", "--out", "o"]),
+                     (0,))
+    assert (plan.train.learning_rate, plan.train.grad_clip_norm) == (0.5, 1.0)
+    assert plan.split.stratified is True
+
+
+@pytest.mark.parametrize("raised, code", [
+    (NumericError("eigh failed"), 1), (OSError("disk full"), 1),
+    (TypeError("a bug"), None), (ValueError("a bug"), None),
+])
+def test_main_maps_package_and_os_errors_and_lets_bugs_escape(monkeypatch, tmp_path,
+                                                              raised, code):
+    def command(args):
+        raise raised
+
+    monkeypatch.setattr(cli, "cmd_stats", command)
+    argv = ["stats", "--data", str(tmp_path)]
+    if code is None:
+        with pytest.raises(type(raised), match="a bug"):
+            main(argv)
+    else:
+        assert main(argv) == code
 
 
 @pytest.mark.parametrize("command", ["evaluate", "train"])

@@ -352,6 +352,14 @@ def test_config_dict_roundtrip():
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+@pytest.mark.parametrize("field, value", [("n_max", True), ("scales", "12"),
+                                          ("softmax_rows", 1), ("scales", [1.0, float("nan")])])
+def test_config_dict_type_faults_are_format_errors_naming_the_field(field, value):
+    d = dict(config_to_dict(small_config()), **{field: value})
+    with pytest.raises(FormatError, match=f"config.{field}"):
+        config_from_dict(d)
+
+
 def test_checkpoint_roundtrip(tmp_path, rng):
     cfg = small_config(scales=(1.0, 2.0))
     model = CrossScaleModel(cfg, seed=5)
