@@ -15,6 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from wavepool.cli import parse_span
 from wavepool.harness import (
     ExperimentPlan,
     run_sensitivity,
@@ -37,17 +38,17 @@ def main(argv=None) -> int:
     parser.add_argument("--axes", nargs="+", choices=sorted(GRIDS),
                         default=["F", "M", "beta"])
     parser.add_argument("--per-class", type=int, default=60)
-    parser.add_argument("--size-range", default="20:200", help="node range LO:HI")
+    parser.add_argument("--size-range", type=parse_span, default="20:200",
+                        help="node range LO:HI")
     parser.add_argument("--seeds", type=int, default=5, help="use seeds 0..N-1")
     parser.add_argument("--epochs", type=int, default=200)
     args = parser.parse_args(argv)
 
-    lo, hi = (int(v) for v in args.size_range.split(":"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     dataset = build_msg(three_class_config(
-        per_class=args.per_class, size_range=(lo, hi), seed=0))
+        per_class=args.per_class, size_range=args.size_range, seed=0))
     plan = ExperimentPlan(
         seeds=tuple(range(args.seeds)),
         train=TrainConfig(epochs=args.epochs),

@@ -16,6 +16,7 @@ import sys
 import time
 from pathlib import Path
 
+from wavepool.cli import parse_span
 from wavepool.graphs import SplitSpec, split_dataset
 from wavepool.harness import (
     ExperimentPlan,
@@ -33,18 +34,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="runs/synthetic", help="output directory")
     parser.add_argument("--per-class", type=int, default=60)
-    parser.add_argument("--size-range", default="20:200", help="node range LO:HI")
+    parser.add_argument("--size-range", type=parse_span, default="20:200",
+                        help="node range LO:HI")
     parser.add_argument("--seeds", type=int, default=5, help="use seeds 0..N-1")
     parser.add_argument("--epochs", type=int, default=200)
     parser.add_argument("--data-seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    lo, hi = (int(v) for v in args.size_range.split(":"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     dataset = build_msg(three_class_config(
-        per_class=args.per_class, size_range=(lo, hi), seed=args.data_seed))
+        per_class=args.per_class, size_range=args.size_range, seed=args.data_seed))
     export_tu(dataset, out / "dataset", dataset.name)
     print(f"built {len(dataset.graphs)} graphs, "
           f"{dataset.sizes.min()}-{dataset.sizes.max()} nodes")

@@ -3,7 +3,9 @@ stability, stats.
 
 Each section of the optional JSON config (``--config``, with a
 ``schema_version`` field) is decoded into its settings dataclass by
-``settings.decode``; a flag whose argparse ``dest`` names a field wins. Exit
+``settings.decode``; a flag whose argparse ``dest`` names a field wins. Each
+subcommand takes only the flags it reads, from shared argparse parent
+parsers, and matches them by full name only. Exit
 codes: 0 success, 1 a package, OS or linear-algebra failure, 2 usage or
 configuration error; any other exception is a bug and escapes. All CSV and
 JSON outputs are deterministic given (inputs, seed); wall-clock appears only
@@ -117,7 +119,8 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return values
 
 
-def _parse_span(text: str) -> tuple[int, int]:
+def parse_span(text: str) -> tuple[int, int]:
+    """An argparse ``type`` for a range ``LO:HI`` with LO at most HI."""
     try:
         lo, hi = (int(v) for v in text.split(":"))
     except ValueError:
@@ -233,11 +236,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
+def _grid(args):
+    """The dataset and plan of a multi-seed command (evaluate, ablate, sweep)."""
     cfg = load_config_file(args.config)
     seeds = seeds_from(cfg, args)
     dataset = _dataset(args)
-    plan = plan_from(cfg, args, seeds)
+    return dataset, plan_from(cfg, args, seeds)
+
+
+def cmd_evaluate(args) -> int:
+    dataset, plan = _grid(args)
     result = run_experiment(dataset, plan)
     out = _outdir(args)
     _write_text(out / "per_seed.csv", per_seed_csv(result.results, timing=args.timing))
@@ -247,7 +255,7 @@ def cmd_evaluate(args) -> int:
         "mean": result.mean,
         "std": result.std,
         "n": result.n,
-        "seeds": list(seeds),
+        "seeds": list(plan.seeds),
         "per_seed": [
             {"seed": r.seed, "test_acc": r.test_acc, "epochs": r.epochs_run,
              "seconds": r.seconds, "error": r.error}
@@ -260,10 +268,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_config_file(args.config)
-    seeds = seeds_from(cfg, args)
-    dataset = _dataset(args)
-    plan = plan_from(cfg, args, seeds)
+    dataset, plan = _grid(args)
     result = run_ablation(dataset, plan)
     out = _outdir(args)
     all_rows = [r for cell in result.rows for r in cell.results]
@@ -274,17 +279,14 @@ def cmd_ablate(args) -> int:
     _write_json(out / "summary.json", {
         "rows": [{"variant": r.variant, "mean": r.mean, "std": r.std, "n": r.n}
                  for r in result.rows],
-        "seeds": list(seeds),
+        "seeds": list(plan.seeds),
     })
     print(table, end="")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config_file(args.config)
-    seeds = seeds_from(cfg, args)
-    dataset = _dataset(args)
-    plan = plan_from(cfg, args, seeds)
+    dataset, plan = _grid(args)
     result = run_sensitivity(dataset, plan, args.axis, list(args.values))
     out = _outdir(args)
     _write_text(out / f"sweep_{args.axis}.csv", sweep_csv(result))
@@ -293,7 +295,7 @@ def cmd_sweep(args) -> int:
         "axis": result.axis,
         "cells": [{"value": v, "mean": c.mean, "std": c.std, "n": c.n}
                   for v, c in zip(result.values, result.cells)],
-        "seeds": list(seeds),
+        "seeds": list(plan.seeds),
     })
     for v, c in zip(result.values, result.cells):
         print(f"{result.axis}={v:g}: {c.mean:.4f} +/- {c.std:.4f}")
@@ -330,42 +332,6 @@ def cmd_stats(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, out_required: bool = True) -> None:
-    p.add_argument("--config", help="JSON config file (schema_version %d)" % SCHEMA_VERSION)
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
-    p.add_argument("--out", required=out_required, help="output directory")
-    p.add_argument("-v", "--verbose", action="count", default=0)
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--scales", type=_parse_floats,
-                   help="comma-separated wavelet scales, e.g. 1,2,3")
-    p.add_argument("--order", type=int, help="polynomial approximation order")
-    p.add_argument("--m-out", type=int, help="final pooled size")
-    p.add_argument("--n-max", type=int, help="largest supported graph size")
-    p.add_argument("--basis-mode", choices=("closed_form", "fitted_kernel"))
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
-    p.add_argument("--beta", type=float, help="structure-loss mixing weight")
-    p.add_argument("--optimizer", choices=("adam", "momentum"))
-    p.add_argument("--grad-clip", dest="grad_clip_norm", type=float,
-                   help="global gradient-norm cap")
-    p.add_argument("--no-stratify", dest="stratified", action="store_const", const=False,
-                   help="split without per-class stratification")
-
-
-def _add_seed_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seeds", help="comma-separated explicit seed list")
-    p.add_argument("--num-seeds", type=int, help="use seeds 0..N-1")
-    p.add_argument("--timing", action="store_true",
-                   help="write wall-clock into per-seed CSV (breaks byte-reproducibility)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavepool",
@@ -373,60 +339,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="build the synthetic benchmark")
-    _add_common(p)
+    # flag groups shared between subcommands; each flag's dest is the settings
+    # field it sets, which settings.decode reads by name
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON config file (schema_version %d)" % SCHEMA_VERSION)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="base random seed")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True, help="TU-format dataset directory")
+
+    training = argparse.ArgumentParser(add_help=False, parents=[config, data])
+    training.add_argument("--variant", choices=VARIANTS)
+    training.add_argument("--scales", type=_parse_floats,
+                          help="comma-separated wavelet scales, e.g. 1,2,3")
+    training.add_argument("--order", type=int, help="polynomial approximation order")
+    training.add_argument("--m-out", type=int, help="final pooled size")
+    training.add_argument("--n-max", type=int, help="largest supported graph size")
+    training.add_argument("--basis-mode", choices=("closed_form", "fitted_kernel"))
+    training.add_argument("--epochs", type=int)
+    training.add_argument("--batch-size", type=int)
+    training.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
+    training.add_argument("--beta", type=float, help="structure-loss mixing weight")
+    training.add_argument("--optimizer", choices=("adam", "momentum"))
+    training.add_argument("--grad-clip", dest="grad_clip_norm", type=float,
+                          help="global gradient-norm cap")
+    training.add_argument("--no-stratify", dest="stratified", action="store_const", const=False,
+                          help="split without per-class stratification")
+
+    grid = argparse.ArgumentParser(add_help=False, parents=[training])
+    grid.add_argument("--seeds", help="comma-separated explicit seed list")
+    grid.add_argument("--num-seeds", type=int, help="use seeds 0..N-1")
+    grid.add_argument("--timing", action="store_true",
+                      help="write wall-clock into per-seed CSV (breaks byte-reproducibility)")
+
+    def command(name, func, help, parents, out_required=True):
+        # no prefix matching: evaluate's --seeds would otherwise take --seed
+        p = sub.add_parser(name, help=help, parents=parents, allow_abbrev=False)
+        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("-v", "--verbose", action="count", default=0)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("generate", cmd_generate, "build the synthetic benchmark", [config, seed])
     p.add_argument("--preset", choices=("default", "three-class", "three_class"))
     p.add_argument("--per-class", type=int)
-    p.add_argument("--size-range", type=_parse_span, help="node-count range LO:HI")
+    p.add_argument("--size-range", type=parse_span, help="node-count range LO:HI")
     p.add_argument("--bins", type=_parse_positive, default=20, help="histogram bins")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", help="train one model on a TU-format dataset")
-    _add_common(p)
-    p.add_argument("--data", required=True, help="TU-format dataset directory")
-    _add_model_flags(p)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="multi-seed accuracy for one variant")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    _add_model_flags(p)
-    _add_train_flags(p)
-    _add_seed_flags(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("ablate", help="run all four variants")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    _add_model_flags(p)
-    _add_train_flags(p)
-    _add_seed_flags(p)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("sweep", help="sensitivity sweep along one axis")
-    _add_common(p)
-    p.add_argument("--data", required=True)
+    command("train", cmd_train, "train one model on a TU-format dataset", [training, seed])
+    command("evaluate", cmd_evaluate, "multi-seed accuracy for one variant", [grid])
+    command("ablate", cmd_ablate, "run all four variants", [grid])
+    p = command("sweep", cmd_sweep, "sensitivity sweep along one axis", [grid])
     p.add_argument("--axis", choices=("F", "M", "beta"), required=True)
     p.add_argument("--values", type=_parse_floats, required=True,
-                   help="comma-separated axis values")
-    _add_model_flags(p)
-    _add_train_flags(p)
-    _add_seed_flags(p)
-    p.set_defaults(func=cmd_sweep)
+                   help="comma-separated axis values (integers for F and M)")
 
-    p = sub.add_parser("stability", help="perturbation-bound checks")
-    _add_common(p, out_required=False)
+    p = command("stability", cmd_stability, "perturbation-bound checks", [seed],
+                out_required=False)
     p.add_argument("--trials", type=_parse_positive, default=10_000)
     p.add_argument("--graphs", type=_parse_positive, default=5)
-    p.add_argument("--size-range", type=_parse_span, help="graph size range LO:HI (default 8:32)")
-    p.set_defaults(func=cmd_stability)
+    p.add_argument("--size-range", type=parse_span, help="graph size range LO:HI (default 8:32)")
 
-    p = sub.add_parser("stats", help="dataset statistics report")
-    _add_common(p, out_required=False)
-    p.add_argument("--data", required=True)
-    p.set_defaults(func=cmd_stats)
-
+    command("stats", cmd_stats, "dataset statistics report", [data], out_required=False)
     return parser
 
 

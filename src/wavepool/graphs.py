@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 import re
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -446,30 +445,31 @@ class StatsRecord:
 
 
 def graph_diameter(adjacency: np.ndarray) -> int:
-    """Diameter by per-node BFS; for disconnected graphs, the max over components."""
+    """Diameter, the largest finite shortest-path length: for a disconnected
+    graph, the max over components. Breadth-first search runs from every node
+    at once: row v of ``reach`` is a bit set of the nodes within k hops of v,
+    and one NumPy step ORs into it the rows of v's neighbours."""
     n = adjacency.shape[0]
-    neighbors = [np.flatnonzero(adjacency[i]) for i in range(n)]
-    best = 0
-    for source in range(n):
-        dist = np.full(n, -1, dtype=int)
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in neighbors[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        reached = dist[dist >= 0]
-        best = max(best, int(reached.max()))
-    return best
+    rows, cols = np.nonzero(adjacency)  # row-major, so each row's neighbours are contiguous
+    if rows.size == 0:
+        return 0
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    nodes = np.arange(n)
+    reach = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    reach[nodes, nodes // 64] = np.left_shift(np.uint64(1), (nodes % 64).astype(np.uint64))
+    hops = 0
+    while True:
+        grown = reach.copy()
+        grown[rows[starts]] |= np.bitwise_or.reduceat(reach[cols], starts, axis=0)
+        if np.array_equal(grown, reach):
+            return hops
+        reach, hops = grown, hops + 1
 
 
-def _stats_row(label: str, graphs: list[Graph]) -> StatsRow:
+def _stats_row(label: str, graphs: list[Graph], diameters: np.ndarray) -> StatsRow:
     sizes = np.array([g.node_count for g in graphs], dtype=float)
     edges = np.array([g.edge_count for g in graphs], dtype=float)
     mean_degrees = 2.0 * edges / sizes
-    diameters = np.array([graph_diameter(g.adjacency) for g in graphs], dtype=float)
     return StatsRow(
         label=label,
         graph_count=len(graphs),
@@ -485,12 +485,15 @@ def _stats_row(label: str, graphs: list[Graph]) -> StatsRow:
 
 def dataset_statistics(dataset: GraphDataset) -> StatsRecord:
     """Per-class and overall size/degree/edge/diameter statistics."""
+    diameters = np.array([graph_diameter(g.adjacency) for g in dataset.graphs], dtype=float)
+    labels = np.array([g.label for g in dataset.graphs])
     per_class = []
     for label in range(dataset.class_count):
-        members = [g for g in dataset.graphs if g.label == label]
-        if members:  # split subsets may lack some classes entirely
-            per_class.append(_stats_row(f"class-{label}", members))
-    overall = _stats_row("overall", list(dataset.graphs))
+        members = np.flatnonzero(labels == label)
+        if members.size:  # split subsets may lack some classes entirely
+            per_class.append(_stats_row(f"class-{label}", [dataset.graphs[i] for i in members],
+                                        diameters[members]))
+    overall = _stats_row("overall", list(dataset.graphs), diameters)
     return StatsRecord(
         name=dataset.name,
         overall=overall,

@@ -3,11 +3,14 @@
 Each seed gets its own split, model initialization, and shuffling stream, all
 derived from that seed alone, so sweep cells that share a seed share the same
 split and only the swept hyperparameter varies. Test accuracy is taken at
-the best-validation checkpoint. ``train_seed`` is the one seed run, shared
-by the ``train`` command. Model settings do not depend on the seed, so a bad
-one raises ``ConfigError`` before any seed runs instead of failing each; a
-``ConfigError`` inside a seed (an empty split depends only on class counts)
-fails the run too.
+the best-validation checkpoint. ``run_grid`` is the one seed loop behind
+``run_experiment``, ``run_ablation`` and ``run_sensitivity``. It builds every
+cell's model settings before any seed runs, so a bad one raises
+``ConfigError`` up front instead of failing each seed; it runs each seed
+through ``run_seed``, which records a failure and the wall time and emits
+nothing; and it alone warns about failed seeds. ``train_seed`` is the seed
+run inside ``run_seed``, shared by the ``train`` command. A ``ConfigError``
+inside a seed (an empty split depends only on class counts) fails the run too.
 """
 
 from __future__ import annotations
@@ -125,27 +128,17 @@ def train_seed(dataset: GraphDataset, plan: ExperimentPlan, config: ModelConfig,
     return SeedRun(model, outcome, splits, evaluate_accuracy(model, splits[2]))
 
 
-def run_single_seed(dataset: GraphDataset, plan: ExperimentPlan, seed: int) -> SeedResult:
-    # outside the try: bad model settings are the run's error, not this seed's
-    config = model_config_for(dataset, plan)
+def run_seed(dataset: GraphDataset, plan: ExperimentPlan, config: ModelConfig,
+             seed: int) -> SeedResult:
+    """One seed's result and wall time; emits nothing. A package or linear-algebra
+    failure is recorded in ``error``. A ``ConfigError`` (an empty split fails every
+    seed alike) and any other exception (a bug) propagate."""
     start = time.perf_counter()
     try:
         run = train_seed(dataset, plan, config, seed)
-        return SeedResult(
-            variant=plan.variant,
-            seed=seed,
-            test_acc=run.test_acc,
-            epochs_run=len(run.outcome.report.epochs),
-            seconds=time.perf_counter() - start,
-            report=run.outcome.report,
-        )
-    # a configuration error, such as an empty split, fails every seed alike
     except ConfigError:
         raise
-    # record the failure and keep the other seeds running; anything else is a
-    # bug and propagates
     except (WavepoolError, np.linalg.LinAlgError) as exc:
-        warnings.warn(f"seed {seed} failed: {exc}")
         return SeedResult(
             variant=plan.variant,
             seed=seed,
@@ -154,18 +147,37 @@ def run_single_seed(dataset: GraphDataset, plan: ExperimentPlan, seed: int) -> S
             seconds=time.perf_counter() - start,
             error=str(exc),
         )
+    return SeedResult(
+        variant=plan.variant,
+        seed=seed,
+        test_acc=run.test_acc,
+        epochs_run=len(run.outcome.report.epochs),
+        seconds=time.perf_counter() - start,
+        report=run.outcome.report,
+    )
+
+
+def run_grid(dataset: GraphDataset, plans: list[ExperimentPlan]) -> list[ExperimentResult]:
+    """One aggregate per plan, in order: the one seed loop. Every plan's model
+    settings are built before any seed runs. Failed seeds are warned about here
+    and nowhere else: each in seed order, then the plan's partial-failure summary."""
+    configs = [model_config_for(dataset, plan) for plan in plans]
+    cells = []
+    for plan, config in zip(plans, configs):
+        results = [run_seed(dataset, plan, config, seed) for seed in plan.seeds]
+        failed = [r for r in results if not r.ok]
+        for r in failed:
+            warnings.warn(f"seed {r.seed} failed: {r.error}")
+        if failed:
+            warnings.warn(f"{len(failed)} of {len(results)} seeds failed; "
+                          "aggregate covers the successes only")
+        mean, std, n = aggregate([r.test_acc for r in results if r.ok])
+        cells.append(ExperimentResult(plan.variant, results, mean, std, n))
+    return cells
 
 
 def run_experiment(dataset: GraphDataset, plan: ExperimentPlan) -> ExperimentResult:
-    results = [run_single_seed(dataset, plan, seed) for seed in plan.seeds]
-    successes = [r.test_acc for r in results if r.ok]
-    if len(successes) < len(results):
-        warnings.warn(
-            f"{len(results) - len(successes)} of {len(results)} seeds failed; "
-            "aggregate covers the successes only"
-        )
-    mean, std, n = aggregate(successes)
-    return ExperimentResult(plan.variant, results, mean, std, n)
+    return run_grid(dataset, [plan])[0]
 
 
 def majority_baseline(train_ds: GraphDataset, test_ds: GraphDataset) -> float:
@@ -185,8 +197,7 @@ class AblationResult:
 
 def run_ablation(dataset: GraphDataset, plan: ExperimentPlan) -> AblationResult:
     """One aggregate row per variant, in the fixed enum order."""
-    rows = [run_experiment(dataset, replace(plan, variant=v)) for v in VARIANTS]
-    return AblationResult(rows=rows)
+    return AblationResult(rows=run_grid(dataset, [replace(plan, variant=v) for v in VARIANTS]))
 
 
 def ablation_text_table(result: AblationResult) -> str:
@@ -209,6 +220,9 @@ def scales_for_count(count: int) -> tuple[float, ...]:
 
 
 def plan_for_axis_value(plan: ExperimentPlan, axis: str, value: float) -> ExperimentPlan:
+    """``plan`` with ``axis`` set to ``value``; a count axis (F, M) takes integers only."""
+    if axis in ("F", "M") and not float(value).is_integer():
+        raise ConfigError(f"sweep axis {axis} takes integer values, got {value:g}")
     if axis == "F":
         return replace(plan, scales=scales_for_count(int(value)))
     if axis == "M":
@@ -230,10 +244,8 @@ def run_sensitivity(dataset: GraphDataset, plan: ExperimentPlan, axis: str,
     if not values:
         raise ContractViolationError("sweep needs at least one axis value")
     plans = [plan_for_axis_value(plan, axis, v) for v in values]
-    for cell in plans:
-        model_config_for(dataset, cell)  # a bad axis value fails before any cell runs
-    cells = [run_experiment(dataset, cell) for cell in plans]
-    return SweepResult(axis=axis, values=[float(v) for v in values], cells=cells)
+    return SweepResult(axis=axis, values=[float(v) for v in values],
+                       cells=run_grid(dataset, plans))
 
 
 # -- CSV emit / reload ----------------------------------------------------

@@ -32,7 +32,6 @@ from wavepool.harness import (
     run_ablation,
     run_experiment,
     run_sensitivity,
-    run_single_seed,
     sweep_csv,
     sweep_svg,
 )

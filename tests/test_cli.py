@@ -227,6 +227,29 @@ def test_sweep_rejects_a_bad_axis_value_before_any_cell(bench_dir, tmp_path, cap
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_rejects_fractional_count_values_before_any_cell(bench_dir, tmp_path, capsys):
+    code = main(["sweep", "--data", str(bench_dir), "--out", str(tmp_path / "o"),
+                 "--axis", "M", "--values", "6.5,2.9", "--seeds", "0", *FAST])
+    assert code == 2
+    assert "sweep axis M takes integer values, got 6.5" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--data", "d", "--seed", "5"],
+    ["ablate", "--data", "d", "--seed", "5"],
+    ["sweep", "--data", "d", "--axis", "M", "--values", "6", "--seed", "5"],
+    ["stats", "--data", "d", "--seed", "5"],
+    ["stats", "--data", "d", "--config", "c.json"],
+    ["stability", "--config", "c.json"],
+])
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_requires_axis(bench_dir, tmp_path, capsys):
     code = main(["sweep", "--data", str(bench_dir), "--out", str(tmp_path / "o"),
                  "--values", "0,0.5"])

@@ -2,6 +2,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -471,6 +472,22 @@ def test_graph_diameter_disconnected_components():
     adj[:2, :2] = path_adjacency(2)
     adj[2:, 2:] = path_adjacency(3)
     assert graph_diameter(adj) == 2  # max over components
+
+
+def networkx_diameter(graph) -> int:
+    return max(max(lengths.values()) for _, lengths in nx.all_pairs_shortest_path_length(graph))
+
+
+@pytest.mark.parametrize("graph", [
+    *(nx.erdos_renyi_graph(n, p, seed=n) for n, p in [(30, 0.08), (60, 0.05), (40, 0.35)]),
+    *(nx.watts_strogatz_graph(n, 4, p, seed=n) for n, p in [(25, 0.0), (80, 0.1), (70, 0.5)]),
+    *(nx.barabasi_albert_graph(n, m, seed=n) for n, m in [(50, 1), (90, 2), (130, 1)]),
+    nx.disjoint_union_all([nx.path_graph(7), nx.cycle_graph(5), nx.empty_graph(3),
+                           nx.star_graph(4)]),
+    nx.watts_strogatz_graph(1000, 4, 0.0),  # diameter 250: many frontier steps
+], ids=lambda g: f"n{g.number_of_nodes()}-e{g.number_of_edges()}")
+def test_graph_diameter_matches_networkx(graph):
+    assert graph_diameter(nx.to_numpy_array(graph)) == networkx_diameter(graph)
 
 
 def test_dataset_statistics_hand_case():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from wavepool.harness import (
     plan_for_axis_value,
     run_ablation,
     run_experiment,
+    run_grid,
+    run_seed,
     run_sensitivity,
-    run_single_seed,
     scales_for_count,
     sweep_csv,
     sweep_svg,
@@ -111,16 +113,18 @@ def test_train_seed_is_the_seed_run_of_the_experiment():
     ds = toy_dataset(per_class=10)
     plan = quick_plan()
     run = train_seed(ds, plan, model_config_for(ds, plan), 1)
-    result = run_single_seed(ds, plan, seed=1)
+    result = run_seed(ds, plan, model_config_for(ds, plan), seed=1)
     assert run.test_acc == result.test_acc
     assert run.outcome.report.to_csv() == result.report.to_csv()
     assert sum(len(split.graphs) for split in run.splits) == len(ds.graphs)
     assert run.model.config == model_config_for(ds, plan)
+    assert run_experiment(ds, plan).results[1].test_acc == result.test_acc
 
 
-def test_run_single_seed_success():
+def test_run_seed_success():
     ds = toy_dataset(per_class=10)
-    result = run_single_seed(ds, quick_plan(), seed=0)
+    plan = quick_plan()
+    result = run_seed(ds, plan, model_config_for(ds, plan), seed=0)
     assert result.ok
     assert result.variant == "wavelet_spectral"
     assert 0.0 <= result.test_acc <= 1.0
@@ -129,42 +133,106 @@ def test_run_single_seed_success():
     assert result.report is not None
 
 
-def test_run_single_seed_records_failure_instead_of_raising(monkeypatch):
+def failing_train(exc, seeds=None):
+    """A stand-in for ``harness.train`` that raises ``exc`` on ``seeds`` (all
+    seeds when None) and trains normally otherwise."""
+    real = harness.train
+
+    def train(model, train_ds, val_ds, config):
+        if seeds is None or config.seed in seeds:
+            raise exc
+        return real(model, train_ds, val_ds, config)
+    return train
+
+
+def test_run_seed_records_failure_and_emits_nothing(monkeypatch):
     ds = toy_dataset(per_class=10)
-
-    def train(*args, **kwargs):
-        raise NumericError("loss is not finite")
-
-    monkeypatch.setattr(harness, "train", train)
-    with pytest.warns(UserWarning, match="seed 0 failed"):
-        result = run_single_seed(ds, quick_plan(), seed=0)
+    plan = quick_plan()
+    monkeypatch.setattr(harness, "train", failing_train(NumericError("loss is not finite")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_seed(ds, plan, model_config_for(ds, plan), seed=0)
     assert not result.ok
     assert math.isnan(result.test_acc)
     assert result.error == "loss is not finite"
+    assert result.epochs_run == 0 and result.seconds >= 0 and result.report is None
+    with pytest.warns(UserWarning) as caught:
+        assert run_experiment(ds, quick_plan(seeds=(0,))).n == 0
+    assert [str(w.message) for w in caught] == [
+        "seed 0 failed: loss is not finite",
+        "1 of 1 seeds failed; aggregate covers the successes only"]
 
 
 def test_empty_split_fails_the_run_not_each_seed():
     ds = toy_dataset(per_class=4)  # too small: the test split comes out empty
+    plan = quick_plan()
     with pytest.raises(ConfigError, match="split is empty"):
-        run_single_seed(ds, quick_plan(), seed=0)
+        run_seed(ds, plan, model_config_for(ds, plan), seed=0)
     with pytest.raises(ConfigError, match="split is empty"):
-        run_experiment(ds, quick_plan())
+        run_experiment(ds, plan)
 
 
-def test_run_single_seed_lets_programming_errors_through(monkeypatch):
+def test_run_seed_lets_programming_errors_through(monkeypatch):
     ds = toy_dataset(per_class=10)
-
-    def raising(exc):
-        def train(*args, **kwargs):
-            raise exc
-        return train
-
-    monkeypatch.setattr(harness, "train", raising(np.linalg.LinAlgError("no convergence")))
-    with pytest.warns(UserWarning, match="seed 0 failed"):
-        assert run_single_seed(ds, quick_plan(), seed=0).error == "no convergence"
-    monkeypatch.setattr(harness, "train", raising(TypeError("bad vjp shape")))
+    plan = quick_plan()
+    config = model_config_for(ds, plan)
+    monkeypatch.setattr(harness, "train", failing_train(np.linalg.LinAlgError("no convergence")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_seed(ds, plan, config, seed=0).error == "no convergence"
+    with pytest.warns(UserWarning) as caught:
+        assert run_experiment(ds, quick_plan(seeds=(0,))).results[0].error == "no convergence"
+    assert str(caught[0].message) == "seed 0 failed: no convergence"
+    monkeypatch.setattr(harness, "train", failing_train(TypeError("bad vjp shape")))
     with pytest.raises(TypeError, match="bad vjp shape"):
-        run_single_seed(ds, quick_plan(), seed=0)
+        run_seed(ds, plan, config, seed=0)
+    with pytest.raises(TypeError, match="bad vjp shape"):
+        run_experiment(ds, plan)
+
+
+def test_run_grid_warns_per_failed_seed_then_summarises_each_cell(monkeypatch):
+    ds = toy_dataset(per_class=10)
+    monkeypatch.setattr(harness, "train", failing_train(NumericError("diverged"), {1, 2}))
+    quick = TrainConfig(epochs=1, batch_size=8)
+    plans = [quick_plan(seeds=(2, 0, 1), train=quick), quick_plan(seeds=(0, 1), train=quick)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cells = run_grid(ds, plans)
+    assert [str(w.message) for w in caught] == [
+        "seed 2 failed: diverged",
+        "seed 1 failed: diverged",
+        "2 of 3 seeds failed; aggregate covers the successes only",
+        "seed 1 failed: diverged",
+        "1 of 2 seeds failed; aggregate covers the successes only",
+    ]
+    assert [[r.seed for r in cell.results] for cell in cells] == [[2, 0, 1], [0, 1]]
+    assert [cell.n for cell in cells] == [1, 1]
+    assert cells[0].mean == cells[0].results[1].test_acc
+
+
+def test_run_grid_builds_each_cells_settings_once_before_any_seed(monkeypatch):
+    ds = toy_dataset(per_class=10)
+    built, trained = [], []
+    real_config, real_train = harness.model_config_for, harness.train
+
+    def model_config_for(dataset, plan):
+        built.append(plan.order)
+        return real_config(dataset, plan)
+
+    def train(model, train_ds, val_ds, config):
+        trained.append(config.seed)
+        return real_train(model, train_ds, val_ds, config)
+
+    monkeypatch.setattr(harness, "model_config_for", model_config_for)
+    monkeypatch.setattr(harness, "train", train)
+    quick = TrainConfig(epochs=1, batch_size=8)
+    run_grid(ds, [quick_plan(order=4, train=quick), quick_plan(order=6, train=quick)])
+    assert (built, trained) == ([4, 6], [0, 1, 0, 1])
+    built.clear()
+    trained.clear()
+    with pytest.raises(ConfigError, match="model settings"):
+        run_grid(ds, [quick_plan(order=4), quick_plan(order=0)])
+    assert (built, trained) == ([4, 0], [])
 
 
 def test_run_experiment_aggregates_and_flags_partial_failures():
@@ -216,7 +284,8 @@ def test_zero_learning_rate_reports_initialization_accuracy():
     # reported accuracy equals the accuracy of the initial parameters
     ds = toy_dataset(per_class=10)
     frozen = TrainConfig(epochs=2, batch_size=8, learning_rate=0.0)
-    result = run_single_seed(ds, quick_plan(train=frozen), seed=0)
+    plan = quick_plan(train=frozen)
+    result = run_seed(ds, plan, model_config_for(ds, plan), seed=0)
     assert result.ok
     records = result.report.epochs
     assert records[0].val_acc == records[1].val_acc
@@ -238,9 +307,25 @@ def test_plan_for_axis_value():
     assert plan_for_axis_value(plan, "F", 3).scales == (1.0, 2.0, 3.0)
     assert plan_for_axis_value(plan, "M", 8).order == 8
     assert plan_for_axis_value(plan, "beta", 0.3).train.beta == 0.3
+    assert plan_for_axis_value(plan, "M", 8.0).order == 8
     with pytest.raises(ConfigError, match="axis"):
         plan_for_axis_value(plan, "gamma", 1.0)
     assert SWEEP_AXES == ("F", "M", "beta")
+
+
+@pytest.mark.parametrize("axis, values, shown", [
+    ("M", [6, 6.5], "M takes integer values, got 6.5"),
+    ("M", [2.9], "M takes integer values, got 2.9"),
+    ("F", [2, 1.5], "F takes integer values, got 1.5"),
+    ("F", [math.inf], "F takes integer values, got inf"),
+    ("M", [math.nan], "M takes integer values, got nan"),
+])
+def test_count_axes_reject_fractional_values_before_any_cell(monkeypatch, axis, values,
+                                                              shown):
+    ds = toy_dataset(per_class=10)
+    monkeypatch.setattr(harness, "train", failing_train(AssertionError("a cell ran")))
+    with pytest.raises(ConfigError, match=shown):
+        run_sensitivity(ds, quick_plan(seeds=(0,)), axis, values)
 
 
 def test_run_sensitivity_cells_follow_values():

@@ -41,6 +41,17 @@ def test_sensitivity_sweeps_write_one_curve_per_axis(tmp_path):
         assert (out / f"sweep_{axis}.svg").read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("name", ["synthetic_benchmark", "sensitivity_sweeps"])
+@pytest.mark.parametrize("span", ["5", "200:20", "a:b"])
+def test_bad_size_range_exits_2_and_names_the_flag(tmp_path, capsys, name, span):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        load_script(name).main(["--out", str(out), "--size-range", span])
+    assert exit_info.value.code == 2
+    assert "argument --size-range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fetch_tu_dataset_help_needs_no_network(capsys):
     with pytest.raises(SystemExit) as exit_info:
         load_script("fetch_tu_dataset").main(["--help"])
