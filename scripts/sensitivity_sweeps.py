@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from wavepool.cli import parse_span
+from wavepool.cli import exit_code, parse_span
 from wavepool.harness import (
     ExperimentPlan,
     run_sensitivity,
@@ -43,12 +43,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=5, help="use seeds 0..N-1")
     parser.add_argument("--epochs", type=int, default=200)
     args = parser.parse_args(argv)
+    return exit_code(lambda: run(args))
 
+
+def run(args) -> int:
+    dataset = build_msg(three_class_config(
+        per_class=args.per_class, size_range=args.size_range, seed=0))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    dataset = build_msg(three_class_config(
-        per_class=args.per_class, size_range=args.size_range, seed=0))
     plan = ExperimentPlan(
         seeds=tuple(range(args.seeds)),
         train=TrainConfig(epochs=args.epochs),

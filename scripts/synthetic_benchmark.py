@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from wavepool.cli import parse_span
+from wavepool.cli import exit_code, parse_span
 from wavepool.graphs import SplitSpec, split_dataset
 from wavepool.harness import (
     ExperimentPlan,
@@ -40,12 +40,14 @@ def main(argv=None) -> int:
     parser.add_argument("--epochs", type=int, default=200)
     parser.add_argument("--data-seed", type=int, default=0)
     args = parser.parse_args(argv)
+    return exit_code(lambda: run(args))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
+def run(args) -> int:
     dataset = build_msg(three_class_config(
         per_class=args.per_class, size_range=args.size_range, seed=args.data_seed))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     export_tu(dataset, out / "dataset", dataset.name)
     print(f"built {len(dataset.graphs)} graphs, "
           f"{dataset.sizes.min()}-{dataset.sizes.max()} nodes")

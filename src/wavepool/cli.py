@@ -414,8 +414,15 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    return exit_code(lambda: args.func(args))
+
+
+def exit_code(run) -> int:
+    """``run()``'s exit code, with an expected failure reported on standard
+    error: 2 for a configuration error, 1 for another package, OS or
+    linear-algebra failure. Any other exception is a bug and escapes."""
     try:
-        return args.func(args)
+        return run()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

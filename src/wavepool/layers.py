@@ -20,7 +20,11 @@ node, one column per input node. ``pool_apply`` takes either.
 The wavelet convolution reads the graph only through its precomputed
 operands, psi_f and psi_f^+ X per scale (``ScaleInput``), and the graph
 convolution accepts a ``Renormalized`` constant adjacency instead of
-renormalizing a ``Var`` one; the model memoises both per graph.
+renormalizing a ``Var`` one; the model memoises both per graph. A column of
+psi_f^+ X is zero wherever X's column is, so ``scale_input`` keeps only X's
+non-zero columns and the convolution multiplies only those: one-hot
+features (degrees, node labels) use a few of their columns per graph, while
+dense features keep them all.
 """
 
 from __future__ import annotations
@@ -53,10 +57,25 @@ def activation_lipschitz(activation: str) -> float:
 
 
 class ScaleInput(NamedTuple):
-    """One scale of the wavelet convolution for a constant input X."""
+    """One scale of the wavelet convolution for a constant input X (n x l),
+    restricted to the k columns of X that are not all zero."""
 
     psi: np.ndarray        # (n, n)
-    projected: np.ndarray  # psi^+ X, (n, l)
+    columns: np.ndarray    # (l,) bool, X's non-zero columns
+    projected: np.ndarray  # psi^+ X[:, columns], (n, k), C-contiguous
+
+
+def scale_input(psi: np.ndarray, psi_pinv: np.ndarray, x: np.ndarray) -> ScaleInput:
+    """The operands of one scale for the features ``x``: psi, the mask of
+    x's non-zero columns and psi^+ x on those columns, both read-only."""
+    columns = x.any(axis=0)
+    # np.compress keeps C order, so features that keep every column multiply
+    # exactly as the full-width operand did; BLAS rounds an F-ordered copy
+    # differently
+    projected = psi_pinv @ np.compress(columns, x, axis=1)
+    columns.setflags(write=False)
+    projected.setflags(write=False)
+    return ScaleInput(psi, columns, projected)
 
 
 def gwc_forward(thetas: Sequence[Var], bias: Var, scales: Sequence[ScaleInput],
@@ -64,17 +83,20 @@ def gwc_forward(thetas: Sequence[Var], bias: Var, scales: Sequence[ScaleInput],
     """Wavelet convolution: average over scales of act(psi theta psi^+ X + bias).
 
     ``thetas`` holds one (n_max, n_max) filter per scale and ``bias`` is
-    (n_max, l). Each scale brings psi and the projected input psi^+ X, so
-    the graph and its features come in through ``scales`` alone. Products
-    run right to left, so a scale costs n^2 l per matmul. The result is a
-    single tape node over the filters and the bias.
+    (n_max, l). Each scale brings psi and the projected input psi^+ X on X's
+    k non-zero columns, so the graph and its features come in through
+    ``scales`` alone, and every other column of the output is act(bias).
+    Products run right to left, so a scale costs n^2 k per matmul. The
+    result is a single tape node over the filters and the bias.
     """
     if not thetas or len(scales) != len(thetas):
         raise ContractViolationError(
             f"got {len(scales)} scale inputs for {len(thetas)} filters; "
             "need one per filter and at least one"
         )
-    n, width = scales[0].projected.shape
+    n, k = scales[0].projected.shape
+    columns = scales[0].columns
+    width = columns.size
     n_max = thetas[0].value.shape[0]
     if n > n_max:
         raise ContractViolationError(f"graph size {n} exceeds theta allocation {n_max}")
@@ -82,18 +104,19 @@ def gwc_forward(thetas: Sequence[Var], bias: Var, scales: Sequence[ScaleInput],
         raise ContractViolationError(
             f"bias width {bias.value.shape[1]} != feature width {width}"
         )
-    for k, (psi, projected) in enumerate(scales):
-        if psi.shape != (n, n) or projected.shape != (n, width):
+    for f, (psi, cols, projected) in enumerate(scales):
+        if psi.shape != (n, n) or projected.shape != (n, k) or not np.array_equal(cols, columns):
             raise ContractViolationError(
-                f"scale {k} has psi {psi.shape} and projected input {projected.shape}, "
-                f"expected {(n, n)} and {(n, width)}"
+                f"scale {f} has psi {psi.shape} and projected input {projected.shape}, "
+                f"expected {(n, n)} and {(n, k)} on scale 0's columns"
             )
 
     relu = activation == "relu"
     bias_rows = bias.value[:n, :]
     total, masks = None, []
-    for (psi, projected), theta in zip(scales, thetas):
-        pre = psi @ (theta.value[:n, :n] @ projected) + bias_rows
+    for (psi, _, projected), theta in zip(scales, thetas):
+        pre = bias_rows.copy()
+        pre[:, columns] += psi @ (theta.value[:n, :n] @ projected)
         if relu:
             masks.append(pre > 0)
         pre = activate(pre, activation)
@@ -106,12 +129,12 @@ def gwc_forward(thetas: Sequence[Var], bias: Var, scales: Sequence[ScaleInput],
     def vjp(g, grads):
         *theta_grads, bias_grad = grads
         g = g * inv_count
-        for k, (psi, projected) in enumerate(scales):
-            g_k = g * masks[k] if relu else g
+        for f, (psi, _, projected) in enumerate(scales):
+            g_f = g * masks[f] if relu else g
             if bias_grad is not None:
-                bias_grad[:n, :] += g_k
-            if theta_grads[k] is not None:
-                theta_grads[k][:n, :n] += (psi.T @ g_k) @ projected.T
+                bias_grad[:n, :] += g_f
+            if theta_grads[f] is not None:
+                theta_grads[f][:n, :n] += (psi.T @ np.compress(columns, g_f, axis=1)) @ projected.T
 
     return ad.node(total * inv_count, (*thetas, bias), vjp)
 

@@ -43,6 +43,7 @@ from .layers import (
     gwc_forward,
     pool_apply,
     renormalize,
+    scale_input,
     spectral_pool_assign,
 )
 from .settings import check_fields, decode
@@ -138,8 +139,9 @@ class ForwardResult:
 class GraphInputs:
     """The read-only operands a forward pass derives from its graph alone.
 
-    ``scales`` holds (psi_f, psi_f^+ X) per wavelet scale, empty without
-    wavelets; ``renormalized`` is set where a GCN reads the raw graph.
+    ``scales`` holds psi_f and psi_f^+ X on X's non-zero columns per wavelet
+    scale (``scale_input``), empty without wavelets; ``renormalized`` is set
+    where a GCN reads the raw graph.
     """
 
     scales: tuple[ScaleInput, ...]
@@ -257,9 +259,8 @@ class CrossScaleModel:
             scales = ()
             if wavelet_key is not None:
                 bases = wavelet_bases(normalized_laplacian(graph.adjacency), *wavelet_key)
-                scales = tuple(
-                    ScaleInput(_read_only(b.psi), _read_only(b.psi_pinv @ graph.features))
-                    for b in bases)
+                scales = tuple(scale_input(_read_only(b.psi), b.psi_pinv, graph.features)
+                               for b in bases)
             return GraphInputs(scales, renormalize(graph.adjacency) if raw_gcn else None)
 
         return graph.memoised((wavelet_key, raw_gcn), build)

@@ -8,8 +8,8 @@ The wavelet basis at scale ``f`` is a degree-``M`` Chebyshev polynomial
 eigendecomposition ``L = U diag(lambda) U^T``: ``psi_f = U p_f(lambda) U^T``
 and ``psi_f^+ = U p_f(lambda)^+ U^T``, with ``p_f`` evaluated elementwise on
 the eigenvalues. ``CrossScaleModel.inputs_for`` builds them once per graph
-and keeps only psi_f and psi_f^+ X on the ``Graph`` itself, for one
-(scales, order, mode) setting at a time. Two coefficient modes exist:
+and keeps only psi_f and psi_f^+ X, on X's non-zero columns, on the
+``Graph`` itself, for one (scales, order, mode) setting at a time. Two coefficient modes exist:
 
 * ``fitted_kernel`` - Chebyshev-Gauss quadrature fit of the low-pass kernel
   ``g(x) = exp(-f (x + 1))``, i.e. ``exp(-f lambda)`` on the Laplacian

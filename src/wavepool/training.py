@@ -176,6 +176,9 @@ class Optimizer:
         self._warned: set[str] = set()
 
     def step(self, params: dict[str, Var], batch_size: int) -> float:
+        """Apply one update in place and return the gradient norm before
+        clipping. Each parameter's gradient buffer, consumed here, doubles
+        as scratch space, so an update allocates one temporary per tensor."""
         cfg = self.config
         grads: dict[str, np.ndarray] = {}
         for name in sorted(params):
@@ -186,10 +189,10 @@ class Optimizer:
                     self._warned.add(name)
                 grads[name] = np.zeros_like(var.value)
             else:
-                g = var.grad / batch_size
-                if not np.all(np.isfinite(g)):
+                if not np.all(np.isfinite(var.grad)):
                     raise NumericError(f"non-finite gradient for parameter {name}")
-                grads[name] = g
+                var.grad /= batch_size
+                grads[name] = var.grad
         norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
         if cfg.grad_clip_norm is not None and norm > cfg.grad_clip_norm:
             factor = cfg.grad_clip_norm / norm
@@ -201,18 +204,26 @@ class Optimizer:
             if cfg.optimizer == "adam":
                 m = self._m.setdefault(name, np.zeros_like(var.value))
                 v = self._v.setdefault(name, np.zeros_like(var.value))
+                t = g * (1.0 - cfg.adam_beta1)
                 m *= cfg.adam_beta1
-                m += (1.0 - cfg.adam_beta1) * g
+                m += t
+                np.multiply(g, 1.0 - cfg.adam_beta2, out=t)
+                t *= g
                 v *= cfg.adam_beta2
-                v += (1.0 - cfg.adam_beta2) * g * g
-                m_hat = m / (1.0 - cfg.adam_beta1 ** self.step_count)
-                v_hat = v / (1.0 - cfg.adam_beta2 ** self.step_count)
-                var.value = var.value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+                v += t
+                # lr m_hat / (sqrt(v_hat) + eps), with g as the denominator
+                np.divide(m, 1.0 - cfg.adam_beta1 ** self.step_count, out=t)
+                t *= cfg.learning_rate
+                d = np.divide(v, 1.0 - cfg.adam_beta2 ** self.step_count, out=g)
+                np.sqrt(d, out=d)
+                d += cfg.adam_eps
+                t /= d
+                var.value -= t
             else:
                 buf = self._m.setdefault(name, np.zeros_like(var.value))
                 buf *= cfg.momentum
                 buf += g
-                var.value = var.value - cfg.learning_rate * buf
+                var.value -= np.multiply(buf, cfg.learning_rate, out=g)
             var.grad = None
         return norm
 

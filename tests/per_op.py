@@ -180,13 +180,16 @@ def activate(x, activation: str):
 
 
 def gwc_forward(thetas, bias, scales, activation):
-    """Wavelet convolution from per-scale (psi, psi^+ X) operands."""
+    """Wavelet convolution from per-scale (psi, psi^+ X) operands, with
+    psi^+ X widened back to all of X's columns."""
     n = scales[0].psi.shape[0]
     bias = getitem(bias, np.s_[:n, :])
     total = None
-    for theta_full, (psi, projected) in zip(thetas, scales):
+    for theta_full, (psi, columns, projected) in zip(thetas, scales):
         theta = getitem(theta_full, np.s_[:n, :n])
-        filtered = matmul(ad.constant(psi), matmul(theta, ad.constant(projected)))
+        dense = np.zeros((n, columns.size))
+        dense[:, columns] = projected
+        filtered = matmul(ad.constant(psi), matmul(theta, ad.constant(dense)))
         scaled = activate(add(filtered, bias), activation)
         total = scaled if total is None else add(total, scaled)
     return scale(total, 1.0 / len(thetas))

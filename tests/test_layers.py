@@ -8,6 +8,7 @@ from wavepool.errors import (
     NumericError,
     PoolingDegenerateError,
 )
+from wavepool.graphs import degree_onehot_features
 from wavepool.layers import (
     ACTIVATIONS,
     ScaleInput,
@@ -19,6 +20,7 @@ from wavepool.layers import (
     gwc_forward,
     pool_apply,
     renormalize,
+    scale_input,
     spectral_pool_assign,
 )
 from wavepool.spectral import cosine_transform, normalized_laplacian, wavelet_bases
@@ -34,7 +36,7 @@ def make_bases(adj, scales=(1.0,), order=12):
 
 def project(bases, h):
     """The wavelet convolution's operands for the input features ``h``."""
-    return [ScaleInput(b.psi, b.psi_pinv @ h) for b in bases]
+    return [scale_input(b.psi, b.psi_pinv, h) for b in bases]
 
 
 def gwc_params(n_max, width, count=1, rng=None):
@@ -188,7 +190,55 @@ def test_gwc_rejects_mismatched_scale_inputs(rng):
     with pytest.raises(ContractViolationError, match="projected input"):
         gwc_forward(thetas, bias, [four, five], "identity")
     with pytest.raises(ContractViolationError, match="projected input"):
-        gwc_forward(thetas, bias, [four, ScaleInput(four.psi, h[:, :1])], "identity")
+        gwc_forward(thetas, bias, [four, four._replace(projected=four.projected[:, :1])],
+                    "identity")
+    # same shapes, but the second scale's column is another feature column
+    first, second = (scale_input(four.psi, np.eye(4), h * mask) for mask in ([1, 0], [0, 1]))
+    assert first.projected.shape == second.projected.shape == (4, 1)
+    with pytest.raises(ContractViolationError, match="scale 0's columns"):
+        gwc_forward(thetas, bias, [first, second], "identity")
+    wider = ScaleInput(four.psi, np.ones(3, dtype=bool), rng.standard_normal((4, 3)))
+    with pytest.raises(ContractViolationError, match="projected input"):
+        gwc_forward(thetas, bias, [four, wider], "identity")
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("case", ["degrees", "single", "empty"])
+def test_gwc_on_zero_feature_columns_matches_dense_formula(activation, case, rng):
+    """One-hot degrees use three columns of six; ``single`` uses one random
+    column of five and ``empty`` none."""
+    adj = path_adjacency(6)
+    adj[1, 5] = adj[5, 1] = 1.0  # degrees 1, 3, 2, 2, 2, 2
+    x = degree_onehot_features(adj, cap=4) if case == "degrees" else np.zeros((6, 5))
+    if case == "single":
+        x[:, 3] = rng.standard_normal(6)
+    n, width = x.shape
+    bases = make_bases(adj, (1.0, 2.0), order=10)
+    thetas0 = [np.eye(8) + 0.3 * rng.standard_normal((8, 8)) for _ in bases]
+    bias0 = 0.5 * rng.standard_normal((8, width))
+    weights = ad.constant(rng.standard_normal((n, width)))
+    scales = project(bases, x)
+    assert scales[0].projected.shape == (n, int(np.count_nonzero(x.any(axis=0))))
+    assert scales[0].projected.flags.c_contiguous
+
+    def run(forward):
+        thetas, bias = [ad.parameter(t) for t in thetas0], ad.parameter(bias0)
+        out = forward(thetas, bias, scales, activation)
+        ad.backward(ops.sum_all(ops.mul(out, weights)))
+        return out, thetas, bias
+
+    out, thetas, bias = run(gwc_forward)
+    dense = sum(activate(b.psi @ (t[:n, :n] @ (b.psi_pinv @ x)) + bias0[:n], activation)
+                for b, t in zip(bases, thetas0)) * (1.0 / len(bases))
+    # BLAS picks its kernel by operand width, so a product over k columns may
+    # round its last bit differently from the same columns of the full-width one
+    assert close_relative(out.value, dense)
+    inactive = ~x.any(axis=0)
+    assert np.array_equal(out.value[:, inactive], activate(bias0[:n, inactive], activation))
+    reference, ref_thetas, ref_bias = run(ops.gwc_forward)
+    for theta, ref in zip(thetas, ref_thetas):
+        assert close_relative(theta.grad, ref.grad)
+    assert close_relative(bias.grad, ref_bias.grad)
 
 
 # -- pooling --------------------------------------------------------------

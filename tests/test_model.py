@@ -293,11 +293,15 @@ def test_basis_memo_on_graph(rng):
     named = random_graph(6, 2, rng, graph_id="g1")
     inputs = first.inputs_for(named)
     assert second.inputs_for(named) is inputs
-    # the entry holds (psi, psi^+ X) per scale; n > m_out, so no raw-graph GCN
+    # the entry holds psi and psi^+ X on X's non-zero columns per scale;
+    # n > m_out, so no raw-graph GCN
     basis, = wavelet_bases(normalized_laplacian(named.adjacency), (1.0,), 6)
     assert len(inputs.scales) == 1 and inputs.renormalized is None
-    assert np.array_equal(inputs.scales[0].psi, basis.psi)
-    assert np.array_equal(inputs.scales[0].projected, basis.psi_pinv @ named.features)
+    scale = inputs.scales[0]
+    assert np.array_equal(scale.psi, basis.psi)
+    assert np.array_equal(scale.columns, named.features.any(axis=0))
+    assert np.array_equal(scale.projected, basis.psi_pinv @ np.ascontiguousarray(
+        named.features[:, scale.columns]))
     # same id, different adjacency: the memo lives on the graph, not the id
     twin = Graph(cycle_adjacency(6), named.features, 0, id="g1")
     assert not np.array_equal(first.inputs_for(twin).scales[0].psi, inputs.scales[0].psi)
@@ -306,6 +310,21 @@ def test_basis_memo_on_graph(rng):
     seventh, = wavelet_bases(normalized_laplacian(named.adjacency), (1.0,), 7)
     fresh = CrossScaleModel(small_config(order=7)).inputs_for(named)
     assert np.array_equal(fresh.scales[0].psi, seventh.psi)
+
+
+def test_memo_keeps_one_projected_column_for_a_regular_graph():
+    """Every node of a 4-regular ring has degree 4, so its one-hot degree
+    features use one column and each scale projects that column alone."""
+    n = 10
+    ring = sum(np.roll(np.eye(n), shift, axis=1) for shift in (1, 2, -1, -2))
+    graph = make_graph(ring)
+    model = CrossScaleModel(small_config(feature_dim=graph.feature_dim,
+                                         scales=(1.0, 2.0, 3.0)), seed=0)
+    scales = model.inputs_for(graph).scales
+    assert len(scales) == 3
+    for scale in scales:
+        assert np.flatnonzero(scale.columns).tolist() == [4]
+        assert scale.projected.shape == (n, 1)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

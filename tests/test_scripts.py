@@ -52,6 +52,16 @@ def test_bad_size_range_exits_2_and_names_the_flag(tmp_path, capsys, name, span)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["synthetic_benchmark", "sensitivity_sweeps"])
+def test_size_range_outside_the_generator_bounds_exits_2(tmp_path, capsys, name):
+    out = tmp_path / "o"
+    assert load_script(name).main(["--out", str(out), "--size-range", "2:5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: size range")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_fetch_tu_dataset_help_needs_no_network(capsys):
     with pytest.raises(SystemExit) as exit_info:
         load_script("fetch_tu_dataset").main(["--help"])

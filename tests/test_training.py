@@ -298,6 +298,64 @@ def test_optimizer_rejects_nonfinite_gradient():
         opt.step(params, batch_size=1)
 
 
+def reference_updates(config, values, grad_steps, batch_size):
+    """The update arithmetic written out with fresh arrays at every step."""
+    values = [v.copy() for v in values]
+    m = [np.zeros_like(v) for v in values]
+    s = [np.zeros_like(v) for v in values]
+    for step, raw in enumerate(grad_steps, start=1):
+        grads = [g / batch_size for g in raw]
+        norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+        if config.grad_clip_norm is not None and norm > config.grad_clip_norm:
+            grads = [g * (config.grad_clip_norm / norm) for g in grads]
+        for i, g in enumerate(grads):
+            if config.optimizer == "adam":
+                m[i] = config.adam_beta1 * m[i] + (1.0 - config.adam_beta1) * g
+                s[i] = config.adam_beta2 * s[i] + (1.0 - config.adam_beta2) * g * g
+                m_hat = m[i] / (1.0 - config.adam_beta1 ** step)
+                v_hat = s[i] / (1.0 - config.adam_beta2 ** step)
+                values[i] = values[i] - config.learning_rate * m_hat / (np.sqrt(v_hat)
+                                                                       + config.adam_eps)
+            else:
+                m[i] = m[i] * config.momentum + g
+                values[i] = values[i] - config.learning_rate * m[i]
+    return values
+
+
+@pytest.mark.parametrize("config", [
+    TrainConfig(optimizer="adam", learning_rate=0.01, grad_clip_norm=3.0),
+    TrainConfig(optimizer="adam", learning_rate=0.3, grad_clip_norm=None),
+    TrainConfig(optimizer="momentum", learning_rate=0.05, momentum=0.9, grad_clip_norm=2.0),
+])
+def test_in_place_updates_match_the_allocating_formula_bit_for_bit(config, rng):
+    values = [rng.standard_normal((5, 4)), rng.standard_normal(3)]
+    grad_steps = [[3.0 * rng.standard_normal(v.shape) for v in values] for _ in range(4)]
+    params = {f"p{i}": ad.parameter(v) for i, v in enumerate(values)}
+    opt = Optimizer(config)
+    for raw in grad_steps:
+        for var, g in zip(params.values(), raw):
+            var.grad = g.copy()
+        opt.step(params, batch_size=3)
+    expected = reference_updates(config, values, grad_steps, batch_size=3)
+    for var, want in zip(params.values(), expected):
+        assert np.array_equal(var.value, want)
+
+
+def test_step_leaves_an_earlier_state_snapshot_unchanged(rng):
+    model = CrossScaleModel(toy_model_config(), seed=0)
+    before = model.state()
+    copies = {name: value.copy() for name, value in before.items()}
+    opt = Optimizer(TrainConfig(optimizer="adam", learning_rate=0.1))
+    for name, var in model.params.items():
+        var.grad = rng.standard_normal(var.value.shape)
+    opt.step(model.params, batch_size=1)
+    assert any(not np.array_equal(var.value, copies[name])
+               for name, var in model.params.items())
+    for name, value in before.items():
+        assert np.array_equal(value, copies[name])
+        assert not np.shares_memory(value, model.params[name].value)
+
+
 # -- reporting ------------------------------------------------------------
 
 
