@@ -39,7 +39,7 @@ class Graph:
     features: np.ndarray   # (n, l)
     label: int
     id: str = ""
-    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         adj = np.ascontiguousarray(np.asarray(self.adjacency, dtype=float))
@@ -60,6 +60,8 @@ class Graph:
             )
         if feats.shape[1] < 1:
             raise FormatError("feature dimension must be >= 1")
+        if not np.isfinite(feats).all():
+            raise FormatError(f"features of graph {self.id!r} contain non-finite values")
         adj.setflags(write=False)
         feats.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
@@ -78,15 +80,17 @@ class Graph:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def memoised(self, key, build):
-        """``build()``, computed once per ``key`` and kept on this graph.
+    def memoised(self, slot: str, key, build):
+        """``build()``, computed once per ``key`` and kept on this graph in ``slot``.
 
-        The graph is immutable, so a value derived from it stays valid. One
-        key is held at a time: a different key replaces the entry.
+        The graph is immutable, so a value derived from it stays valid. Each
+        slot holds one key at a time: a different key replaces that slot's
+        entry and leaves the other slots alone.
         """
-        if self._memo is None or self._memo[0] != key:
-            object.__setattr__(self, "_memo", (key, build()))
-        return self._memo[1]
+        entry = self._memo.get(slot)
+        if entry is None or entry[0] != key:
+            entry = self._memo[slot] = (key, build())
+        return entry[1]
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,17 @@ correspond to the lowest frequencies of the cosine transform.
 Both assignments, spectral and DiffPool, are m x n: one row per pooled
 node, one column per input node. ``pool_apply`` takes either.
 
-The wavelet convolution reads the graph only through its precomputed
-operands, psi_f and psi_f^+ X per scale (``ScaleInput``), and the graph
-convolution accepts a ``Renormalized`` constant adjacency instead of
-renormalizing a ``Var`` one; the model memoises both per graph. A column of
-psi_f^+ X is zero wherever X's column is, so ``scale_input`` keeps only X's
-non-zero columns and the convolution multiplies only those: one-hot
-features (degrees, node labels) use a few of their columns per graph, while
-dense features keep them all.
+The wavelet convolution reads the graph only through one precomputed
+operand (``WaveletInput``), and the graph convolution accepts a
+``Renormalized`` constant adjacency instead of renormalizing a ``Var`` one;
+the model memoises both per graph. Every scale's wavelet is a function of
+one Laplacian spectrum, psi_f = U diag(p_f) U^T, so the operand holds U once
+with p_f(lambda) per scale and applies psi_f as U (p_f * U^T y); no dense
+psi_f or psi_f^+ is formed. A column of psi_f^+ X is zero wherever X's
+column is, so ``wavelet_input`` keeps psi_f^+ X on X's non-zero columns only
+and the convolution multiplies only those: one-hot features (degrees, node
+labels) use a few of their columns per graph, while dense features keep
+them all.
 """
 
 from __future__ import annotations
@@ -56,87 +59,111 @@ def activation_lipschitz(activation: str) -> float:
     return 1.0  # both relu and identity are 1-Lipschitz
 
 
-class ScaleInput(NamedTuple):
-    """One scale of the wavelet convolution for a constant input X (n x l),
-    restricted to the k columns of X that are not all zero."""
+class WaveletInput(NamedTuple):
+    """The wavelet convolution's operands for one graph with F scales and a
+    constant input X (n x l), restricted to the k columns of X that are not
+    all zero."""
 
-    psi: np.ndarray        # (n, n)
+    eigvecs: np.ndarray    # (n, n) U, shared by every scale
+    kernel: np.ndarray     # (n, F) p_f(lambda), one column per scale
     columns: np.ndarray    # (l,) bool, X's non-zero columns
-    projected: np.ndarray  # psi^+ X[:, columns], (n, k), C-contiguous
+    projected: np.ndarray  # (n, F, k), psi_f^+ X[:, columns] at [:, f, :]
 
 
-def scale_input(psi: np.ndarray, psi_pinv: np.ndarray, x: np.ndarray) -> ScaleInput:
-    """The operands of one scale for the features ``x``: psi, the mask of
-    x's non-zero columns and psi^+ x on those columns, both read-only."""
+def wavelet_input(bases, x: np.ndarray) -> WaveletInput:
+    """The operand of the features ``x`` for ``bases``, the scales of one
+    graph that ``spectral.wavelet_bases`` built; every array is read-only.
+
+    U^T X is formed once for all scales, and psi_f^+ X = U (p_f^+ * U^T X).
+    """
+    eigvecs = bases[0].eigvecs
+    if any(b.eigvecs is not eigvecs for b in bases):
+        raise ContractViolationError("wavelet bases do not share one eigendecomposition")
     columns = x.any(axis=0)
-    # np.compress keeps C order, so features that keep every column multiply
-    # exactly as the full-width operand did; BLAS rounds an F-ordered copy
-    # differently
-    projected = psi_pinv @ np.compress(columns, x, axis=1)
-    columns.setflags(write=False)
-    projected.setflags(write=False)
-    return ScaleInput(psi, columns, projected)
+    spectral = eigvecs.T @ np.compress(columns, x, axis=1)
+    inverse = np.stack([b.inverse for b in bases], axis=1)
+    n, k = spectral.shape
+    projected = eigvecs @ (inverse[:, :, None] * spectral[:, None, :]).reshape(n, -1)
+    kernel = np.stack([b.values for b in bases], axis=1)
+    for array in (kernel, columns, projected):
+        array.setflags(write=False)
+    return WaveletInput(eigvecs, kernel, columns, projected.reshape(n, len(bases), k))
 
 
-def gwc_forward(thetas: Sequence[Var], bias: Var, scales: Sequence[ScaleInput],
+def _apply_wavelets(eigvecs: np.ndarray, kernel: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """psi_f y[:, f] = U (p_f * U^T y[:, f]) for every scale f of an (n, F, k)
+    ``y``, with one product by U^T and one by U for all scales."""
+    n, count, k = y.shape
+    spectral = (eigvecs.T @ y.reshape(n, count * k)).reshape(n, count, k)
+    spectral *= kernel[:, :, None]
+    return (eigvecs @ spectral.reshape(n, count * k)).reshape(n, count, k)
+
+
+def gwc_forward(thetas: Sequence[Var], bias: Var, wavelets: WaveletInput,
                 activation: str) -> Var:
-    """Wavelet convolution: average over scales of act(psi theta psi^+ X + bias).
+    """Wavelet convolution: average over scales of act(psi_f theta_f psi_f^+ X + bias).
 
     ``thetas`` holds one (n_max, n_max) filter per scale and ``bias`` is
-    (n_max, l). Each scale brings psi and the projected input psi^+ X on X's
-    k non-zero columns, so the graph and its features come in through
-    ``scales`` alone, and every other column of the output is act(bias).
-    Products run right to left, so a scale costs n^2 k per matmul. The
-    result is a single tape node over the filters and the bias.
+    (n_max, l). The graph and its features come in through ``wavelets``
+    alone, and every column of the output outside X's k non-zero columns is
+    act(bias). The filtered inputs theta_f psi_f^+ X of all scales sit side
+    by side in one n x F k array, so a single product with U^T and one with
+    U apply every psi_f; a scale costs 3 n^2 k. The result is a single tape
+    node over the filters and the bias.
     """
-    if not thetas or len(scales) != len(thetas):
+    eigvecs, kernel, columns, projected = wavelets
+    n, count, k = projected.shape
+    if not thetas or len(thetas) != count:
         raise ContractViolationError(
-            f"got {len(scales)} scale inputs for {len(thetas)} filters; "
-            "need one per filter and at least one"
+            f"got {count} scales for {len(thetas)} filters; need one per filter and at least one"
         )
-    n, k = scales[0].projected.shape
-    columns = scales[0].columns
-    width = columns.size
+    if (eigvecs.shape != (n, n) or kernel.shape != (n, count)
+            or k != np.count_nonzero(columns)):
+        raise ContractViolationError(
+            f"wavelet operand has U {eigvecs.shape}, kernel {kernel.shape} and projected "
+            f"input {projected.shape} for {np.count_nonzero(columns)} columns"
+        )
     n_max = thetas[0].value.shape[0]
     if n > n_max:
         raise ContractViolationError(f"graph size {n} exceeds theta allocation {n_max}")
+    width = columns.size
     if bias.value.shape[1] != width:
         raise ContractViolationError(
             f"bias width {bias.value.shape[1]} != feature width {width}"
         )
-    for f, (psi, cols, projected) in enumerate(scales):
-        if psi.shape != (n, n) or projected.shape != (n, k) or not np.array_equal(cols, columns):
-            raise ContractViolationError(
-                f"scale {f} has psi {psi.shape} and projected input {projected.shape}, "
-                f"expected {(n, n)} and {(n, k)} on scale 0's columns"
-            )
 
     relu = activation == "relu"
     bias_rows = bias.value[:n, :]
-    total, masks = None, []
-    for (psi, _, projected), theta in zip(scales, thetas):
-        pre = bias_rows.copy()
-        pre[:, columns] += psi @ (theta.value[:n, :n] @ projected)
-        if relu:
-            masks.append(pre > 0)
-        pre = activate(pre, activation)
-        if total is None:
-            total = pre
-        else:
-            total += pre
-    inv_count = 1.0 / len(thetas)
+    filtered = np.empty((n, count, k))
+    for f, theta in enumerate(thetas):
+        np.matmul(theta.value[:n, :n], projected[:, f], out=filtered[:, f])
+    pre = _apply_wavelets(eigvecs, kernel, filtered)
+    pre += np.compress(columns, bias_rows, axis=1)[:, None, :]
+    inv_count = 1.0 / count
+    out = activate(bias_rows, activation).copy()
+    out[:, columns] = activate(pre, activation).sum(axis=1) * inv_count
 
     def vjp(g, grads):
         *theta_grads, bias_grad = grads
-        g = g * inv_count
-        for f, (psi, _, projected) in enumerate(scales):
-            g_f = g * masks[f] if relu else g
-            if bias_grad is not None:
-                bias_grad[:n, :] += g_f
-            if theta_grads[f] is not None:
-                theta_grads[f][:n, :n] += (psi.T @ np.compress(columns, g_f, axis=1)) @ projected.T
+        g_active = np.compress(columns, g, axis=1) * inv_count
+        if relu:
+            g_scales = g_active[:, None, :] * (pre > 0)
+        else:
+            g_scales = np.broadcast_to(g_active[:, None, :], (n, count, k))
+        if bias_grad is not None and relu:
+            g_bias = g * (out > 0)  # act(bias) outside X's non-zero columns
+            g_bias[:, columns] = g_scales.sum(axis=1)
+            bias_grad[:n, :] += g_bias
+        elif bias_grad is not None:
+            bias_grad[:n, :] += g
+        if all(acc is None for acc in theta_grads):
+            return
+        back = _apply_wavelets(eigvecs, kernel, g_scales)  # psi_f is symmetric
+        for f, acc in enumerate(theta_grads):
+            if acc is not None:
+                acc[:n, :n] += back[:, f] @ projected[:, f].T
 
-    return ad.node(total * inv_count, (*thetas, bias), vjp)
+    return ad.node(out, (*thetas, bias), vjp)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -15,6 +15,14 @@ forward pass passes each layer its ``Var``s by those names, and the
 constructor and ``load_state`` reject tensors that are misnamed,
 misshapen or non-finite.
 
+``CrossScaleModel.inputs_for`` builds what a forward pass reads of the graph
+alone and keeps each operand on the ``Graph`` in its own memo slot: the
+wavelet operand (``layers.wavelet_input``: one eigenvector matrix U shared by
+every scale, p_f(lambda) and psi_f^+ X per scale, about n^2 + 3n + 3nk
+floats), keyed by scales, order and basis mode, and the renormalized
+adjacency. Both wavelet variants with equal settings share one
+eigendecomposition per graph, and no dense psi_f or psi_f^+ is stored.
+
 Checkpoints are a single binary file: a JSON manifest (configuration plus
 tensor shapes) followed by raw little-endian float64 tensor data.
 """
@@ -36,15 +44,15 @@ from .graphs import Graph
 from .layers import (
     ACTIVATIONS,
     Renormalized,
-    ScaleInput,
+    WaveletInput,
     classify,
     diffpool_assign,
     gcn_forward,
     gwc_forward,
     pool_apply,
     renormalize,
-    scale_input,
     spectral_pool_assign,
+    wavelet_input,
 )
 from .settings import check_fields, decode
 from .spectral import (
@@ -139,18 +147,14 @@ class ForwardResult:
 class GraphInputs:
     """The read-only operands a forward pass derives from its graph alone.
 
-    ``scales`` holds psi_f and psi_f^+ X on X's non-zero columns per wavelet
-    scale (``scale_input``), empty without wavelets; ``renormalized`` is set
-    where a GCN reads the raw graph.
+    ``wavelets`` is the wavelet convolution's one operand (``wavelet_input``:
+    the eigenvectors U, p_f(lambda) and psi_f^+ X per scale on X's non-zero
+    columns), set with wavelets; ``renormalized`` is set where a GCN reads
+    the raw graph.
     """
 
-    scales: tuple[ScaleInput, ...]
+    wavelets: WaveletInput | None
     renormalized: Renormalized | None
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -245,25 +249,23 @@ class CrossScaleModel:
     # -- forward ----------------------------------------------------------
 
     def inputs_for(self, graph: Graph) -> GraphInputs:
-        """What this variant's forward pass reads of the graph alone, built
-        once and shared by every model that reads the same: for wavelets,
-        the same scales, order and basis mode."""
+        """What this variant's forward pass reads of the graph alone. Each
+        operand is built once per graph and shared by every model that reads
+        it: the wavelet operand by models with the same scales, order and
+        basis mode, the renormalized adjacency by all."""
         cfg = self.config
-        wavelet_key = (cfg.scales, cfg.order, cfg.basis_mode) if cfg.uses_wavelets else None
+        wavelets = renormalized = None
+        if cfg.uses_wavelets:
+            key = (cfg.scales, cfg.order, cfg.basis_mode)
+            wavelets = graph.memoised("wavelets", key, lambda: wavelet_input(
+                wavelet_bases(normalized_laplacian(graph.adjacency), *key), graph.features))
         # conv1, the first DiffPool assignment and the small-graph branch
         # run a GCN on the raw graph
-        raw_gcn = (not cfg.uses_wavelets or not cfg.uses_spectral_pool
-                   or graph.node_count <= cfg.m_out)
-
-        def build() -> GraphInputs:
-            scales = ()
-            if wavelet_key is not None:
-                bases = wavelet_bases(normalized_laplacian(graph.adjacency), *wavelet_key)
-                scales = tuple(scale_input(_read_only(b.psi), b.psi_pinv, graph.features)
-                               for b in bases)
-            return GraphInputs(scales, renormalize(graph.adjacency) if raw_gcn else None)
-
-        return graph.memoised((wavelet_key, raw_gcn), build)
+        if (not cfg.uses_wavelets or not cfg.uses_spectral_pool
+                or graph.node_count <= cfg.m_out):
+            renormalized = graph.memoised("renormalized", None,
+                                          lambda: renormalize(graph.adjacency))
+        return GraphInputs(wavelets, renormalized)
 
     def _assign(self, stage: int, gcn_adjacency: Var | Renormalized | None,
                 features: Var, n: int, m: int) -> Var:
@@ -287,7 +289,7 @@ class CrossScaleModel:
         adjacency = ad.constant(graph.adjacency)
         if cfg.uses_wavelets:
             thetas = [p[f"gwc.theta.{k}"] for k in range(len(cfg.scales))]
-            h = gwc_forward(thetas, p["gwc.bias"], inputs.scales, cfg.activation)
+            h = gwc_forward(thetas, p["gwc.bias"], inputs.wavelets, cfg.activation)
         else:
             h = gcn_forward(inputs.renormalized, ad.constant(graph.features),
                             p["conv1.weight"], cfg.activation)

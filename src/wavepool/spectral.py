@@ -1,15 +1,18 @@
 """Spectral operators: normalized Laplacian, Chebyshev-approximated wavelet
-bases with pseudoinverses, and the orthogonal cosine transform used by the
+bases in spectral form, and the orthogonal cosine transform used by the
 pooling layer.
 
 The wavelet basis at scale ``f`` is a degree-``M`` Chebyshev polynomial
 ``p_f`` in the shifted Laplacian ``L - I`` (spectrum mapped from [0, 2] to
 [-1, 1]). ``wavelet_bases`` builds every scale of a graph from one
-eigendecomposition ``L = U diag(lambda) U^T``: ``psi_f = U p_f(lambda) U^T``
-and ``psi_f^+ = U p_f(lambda)^+ U^T``, with ``p_f`` evaluated elementwise on
-the eigenvalues. ``CrossScaleModel.inputs_for`` builds them once per graph
-and keeps only psi_f and psi_f^+ X, on X's non-zero columns, on the
-``Graph`` itself, for one (scales, order, mode) setting at a time. Two coefficient modes exist:
+eigendecomposition ``L = U diag(lambda) U^T``, so that ``psi_f = U
+p_f(lambda) U^T`` and ``psi_f^+ = U p_f(lambda)^+ U^T`` with ``p_f``
+evaluated elementwise on the eigenvalues. A ``WaveletBasis`` holds that
+spectral form: the one eigenvector matrix U, shared by every scale, and the
+scale's values p_f(lambda) and their cutoff reciprocals. The dense n x n
+``psi`` and ``psi_pinv`` are formed only when asked for; the model applies
+psi_f y as U (p_f * U^T y) and never forms them (``layers.wavelet_input``).
+Two coefficient modes exist:
 
 * ``fitted_kernel`` - Chebyshev-Gauss quadrature fit of the low-pass kernel
   ``g(x) = exp(-f (x + 1))``, i.e. ``exp(-f lambda)`` on the Laplacian
@@ -44,13 +47,32 @@ BESSEL_TERM_TOL = 1e-16
 
 @dataclass(frozen=True)
 class WaveletBasis:
+    """One scale's wavelet psi = U diag(values) U^T in spectral form.
+
+    ``eigvecs`` is the same read-only array for every scale built from one
+    decomposition. ``inverse`` holds 1 / values where |values| exceeds the
+    rank cutoff and 0 elsewhere, so psi^+ = U diag(inverse) U^T.
+    """
+
     coefficients: np.ndarray  # length order + 1
-    psi: np.ndarray           # (n, n), symmetric
-    psi_pinv: np.ndarray      # (n, n), Moore-Penrose pseudoinverse of psi
+    eigvecs: np.ndarray       # (n, n) U, orthonormal eigenvectors of L
+    values: np.ndarray        # (n,) p(lambda)
+    inverse: np.ndarray       # (n,) p(lambda)^+
 
     @property
     def size(self) -> int:
-        return self.psi.shape[0]
+        return self.values.shape[0]
+
+    @property
+    def psi(self) -> np.ndarray:
+        """The dense wavelet matrix (n x n), exactly symmetric."""
+        psi = (self.eigvecs * self.values) @ self.eigvecs.T
+        return 0.5 * (psi + psi.T)  # kill rounding skew
+
+    @property
+    def psi_pinv(self) -> np.ndarray:
+        """The dense Moore-Penrose pseudoinverse of ``psi`` (n x n)."""
+        return (self.eigvecs * self.inverse) @ self.eigvecs.T
 
 
 def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
@@ -173,17 +195,18 @@ def wavelet_bases(
 ) -> list[WaveletBasis]:
     """Bases for several scales from one eigendecomposition L = U diag(lambda) U^T.
 
-    psi = U p(lambda) U^T, where p is the scale's Chebyshev polynomial in
-    lambda - 1, and psi_pinv = U p(lambda)^+ U^T. Values with
-    |p(lambda)| <= n * machine_epsilon * max |p| count as zero: for a
-    symmetric psi these magnitudes are its singular values, so this is the
-    cutoff ``pseudoinverse`` applies.
+    Each scale's values are p(lambda), p being its Chebyshev polynomial in
+    lambda - 1, and every basis shares the one read-only U. Values with
+    |p(lambda)| <= n * machine_epsilon * max |p| count as zero in the
+    inverse: for a symmetric psi these magnitudes are its singular values,
+    so this is the cutoff ``pseudoinverse`` applies.
     """
     lap = np.asarray(l_tilde, dtype=float)
     try:
         eigvals, eigvecs = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    eigvecs.setflags(write=False)
     terms = chebyshev_apply(eigvals - 1.0, order)
     bases = []
     for scale in scales:
@@ -196,9 +219,7 @@ def wavelet_bases(
         keep = magnitude > cutoff
         inverse = np.zeros_like(values)
         inverse[keep] = 1.0 / values[keep]
-        psi = (eigvecs * values) @ eigvecs.T
-        psi = 0.5 * (psi + psi.T)  # kill rounding skew
-        bases.append(WaveletBasis(coeffs, psi, (eigvecs * inverse) @ eigvecs.T))
+        bases.append(WaveletBasis(coeffs, eigvecs, values, inverse))
     return bases
 
 

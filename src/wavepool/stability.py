@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolationError
-from .layers import activation_lipschitz, gwc_forward, scale_input
+from .layers import activation_lipschitz, gwc_forward, wavelet_input
 from .spectral import (
     MODE_FITTED_KERNEL,
     WaveletBasis,
@@ -148,8 +148,7 @@ def make_gwc_layer(basis: WaveletBasis, theta: np.ndarray, bias: np.ndarray,
     thetas, bias_var = [ad.constant(theta)], ad.constant(bias)
 
     def layer(x: np.ndarray) -> np.ndarray:
-        scales = [scale_input(basis.psi, basis.psi_pinv, x)]
-        return gwc_forward(thetas, bias_var, scales, activation).value
+        return gwc_forward(thetas, bias_var, wavelet_input([basis], x), activation).value
 
     return layer
 

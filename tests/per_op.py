@@ -154,6 +154,19 @@ def getitem(a, idx):
     return ad.node(a.value[idx], (a,), vjp)
 
 
+def concat_columns(parts):
+    """The inputs side by side along their last axis."""
+    parts = [ad.as_var(p) for p in parts]
+    bounds = np.cumsum([0] + [p.value.shape[-1] for p in parts])
+
+    def vjp(g, grads):
+        for acc, lo, hi in zip(grads, bounds[:-1], bounds[1:]):
+            if acc is not None:
+                acc += g[..., lo:hi]
+
+    return ad.node(np.concatenate([p.value for p in parts], axis=-1), tuple(parts), vjp)
+
+
 def reshape(a, shape):
     a = ad.as_var(a)
     return ad.node(a.value.reshape(shape), (a,),
@@ -179,20 +192,45 @@ def activate(x, activation: str):
     return relu(x) if activation == "relu" else x
 
 
-def gwc_forward(thetas, bias, scales, activation):
-    """Wavelet convolution from per-scale (psi, psi^+ X) operands, with
-    psi^+ X widened back to all of X's columns."""
-    n = scales[0].psi.shape[0]
+def gwc_forward(thetas, bias, wavelets, activation):
+    """Wavelet convolution from the (U, p_f, psi_f^+ X) operand, with
+    psi_f^+ X widened back to all of X's columns. As in the fused layer, the
+    scales' filtered inputs go through U^T and U side by side."""
+    u, kernel, columns, projected = wavelets
+    n, count, _ = projected.shape
+    width = columns.size
     bias = getitem(bias, np.s_[:n, :])
+    filtered = []
+    for f, theta_full in enumerate(thetas):
+        dense = np.zeros((n, width))
+        dense[:, columns] = projected[:, f]
+        filtered.append(matmul(getitem(theta_full, np.s_[:n, :n]), ad.constant(dense)))
+    spectral = matmul(ad.constant(u.T), concat_columns(filtered))
+    mixed = matmul(ad.constant(u), mul(ad.constant(np.repeat(kernel, width, axis=1)), spectral))
     total = None
-    for theta_full, (psi, columns, projected) in zip(thetas, scales):
-        theta = getitem(theta_full, np.s_[:n, :n])
-        dense = np.zeros((n, columns.size))
-        dense[:, columns] = projected
-        filtered = matmul(ad.constant(psi), matmul(theta, ad.constant(dense)))
-        scaled = activate(add(filtered, bias), activation)
+    for f in range(count):
+        pre = add(getitem(mixed, np.s_[:, f * width:(f + 1) * width]), bias)
+        scaled = activate(pre, activation)
         total = scaled if total is None else add(total, scaled)
-    return scale(total, 1.0 / len(thetas))
+    return scale(total, 1.0 / count)
+
+
+def dense_gwc_forward(bases, x):
+    """A stand-in for ``gwc_forward`` that ignores its operand and composes
+    act(psi_f theta_f psi_f^+ x + bias) from the dense psi_f and psi_f^+ of
+    ``bases``, the scales of the graph whose features are ``x``."""
+    def forward(thetas, bias, _, activation):
+        n = x.shape[0]
+        rows = getitem(bias, np.s_[:n, :])
+        total = None
+        for basis, theta in zip(bases, thetas):
+            filtered = matmul(ad.constant(basis.psi), matmul(
+                getitem(theta, np.s_[:n, :n]), ad.constant(basis.psi_pinv @ x)))
+            scaled = activate(add(filtered, rows), activation)
+            total = scaled if total is None else add(total, scaled)
+        return scale(total, 1.0 / len(bases))
+
+    return forward
 
 
 def spectral_pool_assign(theta, xi_n, xi_m, softmax_rows):
@@ -279,7 +317,7 @@ def forward(model, graph):
     adjacency = ad.constant(graph.adjacency)
     if cfg.uses_wavelets:
         thetas = [p[f"gwc.theta.{k}"] for k in range(len(cfg.scales))]
-        h = gwc_forward(thetas, p["gwc.bias"], inputs.scales, cfg.activation)
+        h = gwc_forward(thetas, p["gwc.bias"], inputs.wavelets, cfg.activation)
     else:
         h = gcn_forward(inputs.renormalized, ad.constant(graph.features), p["conv1.weight"],
                         cfg.activation)

@@ -119,6 +119,13 @@ def test_grad_pad_rows(rng):
         ad.pad_rows(ad.constant(np.zeros((3, 2))), 2)
 
 
+def test_grad_concat_columns(rng):
+    x0 = rng.standard_normal((3, 2))
+    other = rng.standard_normal((3, 4))
+    w = rng.standard_normal((3, 8))
+    check_gradient(lambda v: ops.sum_all(ops.mul(ops.concat_columns([v, other, v]), w)), x0)
+
+
 def test_grad_reshape(rng):
     x0 = rng.standard_normal((2, 6))
     w = rng.standard_normal((12,))
@@ -219,6 +226,7 @@ OPS = {
     "getitem": lambda x: ops.getitem(x, np.s_[:1, 1:]),
     "pad_rows": lambda x: ad.pad_rows(x, 4),
     "reshape": lambda x: ops.reshape(x, (4,)),
+    "concat_columns": lambda x: ops.concat_columns([x, x]),
     "frobenius_norm": ops.frobenius_norm,
 }
 

@@ -50,6 +50,12 @@ def test_graph_rejects_feature_row_mismatch():
         Graph(path_adjacency(3), np.ones((2, 1)), 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_graph_rejects_non_finite_features(bad):
+    with pytest.raises(FormatError, match="features of graph 'g7' contain non-finite"):
+        Graph(path_adjacency(2), [[bad], [1.0]], 0, id="g7")
+
+
 def test_graph_arrays_frozen():
     g = make_graph(path_adjacency(3))
     assert not g.adjacency.flags.writeable

@@ -11,7 +11,7 @@ from wavepool.errors import (
 from wavepool.graphs import degree_onehot_features
 from wavepool.layers import (
     ACTIVATIONS,
-    ScaleInput,
+    WaveletInput,
     activate,
     activation_lipschitz,
     classify,
@@ -20,8 +20,8 @@ from wavepool.layers import (
     gwc_forward,
     pool_apply,
     renormalize,
-    scale_input,
     spectral_pool_assign,
+    wavelet_input,
 )
 from wavepool.spectral import cosine_transform, normalized_laplacian, wavelet_bases
 
@@ -32,11 +32,6 @@ from .fdcheck import REL_TOL, central_difference, max_rel_error
 
 def make_bases(adj, scales=(1.0,), order=12):
     return wavelet_bases(normalized_laplacian(adj), scales, order)
-
-
-def project(bases, h):
-    """The wavelet convolution's operands for the input features ``h``."""
-    return [scale_input(b.psi, b.psi_pinv, h) for b in bases]
 
 
 def gwc_params(n_max, width, count=1, rng=None):
@@ -63,7 +58,7 @@ def test_activate_identity_and_relu():
 
 def test_layer_params_reject_unknown_activation(rng):
     adj = path_adjacency(2)
-    operands = project(make_bases(adj), rng.standard_normal((2, 1)))
+    operands = wavelet_input(make_bases(adj), rng.standard_normal((2, 1)))
     with pytest.raises(ContractViolationError, match="activation"):
         gwc_forward(*gwc_params(2, 1), operands, "tanh")
     with pytest.raises(ContractViolationError, match="activation"):
@@ -83,7 +78,7 @@ def test_activation_lipschitz_constant():
 def test_gwc_identity_filter_is_passthrough(rng):
     adj = cycle_adjacency(6)
     h = rng.standard_normal((6, 3))
-    out = gwc_forward(*gwc_params(6, 3), project(make_bases(adj), h), "identity")
+    out = gwc_forward(*gwc_params(6, 3), wavelet_input(make_bases(adj), h), "identity")
     # theta = I and invertible psi collapse psi theta psi^+ to the identity
     assert np.allclose(out.value, h, atol=1e-8)
 
@@ -91,9 +86,9 @@ def test_gwc_identity_filter_is_passthrough(rng):
 def test_gwc_scale_average(rng):
     adj = cycle_adjacency(5)
     h = rng.standard_normal((5, 2))
-    single = gwc_forward(*gwc_params(5, 2), project(make_bases(adj), h), "identity")
-    doubled = gwc_forward(*gwc_params(5, 2, count=2), project(make_bases(adj, (1.0, 1.0)), h),
-                          "identity")
+    single = gwc_forward(*gwc_params(5, 2), wavelet_input(make_bases(adj), h), "identity")
+    doubled = gwc_forward(*gwc_params(5, 2, count=2),
+                          wavelet_input(make_bases(adj, (1.0, 1.0)), h), "identity")
     assert np.allclose(single.value, doubled.value, atol=1e-12)
 
 
@@ -101,7 +96,7 @@ def test_gwc_slices_oversized_parameters(rng):
     adj = path_adjacency(4)
     h = rng.standard_normal((4, 2))
     thetas, bias = gwc_params(10, 2, rng=rng)
-    out = gwc_forward(thetas, bias, project(make_bases(adj), h), "identity")
+    out = gwc_forward(thetas, bias, wavelet_input(make_bases(adj), h), "identity")
     assert out.value.shape == (4, 2)
     ad.backward(ops.sum_all(out))
     theta_grad = thetas[0].grad
@@ -112,7 +107,7 @@ def test_gwc_slices_oversized_parameters(rng):
 
 def test_gwc_validation_errors(rng):
     adj = path_adjacency(4)
-    operands = project(make_bases(adj), rng.standard_normal((4, 2)))
+    operands = wavelet_input(make_bases(adj), rng.standard_normal((4, 2)))
     with pytest.raises(ContractViolationError, match="exceeds theta allocation"):
         gwc_forward(*gwc_params(3, 2), operands, "identity")
     with pytest.raises(ContractViolationError, match="bias width"):
@@ -120,12 +115,13 @@ def test_gwc_validation_errors(rng):
 
 
 def test_gwc_params_validation(rng):
-    """One filter per scale input, and at least one."""
-    operands = project(make_bases(path_adjacency(4)), rng.standard_normal((4, 2)))
-    with pytest.raises(ContractViolationError, match="1 scale inputs for 2 filters"):
-        gwc_forward(*gwc_params(4, 2, count=2), operands, "identity")
-    with pytest.raises(ContractViolationError, match="0 scale inputs for 0 filters"):
-        gwc_forward([], ad.parameter(np.zeros((4, 2))), [], "identity")
+    """One filter per scale, and at least one."""
+    operand = wavelet_input(make_bases(path_adjacency(4)), rng.standard_normal((4, 2)))
+    with pytest.raises(ContractViolationError, match="1 scales for 2 filters"):
+        gwc_forward(*gwc_params(4, 2, count=2), operand, "identity")
+    no_scales = operand._replace(kernel=np.zeros((4, 0)), projected=np.zeros((4, 0, 2)))
+    with pytest.raises(ContractViolationError, match="0 scales for 0 filters"):
+        gwc_forward([], ad.parameter(np.zeros((4, 2))), no_scales, "identity")
 
 
 def test_gwc_gradients_match_finite_differences(rng):
@@ -135,7 +131,7 @@ def test_gwc_gradients_match_finite_differences(rng):
     theta0 = np.eye(4) + 0.2 * rng.standard_normal((4, 4))
     bias0 = 0.1 * rng.standard_normal((4, 2))
 
-    operands = project(bases, h0)
+    operands = wavelet_input(bases, h0)
 
     def run(theta, bias):
         return ops.frobenius_norm(
@@ -169,7 +165,7 @@ def test_fused_gwc_matches_per_op_composition(activation, scales, n, rng):
 
     def run(forward):
         thetas, bias = [ad.parameter(t) for t in thetas0], ad.parameter(bias0)
-        out = forward(thetas, bias, project(bases, h0), activation)
+        out = forward(thetas, bias, wavelet_input(bases, h0), activation)
         ad.backward(ops.sum_all(ops.mul(out, weights)))
         return out, thetas, bias
 
@@ -183,59 +179,78 @@ def test_fused_gwc_matches_per_op_composition(activation, scales, n, rng):
 
 
 def test_gwc_rejects_mismatched_scale_inputs(rng):
+    """The operand's parts must agree in node count, scale count and the
+    number of kept columns; bases of two graphs make no operand."""
     h = rng.standard_normal((4, 2))
-    (four,) = project(make_bases(path_adjacency(4)), h)
-    (five,) = project(make_bases(path_adjacency(5)), rng.standard_normal((5, 2)))
+    four = wavelet_input(make_bases(path_adjacency(4), (1.0, 2.0)), h)
+    five = wavelet_input(make_bases(path_adjacency(5), (1.0, 2.0)), rng.standard_normal((5, 2)))
     thetas, bias = gwc_params(5, 2, count=2)
-    with pytest.raises(ContractViolationError, match="projected input"):
-        gwc_forward(thetas, bias, [four, five], "identity")
-    with pytest.raises(ContractViolationError, match="projected input"):
-        gwc_forward(thetas, bias, [four, four._replace(projected=four.projected[:, :1])],
-                    "identity")
-    # same shapes, but the second scale's column is another feature column
-    first, second = (scale_input(four.psi, np.eye(4), h * mask) for mask in ([1, 0], [0, 1]))
-    assert first.projected.shape == second.projected.shape == (4, 1)
-    with pytest.raises(ContractViolationError, match="scale 0's columns"):
-        gwc_forward(thetas, bias, [first, second], "identity")
-    wider = ScaleInput(four.psi, np.ones(3, dtype=bool), rng.standard_normal((4, 3)))
-    with pytest.raises(ContractViolationError, match="projected input"):
-        gwc_forward(thetas, bias, [four, wider], "identity")
+    for operand in (four._replace(eigvecs=five.eigvecs),
+                    four._replace(kernel=five.kernel),
+                    four._replace(projected=four.projected[:, :, :1]),
+                    four._replace(columns=np.ones(3, dtype=bool))):
+        with pytest.raises(ContractViolationError, match="wavelet operand"):
+            gwc_forward(thetas, bias, operand, "identity")
+    mixed = [make_bases(path_adjacency(4))[0], make_bases(cycle_adjacency(4))[0]]
+    with pytest.raises(ContractViolationError, match="one eigendecomposition"):
+        wavelet_input(mixed, h)
+
+
+def test_wavelet_input_holds_one_eigenbasis(rng):
+    """U once for every scale, p_f(lambda) as columns, and psi_f^+ X on X's
+    non-zero columns, all read-only."""
+    adj = cycle_adjacency(7)
+    x = rng.standard_normal((7, 4))
+    x[:, 2] = 0.0
+    bases = make_bases(adj, (0.5, 1.0, 3.0))
+    operand = wavelet_input(bases, x)
+    assert isinstance(operand, WaveletInput)
+    assert operand.eigvecs is bases[0].eigvecs
+    assert operand.kernel.shape == (7, 3) and operand.projected.shape == (7, 3, 3)
+    assert operand.columns.tolist() == [True, True, False, True]
+    for f, basis in enumerate(bases):
+        assert np.array_equal(operand.kernel[:, f], basis.values)
+        dense = basis.psi_pinv @ x[:, operand.columns]
+        assert np.max(np.abs(operand.projected[:, f] - dense)) <= 1e-13 * np.max(np.abs(dense))
+    for array in operand:
+        assert not array.flags.writeable
 
 
 @pytest.mark.parametrize("activation", ACTIVATIONS)
-@pytest.mark.parametrize("case", ["degrees", "single", "empty"])
+@pytest.mark.parametrize("case", ["degrees", "single", "empty", "dense"])
 def test_gwc_on_zero_feature_columns_matches_dense_formula(activation, case, rng):
-    """One-hot degrees use three columns of six; ``single`` uses one random
-    column of five and ``empty`` none."""
+    """Values and gradients agree with act(psi_f theta_f psi_f^+ X + bias)
+    formed from the dense matrices, within 1e-12 of the largest entry. One-hot
+    degrees use three columns of six, ``single`` one random column of five,
+    ``empty`` none (k = 0) and ``dense`` all five."""
     adj = path_adjacency(6)
     adj[1, 5] = adj[5, 1] = 1.0  # degrees 1, 3, 2, 2, 2, 2
     x = degree_onehot_features(adj, cap=4) if case == "degrees" else np.zeros((6, 5))
     if case == "single":
         x[:, 3] = rng.standard_normal(6)
+    if case == "dense":
+        x = rng.standard_normal((6, 5))
     n, width = x.shape
     bases = make_bases(adj, (1.0, 2.0), order=10)
     thetas0 = [np.eye(8) + 0.3 * rng.standard_normal((8, 8)) for _ in bases]
     bias0 = 0.5 * rng.standard_normal((8, width))
     weights = ad.constant(rng.standard_normal((n, width)))
-    scales = project(bases, x)
-    assert scales[0].projected.shape == (n, int(np.count_nonzero(x.any(axis=0))))
-    assert scales[0].projected.flags.c_contiguous
+    operand = wavelet_input(bases, x)
+    assert operand.projected.shape == (n, 2, int(np.count_nonzero(x.any(axis=0))))
+    assert operand.projected.flags.c_contiguous
 
     def run(forward):
         thetas, bias = [ad.parameter(t) for t in thetas0], ad.parameter(bias0)
-        out = forward(thetas, bias, scales, activation)
+        out = forward(thetas, bias, operand, activation)
         ad.backward(ops.sum_all(ops.mul(out, weights)))
         return out, thetas, bias
 
     out, thetas, bias = run(gwc_forward)
-    dense = sum(activate(b.psi @ (t[:n, :n] @ (b.psi_pinv @ x)) + bias0[:n], activation)
-                for b, t in zip(bases, thetas0)) * (1.0 / len(bases))
-    # BLAS picks its kernel by operand width, so a product over k columns may
-    # round its last bit differently from the same columns of the full-width one
-    assert close_relative(out.value, dense)
+    reference, ref_thetas, ref_bias = run(ops.dense_gwc_forward(bases, x))
+    # U (p * U^T y) rounds differently from the dense psi y
+    assert close_relative(out.value, reference.value)
     inactive = ~x.any(axis=0)
     assert np.array_equal(out.value[:, inactive], activate(bias0[:n, inactive], activation))
-    reference, ref_thetas, ref_bias = run(ops.gwc_forward)
     for theta, ref in zip(thetas, ref_thetas):
         assert close_relative(theta.grad, ref.grad)
     assert close_relative(bias.grad, ref_bias.grad)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from wavepool import autodiff as ad
 from wavepool import model as model_module
 from wavepool.errors import ContractViolationError, FormatError, NumericError
-from wavepool.graphs import Graph, GraphDataset
+from wavepool.graphs import Graph, GraphDataset, degree_onehot_features
 from wavepool.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -292,24 +293,25 @@ def test_basis_memo_on_graph(rng):
     second = CrossScaleModel(small_config(), seed=1)
     named = random_graph(6, 2, rng, graph_id="g1")
     inputs = first.inputs_for(named)
-    assert second.inputs_for(named) is inputs
-    # the entry holds psi and psi^+ X on X's non-zero columns per scale;
+    assert second.inputs_for(named).wavelets is inputs.wavelets
+    # the entry holds U, p_f(lambda) and psi_f^+ X on X's non-zero columns;
     # n > m_out, so no raw-graph GCN
     basis, = wavelet_bases(normalized_laplacian(named.adjacency), (1.0,), 6)
-    assert len(inputs.scales) == 1 and inputs.renormalized is None
-    scale = inputs.scales[0]
-    assert np.array_equal(scale.psi, basis.psi)
-    assert np.array_equal(scale.columns, named.features.any(axis=0))
-    assert np.array_equal(scale.projected, basis.psi_pinv @ np.ascontiguousarray(
-        named.features[:, scale.columns]))
+    assert inputs.renormalized is None
+    wavelets = inputs.wavelets
+    assert np.array_equal(wavelets.eigvecs, basis.eigvecs)
+    assert np.array_equal(wavelets.kernel, basis.values[:, None])
+    assert np.array_equal(wavelets.columns, named.features.any(axis=0))
+    dense = basis.psi_pinv @ named.features[:, wavelets.columns]
+    assert np.max(np.abs(wavelets.projected[:, 0] - dense)) <= 1e-13 * np.max(np.abs(dense))
     # same id, different adjacency: the memo lives on the graph, not the id
     twin = Graph(cycle_adjacency(6), named.features, 0, id="g1")
-    assert not np.array_equal(first.inputs_for(twin).scales[0].psi, inputs.scales[0].psi)
+    assert not np.array_equal(first.inputs_for(twin).wavelets.kernel, wavelets.kernel)
     anonymous = random_graph(6, 2, rng, graph_id="")
-    assert first.inputs_for(anonymous) is first.inputs_for(anonymous)
+    assert first.inputs_for(anonymous).wavelets is first.inputs_for(anonymous).wavelets
     seventh, = wavelet_bases(normalized_laplacian(named.adjacency), (1.0,), 7)
     fresh = CrossScaleModel(small_config(order=7)).inputs_for(named)
-    assert np.array_equal(fresh.scales[0].psi, seventh.psi)
+    assert np.array_equal(fresh.wavelets.kernel[:, 0], seventh.values)
 
 
 def test_memo_keeps_one_projected_column_for_a_regular_graph():
@@ -320,11 +322,10 @@ def test_memo_keeps_one_projected_column_for_a_regular_graph():
     graph = make_graph(ring)
     model = CrossScaleModel(small_config(feature_dim=graph.feature_dim,
                                          scales=(1.0, 2.0, 3.0)), seed=0)
-    scales = model.inputs_for(graph).scales
-    assert len(scales) == 3
-    for scale in scales:
-        assert np.flatnonzero(scale.columns).tolist() == [4]
-        assert scale.projected.shape == (n, 1)
+    wavelets = model.inputs_for(graph).wavelets
+    assert np.flatnonzero(wavelets.columns).tolist() == [4]
+    assert wavelets.kernel.shape == (n, 3)
+    assert wavelets.projected.shape == (n, 3, 1)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -332,17 +333,43 @@ def test_memoised_inputs_are_read_only(variant, rng):
     model = CrossScaleModel(small_config(variant, scales=(1.0, 2.0)), seed=0)
     for n in (2, 7):  # the n <= m_out branch and the pooled one
         inputs = model.inputs_for(random_graph(n, 2, rng))
-        arrays = [a for scale in inputs.scales for a in scale]
+        arrays = list(inputs.wavelets or ())
         if inputs.renormalized is not None:
             arrays.append(inputs.renormalized.matrix)
         assert arrays
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
-                array[0, 0] = 1.0
+                array.flat[0] = 1.0
+
+
+@pytest.mark.parametrize("variant", ["wavelet_diffpool", "wavelet_spectral"])
+def test_wavelet_memo_holds_one_square_array(variant, rng):
+    """The wavelet operand keeps U as its one n x n array, plus n floats per
+    scale for p_f(lambda) and n per scale and kept column for psi_f^+ X: no
+    dense psi_f or psi_f^+ is stored. Only wavelet_diffpool adds the
+    renormalized adjacency, in its own entry. Every memoised array is
+    read-only."""
+    model = CrossScaleModel(small_config(variant, scales=(1.0, 2.0, 3.0)), seed=0)
+    n = 9
+    graph = random_graph(n, 2, rng)
+    inputs = model.inputs_for(graph)
+    k = int(np.count_nonzero(graph.features.any(axis=0)))
+    assert sum(a.size for a in inputs.wavelets) == n * n + 3 * n + graph.feature_dim + 3 * n * k
+    stored = [array for _, value in graph._memo.values()
+              for array in (value if isinstance(value, tuple) else [value.matrix])]
+    expected = [inputs.wavelets.eigvecs]
+    if variant == "wavelet_diffpool":
+        expected.append(inputs.renormalized.matrix)
+    square = [a for a in stored if a.shape == (n, n)]
+    assert len(square) == len(expected)
+    assert all(any(a is b for b in expected) for a in square)
+    assert not any(a.flags.writeable for a in stored)
 
 
 def test_wavelet_diffpool_builds_each_graph_entry_once(rng, monkeypatch):
+    """Each operand is built once per graph, and the wavelet operand is
+    shared by both wavelet variants when their settings agree."""
     calls = {"bases": 0, "renormalize": 0}
 
     def counted(name, original):
@@ -360,6 +387,11 @@ def test_wavelet_diffpool_builds_each_graph_entry_once(rng, monkeypatch):
     for _ in range(2):
         for graph in graphs:
             model.forward(graph)
+    assert calls == {"bases": 3, "renormalize": 3}
+    spectral = CrossScaleModel(small_config("wavelet_spectral"), seed=0)
+    for graph in graphs:
+        spectral.forward(graph)
+        model.forward(graph)
     assert calls == {"bases": 3, "renormalize": 3}
 
 
@@ -570,6 +602,45 @@ def test_fused_pipeline_matches_per_op_composition(variant, stage_mode, rng):
                 assert close_relative(param.grad, expected), (n, name)
 
 
+@pytest.mark.parametrize("variant", ["wavelet_diffpool", "wavelet_spectral"])
+@pytest.mark.parametrize("features", ["degrees", "dense", "zero"])
+def test_wavelet_pipeline_matches_dense_formula(variant, features, rng, monkeypatch):
+    """The pipeline agrees with one whose convolution forms
+    act(psi_f theta_f psi_f^+ X + bias) from the dense psi_f and psi_f^+:
+    logits and loss within 1e-12 relative, every parameter gradient within
+    1e-10 of its largest entry. Applying psi_f through U and p_f(lambda)
+    changes only rounding. All-zero features (k = 0) agree exactly."""
+    cfg = small_config(variant=variant, feature_dim=8, n_max=20, m_out=3,
+                       scales=(1.0, 2.0, 3.0), order=16, activation="relu")
+    for n in SIZES:
+        adj = random_graph(n, 1, rng).adjacency
+        x = {"degrees": degree_onehot_features(adj, cap=6),
+             "dense": rng.standard_normal((n, 8)), "zero": np.zeros((n, 8))}[features]
+        graph = Graph(adj, x, label=n % 2)
+        bases = wavelet_bases(normalized_laplacian(adj), cfg.scales, cfg.order)
+        runs = []
+        for dense in (False, True):
+            if dense:
+                monkeypatch.setattr(model_module, "gwc_forward", ops.dense_gwc_forward(bases, x))
+            model = CrossScaleModel(cfg, seed=3)
+            result = model.forward(graph)
+            total, _ = graph_loss(result, graph.label, 2, 0.3)
+            ad.backward(total)
+            runs.append((result.logits.value, float(total.value), model.params))
+        (logits, loss, params), (ref_logits, ref_loss, ref_params) = runs
+        assert close_relative(logits, ref_logits, 1e-12), n
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        for name, param in params.items():
+            expected = ref_params[name].grad
+            if expected is None:
+                assert param.grad is None, (n, name)
+            elif features == "zero" or not expected.any():
+                assert np.array_equal(param.grad, expected), (n, name)
+            else:
+                assert close_relative(param.grad, expected), (n, name)
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_predict_records_no_tape(variant, rng, monkeypatch):
     cfg = small_config(variant=variant, m_out=3, activation="relu")
@@ -595,13 +666,14 @@ def test_predict_records_no_tape(variant, rng, monkeypatch):
 
 
 # SHA-256 over the logits, the loss and every parameter gradient of one
-# forward and backward pass per size in SIZES; any change to the pipeline's
-# arithmetic, or to which parameters a stage reads, changes these
+# forward and backward pass per size in SIZES, plus one graph with one-hot
+# degree features, some of whose columns are all zero; any change to the
+# pipeline's arithmetic, or to which parameters a stage reads, changes these
 PIPELINE_DIGESTS = {
-    "gcn_diffpool": "fb3bac7957c9396419a951b7dde55a8e44a55ca4c9589d5ff9cccce0bf8001ad",
-    "gcn_spectral": "d72eec48558d2e125f0d0f26d7fa45dc34353f093330eddb66c2b221290bac9d",
-    "wavelet_diffpool": "c0b48570aade21dcab52186525b2c63bbbb168873afdfc9ae902589a78e2708e",
-    "wavelet_spectral": "a7d12d7c488890b89617210a931d3ca2643393f7220558772ba13c8d55263d0d",
+    "gcn_diffpool": "029ce65bc4962166925da16ddeae36bc7ce68b2f29740f45c59fbf765ec402f8",
+    "gcn_spectral": "aa24ae0cad82ddf55544014d801de4b185d3fcd62a529ba653d64342ad44c769",
+    "wavelet_diffpool": "339cdd6578feb33746564f05cd8ee1f6803322c4dc7901532bf686816b63b510",
+    "wavelet_spectral": "df62f80eb947e32494d4c953b3404cbe976a52fba7a8e976c56b56d0587a6e3f",
 }
 
 
@@ -609,10 +681,14 @@ def pipeline_digest(variant):
     rng = np.random.default_rng(21)
     cfg = small_config(variant=variant, n_max=20, m_out=3, scales=(1.0, 2.0),
                        activation="relu")
+    runs = [(cfg, random_graph(n, 2, rng, label=n % 2)) for n in SIZES]
+    adjacency = random_graph(13, 1, rng).adjacency
+    onehot = Graph(adjacency, degree_onehot_features(adjacency, cap=6), label=1)
+    assert not onehot.features.any(axis=0).all()
+    runs.append((replace(cfg, feature_dim=onehot.feature_dim), onehot))
     digest = hashlib.sha256()
-    for n in SIZES:
-        model = CrossScaleModel(cfg, seed=5)
-        graph = random_graph(n, 2, rng, label=n % 2)
+    for config, graph in runs:
+        model = CrossScaleModel(config, seed=5)
         result = model.forward(graph)
         loss, _ = graph_loss(result, graph.label, 2, 0.3)
         ad.backward(loss)
