@@ -30,7 +30,6 @@ from .spectral import (
     normalized_laplacian,
     pseudoinverse,
     wavelet_bases,
-    wavelet_basis,
 )
 from .stability import (
     LipschitzReport,
@@ -66,7 +65,6 @@ __all__ = [
     "normalized_laplacian",
     "pseudoinverse",
     "wavelet_bases",
-    "wavelet_basis",
     "LipschitzReport",
     "lipschitz_bound_gwc",
     "lipschitz_bound_pool",

@@ -86,14 +86,9 @@ def plan_from(cfg: dict, args, seeds: tuple[int, ...]) -> ExperimentPlan:
 
 
 def seeds_from(cfg: dict, args) -> tuple[int, ...]:
-    if getattr(args, "seeds", None):
-        try:
-            seeds = tuple(int(s) for s in args.seeds.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse seed list {args.seeds!r}") from exc
+    if getattr(args, "seeds", None) is not None:
+        seeds = args.seeds
     elif getattr(args, "num_seeds", None) is not None:
-        if args.num_seeds < 1:
-            raise ConfigError(f"--num-seeds must be at least 1, got {args.num_seeds}")
         seeds = tuple(range(args.num_seeds))
     elif "seeds" in cfg:
         seeds = typed(tuple[int, ...], cfg["seeds"], "seeds", ConfigError)
@@ -109,14 +104,18 @@ def seeds_from(cfg: dict, args) -> tuple[int, ...]:
 # -- small parsers --------------------------------------------------------
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse number list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty number list {text!r}")
-    return values
+def _number_list(kind):
+    """An argparse ``type`` for a nonempty comma-separated list of ``kind``."""
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(kind(v) for v in text.split(",") if v.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot parse number list {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty number list {text!r}")
+        return values
+
+    return parse
 
 
 def parse_span(text: str) -> tuple[int, int]:
@@ -350,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     training = argparse.ArgumentParser(add_help=False, parents=[config, data])
     training.add_argument("--variant", choices=VARIANTS)
-    training.add_argument("--scales", type=_parse_floats,
+    training.add_argument("--scales", type=_number_list(float),
                           help="comma-separated wavelet scales, e.g. 1,2,3")
     training.add_argument("--order", type=int, help="polynomial approximation order")
     training.add_argument("--m-out", type=int, help="final pooled size")
@@ -367,8 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="split without per-class stratification")
 
     grid = argparse.ArgumentParser(add_help=False, parents=[training])
-    grid.add_argument("--seeds", help="comma-separated explicit seed list")
-    grid.add_argument("--num-seeds", type=int, help="use seeds 0..N-1")
+    seed_list = grid.add_mutually_exclusive_group()
+    seed_list.add_argument("--seeds", type=_number_list(int),
+                           help="comma-separated explicit seed list")
+    seed_list.add_argument("--num-seeds", type=_parse_positive, help="use seeds 0..N-1")
     grid.add_argument("--timing", action="store_true",
                       help="write wall-clock into per-seed CSV (breaks byte-reproducibility)")
 
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("ablate", cmd_ablate, "run all four variants", [grid])
     p = command("sweep", cmd_sweep, "sensitivity sweep along one axis", [grid])
     p.add_argument("--axis", choices=("F", "M", "beta"), required=True)
-    p.add_argument("--values", type=_parse_floats, required=True,
+    p.add_argument("--values", type=_number_list(float), required=True,
                    help="comma-separated axis values (integers for F and M)")
 
     p = command("stability", cmd_stability, "perturbation-bound checks", [seed],

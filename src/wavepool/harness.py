@@ -53,6 +53,9 @@ class ExperimentPlan:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"seeds must be distinct, got {repeated} more than once")
 
 
 @dataclass

@@ -21,13 +21,13 @@ The wavelet convolution reads the graph only through one precomputed
 operand (``WaveletInput``), and the graph convolution accepts a
 ``Renormalized`` constant adjacency instead of renormalizing a ``Var`` one;
 the model memoises both per graph. Every scale's wavelet is a function of
-one Laplacian spectrum, psi_f = U diag(p_f) U^T, so the operand holds U once
-with p_f(lambda) per scale and applies psi_f as U (p_f * U^T y); no dense
-psi_f or psi_f^+ is formed. A column of psi_f^+ X is zero wherever X's
-column is, so ``wavelet_input`` keeps psi_f^+ X on X's non-zero columns only
-and the convolution multiplies only those: one-hot features (degrees, node
-labels) use a few of their columns per graph, while dense features keep
-them all.
+one Laplacian spectrum, psi_f = U diag(p_f) U^T, so the operand takes U and
+the (n, F) p_f(lambda) from the graph's wavelet bank as they are and
+applies psi_f as U (p_f * U^T y); no dense psi_f or psi_f^+ is formed. A
+column of psi_f^+ X is zero wherever X's column is, so ``wavelet_input``
+keeps psi_f^+ X on X's non-zero columns only and the convolution multiplies
+only those: one-hot features (degrees, node labels) use a few of their
+columns per graph, while dense features keep them all.
 """
 
 from __future__ import annotations
@@ -71,23 +71,20 @@ class WaveletInput(NamedTuple):
 
 
 def wavelet_input(bases, x: np.ndarray) -> WaveletInput:
-    """The operand of the features ``x`` for ``bases``, the scales of one
-    graph that ``spectral.wavelet_bases`` built; every array is read-only.
+    """The operand of the features ``x`` for ``bases``, the wavelet bank of
+    one graph that ``spectral.wavelet_bases`` built; it shares the bank's U
+    and p_f(lambda), and every array is read-only.
 
     U^T X is formed once for all scales, and psi_f^+ X = U (p_f^+ * U^T X).
     """
-    eigvecs = bases[0].eigvecs
-    if any(b.eigvecs is not eigvecs for b in bases):
-        raise ContractViolationError("wavelet bases do not share one eigendecomposition")
+    eigvecs, inverse = bases.eigvecs, bases.inverse
     columns = x.any(axis=0)
     spectral = eigvecs.T @ np.compress(columns, x, axis=1)
-    inverse = np.stack([b.inverse for b in bases], axis=1)
     n, k = spectral.shape
     projected = eigvecs @ (inverse[:, :, None] * spectral[:, None, :]).reshape(n, -1)
-    kernel = np.stack([b.values for b in bases], axis=1)
-    for array in (kernel, columns, projected):
+    for array in (columns, projected):
         array.setflags(write=False)
-    return WaveletInput(eigvecs, kernel, columns, projected.reshape(n, len(bases), k))
+    return WaveletInput(eigvecs, bases.values, columns, projected.reshape(n, inverse.shape[1], k))
 
 
 def _apply_wavelets(eigvecs: np.ndarray, kernel: np.ndarray, y: np.ndarray) -> np.ndarray:

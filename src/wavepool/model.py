@@ -17,10 +17,11 @@ misshapen or non-finite.
 
 ``CrossScaleModel.inputs_for`` builds what a forward pass reads of the graph
 alone and keeps each operand on the ``Graph`` in its own memo slot: the
-wavelet operand (``layers.wavelet_input``: one eigenvector matrix U shared by
-every scale, p_f(lambda) and psi_f^+ X per scale, about n^2 + 3n + 3nk
-floats), keyed by scales, order and basis mode, and the renormalized
-adjacency. Both wavelet variants with equal settings share one
+wavelet operand, keyed by scales, order and basis mode, and the renormalized
+adjacency. The wavelet operand (``layers.wavelet_input``) is built from the
+graph's one wavelet bank (``spectral.wavelet_bases``): U and the (n, F)
+p_f(lambda) of the bank itself, and psi_f^+ X for every scale, about n^2 + 3n
++ 3nk floats. Both wavelet variants with equal settings share one
 eigendecomposition per graph, and no dense psi_f or psi_f^+ is stored.
 
 Checkpoints are a single binary file: a JSON manifest (configuration plus

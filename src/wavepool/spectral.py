@@ -2,16 +2,16 @@
 bases in spectral form, and the orthogonal cosine transform used by the
 pooling layer.
 
-The wavelet basis at scale ``f`` is a degree-``M`` Chebyshev polynomial
-``p_f`` in the shifted Laplacian ``L - I`` (spectrum mapped from [0, 2] to
-[-1, 1]). ``wavelet_bases`` builds every scale of a graph from one
-eigendecomposition ``L = U diag(lambda) U^T``, so that ``psi_f = U
-p_f(lambda) U^T`` and ``psi_f^+ = U p_f(lambda)^+ U^T`` with ``p_f``
-evaluated elementwise on the eigenvalues. A ``WaveletBasis`` holds that
-spectral form: the one eigenvector matrix U, shared by every scale, and the
-scale's values p_f(lambda) and their cutoff reciprocals. The dense n x n
-``psi`` and ``psi_pinv`` are formed only when asked for; the model applies
-psi_f y as U (p_f * U^T y) and never forms them (``layers.wavelet_input``).
+The wavelet at scale ``f`` is a degree-``M`` Chebyshev polynomial ``p_f``
+in the shifted Laplacian ``L - I`` (spectrum mapped from [0, 2] to [-1, 1]).
+``wavelet_bases`` builds a graph's whole bank from one eigendecomposition
+``L = U diag(lambda) U^T``: ``psi_f = U p_f(lambda) U^T`` and ``psi_f^+ = U
+p_f(lambda)^+ U^T`` with ``p_f`` evaluated elementwise on the eigenvalues.
+The bank is one read-only ``WaveletBasis``: U, and p_f(lambda) and its
+cutoff reciprocals as (n, F) arrays with one column per scale. The dense
+n x n ``psi(f)`` and ``psi_pinv(f)`` are formed only when asked for; the
+model applies psi_f y as U (p_f * U^T y) and never forms them
+(``layers.wavelet_input``).
 Two coefficient modes exist:
 
 * ``fitted_kernel`` - Chebyshev-Gauss quadrature fit of the low-pass kernel
@@ -47,32 +47,26 @@ BESSEL_TERM_TOL = 1e-16
 
 @dataclass(frozen=True)
 class WaveletBasis:
-    """One scale's wavelet psi = U diag(values) U^T in spectral form.
+    """The wavelet bank of one graph: psi_f = U diag(values[:, f]) U^T for
+    each of its F scales, every array read-only.
 
-    ``eigvecs`` is the same read-only array for every scale built from one
-    decomposition. ``inverse`` holds 1 / values where |values| exceeds the
-    rank cutoff and 0 elsewhere, so psi^+ = U diag(inverse) U^T.
+    ``inverse`` holds 1 / values where |values| exceeds the scale's rank
+    cutoff and 0 elsewhere, so psi_f^+ = U diag(inverse[:, f]) U^T.
     """
 
-    coefficients: np.ndarray  # length order + 1
+    coefficients: np.ndarray  # (F, order + 1), one row per scale
     eigvecs: np.ndarray       # (n, n) U, orthonormal eigenvectors of L
-    values: np.ndarray        # (n,) p(lambda)
-    inverse: np.ndarray       # (n,) p(lambda)^+
+    values: np.ndarray        # (n, F) p_f(lambda)
+    inverse: np.ndarray       # (n, F) p_f(lambda)^+
 
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def psi(self) -> np.ndarray:
-        """The dense wavelet matrix (n x n), exactly symmetric."""
-        psi = (self.eigvecs * self.values) @ self.eigvecs.T
+    def psi(self, f: int) -> np.ndarray:
+        """The dense wavelet matrix of scale ``f`` (n x n), exactly symmetric."""
+        psi = (self.eigvecs * self.values[:, f]) @ self.eigvecs.T
         return 0.5 * (psi + psi.T)  # kill rounding skew
 
-    @property
-    def psi_pinv(self) -> np.ndarray:
-        """The dense Moore-Penrose pseudoinverse of ``psi`` (n x n)."""
-        return (self.eigvecs * self.inverse) @ self.eigvecs.T
+    def psi_pinv(self, f: int) -> np.ndarray:
+        """The dense Moore-Penrose pseudoinverse of ``psi(f)`` (n x n)."""
+        return (self.eigvecs * self.inverse[:, f]) @ self.eigvecs.T
 
 
 def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
@@ -183,44 +177,37 @@ def pseudoinverse(matrix: np.ndarray) -> np.ndarray:
     return (vt.T * s_inv) @ u.T
 
 
-def wavelet_basis(
-    l_tilde: np.ndarray, scale: float, order: int, mode: str = MODE_FITTED_KERNEL
-) -> WaveletBasis:
-    """Wavelet basis psi = c_0/2 I + sum_i c_i T_i(L - I) plus its pseudoinverse."""
-    return wavelet_bases(l_tilde, [scale], order, mode)[0]
-
-
 def wavelet_bases(
     l_tilde: np.ndarray, scales, order: int, mode: str = MODE_FITTED_KERNEL
-) -> list[WaveletBasis]:
-    """Bases for several scales from one eigendecomposition L = U diag(lambda) U^T.
+) -> WaveletBasis:
+    """The bank of every scale from one eigendecomposition L = U diag(lambda) U^T.
 
-    Each scale's values are p(lambda), p being its Chebyshev polynomial in
-    lambda - 1, and every basis shares the one read-only U. Values with
-    |p(lambda)| <= n * machine_epsilon * max |p| count as zero in the
-    inverse: for a symmetric psi these magnitudes are its singular values,
-    so this is the cutoff ``pseudoinverse`` applies.
+    Column f of the values is p_f(lambda), p_f being scale f's Chebyshev
+    polynomial in lambda - 1 (psi = c_0/2 I + sum_i c_i T_i(L - I)). Values
+    with |p_f(lambda)| <= n * machine_epsilon * max |p_f| count as zero in
+    the inverse: for a symmetric psi_f these magnitudes are its singular
+    values, so this is the cutoff ``pseudoinverse`` applies.
     """
     lap = np.asarray(l_tilde, dtype=float)
     try:
         eigvals, eigvecs = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    eigvecs.setflags(write=False)
     terms = chebyshev_apply(eigvals - 1.0, order)
-    bases = []
-    for scale in scales:
-        coeffs = wavelet_coefficients(scale, order, mode)
-        values = 0.5 * coeffs[0] * terms[0]
+    coefficients = np.array([wavelet_coefficients(scale, order, mode) for scale in scales])
+    values = np.empty((lap.shape[0], len(coefficients)))
+    inverse = np.zeros_like(values)
+    for f, coeffs in enumerate(coefficients):
+        column = 0.5 * coeffs[0] * terms[0]
         for i in range(1, order + 1):
-            values += coeffs[i] * terms[i]
-        magnitude = np.abs(values)
-        cutoff = lap.shape[0] * np.finfo(float).eps * magnitude.max()
-        keep = magnitude > cutoff
-        inverse = np.zeros_like(values)
-        inverse[keep] = 1.0 / values[keep]
-        bases.append(WaveletBasis(coeffs, eigvecs, values, inverse))
-    return bases
+            column += coeffs[i] * terms[i]
+        magnitude = np.abs(column)
+        keep = magnitude > lap.shape[0] * np.finfo(float).eps * magnitude.max()
+        values[:, f] = column
+        inverse[keep, f] = 1.0 / column[keep]
+    for array in (coefficients, eigvecs, values, inverse):
+        array.setflags(write=False)
+    return WaveletBasis(coefficients, eigvecs, values, inverse)
 
 
 def exact_wavelet_oracle(l_tilde: np.ndarray, scale: float, kernel) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractViolationError
+from .errors import ConfigError, ContractViolationError
 from .layers import activation_lipschitz, gwc_forward, wavelet_input
 from .spectral import (
     MODE_FITTED_KERNEL,
@@ -33,11 +33,12 @@ def spectral_norm(matrix: np.ndarray) -> float:
 
 
 def lipschitz_bound_gwc(basis: WaveletBasis, theta: np.ndarray, activation: str) -> float:
-    """K_1 = L_sigma * ||psi theta psi^+||_2 for the single-scale convolution."""
-    n = basis.size
+    """K_1 = L_sigma * ||psi theta psi^+||_2 for a one-scale bank's convolution."""
+    n = basis.eigvecs.shape[0]
     if theta.shape != (n, n):
         raise ContractViolationError(f"theta shape {theta.shape} does not match basis size {n}")
-    return activation_lipschitz(activation) * spectral_norm(basis.psi @ theta @ basis.psi_pinv)
+    product = basis.psi(0) @ theta @ basis.psi_pinv(0)
+    return activation_lipschitz(activation) * spectral_norm(product)
 
 
 def lipschitz_bound_pool(s: np.ndarray) -> float:
@@ -49,8 +50,8 @@ def lipschitz_bound_pool(s: np.ndarray) -> float:
 
 
 def coefficient_bound(basis: WaveletBasis) -> float:
-    """K_psi = |c_0|/2 + sum_i |c_i|; bounds ||psi||_2 since ||T_i|| <= 1."""
-    c = basis.coefficients
+    """K_psi = |c_0|/2 + sum_i |c_i| of a one-scale bank; bounds ||psi||_2 as ||T_i|| <= 1."""
+    c = basis.coefficients[0]
     return float(abs(c[0]) / 2.0 + np.sum(np.abs(c[1:])))
 
 
@@ -148,7 +149,7 @@ def make_gwc_layer(basis: WaveletBasis, theta: np.ndarray, bias: np.ndarray,
     thetas, bias_var = [ad.constant(theta)], ad.constant(bias)
 
     def layer(x: np.ndarray) -> np.ndarray:
-        return gwc_forward(thetas, bias_var, wavelet_input([basis], x), activation).value
+        return gwc_forward(thetas, bias_var, wavelet_input(basis, x), activation).value
 
     return layer
 
@@ -198,6 +199,9 @@ def run_stability_suite(
     Returns the aggregate report (max bounds, total trials), the per-layer
     detail rows, and the caveat notes for the JSON output.
     """
+    if not 3 <= size_range[0] <= size_range[1]:
+        raise ConfigError(f"size range {size_range[0]}:{size_range[1]} needs 3 <= LO <= HI: "
+                          "a graph is pooled to max(2, n // 4) nodes, fewer than n")
     rng = np.random.default_rng(seed)
     checks: list[LayerCheck] = []
     k_gwc = k_pool = k_psi = 0.0
@@ -206,7 +210,7 @@ def run_stability_suite(
     for gi in range(graph_count):
         n = int(rng.integers(size_range[0], size_range[1] + 1))
         adj = gen_er(n, edge_probability, rng)
-        basis = wavelet_bases(normalized_laplacian(adj), (scale,), order, mode)[0]
+        basis = wavelet_bases(normalized_laplacian(adj), (scale,), order, mode)
         k_psi = max(k_psi, coefficient_bound(basis))
 
         theta = rng.standard_normal((n, n)) / math.sqrt(n)
@@ -217,7 +221,7 @@ def run_stability_suite(
         out1 = perturbation_check(layer1, x0, bound1, trials, rng=rng)
         checks.append(LayerCheck(
             layer="gwc", graph_index=gi, size=n, bound=bound1,
-            frobenius_norm=float(np.linalg.norm(basis.psi @ theta @ basis.psi_pinv)),
+            frobenius_norm=float(np.linalg.norm(basis.psi(0) @ theta @ basis.psi_pinv(0))),
             outcome=out1,
         ))
 

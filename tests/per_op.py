@@ -218,17 +218,17 @@ def gwc_forward(thetas, bias, wavelets, activation):
 def dense_gwc_forward(bases, x):
     """A stand-in for ``gwc_forward`` that ignores its operand and composes
     act(psi_f theta_f psi_f^+ x + bias) from the dense psi_f and psi_f^+ of
-    ``bases``, the scales of the graph whose features are ``x``."""
+    ``bases``, the wavelet bank of the graph whose features are ``x``."""
     def forward(thetas, bias, _, activation):
         n = x.shape[0]
         rows = getitem(bias, np.s_[:n, :])
         total = None
-        for basis, theta in zip(bases, thetas):
-            filtered = matmul(ad.constant(basis.psi), matmul(
-                getitem(theta, np.s_[:n, :n]), ad.constant(basis.psi_pinv @ x)))
+        for f, theta in enumerate(thetas):
+            filtered = matmul(ad.constant(bases.psi(f)), matmul(
+                getitem(theta, np.s_[:n, :n]), ad.constant(bases.psi_pinv(f) @ x)))
             scaled = activate(add(filtered, rows), activation)
             total = scaled if total is None else add(total, scaled)
-        return scale(total, 1.0 / len(bases))
+        return scale(total, 1.0 / len(thetas))
 
     return forward
 

@@ -42,7 +42,7 @@ from wavepool.spectral import (
     exact_wavelet_oracle,
     normalized_laplacian,
     pseudoinverse,
-    wavelet_basis,
+    wavelet_bases,
 )
 from wavepool.stability import run_stability_suite
 from wavepool.synth import build_msg, gen_ba, gen_er, gen_ws, three_class_config
@@ -131,12 +131,12 @@ def test_criterion_02_wavelet_fidelity():
         n = int(rng.integers(5, 51))
         lap = normalized_laplacian(gen_er(n, 0.3, rng))
         for f in (0.5, 1.0, 2.0):
-            fitted = wavelet_basis(lap, f, order=40, mode=MODE_FITTED_KERNEL).psi
+            fitted = wavelet_bases(lap, (f,), order=40, mode=MODE_FITTED_KERNEL).psi(0)
             exact = exact_wavelet_oracle(lap, f, lambda t: np.exp(-t))
             rel = np.linalg.norm(fitted - exact) / np.linalg.norm(exact)
             worst_fit = max(worst_fit, rel)
-            hi = wavelet_basis(lap, f, order=50, mode=MODE_CLOSED_FORM).psi
-            lo = wavelet_basis(lap, f, order=49, mode=MODE_CLOSED_FORM).psi
+            hi = wavelet_bases(lap, (f,), order=50, mode=MODE_CLOSED_FORM).psi(0)
+            lo = wavelet_bases(lap, (f,), order=49, mode=MODE_CLOSED_FORM).psi(0)
             conv = np.linalg.norm(hi - lo) / np.linalg.norm(hi)
             worst_conv = max(worst_conv, conv)
     elapsed = time.monotonic() - start

@@ -78,7 +78,9 @@ def test_config_file_wrong_schema_version(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--seeds", "a,b"], ["--seeds", "1,-2"],
-                                   ["--num-seeds", "0"], ["--num-seeds", "-3"]])
+                                   ["--num-seeds", "0"], ["--num-seeds", "-3"],
+                                   ["--seeds", "1,1"], ["--seeds", ""],
+                                   ["--seeds", "1,2", "--num-seeds", "5"]])
 def test_bad_seed_flags_exit_2(bench_dir, tmp_path, capsys, flags):
     code = main(["evaluate", "--data", str(bench_dir), "--out", str(tmp_path / "o"),
                  *flags, *FAST])
@@ -87,7 +89,7 @@ def test_bad_seed_flags_exit_2(bench_dir, tmp_path, capsys, flags):
     assert not (tmp_path / "o" / "per_seed.csv").exists()
 
 
-@pytest.mark.parametrize("seeds", [["x"], [1.5], [True], [], 3])
+@pytest.mark.parametrize("seeds", [["x"], [1.5], [True], [], 3, [1, 1]])
 def test_bad_config_seeds_exit_2(bench_dir, tmp_path, capsys, seeds):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"schema_version": 1, "seeds": seeds}))
@@ -373,6 +375,16 @@ def test_stability_command(tmp_path, capsys):
     assert "FAIL" not in printed
     report = json.loads((out / "stability.json").read_text())
     assert report["report"]["passing"] is True
+
+
+@pytest.mark.parametrize("span, code", [("0:0", 2), ("2:2", 2), ("3:3", 0)])
+def test_stability_sizes_must_pool_to_fewer_nodes(tmp_path, capsys, span, code):
+    """Each graph is pooled to max(2, n // 4) nodes, fewer than n from n = 3 on."""
+    out = tmp_path / "stab"
+    assert main(["stability", "--trials", "5", "--graphs", "1", "--size-range", span,
+                 "--out", str(out)]) == code
+    assert ("needs 3 <= LO <= HI" in capsys.readouterr().err) == (code == 2)
+    assert out.exists() == (code == 0)
 
 
 def test_config_file_flag_precedence(bench_dir, tmp_path):

@@ -76,6 +76,8 @@ def test_plan_validation():
         quick_plan(variant="mystery")
     with pytest.raises(ConfigError, match="seed"):
         quick_plan(seeds=())
+    with pytest.raises(ConfigError, match=r"seeds must be distinct, got \[0, 2\]"):
+        quick_plan(seeds=(2, 0, 1, 2, 0))
 
 
 def test_model_config_infers_n_max_from_data():

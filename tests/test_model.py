@@ -296,22 +296,22 @@ def test_basis_memo_on_graph(rng):
     assert second.inputs_for(named).wavelets is inputs.wavelets
     # the entry holds U, p_f(lambda) and psi_f^+ X on X's non-zero columns;
     # n > m_out, so no raw-graph GCN
-    basis, = wavelet_bases(normalized_laplacian(named.adjacency), (1.0,), 6)
+    basis = wavelet_bases(normalized_laplacian(named.adjacency), (1.0,), 6)
     assert inputs.renormalized is None
     wavelets = inputs.wavelets
     assert np.array_equal(wavelets.eigvecs, basis.eigvecs)
-    assert np.array_equal(wavelets.kernel, basis.values[:, None])
+    assert np.array_equal(wavelets.kernel, basis.values)
     assert np.array_equal(wavelets.columns, named.features.any(axis=0))
-    dense = basis.psi_pinv @ named.features[:, wavelets.columns]
+    dense = basis.psi_pinv(0) @ named.features[:, wavelets.columns]
     assert np.max(np.abs(wavelets.projected[:, 0] - dense)) <= 1e-13 * np.max(np.abs(dense))
     # same id, different adjacency: the memo lives on the graph, not the id
     twin = Graph(cycle_adjacency(6), named.features, 0, id="g1")
     assert not np.array_equal(first.inputs_for(twin).wavelets.kernel, wavelets.kernel)
     anonymous = random_graph(6, 2, rng, graph_id="")
     assert first.inputs_for(anonymous).wavelets is first.inputs_for(anonymous).wavelets
-    seventh, = wavelet_bases(normalized_laplacian(named.adjacency), (1.0,), 7)
+    seventh = wavelet_bases(normalized_laplacian(named.adjacency), (1.0,), 7)
     fresh = CrossScaleModel(small_config(order=7)).inputs_for(named)
-    assert np.array_equal(fresh.wavelets.kernel[:, 0], seventh.values)
+    assert np.array_equal(fresh.wavelets.kernel, seventh.values)
 
 
 def test_memo_keeps_one_projected_column_for_a_regular_graph():

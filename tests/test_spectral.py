@@ -17,7 +17,6 @@ from wavepool.spectral import (
     normalized_laplacian,
     pseudoinverse,
     wavelet_bases,
-    wavelet_basis,
     wavelet_coefficients,
 )
 
@@ -243,46 +242,57 @@ def test_pinv_rejects_nonfinite():
 
 def test_basis_is_identity_at_zero_scale():
     lap = normalized_laplacian(cycle_adjacency(6))
-    basis = wavelet_basis(lap, 0.0, 16, mode=MODE_FITTED_KERNEL)
-    assert np.allclose(basis.psi, np.eye(6), atol=1e-12)
-    assert np.allclose(basis.psi_pinv, np.eye(6), atol=1e-11)
+    basis = wavelet_bases(lap, (0.0,), 16, mode=MODE_FITTED_KERNEL)
+    assert np.allclose(basis.psi(0), np.eye(6), atol=1e-12)
+    assert np.allclose(basis.psi_pinv(0), np.eye(6), atol=1e-11)
 
 
 def test_two_node_basis_pinned_value():
     lap = normalized_laplacian(path_adjacency(2))
-    basis = wavelet_basis(lap, 1.0, 40, mode=MODE_FITTED_KERNEL)
+    psi = wavelet_bases(lap, (1.0,), 40, mode=MODE_FITTED_KERNEL).psi(0)
     lo = (1.0 + math.exp(-2.0)) / 2.0
     hi = (1.0 - math.exp(-2.0)) / 2.0
-    assert np.allclose(basis.psi, [[lo, hi], [hi, lo]], atol=1e-6)
-    assert np.array_equal(np.round(basis.psi, 4), [[0.5677, 0.4323], [0.4323, 0.5677]])
+    assert np.allclose(psi, [[lo, hi], [hi, lo]], atol=1e-6)
+    assert np.array_equal(np.round(psi, 4), [[0.5677, 0.4323], [0.4323, 0.5677]])
 
 
 def test_fitted_basis_matches_dense_reference(rng):
     for scale in (0.5, 1.0, 2.0):
         adj = random_adjacency(30, 0.2, rng)
         lap = normalized_laplacian(adj)
-        basis = wavelet_basis(lap, scale, 40, mode=MODE_FITTED_KERNEL)
+        psi = wavelet_bases(lap, (scale,), 40, mode=MODE_FITTED_KERNEL).psi(0)
         reference = exact_wavelet_oracle(lap, scale, lambda t: math.exp(-t))
-        assert np.max(np.abs(basis.psi - reference)) < 1e-6
+        assert np.max(np.abs(psi - reference)) < 1e-6
 
 
 def test_internal_convergence_order_49_vs_50(rng):
     adj = random_adjacency(12, 0.4, rng)
     lap = normalized_laplacian(adj)
     for mode in (MODE_CLOSED_FORM, MODE_FITTED_KERNEL):
-        a = wavelet_basis(lap, 1.0, 49, mode=mode)
-        b = wavelet_basis(lap, 1.0, 50, mode=mode)
-        assert np.max(np.abs(a.psi - b.psi)) < 1e-6
+        a = wavelet_bases(lap, (1.0,), 49, mode=mode).psi(0)
+        b = wavelet_bases(lap, (1.0,), 50, mode=mode).psi(0)
+        assert np.max(np.abs(a - b)) < 1e-6
 
 
 def test_bases_share_recurrence_with_single_scale(rng):
+    """One read-only bank: (F, M + 1) coefficients, one U, and (n, F)
+    values and inverse whose column f is bit-equal to the one-scale build."""
     adj = random_adjacency(8, 0.4, rng)
     lap = normalized_laplacian(adj)
-    multi = wavelet_bases(lap, [1.0, 2.0], 12)
-    for basis, scale in zip(multi, (1.0, 2.0)):
-        single = wavelet_basis(lap, scale, 12)
-        assert np.array_equal(basis.psi, single.psi)
-        assert np.array_equal(basis.psi_pinv, single.psi_pinv)
+    scales = (1.0, 2.0, 3.0)
+    bank = wavelet_bases(lap, scales, 12)
+    assert bank.coefficients.shape == (3, 13) and bank.eigvecs.shape == (8, 8)
+    assert bank.values.shape == bank.inverse.shape == (8, 3)
+    for array in (bank.coefficients, bank.eigvecs, bank.values, bank.inverse):
+        assert not array.flags.writeable
+    for f, scale in enumerate(scales):
+        single = wavelet_bases(lap, (scale,), 12)
+        assert np.array_equal(bank.coefficients[f], single.coefficients[0])
+        assert np.array_equal(bank.eigvecs, single.eigvecs)
+        assert np.array_equal(bank.values[:, f], single.values[:, 0])
+        assert np.array_equal(bank.inverse[:, f], single.inverse[:, 0])
+        assert np.array_equal(bank.psi(f), single.psi(0))
+        assert np.array_equal(bank.psi_pinv(f), single.psi_pinv(0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -290,25 +300,27 @@ def test_bases_share_recurrence_with_single_scale(rng):
        scale=st.sampled_from([0.5, 1.0, 2.0, 3.0]))
 def test_basis_symmetry_property(n, seed, scale):
     adj = random_adjacency(n, 0.4, np.random.default_rng(seed))
-    basis = wavelet_basis(normalized_laplacian(adj), scale, 16)
-    assert np.array_equal(basis.psi, basis.psi.T)
-    assert np.allclose(basis.psi_pinv, basis.psi_pinv.T, atol=1e-10)
+    basis = wavelet_bases(normalized_laplacian(adj), (scale,), 16)
+    psi, psi_pinv = basis.psi(0), basis.psi_pinv(0)
+    assert np.array_equal(psi, psi.T)
+    assert np.allclose(psi_pinv, psi_pinv.T, atol=1e-10)
 
 
 @pytest.mark.parametrize("mode", [MODE_FITTED_KERNEL, MODE_CLOSED_FORM])
 def test_basis_pinv_matches_svd_pseudoinverse(rng, mode):
     for n in (1, 5, 17, 40):
         lap = normalized_laplacian(random_adjacency(n, 0.15, rng))
-        for basis in wavelet_bases(lap, (0.5, 1.0, 3.0), 16, mode):
-            reference = pseudoinverse(basis.psi)
-            assert np.linalg.norm(basis.psi_pinv - reference) <= 1e-8 * np.linalg.norm(reference)
+        bank = wavelet_bases(lap, (0.5, 1.0, 3.0), 16, mode)
+        for f in range(3):
+            reference = pseudoinverse(bank.psi(f))
+            assert np.linalg.norm(bank.psi_pinv(f) - reference) <= 1e-8 * np.linalg.norm(reference)
 
 
 def test_basis_pinv_inverts_on_connected_graph():
     lap = normalized_laplacian(cycle_adjacency(7))
-    basis = wavelet_basis(lap, 1.0, 30)
+    basis = wavelet_bases(lap, (1.0,), 30)
     # exp(-f lambda) never vanishes, so psi is invertible here
-    assert np.allclose(basis.psi @ basis.psi_pinv, np.eye(7), atol=1e-8)
+    assert np.allclose(basis.psi(0) @ basis.psi_pinv(0), np.eye(7), atol=1e-8)
 
 
 def test_oracle_size_gate():

@@ -1,8 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from wavepool.errors import ContractViolationError
-from wavepool.spectral import normalized_laplacian, wavelet_basis
+from wavepool.spectral import normalized_laplacian, wavelet_bases
 from wavepool.stability import (
     RATIO_SLACK,
     LipschitzReport,
@@ -22,7 +25,7 @@ from .conftest import cycle_adjacency
 
 
 def basis_for(adj, scale=1.0, order=16):
-    return wavelet_basis(normalized_laplacian(adj), scale, order)
+    return wavelet_bases(normalized_laplacian(adj), (scale,), order)
 
 
 # -- bound formulas -------------------------------------------------------
@@ -56,7 +59,7 @@ def test_pool_bound_identity_and_scaling():
 def test_coefficient_bound_dominates_operator_norm(rng):
     for scale in (0.5, 1.0, 2.0):
         basis = basis_for(cycle_adjacency(9), scale=scale)
-        assert coefficient_bound(basis) >= spectral_norm(basis.psi) - 1e-10
+        assert coefficient_bound(basis) >= spectral_norm(basis.psi(0)) - 1e-10
 
 
 # -- perturbation harness -------------------------------------------------
@@ -165,8 +168,6 @@ def test_suite_smoke_and_report_shape():
     assert len(payload["layers"]) == 6
     assert payload["layers"][2]["frobenius_norm"] is None
     assert len(payload["notes"]) == 2
-    import json
-
     json.dumps(payload)  # strict JSON, no NaN/inf leakage
 
 
@@ -176,6 +177,18 @@ def test_suite_is_deterministic():
     b = run_stability_suite(seed=3, graph_count=1, size_range=(6, 8), trials=25,
                             composition_trials=10)[0]
     assert a == b
+
+
+# SHA-256 of the sorted-key JSON of one suite run; floats print as repr, so
+# any change in a bound, norm, ratio or trial count changes it.
+SUITE_DIGEST = "9fa842d83394c26ca9e06bfc76b7aba65d7862b3388c0f3c454427c1a722aa95"
+
+
+def test_suite_output_is_pinned():
+    payload = suite_to_json(*run_stability_suite(seed=3, graph_count=2, trials=200,
+                                                 composition_trials=50))
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGEST
 
 
 def test_report_passing_logic():
