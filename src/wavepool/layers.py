@@ -18,16 +18,22 @@ Both assignments, spectral and DiffPool, are m x n: one row per pooled
 node, one column per input node. ``pool_apply`` takes either.
 
 The wavelet convolution reads the graph only through one precomputed
-operand (``WaveletInput``), and the graph convolution accepts a
-``Renormalized`` constant adjacency instead of renormalizing a ``Var`` one;
-the model memoises both per graph. Every scale's wavelet is a function of
-one Laplacian spectrum, psi_f = U diag(p_f) U^T, so the operand takes U and
-the (n, F) p_f(lambda) from the graph's wavelet bank as they are and
-applies psi_f as U (p_f * U^T y); no dense psi_f or psi_f^+ is formed. A
-column of psi_f^+ X is zero wherever X's column is, so ``wavelet_input``
-keeps psi_f^+ X on X's non-zero columns only and the convolution multiplies
-only those: one-hot features (degrees, node labels) use a few of their
-columns per graph, while dense features keep them all.
+operand (``WaveletInput``). The graph convolution accepts a ``Renormalized``
+constant adjacency instead of renormalizing a ``Var`` one, and on the
+graph's own features a ``GcnInput``, Â X on X's non-zero columns, so the
+first convolution is one n x k by k x l product; the model memoises all
+three per graph. Every graph convolution, DiffPool's included, forms
+X W[:, :width] before multiplying by Â, so its n x n product runs at the
+width it keeps: m columns for an m-node assignment.
+
+Every scale's wavelet is a function of one Laplacian spectrum,
+psi_f = U diag(p_f) U^T, so the operand takes U and the (n, F) p_f(lambda)
+from the graph's wavelet bank as they are and applies psi_f as
+U (p_f * U^T y); no dense psi_f or psi_f^+ is formed. A column of
+psi_f^+ X is zero wherever X's column is, so ``wavelet_input`` keeps
+psi_f^+ X on X's non-zero columns only and the convolution multiplies only
+those: one-hot features (degrees, node labels) use a few of their columns
+per graph, while dense features keep them all.
 """
 
 from __future__ import annotations
@@ -203,9 +209,10 @@ def spectral_pool_assign(theta: Var, xi_n: np.ndarray, xi_m: np.ndarray,
     return ad.node(s, (theta,), vjp)
 
 
-def pool_apply(s: Var, adjacency: Var, features: Var) -> tuple[Var, Var]:
-    """Pool structure and features with an m x n assignment: A' = S A S^T,
-    X' = S X, one node each."""
+def pool_apply(s: Var, adjacency: Var, features: Var) -> tuple[Var, Var, np.ndarray]:
+    """Pool structure and features with an m x n assignment: A' = S A S^T
+    and X' = S X, one node each, and the m x n product S A as a plain array,
+    which the structure term of a constant A reuses."""
     s_mn = s.value
     n = s_mn.shape[1]
     a, x = adjacency.value, features.value
@@ -218,6 +225,7 @@ def pool_apply(s: Var, adjacency: Var, features: Var) -> tuple[Var, Var]:
             f"features rows {x.shape[0]} incompatible with S columns {n}"
         )
     left = s_mn @ a
+    left.setflags(write=False)
 
     def adjacency_vjp(g, grads):
         acc_s, acc_a = grads
@@ -235,7 +243,7 @@ def pool_apply(s: Var, adjacency: Var, features: Var) -> tuple[Var, Var]:
             acc_x += s_mn.T @ g
 
     return (ad.node(left @ s_mn.T, (s, adjacency), adjacency_vjp),
-            ad.node(s_mn @ x, (s, features), features_vjp))
+            ad.node(s_mn @ x, (s, features), features_vjp), left)
 
 
 @dataclass(frozen=True)
@@ -245,15 +253,26 @@ class Renormalized:
     matrix: np.ndarray
 
 
+class GcnInput(NamedTuple):
+    """The first graph convolution's operand for one graph with a constant
+    input X (n x l): Â X on the k columns of X that are not all zero."""
+
+    columns: np.ndarray     # (l,) bool, X's non-zero columns
+    propagated: np.ndarray  # (n, k), Â X[:, columns]
+
+
 def _renormalized(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D^{-1/2} (A + I) D^{-1/2} and the column of D^{-1/2}'s diagonal."""
-    a_hat = adjacency + np.eye(adjacency.shape[0])
+    a_hat = adjacency.copy()
+    a_hat.flat[::a_hat.shape[0] + 1] += 1.0
     sums = a_hat.sum(axis=-1, keepdims=True)
     if np.any(sums <= 0):
         bad = int(np.argmax(sums.ravel() <= 0))
         raise NumericError(f"row {bad} of A + I has nonpositive sum; cannot normalize")
     inv_sqrt = sums**-0.5
-    return inv_sqrt * a_hat * inv_sqrt.T, inv_sqrt
+    a_hat *= inv_sqrt
+    a_hat *= inv_sqrt.T
+    return a_hat, inv_sqrt
 
 
 def renormalize(adjacency: np.ndarray) -> Renormalized:
@@ -263,13 +282,40 @@ def renormalize(adjacency: np.ndarray) -> Renormalized:
     return Renormalized(matrix)
 
 
-def _propagate(adjacency: Var | Renormalized, features: Var, weight: Var, width: int):
+def gcn_input(adjacency: np.ndarray, x: np.ndarray) -> GcnInput:
+    """The operand of the constant features ``x`` on the graph ``adjacency``;
+    both arrays are read-only. Â is formed for the product and dropped."""
+    columns = x.any(axis=0)
+    normalized, _ = _renormalized(adjacency)
+    propagated = normalized @ np.compress(columns, x, axis=1)
+    for array in (columns, propagated):
+        array.setflags(write=False)
+    return GcnInput(columns, propagated)
+
+
+def _propagate(adjacency: Var | Renormalized | GcnInput, features: Var | None,
+               weight: Var, width: int):
     """Z = Â X W[:, :width], the node inputs, and a vjp adding dL/dZ into them.
 
-    The inputs are (adjacency, features, weight) for a ``Var`` adjacency,
-    whose gradient goes back through the renormalization, and (features,
-    weight) for a ``Renormalized`` one.
+    X W[:, :width] is formed first and Â multiplies that, so the n x n
+    product runs at ``width`` columns, and the vjp takes Â^T dL/dZ once for
+    both X and W. The inputs are (adjacency, features, weight) for a ``Var``
+    adjacency, whose gradient goes back through the renormalization,
+    (features, weight) for a ``Renormalized`` one, and (weight,) for a
+    ``GcnInput``, which holds Â X already and takes ``features`` None; it
+    multiplies only the rows of W for X's non-zero columns.
     """
+    if isinstance(adjacency, GcnInput):
+        columns, propagated = adjacency
+        if features is not None or columns.size != weight.value.shape[0]:
+            raise ContractViolationError(
+                f"a GcnInput of {columns.size} feature columns takes no features and a "
+                f"weight with as many rows, got {weight.value.shape[0]}")
+
+        def operand_vjp(g, grads):
+            grads[0][columns, :width] += propagated.T @ g
+
+        return propagated @ weight.value[columns, :width], (weight,), operand_vjp
     if isinstance(adjacency, Renormalized):
         normalized, inv_sqrt = adjacency.matrix, None
         inputs = (features, weight)
@@ -277,37 +323,38 @@ def _propagate(adjacency: Var | Renormalized, features: Var, weight: Var, width:
         normalized, inv_sqrt = _renormalized(adjacency.value)
         inputs = (adjacency, features, weight)
     x, w = features.value, weight.value[:, :width]
-    propagated = normalized @ x
+    transformed = x @ w
 
     def vjp(g, grads):
         *acc_a, acc_x, acc_w = grads
         acc_a = acc_a[0] if acc_a else None
-        if acc_w is not None:
-            acc_w[:, :width] += propagated.T @ g
-        if acc_x is None and acc_a is None:
-            return
-        g_propagated = g @ w.T
-        if acc_x is not None:
-            acc_x += normalized.T @ g_propagated
+        if acc_w is not None or acc_x is not None:
+            g_transformed = normalized.T @ g
+            if acc_w is not None:
+                acc_w[:, :width] += x.T @ g_transformed
+            if acc_x is not None:
+                acc_x += g_transformed @ w.T
         if acc_a is not None:
-            g_normalized = g_propagated @ x.T
+            g_normalized = g @ transformed.T
             # each row sum of A + I scales its row and its column of Â
             through = g_normalized * normalized
             g_sums = -0.5 * (through.sum(axis=0)[:, None]
                              + through.sum(axis=1, keepdims=True)) * inv_sqrt**2
             acc_a += inv_sqrt * g_normalized * inv_sqrt.T + g_sums
 
-    return propagated @ w, inputs, vjp
+    return normalized @ transformed, inputs, vjp
 
 
-def gcn_forward(adjacency: Var | Renormalized, features: Var, weight: Var,
-                activation: str) -> Var:
+def gcn_forward(adjacency: Var | Renormalized | GcnInput, features: Var | None,
+                weight: Var, activation: str) -> Var:
     """Renormalized graph convolution act(D^{-1/2} (A + I) D^{-1/2} X W).
 
     A ``Var`` adjacency is renormalized inside the node, so a pooled
     adjacency takes gradients; it may carry real weights, and a row of A + I
     whose sum is not positive cannot be normalized and raises. A constant
-    adjacency can be renormalized once beforehand with ``renormalize``.
+    adjacency can be renormalized once beforehand with ``renormalize``. For
+    a constant X, ``gcn_input`` forms Â X once, on X's non-zero columns; it
+    replaces the adjacency, ``features`` is None, and a pass costs n k l.
     """
     z, inputs, propagate_vjp = _propagate(adjacency, features, weight, weight.value.shape[1])
     relu = activation == "relu"

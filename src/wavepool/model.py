@@ -16,13 +16,18 @@ constructor and ``load_state`` reject tensors that are misnamed,
 misshapen or non-finite.
 
 ``CrossScaleModel.inputs_for`` builds what a forward pass reads of the graph
-alone and keeps each operand on the ``Graph`` in its own memo slot: the
-wavelet operand, keyed by scales, order and basis mode, and the renormalized
-adjacency. The wavelet operand (``layers.wavelet_input``) is built from the
-graph's one wavelet bank (``spectral.wavelet_bases``): U and the (n, F)
-p_f(lambda) of the bank itself, and psi_f^+ X for every scale, about n^2 + 3n
-+ 3nk floats. Both wavelet variants with equal settings share one
-eigendecomposition per graph, and no dense psi_f or psi_f^+ is stored.
+alone and keeps each operand on the ``Graph`` in its own memo slot, and only
+the operands the variant reads: the wavelet operand, keyed by scales, order
+and basis mode; the GCN operand (``layers.gcn_input``: Â X on X's non-zero
+columns, n k floats), which the first convolution of both GCN variants
+reads; and the renormalized adjacency, which DiffPool's first assignment
+and the small-graph branch read. The wavelet operand
+(``layers.wavelet_input``) is built from the graph's one wavelet bank
+(``spectral.wavelet_bases``): U and the (n, F) p_f(lambda) of the bank
+itself, and psi_f^+ X for every scale, about n^2 + 3n + 3nk floats. Both
+wavelet variants with equal settings share one eigendecomposition per graph,
+and no dense psi_f or psi_f^+ is stored. The first pooling stage records
+``pool_apply``'s S A, which the structure loss reuses.
 
 Checkpoints are a single binary file: a JSON manifest (configuration plus
 tensor shapes) followed by raw little-endian float64 tensor data.
@@ -44,11 +49,13 @@ from .errors import ContractViolationError, FormatError
 from .graphs import Graph
 from .layers import (
     ACTIVATIONS,
+    GcnInput,
     Renormalized,
     WaveletInput,
     classify,
     diffpool_assign,
     gcn_forward,
+    gcn_input,
     gwc_forward,
     pool_apply,
     renormalize,
@@ -130,6 +137,8 @@ class PoolStage:
 
     adjacency: Var   # pre-pool adjacency (n x n)
     assignment: Var  # (m x n), one row per pooled node
+    # S A from ``pool_apply``, recorded where A is the graph's constant
+    product: np.ndarray | None = None
 
 
 @dataclass
@@ -150,11 +159,14 @@ class GraphInputs:
 
     ``wavelets`` is the wavelet convolution's one operand (``wavelet_input``:
     the eigenvectors U, p_f(lambda) and psi_f^+ X per scale on X's non-zero
-    columns), set with wavelets; ``renormalized`` is set where a GCN reads
-    the raw graph.
+    columns), set with wavelets; ``gcn`` is the first graph convolution's
+    (``gcn_input``: Â X on X's non-zero columns), set without them;
+    ``renormalized`` is set where a GCN runs on other features over the raw
+    graph.
     """
 
     wavelets: WaveletInput | None
+    gcn: GcnInput | None
     renormalized: Renormalized | None
 
 
@@ -253,20 +265,22 @@ class CrossScaleModel:
         """What this variant's forward pass reads of the graph alone. Each
         operand is built once per graph and shared by every model that reads
         it: the wavelet operand by models with the same scales, order and
-        basis mode, the renormalized adjacency by all."""
+        basis mode, the GCN operand and the renormalized adjacency by all."""
         cfg = self.config
-        wavelets = renormalized = None
+        wavelets = gcn = renormalized = None
         if cfg.uses_wavelets:
             key = (cfg.scales, cfg.order, cfg.basis_mode)
             wavelets = graph.memoised("wavelets", key, lambda: wavelet_input(
                 wavelet_bases(normalized_laplacian(graph.adjacency), *key), graph.features))
-        # conv1, the first DiffPool assignment and the small-graph branch
-        # run a GCN on the raw graph
-        if (not cfg.uses_wavelets or not cfg.uses_spectral_pool
-                or graph.node_count <= cfg.m_out):
+        else:
+            gcn = graph.memoised("gcn", None,
+                                 lambda: gcn_input(graph.adjacency, graph.features))
+        # the first DiffPool assignment and the small-graph branch run a GCN
+        # on the raw graph
+        if not cfg.uses_spectral_pool or graph.node_count <= cfg.m_out:
             renormalized = graph.memoised("renormalized", None,
                                           lambda: renormalize(graph.adjacency))
-        return GraphInputs(wavelets, renormalized)
+        return GraphInputs(wavelets, gcn, renormalized)
 
     def _assign(self, stage: int, gcn_adjacency: Var | Renormalized | None,
                 features: Var, n: int, m: int) -> Var:
@@ -292,21 +306,21 @@ class CrossScaleModel:
             thetas = [p[f"gwc.theta.{k}"] for k in range(len(cfg.scales))]
             h = gwc_forward(thetas, p["gwc.bias"], inputs.wavelets, cfg.activation)
         else:
-            h = gcn_forward(inputs.renormalized, ad.constant(graph.features),
-                            p["conv1.weight"], cfg.activation)
+            h = gcn_forward(inputs.gcn, None, p["conv1.weight"], cfg.activation)
         stages: list[PoolStage] = []
         pooled_adjacencies: list[Var] = []
         if n > cfg.m_out:
             m1 = mid_pool_size(n, cfg.m_out)
             s = self._assign(1, inputs.renormalized, h, n, m1)
-            stages.append(PoolStage(adjacency, s))
-            adjacency, h = pool_apply(s, adjacency, h)
+            pooled, h, product = pool_apply(s, adjacency, h)
+            stages.append(PoolStage(adjacency, s, product))
+            adjacency = pooled
             pooled_adjacencies.append(adjacency)
             h = gcn_forward(adjacency, h, p["gcn.weight"], cfg.activation)
             if m1 > cfg.m_out:
                 s = self._assign(2, adjacency, h, m1, cfg.m_out)
                 stages.append(PoolStage(adjacency, s))
-                adjacency, h = pool_apply(s, adjacency, h)
+                adjacency, h, _ = pool_apply(s, adjacency, h)
                 pooled_adjacencies.append(adjacency)
         else:
             h = gcn_forward(inputs.renormalized, h, p["gcn.weight"], cfg.activation)

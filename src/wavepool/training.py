@@ -8,7 +8,9 @@ where the structure term is the Frobenius distance between each pre-pool
 adjacency and S^T S for that stage's m x n assignment S, reduced over
 stages by ``lp_stage_mode`` ("mean" by default, or "sum" / "first"). At
 beta = 0 the structure term is skipped outright (no residual graph is
-built). ``graph_loss`` is the only loss: one tape node over the class
+built). The first stage pools the graph's constant adjacency and records
+S A, so its term is taken from S A and S S^T without the n x n residual;
+only the pooled second stage, whose adjacency takes a gradient, forms it. ``graph_loss`` is the only loss: one tape node over the class
 probabilities and each counted stage's (adjacency, assignment), with a
 hand-written vjp. Validation goes through ``CrossScaleModel.predict`` and
 records no tape.
@@ -99,9 +101,30 @@ def _cross_entropy(label: int, probs: Var, class_count: int):
 def _structure(stage: PoolStage):
     """||A - S^T S||_F for the m x n assignment S, and a vjp adding g times
     its gradient into the (adjacency, assignment) buffers; subgradient 0
-    at a zero residual."""
-    s_nm = stage.assignment.value.T
-    residual = stage.adjacency.value - s_nm @ s_nm.T
+    at a zero residual.
+
+    A stage that records S A pools the graph's own adjacency, a constant, so
+    the n x n residual R is not formed: ||R||^2 = ||A||^2 - 2 <S A, S> +
+    ||S S^T||^2, clamped at 0 against rounding, and the gradient at S is
+    -(2 / ||R||)(S A - S S^T S). A pooled adjacency takes the gradient
+    R / ||R||, so its stage forms R.
+    """
+    s, a = stage.assignment.value, stage.adjacency.value
+    if stage.product is not None:
+        if stage.adjacency.requires_grad:
+            raise ContractViolationError("a stage that records S A needs a constant adjacency")
+        product = stage.product
+        gram = s @ s.T
+        squared = np.vdot(a, a) - 2.0 * np.vdot(product, s) + np.vdot(gram, gram)
+        norm = float(np.sqrt(max(squared, 0.0)))
+
+        def gram_vjp(g, acc_adjacency, acc_assignment):
+            if norm != 0.0 and acc_assignment is not None:
+                acc_assignment -= (2.0 * g / norm) * (product - gram @ s)
+
+        return norm, gram_vjp
+    s_nm = s.T
+    residual = a - s_nm @ s_nm.T
     norm = float(np.sqrt((residual * residual).sum()))
 
     def vjp(g, acc_adjacency, acc_assignment):

@@ -15,6 +15,7 @@ import numpy as np
 
 from wavepool import autodiff as ad
 from wavepool.errors import ContractViolationError, NumericError
+from wavepool.layers import GcnInput, renormalize
 from wavepool.model import ForwardResult, PoolStage, mid_pool_size
 from wavepool.spectral import cosine_transform
 from wavepool.training import PROB_FLOOR, STAGE_MODES
@@ -254,12 +255,36 @@ def renormalized(adjacency):
 
 
 def gcn_forward(adjacency, features, weight, activation):
-    """Graph convolution; ``adjacency`` is a Var or a ``Renormalized``."""
+    """Graph convolution, Â (X W); ``adjacency`` is a Var, a ``Renormalized``
+    or a ``GcnInput``, which holds Â X on X's non-zero columns and takes no
+    features."""
+    if isinstance(adjacency, GcnInput):
+        rows = getitem(weight, np.s_[adjacency.columns, :])
+        return activate(matmul(ad.constant(adjacency.propagated), rows), activation)
     if isinstance(adjacency, ad.Var):
         normalized = renormalized(adjacency)
     else:
         normalized = ad.constant(adjacency.matrix)
-    return activate(matmul(matmul(normalized, features), weight), activation)
+    return activate(matmul(normalized, matmul(features, weight)), activation)
+
+
+def dense_gcn(adjacency, x):
+    """Stand-ins for ``gcn_forward`` and ``diffpool_assign`` that form
+    (Â X) W, Â times the whole of X first, as the formula reads. A
+    ``GcnInput`` stands for Â of ``adjacency``, the graph whose features are
+    ``x``, and all of ``x``."""
+    def forward(operand, features, weight, activation):
+        if isinstance(operand, GcnInput):
+            operand, features = renormalize(adjacency), ad.constant(x)
+        normalized = (renormalized(operand) if isinstance(operand, ad.Var)
+                      else ad.constant(operand.matrix))
+        return activate(matmul(matmul(normalized, features), weight), activation)
+
+    def assign(operand, features, weight, width):
+        z = forward(operand, features, getitem(weight, np.s_[:, :width]), "identity")
+        return transpose(row_softmax(z))
+
+    return forward, assign
 
 
 def diffpool_assign(adjacency, features, weight, width):
@@ -319,8 +344,7 @@ def forward(model, graph):
         thetas = [p[f"gwc.theta.{k}"] for k in range(len(cfg.scales))]
         h = gwc_forward(thetas, p["gwc.bias"], inputs.wavelets, cfg.activation)
     else:
-        h = gcn_forward(inputs.renormalized, ad.constant(graph.features), p["conv1.weight"],
-                        cfg.activation)
+        h = gcn_forward(inputs.gcn, None, p["conv1.weight"], cfg.activation)
     stages = []
     if n > cfg.m_out:
         m1 = mid_pool_size(n, cfg.m_out)

@@ -17,6 +17,7 @@ from wavepool.layers import (
     classify,
     diffpool_assign,
     gcn_forward,
+    gcn_input,
     gwc_forward,
     pool_apply,
     renormalize,
@@ -297,11 +298,14 @@ def test_pool_apply_shapes_and_symmetry(rng):
                              True)
     adj = ad.constant(cycle_adjacency(n))
     feats = ad.constant(rng.standard_normal((n, width)))
-    pooled_adj, pooled_feats = pool_apply(s, adj, feats)
+    pooled_adj, pooled_feats, product = pool_apply(s, adj, feats)
     assert pooled_adj.value.shape == (m, m)
     assert pooled_feats.value.shape == (m, width)
     assert np.allclose(pooled_adj.value, pooled_adj.value.T, atol=1e-12)
     assert np.allclose(pooled_feats.value, s.value @ feats.value, atol=1e-12)
+    # S A, which the structure term of the first stage reuses, is read-only
+    assert np.array_equal(product, s.value @ adj.value)
+    assert not product.flags.writeable
 
 
 def test_pool_apply_validation(rng):
@@ -320,7 +324,7 @@ def test_pool_gradients_match_finite_differences(rng):
 
     def run(theta):
         s = spectral_pool_assign(ad.as_var(theta), cosine_transform(n), cosine_transform(m), True)
-        pooled_adj, pooled_feats = pool_apply(s, ad.constant(adj), ad.constant(feats))
+        pooled_adj, pooled_feats, _ = pool_apply(s, ad.constant(adj), ad.constant(feats))
         return ops.add(ops.frobenius_norm(pooled_adj), ops.frobenius_norm(pooled_feats))
 
     var = ad.parameter(theta0)
@@ -378,6 +382,23 @@ def test_folded_renormalization_matches_tape(rng):
                                   gcn_forward(ad.constant(adj), feats, weight, activation).value)
 
 
+def test_gcn_operand_takes_no_features_and_one_weight_row_per_column(rng):
+    operand = gcn_input(cycle_adjacency(5), rng.standard_normal((5, 3)))
+    feats = ad.constant(rng.standard_normal((5, 3)))
+    with pytest.raises(ContractViolationError, match="GcnInput"):
+        gcn_forward(operand, feats, ad.parameter(np.eye(3)), "relu")
+    with pytest.raises(ContractViolationError, match="GcnInput"):
+        gcn_forward(operand, None, ad.parameter(np.eye(4)), "relu")
+    # the operand's rows of W receive the gradient, the others none
+    x = np.zeros((5, 3))
+    x[:, 1] = 1.0
+    weight = ad.parameter(rng.standard_normal((3, 2)))
+    ad.backward(ops.sum_all(gcn_forward(gcn_input(cycle_adjacency(5), x), None, weight,
+                                        "identity")))
+    assert np.array_equal(weight.grad[[0, 2]], np.zeros((2, 2)))
+    assert np.allclose(weight.grad[1], 5.0, atol=1e-12)  # Â 1 = 1 on a regular graph
+
+
 def test_diffpool_assignment_is_row_stochastic(rng):
     n, m = 6, 3
     weight = ad.parameter(rng.standard_normal((2, m)))
@@ -429,7 +450,7 @@ def stage_cases(rng):
         return build
 
     def apply(layer):
-        return lambda s, a, x: layer.pool_apply(s, a, x)
+        return lambda s, a, x: layer.pool_apply(s, a, x)[:2]
 
     def gcn(activation):
         def build(layer):
@@ -441,6 +462,13 @@ def stage_cases(rng):
 
     def diffpool_renormalized(layer):
         return lambda x, w: (layer.diffpool_assign(renormalize(adj), x, w, m),)
+
+    x = np.zeros((n, 4))  # two all-zero columns, drawn apart from the other cases
+    x[:, [0, 2]] = np.random.default_rng(7).standard_normal((n, 2))
+    operand = gcn_input(adj, x)
+
+    def gcn_operand(layer):
+        return lambda w: (layer.gcn_forward(operand, None, w, "relu"),)
 
     def classify(layer):
         return layer.classify
@@ -463,10 +491,11 @@ def stage_cases(rng):
          [rng.standard_normal((n, width)), rng.standard_normal((width, m))]),
         ("classify", classify, [rng.standard_normal((m, width)),
                                 rng.standard_normal((m * width, 4)), rng.standard_normal(4)]),
+        ("gcn operand", gcn_operand, [rng.standard_normal((4, 3))]),
     ]
 
 
-@pytest.mark.parametrize("case", range(9))
+@pytest.mark.parametrize("case", range(10))
 def test_fused_stage_matches_per_op_composition(case):
     rng = np.random.default_rng(case)
     name, build, arrays = stage_cases(rng)[case]

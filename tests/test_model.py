@@ -12,6 +12,7 @@ from wavepool import autodiff as ad
 from wavepool import model as model_module
 from wavepool.errors import ContractViolationError, FormatError, NumericError
 from wavepool.graphs import Graph, GraphDataset, degree_onehot_features
+from wavepool.layers import renormalize
 from wavepool.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -333,7 +334,7 @@ def test_memoised_inputs_are_read_only(variant, rng):
     model = CrossScaleModel(small_config(variant, scales=(1.0, 2.0)), seed=0)
     for n in (2, 7):  # the n <= m_out branch and the pooled one
         inputs = model.inputs_for(random_graph(n, 2, rng))
-        arrays = list(inputs.wavelets or ())
+        arrays = list(inputs.wavelets or ()) + list(inputs.gcn or ())
         if inputs.renormalized is not None:
             arrays.append(inputs.renormalized.matrix)
         assert arrays
@@ -393,6 +394,71 @@ def test_wavelet_diffpool_builds_each_graph_entry_once(rng, monkeypatch):
         spectral.forward(graph)
         model.forward(graph)
     assert calls == {"bases": 3, "renormalize": 3}
+
+
+def test_gcn_operand_is_a_propagated_on_the_non_zero_columns(rng):
+    """The GCN operand holds Â X[:, columns] for X's non-zero columns
+    (within 1e-13 of the product with the renormalized adjacency), read-only."""
+    n = 11
+    adjacency = random_graph(n, 1, rng).adjacency
+    for x in (degree_onehot_features(adjacency, cap=6), rng.standard_normal((n, 7))):
+        graph = Graph(adjacency, x, 0)
+        model = CrossScaleModel(small_config("gcn_spectral", feature_dim=x.shape[1]), seed=0)
+        operand = model.inputs_for(graph).gcn
+        assert np.array_equal(operand.columns, x.any(axis=0))
+        dense = renormalize(adjacency).matrix @ x[:, operand.columns]
+        assert operand.propagated.shape == dense.shape
+        assert np.max(np.abs(operand.propagated - dense)) <= 1e-13 * np.max(np.abs(dense))
+        for array in operand:
+            assert not array.flags.writeable
+
+
+def test_gcn_variants_build_each_graph_entry_once(rng, monkeypatch):
+    """The GCN operand is built once per graph and shared by both GCN
+    variants; the renormalized adjacency is built only where a variant reads
+    it: always for gcn_diffpool, for n <= m_out alone for gcn_spectral."""
+    calls = {"gcn_input": 0, "renormalize": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(model_module, name, counted(name, getattr(model_module, name)))
+    diffpool = CrossScaleModel(small_config("gcn_diffpool"), seed=0)
+    spectral = CrossScaleModel(small_config("gcn_spectral"), seed=0)
+    graphs = [random_graph(n, 2, rng) for n in (2, 5, 9)]
+    for _ in range(2):
+        for graph in graphs:
+            spectral.forward(graph)
+    assert calls == {"gcn_input": 3, "renormalize": 1}
+    for graph in graphs:
+        diffpool.forward(graph)
+        spectral.forward(graph)
+    assert calls == {"gcn_input": 3, "renormalize": 3}
+
+
+@pytest.mark.parametrize("variant, square", [("gcn_diffpool", 1), ("gcn_spectral", 0)])
+def test_gcn_memo_keeps_only_what_the_variant_reads(variant, square, rng):
+    """On a pooled graph the GCN operand is n k + l floats, and the only
+    n x n array kept is Â, for DiffPool's first assignment; every memoised
+    array is read-only."""
+    model = CrossScaleModel(small_config(variant, feature_dim=8), seed=0)
+    n = 9
+    adjacency = random_graph(n, 1, rng).adjacency
+    graph = Graph(adjacency, degree_onehot_features(adjacency, cap=7), 0)
+    inputs = model.inputs_for(graph)
+    k = int(np.count_nonzero(graph.features.any(axis=0)))
+    assert k < graph.feature_dim
+    assert sum(a.size for a in inputs.gcn) == n * k + graph.feature_dim
+    stored = [array for _, value in graph._memo.values()
+              for array in (value if isinstance(value, tuple) else [value.matrix])]
+    kept = [a for a in stored if a.shape == (n, n)]
+    assert len(kept) == square
+    assert all(a is inputs.renormalized.matrix for a in kept)
+    assert not any(a.flags.writeable for a in stored)
 
 
 # -- checkpoints ----------------------------------------------------------
@@ -642,6 +708,50 @@ def test_wavelet_pipeline_matches_dense_formula(variant, features, rng, monkeypa
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("features", ["degrees", "dense", "zero"])
+def test_gcn_pipeline_matches_dense_formula(variant, features, rng, monkeypatch):
+    """The pipeline agrees with one whose graph convolutions and DiffPool
+    assignments form (Â X) W from the whole of X, and whose structure term
+    forms ||A - S^T S||_F at every stage: logits and loss within 1e-12
+    relative, every parameter gradient within 1e-10 of its largest entry.
+    Taking Â X on X's non-zero columns, multiplying X W before Â and the
+    first stage's term from S A change only rounding."""
+    cfg = small_config(variant=variant, feature_dim=8, n_max=20, m_out=3,
+                       scales=(1.0, 2.0), activation="relu")
+    for n in SIZES:
+        adj = random_graph(n, 1, rng).adjacency
+        x = {"degrees": degree_onehot_features(adj, cap=6),
+             "dense": rng.standard_normal((n, 8)), "zero": np.zeros((n, 8))}[features]
+        graph = Graph(adj, x, label=n % 2)
+        runs = []
+        for dense in (False, True):
+            loss = graph_loss
+            if dense:
+                forward, assign = ops.dense_gcn(adj, x)
+                monkeypatch.setattr(model_module, "gcn_forward", forward)
+                monkeypatch.setattr(model_module, "diffpool_assign", assign)
+                loss = ops.graph_loss
+            model = CrossScaleModel(cfg, seed=3)
+            result = model.forward(graph)
+            total = loss(result, graph.label, 2, 0.3)
+            total = total[0] if isinstance(total, tuple) else total
+            ad.backward(total)
+            runs.append((result.logits.value, float(total.value), model.params))
+        (logits, loss, params), (ref_logits, ref_loss, ref_params) = runs
+        assert close_relative(logits, ref_logits, 1e-12), n
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        for name, param in params.items():
+            expected = ref_params[name].grad
+            if expected is None:
+                assert param.grad is None, (n, name)
+            elif not expected.any():
+                assert np.array_equal(param.grad, expected), (n, name)
+            else:
+                assert close_relative(param.grad, expected), (n, name)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_predict_records_no_tape(variant, rng, monkeypatch):
     cfg = small_config(variant=variant, m_out=3, activation="relu")
     model = CrossScaleModel(cfg, seed=4)
@@ -670,10 +780,10 @@ def test_predict_records_no_tape(variant, rng, monkeypatch):
 # degree features, some of whose columns are all zero; any change to the
 # pipeline's arithmetic, or to which parameters a stage reads, changes these
 PIPELINE_DIGESTS = {
-    "gcn_diffpool": "029ce65bc4962166925da16ddeae36bc7ce68b2f29740f45c59fbf765ec402f8",
-    "gcn_spectral": "aa24ae0cad82ddf55544014d801de4b185d3fcd62a529ba653d64342ad44c769",
-    "wavelet_diffpool": "339cdd6578feb33746564f05cd8ee1f6803322c4dc7901532bf686816b63b510",
-    "wavelet_spectral": "df62f80eb947e32494d4c953b3404cbe976a52fba7a8e976c56b56d0587a6e3f",
+    "gcn_diffpool": "364b9fb226669a8ad64e109a526aad048b0f080185dd51a70ec5ae412a14660d",
+    "gcn_spectral": "b514dad8a3efcc132adeae5dfbb408618f538d62c8f35cfdae656d9bacd57eb3",
+    "wavelet_diffpool": "013bd1a0b61ac0fa6707291d6445485103ad3a57757758041adf50bf05d68671",
+    "wavelet_spectral": "4c80e3429aa7233bd638a09b6ee69800082ca1eae5e5bd854c19efc04949d8fd",
 }
 
 

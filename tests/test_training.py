@@ -6,7 +6,7 @@ import pytest
 
 from wavepool import autodiff as ad
 from wavepool.errors import ConfigError, ContractViolationError, NumericError
-from wavepool.graphs import SplitSpec, split_dataset
+from wavepool.graphs import Graph, SplitSpec, degree_onehot_features, split_dataset
 from wavepool.model import CrossScaleModel, ForwardResult, ModelConfig, PoolStage, init_parameters
 from wavepool.training import (
     PROB_FLOOR,
@@ -204,6 +204,99 @@ def test_loss_gradients_vanish_below_clip_floor_and_at_zero_residual():
     ad.backward(structure(PoolStage(adjacency, s)))
     assert np.array_equal(s.grad, np.zeros((2, 2)))
     assert np.array_equal(adjacency.grad, np.zeros((2, 2)))
+
+
+def stage_one_pair(a, s):
+    """The same stage twice: as the model records its first stage, with S A,
+    and without, which forms the residual; each assignment is a parameter."""
+    return (PoolStage(ad.constant(a), ad.parameter(s), s @ a),
+            PoolStage(ad.constant(a), ad.parameter(s)))
+
+
+def first_stage(variant, graph):
+    """The graph's adjacency and the first-stage assignment of a model."""
+    cfg = toy_model_config(variant=variant, feature_dim=graph.feature_dim, n_max=16,
+                           scales=(1.0, 2.0))
+    result = CrossScaleModel(cfg, seed=2).forward(graph)
+    stage = result.stages[0]
+    assert np.array_equal(stage.product, stage.assignment.value @ graph.adjacency)
+    assert not stage.adjacency.requires_grad
+    return stage.adjacency.value, stage.assignment.value
+
+
+@pytest.mark.parametrize("variant", ["gcn_diffpool", "wavelet_spectral"])
+@pytest.mark.parametrize("features", ["onehot", "dense"])
+def test_first_stage_structure_term_matches_residual_formula(variant, features, rng):
+    """The first stage's term, taken from S A and S S^T, agrees with
+    ||A - S^T S||_F: value within 1e-12 relative, assignment gradient within
+    1e-10 of its largest entry."""
+    for n in (7, 15):
+        upper = np.triu(rng.random((n, n)) < 0.4, 1).astype(float)
+        adj = upper + upper.T
+        x = degree_onehot_features(adj) if features == "onehot" else rng.standard_normal((n, 66))
+        a, s = first_stage(variant, Graph(adj, x, 0))
+        (gram, residual) = stage_one_pair(a, s)
+        values = []
+        for stage in (gram, residual):
+            term = structure(stage)
+            ad.backward(term)
+            values.append(float(term.value))
+        assert values[0] == pytest.approx(values[1], rel=1e-12, abs=0.0)
+        scale = np.max(np.abs(residual.assignment.grad))
+        assert np.max(np.abs(gram.assignment.grad - residual.assignment.grad)) <= 1e-10 * scale
+
+
+def test_first_stage_structure_term_at_zero_residual():
+    """A = S^T S exactly: the term is 0 and its subgradient 0, not NaN."""
+    s = np.zeros((2, 5))
+    s[[0, 1, 0, 1, 1], range(5)] = 1.0
+    stage, _ = stage_one_pair(s.T @ s, s)
+    term = structure(stage)
+    ad.backward(term)
+    assert float(term.value) == 0.0
+    assert np.array_equal(stage.assignment.grad, np.zeros((2, 5)))
+
+
+def test_first_stage_structure_term_clamps_a_square_rounded_below_zero():
+    rng = np.random.default_rng(2)
+    s = rng.random((3, 8))
+    a = s.T @ s
+    gram = s @ s.T
+    assert np.vdot(a, a) - 2.0 * np.vdot(s @ a, s) + np.vdot(gram, gram) < 0.0
+    stage, _ = stage_one_pair(a, s)
+    term = structure(stage)
+    ad.backward(term)
+    assert float(term.value) == 0.0
+    assert np.array_equal(stage.assignment.grad, np.zeros((3, 8)))
+
+
+def test_first_stage_structure_term_needs_a_constant_adjacency():
+    a, s = np.eye(3), np.ones((1, 3)) / 3.0
+    stage = PoolStage(ad.parameter(a), ad.parameter(s), s @ a)
+    with pytest.raises(ContractViolationError, match="constant adjacency"):
+        structure(stage)
+
+
+def test_structure_term_gradients_match_finite_differences(rng):
+    """The first stage's assignment gradient, and the pooled stage's
+    adjacency and assignment gradients, against central differences."""
+    n, m = 6, 3
+    adj0, s0 = random_stage(rng, n, m)
+
+    s_var = ad.parameter(s0)
+    ad.backward(structure(PoolStage(ad.constant(adj0), s_var, s0 @ adj0)))
+    numeric = central_difference(
+        lambda s: structure(PoolStage(ad.constant(adj0), ad.constant(s), s @ adj0)).value, s0)
+    assert max_rel_error(s_var.grad, numeric) < REL_TOL
+
+    a_var, s_var = ad.parameter(adj0), ad.parameter(s0)
+    ad.backward(structure(PoolStage(a_var, s_var)))
+    for var, x0, run in (
+        (a_var, adj0, lambda a: structure(PoolStage(ad.constant(a), ad.constant(s0)))),
+        (s_var, s0, lambda s: structure(PoolStage(ad.constant(adj0), ad.constant(s)))),
+    ):
+        numeric = central_difference(lambda x: run(x).value, x0)
+        assert max_rel_error(var.grad, numeric) < REL_TOL
 
 
 # -- configuration --------------------------------------------------------
