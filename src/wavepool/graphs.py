@@ -7,9 +7,10 @@ statistics are pure functions.
 
 from __future__ import annotations
 
-import io
+import itertools
 import re
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -158,29 +159,58 @@ class SplitSpec:
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
+_CHUNK = 1 << 16  # bytes read at a time
 
 
-def _read_text(path: Path) -> str:
+def _decode(data: bytes, offset: int, path: Path, commas: bool) -> list[str]:
+    """The lines of ``data``, which starts at byte ``offset`` of ``path``."""
     try:
-        return path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path.name}: not UTF-8 text (byte {exc.start})") from None
+        raise FormatError(f"{path.name}: not UTF-8 text (byte {offset + exc.start})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return (text.replace(",", " ") if commas else text).split("\n")
 
 
-def _rows(text: str) -> list[tuple[int, str]]:
+def _pieces(path: Path, commas: bool = False) -> Iterator[list[str]]:
+    """The file's lines, a list per piece of about ``_CHUNK`` bytes that
+    ends at a line break, decoded as UTF-8 with universal newlines as
+    ``Path.read_text`` would; with ``commas`` every comma reads as a space.
+    A byte that is not UTF-8 raises, naming its offset in the file."""
+    with path.open("rb") as fh:
+        offset, pending = 0, []
+        for block in iter(lambda: fh.read(_CHUNK), b""):
+            # the last break, but not a closing \r that may begin a \r\n
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+            if not cut:
+                pending.append(block)
+                continue
+            data, pending = b"".join([*pending, block[:cut]]), [block[cut:]]
+            yield _decode(data, offset, path, commas)[:-1]  # drop the "" after the break
+            offset += len(data)
+        yield _decode(b"".join(pending), offset, path, commas)
+
+
+def _rows(path: Path) -> list[tuple[int, str]]:
     """(line number, line) of each non-blank line: the rescan behind error messages."""
-    return [(no, line) for no, line in enumerate(text.split("\n"), start=1) if line.strip()]
+    lines = itertools.chain.from_iterable(_pieces(path))
+    return [(no, line) for no, line in enumerate(lines, start=1) if line.strip()]
 
 
-def _load_table(text: str, dtype) -> np.ndarray | None:
-    """Every non-blank row of whitespace-separated ``text`` in one C-level parse.
+def _load_table(path: Path, dtype, commas: bool) -> np.ndarray | None:
+    """Every non-blank row of the whitespace-separated file in one C-level
+    parse that reads it a piece at a time.
 
     None when a token does not parse as ``dtype`` or the rows differ in width.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            return np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=2)
+            return np.loadtxt(itertools.chain.from_iterable(_pieces(path, commas)),
+                              dtype=dtype, comments=None, ndmin=2)
+    except FormatError:
+        raise
     except ValueError:
         return None
 
@@ -191,11 +221,10 @@ def _integer_table(path: Path, columns: int) -> np.ndarray:
     A row of several columns may separate its integers by commas or
     whitespace; a one-column row is a single integer.
     """
-    text = _read_text(path)
-    table = _load_table(text.replace(",", " ") if columns > 1 else text, np.int64)
+    table = _load_table(path, np.int64, commas=columns > 1)
     if table is not None and (table.size == 0 or table.shape[1] == columns):
         return table.reshape(-1, columns)
-    for line_no, line in _rows(text):
+    for line_no, line in _rows(path):
         parts = line.replace(",", " ").split() if columns > 1 else [line.strip()]
         if len(parts) != columns:
             raise FormatError(f"{path.name}:{line_no}: expected 'row, col', got {line.strip()!r}")
@@ -223,13 +252,12 @@ def _attribute_fault(line: str) -> str | None:
 
 def _attribute_table(path: Path, n_nodes: int) -> np.ndarray:
     """The (n_nodes, width) float attribute rows, every value finite."""
-    text = _read_text(path)
-    table = _load_table(text.replace(",", " "), float)
+    table = _load_table(path, float, commas=True)
     if table is not None and np.isfinite(table).all():
         if len(table) != n_nodes:
             raise FormatError(f"{path.name}: {len(table)} rows for {n_nodes} nodes")
         return table
-    rows = _rows(text)
+    rows = _rows(path)
     for line_no, line in rows:
         fault = _attribute_fault(line)
         if fault:
@@ -257,7 +285,10 @@ def load_tu_dataset(directory_path: str | Path, degree_cap: int = DEGREE_CAP) ->
     decimal floats. The values of an edge or attribute row are separated
     by commas or whitespace. Blank lines are skipped; there are no
     comments. A malformed row raises ``FormatError`` naming
-    ``file:line``.
+    ``file:line``, and a byte that is not UTF-8 one naming its offset.
+
+    Each file is parsed as it is read, a piece at a time, and a graph whose
+    rows are contiguous in the files gets a view of the parsed feature table.
     """
     directory = Path(directory_path)
     if not directory.is_dir():
@@ -299,26 +330,30 @@ def load_tu_dataset(directory_path: str | Path, degree_cap: int = DEGREE_CAP) ->
     local_index[node_order] = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
     edges = _integer_table(a_path, 2)
-    outside = ((edges < 1) | (edges > n_nodes)).any(axis=1)
-    end_graphs = node_graph[np.clip(edges, 1, n_nodes) - 1]
-    faulty = outside | (end_graphs[:, 0] != end_graphs[:, 1])
+    edges -= 1  # 0-based node indices, in place
+    outside = ((edges < 0) | (edges >= n_nodes)).any(axis=1)
+    ends = np.clip(edges, 0, n_nodes - 1) if outside.any() else edges
+    faulty = outside | (node_graph[ends[:, 0]] != node_graph[ends[:, 1]])
     if faulty.any():
         row = int(np.argmax(faulty))
-        line_no = _rows(_read_text(a_path))[row][0]
+        line_no = _rows(a_path)[row][0]
         if outside[row]:
             raise FormatError(f"{a_path.name}:{line_no}: node id outside [1, {n_nodes}]")
-        gu, gv = graph_ids[end_graphs[row]]
+        gu, gv = graph_ids[node_graph[ends[row]]]
         raise FormatError(
             f"{a_path.name}:{line_no}: edge joins nodes of different graphs {gu} and {gv}"
         )
     self_loops = edges[:, 0] == edges[:, 1]
     if self_loops.any():
         warnings.warn(f"{a_path.name}: dropped {int(self_loops.sum())} self-loop(s)")
-    edges = edges[~self_loops] - 1
+        edges = edges[~self_loops]
     edge_graph = node_graph[edges[:, 0]]
-    edge_order = np.argsort(edge_graph)
-    graph_edges = np.split(local_index[edges[edge_order]],
+    if np.any(edge_graph[1:] < edge_graph[:-1]):  # group the edges by graph
+        order = np.argsort(edge_graph, kind="stable")
+        edges, edge_graph = edges[order], edge_graph[order]
+    graph_edges = np.split(edges,
                            np.cumsum(np.bincount(edge_graph, minlength=len(graph_ids)))[:-1])
+    del outside, ends, faulty, self_loops, edge_graph  # before the adjacencies are allocated
 
     feature_blocks = []
     if node_labels_path.is_file():
@@ -333,16 +368,22 @@ def load_tu_dataset(directory_path: str | Path, degree_cap: int = DEGREE_CAP) ->
         feature_blocks.append(onehot)
     if node_attrs_path.is_file():  # attribute columns come first
         feature_blocks.insert(0, _attribute_table(node_attrs_path, n_nodes))
-    all_feats = np.hstack(feature_blocks) if feature_blocks else None  # None: degree fallback
+    if len(feature_blocks) > 1:
+        feature_blocks = [np.hstack(feature_blocks)]
+    all_feats = feature_blocks[0] if feature_blocks else None  # None: degree fallback
 
     graphs = []
     node_rows = np.split(node_order, np.cumsum(sizes)[:-1])
-    for gid, label, rows, ends in zip(graph_ids, labels, node_rows, graph_edges):
-        adj = np.zeros((len(rows), len(rows)))
+    for gid, label, rows, graph_ends in zip(graph_ids, labels, node_rows, graph_edges):
+        n = len(rows)
+        ends = local_index[graph_ends]
+        adj = np.zeros((n, n))
         adj[ends[:, 0], ends[:, 1]] = 1.0
         adj[ends[:, 1], ends[:, 0]] = 1.0
         if all_feats is not None:
-            feats = all_feats[rows]
+            # rows in file order: a view of the table where they are contiguous
+            first = rows[0]
+            feats = all_feats[first:first + n] if rows[-1] == first + n - 1 else all_feats[rows]
         else:
             feats = degree_onehot_features(adj, cap=degree_cap)
         graphs.append(Graph(adj, feats, label, id=f"{prefix}-{gid}"))

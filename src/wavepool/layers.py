@@ -19,7 +19,8 @@ node, one column per input node. ``pool_apply`` takes either.
 
 The wavelet convolution reads the graph only through one precomputed
 operand (``WaveletInput``). The graph convolution accepts a ``Renormalized``
-constant adjacency instead of renormalizing a ``Var`` one, and on the
+constant adjacency instead of renormalizing a ``Var`` one: the graph's own A
+and n floats of D^{-1/2}, applied without forming Â; and on the
 graph's own features a ``GcnInput``, Â X on X's non-zero columns, so the
 first convolution is one n x k by k x l product; the model memoises all
 three per graph. Every graph convolution, DiffPool's included, forms
@@ -39,7 +40,6 @@ per graph, while dense features keep them all.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -143,7 +143,9 @@ def gwc_forward(thetas: Sequence[Var], bias: Var, wavelets: WaveletInput,
     pre = _apply_wavelets(eigvecs, kernel, filtered)
     pre += np.compress(columns, bias_rows, axis=1)[:, None, :]
     inv_count = 1.0 / count
-    out = activate(bias_rows, activation).copy()
+    out = activate(bias_rows, activation)
+    if out is bias_rows:  # identity returns the parameter's own rows
+        out = out.copy()
     out[:, columns] = activate(pre, activation).sum(axis=1) * inv_count
 
     def vjp(g, grads):
@@ -212,7 +214,13 @@ def spectral_pool_assign(theta: Var, xi_n: np.ndarray, xi_m: np.ndarray,
 def pool_apply(s: Var, adjacency: Var, features: Var) -> tuple[Var, Var, np.ndarray]:
     """Pool structure and features with an m x n assignment: A' = S A S^T
     and X' = S X, one node each, and the m x n product S A as a plain array,
-    which the structure term of a constant A reuses."""
+    which the structure term of a constant A reuses.
+
+    dL/dS of A' is G S A^T + G^T S A. For a constant symmetric A, the
+    graph's own, that is (G + G^T)(S A) from the S A already held, m^2 n
+    work instead of m n^2; an adjacency that takes a gradient keeps the
+    general form.
+    """
     s_mn = s.value
     n = s_mn.shape[1]
     a, x = adjacency.value, features.value
@@ -229,6 +237,9 @@ def pool_apply(s: Var, adjacency: Var, features: Var) -> tuple[Var, Var, np.ndar
 
     def adjacency_vjp(g, grads):
         acc_s, acc_a = grads
+        if acc_a is None and np.array_equal(a, a.T):
+            acc_s += (g + g.T) @ left
+            return
         g_left = g @ s_mn
         if acc_s is not None:
             acc_s += g_left @ a.T + g.T @ left
@@ -246,11 +257,21 @@ def pool_apply(s: Var, adjacency: Var, features: Var) -> tuple[Var, Var, np.ndar
             ad.node(s_mn @ x, (s, features), features_vjp), left)
 
 
-@dataclass(frozen=True)
-class Renormalized:
-    """D^{-1/2} (A + I) D^{-1/2} of a constant adjacency, formed once."""
+class Renormalized(NamedTuple):
+    """Â = D^{-1/2} (A + I) D^{-1/2} of a constant adjacency A, held as A
+    itself and the column d of D^{-1/2}'s diagonal, so no n x n array is
+    formed: Â Y = d * (A (d * Y) + d * Y)."""
 
-    matrix: np.ndarray
+    adjacency: np.ndarray  # (n, n) A, read-only
+    scale: np.ndarray      # (n, 1) d = (rowsum(A) + 1)^{-1/2}, read-only
+
+    def apply(self, y: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Â y, or Â^T y with ``transpose``."""
+        scaled = self.scale * y
+        out = (self.adjacency.T if transpose else self.adjacency) @ scaled
+        out += scaled
+        out *= self.scale
+        return out
 
 
 class GcnInput(NamedTuple):
@@ -261,33 +282,40 @@ class GcnInput(NamedTuple):
     propagated: np.ndarray  # (n, k), Â X[:, columns]
 
 
+def _inverse_sqrt(sums: np.ndarray) -> np.ndarray:
+    """sums^{-1/2} of the row sums of A + I, which must all be positive."""
+    if np.any(sums <= 0):
+        bad = int(np.argmax(sums.ravel() <= 0))
+        raise NumericError(f"row {bad} of A + I has nonpositive sum; cannot normalize")
+    return sums**-0.5
+
+
 def _renormalized(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D^{-1/2} (A + I) D^{-1/2} and the column of D^{-1/2}'s diagonal."""
     a_hat = adjacency.copy()
     a_hat.flat[::a_hat.shape[0] + 1] += 1.0
-    sums = a_hat.sum(axis=-1, keepdims=True)
-    if np.any(sums <= 0):
-        bad = int(np.argmax(sums.ravel() <= 0))
-        raise NumericError(f"row {bad} of A + I has nonpositive sum; cannot normalize")
-    inv_sqrt = sums**-0.5
+    inv_sqrt = _inverse_sqrt(a_hat.sum(axis=-1, keepdims=True))
     a_hat *= inv_sqrt
     a_hat *= inv_sqrt.T
     return a_hat, inv_sqrt
 
 
 def renormalize(adjacency: np.ndarray) -> Renormalized:
-    """The renormalized adjacency, computed as ``gcn_forward`` does for a Var."""
-    matrix, _ = _renormalized(adjacency)
-    matrix.setflags(write=False)
-    return Renormalized(matrix)
+    """The renormalized adjacency of a constant A: A itself, read-only (a
+    writeable A is copied first), and the n floats of d, read-only."""
+    if adjacency.flags.writeable:
+        adjacency = adjacency.copy()
+        adjacency.setflags(write=False)
+    scale = _inverse_sqrt(adjacency.sum(axis=-1, keepdims=True) + 1.0)
+    scale.setflags(write=False)
+    return Renormalized(adjacency, scale)
 
 
 def gcn_input(adjacency: np.ndarray, x: np.ndarray) -> GcnInput:
     """The operand of the constant features ``x`` on the graph ``adjacency``;
-    both arrays are read-only. Â is formed for the product and dropped."""
+    both arrays are read-only."""
     columns = x.any(axis=0)
-    normalized, _ = _renormalized(adjacency)
-    propagated = normalized @ np.compress(columns, x, axis=1)
+    propagated = renormalize(adjacency).apply(np.compress(columns, x, axis=1))
     for array in (columns, propagated):
         array.setflags(write=False)
     return GcnInput(columns, propagated)
@@ -300,8 +328,9 @@ def _propagate(adjacency: Var | Renormalized | GcnInput, features: Var | None,
     X W[:, :width] is formed first and Â multiplies that, so the n x n
     product runs at ``width`` columns, and the vjp takes Â^T dL/dZ once for
     both X and W. The inputs are (adjacency, features, weight) for a ``Var``
-    adjacency, whose gradient goes back through the renormalization,
-    (features, weight) for a ``Renormalized`` one, and (weight,) for a
+    adjacency, whose gradient goes back through the renormalization and
+    which forms Â, (features, weight) for a ``Renormalized`` one, which
+    applies Â from A and d, and (weight,) for a
     ``GcnInput``, which holds Â X already and takes ``features`` None; it
     multiplies only the rows of W for X's non-zero columns.
     """
@@ -316,20 +345,23 @@ def _propagate(adjacency: Var | Renormalized | GcnInput, features: Var | None,
             grads[0][columns, :width] += propagated.T @ g
 
         return propagated @ weight.value[columns, :width], (weight,), operand_vjp
+    x, w = features.value, weight.value[:, :width]
+    transformed = x @ w
     if isinstance(adjacency, Renormalized):
-        normalized, inv_sqrt = adjacency.matrix, None
+        normalized, inv_sqrt = adjacency, None
         inputs = (features, weight)
+        z = adjacency.apply(transformed)
     else:
         normalized, inv_sqrt = _renormalized(adjacency.value)
         inputs = (adjacency, features, weight)
-    x, w = features.value, weight.value[:, :width]
-    transformed = x @ w
+        z = normalized @ transformed
 
     def vjp(g, grads):
         *acc_a, acc_x, acc_w = grads
         acc_a = acc_a[0] if acc_a else None
         if acc_w is not None or acc_x is not None:
-            g_transformed = normalized.T @ g
+            g_transformed = (normalized.apply(g, transpose=True)
+                             if isinstance(normalized, Renormalized) else normalized.T @ g)
             if acc_w is not None:
                 acc_w[:, :width] += x.T @ g_transformed
             if acc_x is not None:
@@ -342,7 +374,7 @@ def _propagate(adjacency: Var | Renormalized | GcnInput, features: Var | None,
                              + through.sum(axis=1, keepdims=True)) * inv_sqrt**2
             acc_a += inv_sqrt * g_normalized * inv_sqrt.T + g_sums
 
-    return normalized @ transformed, inputs, vjp
+    return z, inputs, vjp
 
 
 def gcn_forward(adjacency: Var | Renormalized | GcnInput, features: Var | None,

@@ -20,10 +20,11 @@ alone and keeps each operand on the ``Graph`` in its own memo slot, and only
 the operands the variant reads: the wavelet operand, keyed by scales, order
 and basis mode; the GCN operand (``layers.gcn_input``: Â X on X's non-zero
 columns, n k floats), which the first convolution of both GCN variants
-reads; and the renormalized adjacency, which DiffPool's first assignment
-and the small-graph branch read. The wavelet operand
-(``layers.wavelet_input``) is built from the graph's one wavelet bank
-(``spectral.wavelet_bases``): U and the (n, F) p_f(lambda) of the bank
+reads; and the renormalized adjacency (``layers.renormalize``: the graph's
+own A and the n floats of D^{-1/2}, no n x n array of its own), which
+DiffPool's first assignment and the small-graph branch read. The wavelet
+operand (``layers.wavelet_input``) is built from the graph's one wavelet
+bank (``spectral.wavelet_bases``): U and the (n, F) p_f(lambda) of the bank
 itself, and psi_f^+ X for every scale, about n^2 + 3n + 3nk floats. Both
 wavelet variants with equal settings share one eigendecomposition per graph,
 and no dense psi_f or psi_f^+ is stored. The first pooling stage records

@@ -245,33 +245,41 @@ def build_msg(config: MsgConfig) -> GraphDataset:
 # -- TU-format text export ------------------------------------------------
 
 
+_EXPORT_ROWS = 4096  # rows formatted per write
+
+
+def _write_rows(fh, row_format: str, table: np.ndarray) -> None:
+    """Write each row of ``table`` with ``row_format``, a block at a time."""
+    for start in range(0, len(table), _EXPORT_ROWS):
+        block = table[start:start + _EXPORT_ROWS]
+        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+
+
 def export_tu(dataset: GraphDataset, directory, prefix: str) -> None:
     """Write the four-file TU text layout the loader reads back.
 
     Node features go to _node_attributes.txt with %.17g formatting so
-    float64 values survive the round trip exactly.
+    float64 values survive the round trip exactly. Each graph is written
+    as it is reached; its edges are listed in both directions, in row-major
+    order.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    edge_lines: list[str] = []
-    indicator_lines: list[str] = []
-    label_lines: list[str] = []
-    attr_lines: list[str] = []
-    base = 0
-    for gid, graph in enumerate(dataset.graphs, start=1):
-        n = graph.node_count
-        rows, cols = np.nonzero(graph.adjacency)
-        pairs = sorted((int(r) + base + 1, int(c) + base + 1) for r, c in zip(rows, cols))
-        edge_lines.extend(f"{a}, {b}" for a, b in pairs)
-        indicator_lines.extend([str(gid)] * n)
-        label_lines.append(str(graph.label))
-        for row in graph.features:
-            attr_lines.append(", ".join(f"{v:.17g}" for v in row))
-        base += n
-    (directory / f"{prefix}_A.txt").write_text("\n".join(edge_lines) + "\n")
-    (directory / f"{prefix}_graph_indicator.txt").write_text("\n".join(indicator_lines) + "\n")
-    (directory / f"{prefix}_graph_labels.txt").write_text("\n".join(label_lines) + "\n")
-    (directory / f"{prefix}_node_attributes.txt").write_text("\n".join(attr_lines) + "\n")
+    with (open(directory / f"{prefix}_A.txt", "w") as edge_fh,
+          open(directory / f"{prefix}_graph_indicator.txt", "w") as indicator_fh,
+          open(directory / f"{prefix}_graph_labels.txt", "w") as label_fh,
+          open(directory / f"{prefix}_node_attributes.txt", "w") as attr_fh):
+        base = 0
+        for gid, graph in enumerate(dataset.graphs, start=1):
+            n = graph.node_count
+            _write_rows(edge_fh, "%d, %d\n", np.argwhere(graph.adjacency) + (base + 1))
+            indicator_fh.write(f"{gid}\n" * n)
+            label_fh.write(f"{graph.label}\n")
+            _write_rows(attr_fh, ", ".join(["%.17g"] * graph.feature_dim) + "\n",
+                        graph.features)
+            base += n
+        if not edge_fh.tell():  # no edges at all: one blank line
+            edge_fh.write("\n")
 
 
 def size_histogram(dataset: GraphDataset, bins: int = 20) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from wavepool import autodiff as ad
 from wavepool.errors import ContractViolationError, NumericError
-from wavepool.layers import GcnInput, renormalize
+from wavepool.layers import GcnInput
 from wavepool.model import ForwardResult, PoolStage, mid_pool_size
 from wavepool.spectral import cosine_transform
 from wavepool.training import PROB_FLOOR, STAGE_MODES
@@ -256,28 +256,31 @@ def renormalized(adjacency):
 
 def gcn_forward(adjacency, features, weight, activation):
     """Graph convolution, Â (X W); ``adjacency`` is a Var, a ``Renormalized``
-    or a ``GcnInput``, which holds Â X on X's non-zero columns and takes no
-    features."""
+    (A and d, applied as d * (A (d * Y) + d * Y)) or a ``GcnInput``, which
+    holds Â X on X's non-zero columns and takes no features."""
     if isinstance(adjacency, GcnInput):
         rows = getitem(weight, np.s_[adjacency.columns, :])
         return activate(matmul(ad.constant(adjacency.propagated), rows), activation)
+    transformed = matmul(features, weight)
     if isinstance(adjacency, ad.Var):
-        normalized = renormalized(adjacency)
-    else:
-        normalized = ad.constant(adjacency.matrix)
-    return activate(matmul(normalized, matmul(features, weight)), activation)
+        return activate(matmul(renormalized(adjacency), transformed), activation)
+    scale = ad.constant(adjacency.scale)
+    scaled = mul(scale, transformed)
+    propagated = add(matmul(ad.constant(adjacency.adjacency), scaled), scaled)
+    return activate(mul(scale, propagated), activation)
 
 
 def dense_gcn(adjacency, x):
     """Stand-ins for ``gcn_forward`` and ``diffpool_assign`` that form
-    (Â X) W, Â times the whole of X first, as the formula reads. A
-    ``GcnInput`` stands for Â of ``adjacency``, the graph whose features are
-    ``x``, and all of ``x``."""
+    (Â X) W, the dense Â times the whole of X first, as the formula reads.
+    A ``GcnInput`` stands for Â of ``adjacency``, the graph whose features
+    are ``x``, and all of ``x``."""
     def forward(operand, features, weight, activation):
         if isinstance(operand, GcnInput):
-            operand, features = renormalize(adjacency), ad.constant(x)
-        normalized = (renormalized(operand) if isinstance(operand, ad.Var)
-                      else ad.constant(operand.matrix))
+            operand, features = ad.constant(adjacency), ad.constant(x)
+        elif not isinstance(operand, ad.Var):  # a Renormalized holds A
+            operand = ad.constant(operand.adjacency)
+        normalized = renormalized(operand)
         return activate(matmul(matmul(normalized, features), weight), activation)
 
     def assign(operand, features, weight, width):

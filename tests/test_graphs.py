@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavepool import graphs as graphs_module
 from wavepool.errors import ConfigError, FormatError, IngestionError
 from wavepool.graphs import (
     DEGREE_CAP,
@@ -238,7 +239,39 @@ def test_load_error_names_file_and_line(tmp_path, suffix, text, message):
 def test_load_undecodable_file(tmp_path):
     two_triangles(tmp_path)
     (tmp_path / "demo_graph_indicator.txt").write_bytes(b"1\n1\n\xff\n")
-    with pytest.raises(FormatError, match="demo_graph_indicator.txt: not UTF-8"):
+    with pytest.raises(FormatError, match=r"demo_graph_indicator.txt: not UTF-8 text \(byte 4\)"):
+        load_tu_dataset(tmp_path)
+    # past the first pieces a streaming read takes, the offset is still the file's
+    (tmp_path / "demo_graph_indicator.txt").write_text("1\n1\n1\n2\n2\n2\n")
+    rows = b"1, 2\n2, 1\n" * 20000  # 200 KB of valid rows
+    (tmp_path / "demo_A.txt").write_bytes(rows + b"3, \xe9\n")
+    with pytest.raises(FormatError, match=rf"demo_A.txt: not UTF-8 text \(byte {len(rows) + 3}\)"):
+        load_tu_dataset(tmp_path)
+    # a malformed row before the bad byte still reports the bad byte, as a whole-text read did
+    (tmp_path / "demo_A.txt").write_bytes(b"1, x\n" + rows + b"\xe9\n")
+    with pytest.raises(FormatError, match=rf"not UTF-8 text \(byte {len(rows) + 5}\)"):
+        load_tu_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 64, 1 << 16])
+def test_load_reads_line_breaks_across_pieces(tmp_path, monkeypatch, chunk):
+    """Pieces of any size give the dataset and line numbers of a whole-text
+    read: \\r\\n and a lone \\r are line breaks, even where a piece ends
+    between the \\r and the \\n."""
+    breaks = ["\r\n", "\r", "\n", "\r\n\r\n"]
+    edges = ["1, 2", "2, 1", "2,3", "3 ,2", "4\t5", "5, 4"]
+    text = "".join(edge + breaks[i % len(breaks)] for i, edge in enumerate(edges))
+    write_tu(tmp_path, indicator=[1, 1, 1, 2, 2], labels=[0, 1])
+    (tmp_path / "demo_A.txt").write_bytes(text.encode())
+    (tmp_path / "demo_graph_indicator.txt").write_bytes(b"1\r1\r\n1\r\r2\n2")
+    monkeypatch.setattr(graphs_module, "_CHUNK", chunk)
+    ds = load_tu_dataset(tmp_path)
+    assert np.array_equal(ds.graphs[0].adjacency, path_adjacency(3))
+    assert np.array_equal(ds.graphs[1].adjacency, path_adjacency(2))
+    bad = text + "\r\n6, x\r"
+    (tmp_path / "demo_A.txt").write_bytes(bad.encode())
+    line = (tmp_path / "demo_A.txt").read_text().split("\n").index("6, x") + 1
+    with pytest.raises(FormatError, match=rf"demo_A.txt:{line}: expected integer, got 'x'"):
         load_tu_dataset(tmp_path)
 
 

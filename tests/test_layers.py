@@ -333,6 +333,30 @@ def test_pool_gradients_match_finite_differences(rng):
     assert max_rel_error(var.grad, numeric) < REL_TOL
 
 
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_pool_apply_gradient_for_a_constant_adjacency(symmetric, rng):
+    """With a constant adjacency dL/dS is taken from the S A the node holds:
+    (G + G^T)(S A) where A is symmetric, the general form where it is not.
+    Both match finite differences for a weighted A and a G that is not
+    symmetric."""
+    n, m = 6, 3
+    adj = np.abs(rng.standard_normal((n, n)))
+    if symmetric:
+        adj = adj + adj.T
+    feats = rng.standard_normal((n, 2))
+    weights = rng.standard_normal((m, m))
+    s0 = rng.random((m, n))
+
+    def run(s):
+        pooled, _, _ = pool_apply(ad.as_var(s), ad.constant(adj), ad.constant(feats))
+        return ops.sum_all(ops.mul(pooled, weights))
+
+    var = ad.parameter(s0)
+    ad.backward(run(var))
+    numeric = central_difference(lambda x: run(x).value, s0)
+    assert max_rel_error(var.grad, numeric) < REL_TOL
+
+
 # -- graph convolution ----------------------------------------------------
 
 
@@ -371,15 +395,23 @@ def test_gcn_gradients_through_pooled_adjacency(rng):
 
 
 def test_folded_renormalization_matches_tape(rng):
+    """A constant adjacency renormalized beforehand is A itself and the n
+    floats of d = (rowsum(A) + 1)^{-1/2}, read-only; a read-only A is held,
+    not copied. Its convolution agrees with the one that renormalizes a Var
+    within 1e-14 relative."""
     for adj in (cycle_adjacency(7), path_adjacency(5), np.zeros((1, 1))):
         n = adj.shape[0]
         feats = ad.constant(rng.standard_normal((n, 3)))
+        folded = renormalize(adj)
+        assert np.array_equal(folded.adjacency, adj)
+        assert np.array_equal(folded.scale, (adj.sum(axis=1, keepdims=True) + 1.0) ** -0.5)
+        assert not any(array.flags.writeable for array in folded)
+        assert renormalize(folded.adjacency).adjacency is folded.adjacency
         for activation in ACTIVATIONS:
             weight = ad.parameter(rng.standard_normal((3, 2)))
-            folded = renormalize(adj)
-            assert not folded.matrix.flags.writeable
-            assert np.array_equal(gcn_forward(folded, feats, weight, activation).value,
-                                  gcn_forward(ad.constant(adj), feats, weight, activation).value)
+            assert close_relative(gcn_forward(folded, feats, weight, activation).value,
+                                  gcn_forward(ad.constant(adj), feats, weight, activation).value,
+                                  1e-14)
 
 
 def test_gcn_operand_takes_no_features_and_one_weight_row_per_column(rng):
@@ -452,6 +484,9 @@ def stage_cases(rng):
     def apply(layer):
         return lambda s, a, x: layer.pool_apply(s, a, x)[:2]
 
+    def apply_constant(layer):  # the graph's own adjacency takes no gradient
+        return lambda s, x: layer.pool_apply(s, ad.constant(adj), x)[:2]
+
     def gcn(activation):
         def build(layer):
             return lambda a, x, w: (layer.gcn_forward(a, x, w, activation),)
@@ -492,10 +527,11 @@ def stage_cases(rng):
         ("classify", classify, [rng.standard_normal((m, width)),
                                 rng.standard_normal((m * width, 4)), rng.standard_normal(4)]),
         ("gcn operand", gcn_operand, [rng.standard_normal((4, 3))]),
+        ("apply constant", apply_constant, [s_mn, rng.standard_normal((n, width))]),
     ]
 
 
-@pytest.mark.parametrize("case", range(10))
+@pytest.mark.parametrize("case", range(11))
 def test_fused_stage_matches_per_op_composition(case):
     rng = np.random.default_rng(case)
     name, build, arrays = stage_cases(rng)[case]

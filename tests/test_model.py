@@ -12,7 +12,6 @@ from wavepool import autodiff as ad
 from wavepool import model as model_module
 from wavepool.errors import ContractViolationError, FormatError, NumericError
 from wavepool.graphs import Graph, GraphDataset, degree_onehot_features
-from wavepool.layers import renormalize
 from wavepool.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -334,9 +333,7 @@ def test_memoised_inputs_are_read_only(variant, rng):
     model = CrossScaleModel(small_config(variant, scales=(1.0, 2.0)), seed=0)
     for n in (2, 7):  # the n <= m_out branch and the pooled one
         inputs = model.inputs_for(random_graph(n, 2, rng))
-        arrays = list(inputs.wavelets or ()) + list(inputs.gcn or ())
-        if inputs.renormalized is not None:
-            arrays.append(inputs.renormalized.matrix)
+        arrays = [*(inputs.wavelets or ()), *(inputs.gcn or ()), *(inputs.renormalized or ())]
         assert arrays
         for array in arrays:
             assert not array.flags.writeable
@@ -349,22 +346,21 @@ def test_wavelet_memo_holds_one_square_array(variant, rng):
     """The wavelet operand keeps U as its one n x n array, plus n floats per
     scale for p_f(lambda) and n per scale and kept column for psi_f^+ X: no
     dense psi_f or psi_f^+ is stored. Only wavelet_diffpool adds the
-    renormalized adjacency, in its own entry. Every memoised array is
-    read-only."""
+    renormalized adjacency, in its own entry: the graph's own A and n floats,
+    no n x n array of its own. Every memoised array is read-only."""
     model = CrossScaleModel(small_config(variant, scales=(1.0, 2.0, 3.0)), seed=0)
     n = 9
     graph = random_graph(n, 2, rng)
     inputs = model.inputs_for(graph)
     k = int(np.count_nonzero(graph.features.any(axis=0)))
     assert sum(a.size for a in inputs.wavelets) == n * n + 3 * n + graph.feature_dim + 3 * n * k
-    stored = [array for _, value in graph._memo.values()
-              for array in (value if isinstance(value, tuple) else [value.matrix])]
-    expected = [inputs.wavelets.eigvecs]
-    if variant == "wavelet_diffpool":
-        expected.append(inputs.renormalized.matrix)
+    stored = [array for _, value in graph._memo.values() for array in value
+              if array is not graph.adjacency]
     square = [a for a in stored if a.shape == (n, n)]
-    assert len(square) == len(expected)
-    assert all(any(a is b for b in expected) for a in square)
+    assert len(square) == 1 and square[0] is inputs.wavelets.eigvecs
+    if variant == "wavelet_diffpool":
+        assert inputs.renormalized.adjacency is graph.adjacency
+        assert inputs.renormalized.scale.shape == (n, 1)
     assert not any(a.flags.writeable for a in stored)
 
 
@@ -406,7 +402,7 @@ def test_gcn_operand_is_a_propagated_on_the_non_zero_columns(rng):
         model = CrossScaleModel(small_config("gcn_spectral", feature_dim=x.shape[1]), seed=0)
         operand = model.inputs_for(graph).gcn
         assert np.array_equal(operand.columns, x.any(axis=0))
-        dense = renormalize(adjacency).matrix @ x[:, operand.columns]
+        dense = ops.renormalized(ad.constant(adjacency)).value @ x[:, operand.columns]
         assert operand.propagated.shape == dense.shape
         assert np.max(np.abs(operand.propagated - dense)) <= 1e-13 * np.max(np.abs(dense))
         for array in operand:
@@ -440,11 +436,12 @@ def test_gcn_variants_build_each_graph_entry_once(rng, monkeypatch):
     assert calls == {"gcn_input": 3, "renormalize": 3}
 
 
-@pytest.mark.parametrize("variant, square", [("gcn_diffpool", 1), ("gcn_spectral", 0)])
-def test_gcn_memo_keeps_only_what_the_variant_reads(variant, square, rng):
-    """On a pooled graph the GCN operand is n k + l floats, and the only
-    n x n array kept is Â, for DiffPool's first assignment; every memoised
-    array is read-only."""
+@pytest.mark.parametrize("variant, renormalized", [("gcn_diffpool", 1), ("gcn_spectral", 0)])
+def test_gcn_memo_keeps_only_what_the_variant_reads(variant, renormalized, rng):
+    """On a pooled graph the GCN operand is n k + l floats, and DiffPool's
+    first assignment adds the renormalized adjacency: the graph's own A and
+    the n floats of d. Neither variant keeps an n x n array of its own, and
+    every memoised array is read-only."""
     model = CrossScaleModel(small_config(variant, feature_dim=8), seed=0)
     n = 9
     adjacency = random_graph(n, 1, rng).adjacency
@@ -453,11 +450,14 @@ def test_gcn_memo_keeps_only_what_the_variant_reads(variant, square, rng):
     k = int(np.count_nonzero(graph.features.any(axis=0)))
     assert k < graph.feature_dim
     assert sum(a.size for a in inputs.gcn) == n * k + graph.feature_dim
-    stored = [array for _, value in graph._memo.values()
-              for array in (value if isinstance(value, tuple) else [value.matrix])]
-    kept = [a for a in stored if a.shape == (n, n)]
-    assert len(kept) == square
-    assert all(a is inputs.renormalized.matrix for a in kept)
+    assert (inputs.renormalized is not None) == renormalized
+    if renormalized:
+        assert inputs.renormalized.adjacency is graph.adjacency
+        assert inputs.renormalized.scale.shape == (n, 1)
+    stored = [array for _, value in graph._memo.values() for array in value
+              if array is not graph.adjacency]
+    assert not any(n * n <= a.size for a in stored)
+    assert sum(a.size for a in stored) == n * k + graph.feature_dim + renormalized * n
     assert not any(a.flags.writeable for a in stored)
 
 
@@ -780,10 +780,10 @@ def test_predict_records_no_tape(variant, rng, monkeypatch):
 # degree features, some of whose columns are all zero; any change to the
 # pipeline's arithmetic, or to which parameters a stage reads, changes these
 PIPELINE_DIGESTS = {
-    "gcn_diffpool": "364b9fb226669a8ad64e109a526aad048b0f080185dd51a70ec5ae412a14660d",
-    "gcn_spectral": "b514dad8a3efcc132adeae5dfbb408618f538d62c8f35cfdae656d9bacd57eb3",
-    "wavelet_diffpool": "013bd1a0b61ac0fa6707291d6445485103ad3a57757758041adf50bf05d68671",
-    "wavelet_spectral": "4c80e3429aa7233bd638a09b6ee69800082ca1eae5e5bd854c19efc04949d8fd",
+    "gcn_diffpool": "f7ecab9b473336fe74bdce22fd60675ec345d43033f420b0e379c829a50899b5",
+    "gcn_spectral": "21124caa70b814cbfa9a6e7b3c921141e5e50ff50aee464579db6784179ea275",
+    "wavelet_diffpool": "f2163f7f6198295e1e7b12603cfb10fcf09ce435ee596ccadf5e11942ed44446",
+    "wavelet_spectral": "7fa41eb78fe68582e8c51d41bf051aab749745a6a13208b8b0ca1b98a20584bb",
 }
 
 

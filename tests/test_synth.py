@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import networkx as nx
 import pytest
@@ -293,6 +296,68 @@ def test_export_lists_both_edge_directions(tmp_path):
     export_tu(ds, tmp_path, "two")
     lines = (tmp_path / "two_A.txt").read_text().splitlines()
     assert lines == ["1, 2", "2, 1", "3, 4", "4, 3"]
+
+
+def test_export_of_graphs_without_edges_writes_one_blank_line(tmp_path):
+    single = make_graph(np.zeros((1, 1)))
+    ds = GraphDataset((single, make_graph(np.zeros((1, 1)), 1)), 2, single.feature_dim, "bare")
+    export_tu(ds, tmp_path, "bare")
+    assert (tmp_path / "bare_A.txt").read_bytes() == b"\n"
+    assert (tmp_path / "bare_graph_indicator.txt").read_bytes() == b"1\n2\n"
+    loaded = load_tu_dataset(tmp_path)
+    assert [g.edge_count for g in loaded.graphs] == [0, 0]
+
+
+# SHA-256 of each file export_tu writes for small_build(per_class=3), recorded
+# before the exporter streamed; the text format is pinned byte for byte
+EXPORT_DIGESTS = {
+    "bench_A.txt": "f88affff5dbe70a061e222b59747aad29070a3df8d58eabd523d8f3f0e313110",
+    "bench_graph_indicator.txt": "cadc2a0f238e9518c7f40f6ddd7fb95b07f8e7d0759c1186b5b1df0fa4f623b7",
+    "bench_graph_labels.txt": "9a2e23c652fbe65406186c344a048f37edab3b8f8cc54beb587d241fae8ec58f",
+    "bench_node_attributes.txt":
+        "0bda152f642acfc8ca386eca676c977cf36dff327f5482d8dee20a9cdd28a5ef",
+}
+
+
+def test_export_bytes_are_pinned(tmp_path):
+    export_tu(small_build(per_class=3), tmp_path, "bench")
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == EXPORT_DIGESTS
+
+
+@pytest.fixture(scope="module")
+def corpus_60():
+    """60 graphs of the criterion-06 families, 20 to 200 nodes."""
+    return build_msg(three_class_config(per_class=20, size_range=(20, 200), seed=0))
+
+
+def traced_peak(run):
+    """run()'s result and the peak of the bytes tracemalloc saw allocated
+    while it ran, above what was allocated when it began."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_peak_memory_stays_below_the_bytes_it_writes(corpus_60, tmp_path):
+    """Memory guard: the exporter writes each graph as it reaches it."""
+    _, peak = traced_peak(lambda: export_tu(corpus_60, tmp_path, "m"))
+    written = sum(path.stat().st_size for path in tmp_path.iterdir())
+    assert peak < written
+
+
+def test_load_peak_memory_stays_near_the_graphs_it_returns(corpus_60, tmp_path):
+    """Memory guard: loading an exported corpus of 60 graphs peaks at no
+    more than 1.5 times the bytes of the graphs it returns."""
+    export_tu(corpus_60, tmp_path, "m")
+    loaded, peak = traced_peak(lambda: load_tu_dataset(tmp_path))
+    assert len(loaded.graphs) == len(corpus_60.graphs)
+    returned = sum(g.adjacency.nbytes + g.features.nbytes for g in loaded.graphs)
+    assert peak <= 1.5 * returned
 
 
 # -- histogram ------------------------------------------------------------
