@@ -18,14 +18,13 @@ Both assignments, spectral and DiffPool, are m x n: one row per pooled
 node, one column per input node. ``pool_apply`` takes either.
 
 The wavelet convolution reads the graph only through one precomputed
-operand (``WaveletInput``). The graph convolution accepts a ``Renormalized``
-constant adjacency instead of renormalizing a ``Var`` one: the graph's own A
-and n floats of D^{-1/2}, applied without forming Â; and on the
-graph's own features a ``GcnInput``, Â X on X's non-zero columns, so the
-first convolution is one n x k by k x l product; the model memoises all
-three per graph. Every graph convolution, DiffPool's included, forms
-X W[:, :width] before multiplying by Â, so its n x n product runs at the
-width it keeps: m columns for an m-node assignment.
+operand (``WaveletInput``). Every graph convolution, DiffPool's included,
+applies Â from A and D^{-1/2} (``Renormalized``), a pooled adjacency as
+well as the graph's own, and forms X W[:, :width] before multiplying by Â,
+so its n x n product runs at the width it keeps: m columns for an m-node
+assignment. On the graph's own features the first convolution reads a
+``GcnInput``, Â X on X's non-zero columns, so it is one n x k by k x l
+product; the model memoises it and the graph's ``Renormalized``.
 
 Every scale's wavelet is a function of one Laplacian spectrum,
 psi_f = U diag(p_f) U^T, so the operand takes U and the (n, F) p_f(lambda)
@@ -258,12 +257,15 @@ def pool_apply(s: Var, adjacency: Var, features: Var) -> tuple[Var, Var, np.ndar
 
 
 class Renormalized(NamedTuple):
-    """Â = D^{-1/2} (A + I) D^{-1/2} of a constant adjacency A, held as A
-    itself and the column d of D^{-1/2}'s diagonal, so no n x n array is
-    formed: Â Y = d * (A (d * Y) + d * Y)."""
+    """Kipf and Welling's renormalized adjacency
+    Â = D^{-1/2} (A + I) D^{-1/2}, held as A itself and the column d of
+    D^{-1/2}'s diagonal, d = (rowsum(A) + 1)^{-1/2}, and applied without
+    forming Â: Â Y = d * (A (d * Y) + d * Y). Every graph convolution
+    applies Â this way, the graph's own (``renormalize``) and a pooled one
+    alike."""
 
-    adjacency: np.ndarray  # (n, n) A, read-only
-    scale: np.ndarray      # (n, 1) d = (rowsum(A) + 1)^{-1/2}, read-only
+    adjacency: np.ndarray  # (n, n) A
+    scale: np.ndarray      # (n, 1) d
 
     def apply(self, y: np.ndarray, transpose: bool = False) -> np.ndarray:
         """Â y, or Â^T y with ``transpose``."""
@@ -282,31 +284,22 @@ class GcnInput(NamedTuple):
     propagated: np.ndarray  # (n, k), Â X[:, columns]
 
 
-def _inverse_sqrt(sums: np.ndarray) -> np.ndarray:
-    """sums^{-1/2} of the row sums of A + I, which must all be positive."""
+def _scale(adjacency: np.ndarray) -> np.ndarray:
+    """d = (rowsum(A) + 1)^{-1/2}; every row sum of A + I must be positive."""
+    sums = adjacency.sum(axis=-1, keepdims=True) + 1.0
     if np.any(sums <= 0):
         bad = int(np.argmax(sums.ravel() <= 0))
         raise NumericError(f"row {bad} of A + I has nonpositive sum; cannot normalize")
     return sums**-0.5
 
 
-def _renormalized(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D^{-1/2} (A + I) D^{-1/2} and the column of D^{-1/2}'s diagonal."""
-    a_hat = adjacency.copy()
-    a_hat.flat[::a_hat.shape[0] + 1] += 1.0
-    inv_sqrt = _inverse_sqrt(a_hat.sum(axis=-1, keepdims=True))
-    a_hat *= inv_sqrt
-    a_hat *= inv_sqrt.T
-    return a_hat, inv_sqrt
-
-
 def renormalize(adjacency: np.ndarray) -> Renormalized:
-    """The renormalized adjacency of a constant A: A itself, read-only (a
-    writeable A is copied first), and the n floats of d, read-only."""
+    """The renormalized adjacency of a constant A, with A and d read-only (a
+    writeable A is copied first)."""
     if adjacency.flags.writeable:
         adjacency = adjacency.copy()
         adjacency.setflags(write=False)
-    scale = _inverse_sqrt(adjacency.sum(axis=-1, keepdims=True) + 1.0)
+    scale = _scale(adjacency)
     scale.setflags(write=False)
     return Renormalized(adjacency, scale)
 
@@ -327,11 +320,11 @@ def _propagate(adjacency: Var | Renormalized | GcnInput, features: Var | None,
 
     X W[:, :width] is formed first and Â multiplies that, so the n x n
     product runs at ``width`` columns, and the vjp takes Â^T dL/dZ once for
-    both X and W. The inputs are (adjacency, features, weight) for a ``Var``
-    adjacency, whose gradient goes back through the renormalization and
-    which forms Â, (features, weight) for a ``Renormalized`` one, which
-    applies Â from A and d, and (weight,) for a
-    ``GcnInput``, which holds Â X already and takes ``features`` None; it
+    both X and W. A ``Var`` adjacency is renormalized inside the node and
+    is an input besides X and W. With T = X W and G = dL/dZ, its gradient
+    is (d * G)(d * T)^T, and each row i adds
+    -d_i^2 / 2 (rowsum(G * Z)_i + rowsum(T * Â^T G)_i), where A's row sums
+    move d. A ``GcnInput`` holds Â X already, takes ``features`` None and
     multiplies only the rows of W for X's non-zero columns.
     """
     if isinstance(adjacency, GcnInput):
@@ -348,45 +341,37 @@ def _propagate(adjacency: Var | Renormalized | GcnInput, features: Var | None,
     x, w = features.value, weight.value[:, :width]
     transformed = x @ w
     if isinstance(adjacency, Renormalized):
-        normalized, inv_sqrt = adjacency, None
-        inputs = (features, weight)
-        z = adjacency.apply(transformed)
+        normalized, inputs = adjacency, (features, weight)
     else:
-        normalized, inv_sqrt = _renormalized(adjacency.value)
-        inputs = (adjacency, features, weight)
-        z = normalized @ transformed
+        a = adjacency.value
+        normalized, inputs = Renormalized(a, _scale(a)), (adjacency, features, weight)
+    z = normalized.apply(transformed)
 
     def vjp(g, grads):
         *acc_a, acc_x, acc_w = grads
-        acc_a = acc_a[0] if acc_a else None
-        if acc_w is not None or acc_x is not None:
-            g_transformed = (normalized.apply(g, transpose=True)
-                             if isinstance(normalized, Renormalized) else normalized.T @ g)
-            if acc_w is not None:
-                acc_w[:, :width] += x.T @ g_transformed
-            if acc_x is not None:
-                acc_x += g_transformed @ w.T
-        if acc_a is not None:
-            g_normalized = g @ transformed.T
-            # each row sum of A + I scales its row and its column of Â
-            through = g_normalized * normalized
-            g_sums = -0.5 * (through.sum(axis=0)[:, None]
-                             + through.sum(axis=1, keepdims=True)) * inv_sqrt**2
-            acc_a += inv_sqrt * g_normalized * inv_sqrt.T + g_sums
+        g_transformed = normalized.apply(g, transpose=True)
+        if acc_w is not None:
+            acc_w[:, :width] += x.T @ g_transformed
+        if acc_x is not None:
+            acc_x += g_transformed @ w.T
+        if acc_a and acc_a[0] is not None:
+            scale = normalized.scale
+            sums = (g * z + transformed * g_transformed).sum(axis=1, keepdims=True)
+            acc_a[0] += (scale * g) @ (scale * transformed).T
+            acc_a[0] -= 0.5 * scale**2 * sums
 
     return z, inputs, vjp
 
 
 def gcn_forward(adjacency: Var | Renormalized | GcnInput, features: Var | None,
                 weight: Var, activation: str) -> Var:
-    """Renormalized graph convolution act(D^{-1/2} (A + I) D^{-1/2} X W).
-
-    A ``Var`` adjacency is renormalized inside the node, so a pooled
-    adjacency takes gradients; it may carry real weights, and a row of A + I
-    whose sum is not positive cannot be normalized and raises. A constant
-    adjacency can be renormalized once beforehand with ``renormalize``. For
-    a constant X, ``gcn_input`` forms Â X once, on X's non-zero columns; it
-    replaces the adjacency, ``features`` is None, and a pass costs n k l.
+    """Renormalized graph convolution act(Â X W), Â applied as
+    ``Renormalized`` states. A ``Var`` adjacency, a pooled one, takes
+    gradients; it may carry real weights, and a row of A + I whose sum is
+    not positive raises. A constant adjacency is renormalized once
+    beforehand with ``renormalize``. For a constant X, ``gcn_input`` forms
+    Â X once, on X's non-zero columns; it replaces the adjacency,
+    ``features`` is None, and a pass costs n k l.
     """
     z, inputs, propagate_vjp = _propagate(adjacency, features, weight, weight.value.shape[1])
     relu = activation == "relu"

@@ -10,7 +10,8 @@ stages by ``lp_stage_mode`` ("mean" by default, or "sum" / "first"). At
 beta = 0 the structure term is skipped outright (no residual graph is
 built). The first stage pools the graph's constant adjacency and records
 S A, so its term is taken from S A and S S^T without the n x n residual;
-only the pooled second stage, whose adjacency takes a gradient, forms it. ``graph_loss`` is the only loss: one tape node over the class
+only the pooled second stage, whose adjacency takes a gradient, forms it.
+``graph_loss`` is the only loss: one tape node over the class
 probabilities and each counted stage's (adjacency, assignment), with a
 hand-written vjp. Validation goes through ``CrossScaleModel.predict`` and
 records no tape.

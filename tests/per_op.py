@@ -255,18 +255,24 @@ def renormalized(adjacency):
 
 
 def gcn_forward(adjacency, features, weight, activation):
-    """Graph convolution, Â (X W); ``adjacency`` is a Var, a ``Renormalized``
-    (A and d, applied as d * (A (d * Y) + d * Y)) or a ``GcnInput``, which
-    holds Â X on X's non-zero columns and takes no features."""
+    """Graph convolution, Â (X W), with Â applied as d * (A (d * Y) + d * Y)
+    from A and d = (rowsum(A) + 1)^{-1/2}; ``adjacency`` is a Var, whose d is
+    formed on the tape, a ``Renormalized``, which holds A and d, or a
+    ``GcnInput``, which holds Â X on X's non-zero columns and takes no
+    features."""
     if isinstance(adjacency, GcnInput):
         rows = getitem(weight, np.s_[adjacency.columns, :])
         return activate(matmul(ad.constant(adjacency.propagated), rows), activation)
     transformed = matmul(features, weight)
     if isinstance(adjacency, ad.Var):
-        return activate(matmul(renormalized(adjacency), transformed), activation)
-    scale = ad.constant(adjacency.scale)
+        sums = add(row_sum(adjacency), 1.0)
+        if np.any(sums.value <= 0):
+            raise NumericError("A + I has a nonpositive row sum")
+        scale = rsqrt(sums)
+    else:
+        scale, adjacency = ad.constant(adjacency.scale), ad.constant(adjacency.adjacency)
     scaled = mul(scale, transformed)
-    propagated = add(matmul(ad.constant(adjacency.adjacency), scaled), scaled)
+    propagated = add(matmul(adjacency, scaled), scaled)
     return activate(mul(scale, propagated), activation)
 
 

@@ -373,6 +373,9 @@ def test_gcn_nonpositive_row_raises():
 
 
 def test_gcn_gradients_through_pooled_adjacency(rng):
+    """The pooled adjacency's gradient matches finite differences for a
+    symmetric A, and for an asymmetric weighted A (with a diagonal, as S A S^T
+    has) at two sizes, where X takes a gradient too."""
     n = 4
     feats = rng.standard_normal((n, 2))
     weight0 = rng.standard_normal((2, 3))
@@ -392,6 +395,23 @@ def test_gcn_gradients_through_pooled_adjacency(rng):
     ):
         numeric = central_difference(lambda x: pick(x).value, x0)
         assert max_rel_error(var.grad, numeric) < REL_TOL
+
+    for n in (4, 9):
+        arrays = [np.abs(rng.standard_normal((n, n))), rng.standard_normal((n, 2)),
+                  rng.standard_normal((2, 3))]
+        assert not np.allclose(arrays[0], arrays[0].T)
+        outputs = np.random.default_rng(n).standard_normal((n, 3))
+
+        def run_all(*values):
+            out = gcn_forward(*(ad.as_var(v) for v in values), "identity")
+            return ops.sum_all(ops.mul(out, outputs))
+
+        params = [ad.parameter(a) for a in arrays]
+        ad.backward(run_all(*params))
+        for k, (var, x0) in enumerate(zip(params, arrays)):
+            def pick(x, k=k):
+                return run_all(*arrays[:k], x, *arrays[k + 1:]).value
+            assert max_rel_error(var.grad, central_difference(pick, x0)) < REL_TOL, (n, k)
 
 
 def test_folded_renormalization_matches_tape(rng):

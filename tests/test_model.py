@@ -780,10 +780,10 @@ def test_predict_records_no_tape(variant, rng, monkeypatch):
 # degree features, some of whose columns are all zero; any change to the
 # pipeline's arithmetic, or to which parameters a stage reads, changes these
 PIPELINE_DIGESTS = {
-    "gcn_diffpool": "f7ecab9b473336fe74bdce22fd60675ec345d43033f420b0e379c829a50899b5",
-    "gcn_spectral": "21124caa70b814cbfa9a6e7b3c921141e5e50ff50aee464579db6784179ea275",
-    "wavelet_diffpool": "f2163f7f6198295e1e7b12603cfb10fcf09ce435ee596ccadf5e11942ed44446",
-    "wavelet_spectral": "7fa41eb78fe68582e8c51d41bf051aab749745a6a13208b8b0ca1b98a20584bb",
+    "gcn_diffpool": "554b446becb8f43ba7f41defce9faaec0a93c7b6fda6e4ac0545f847a6b564b4",
+    "gcn_spectral": "fe1565e276bb1a2265ffaf84364525ad704560c38ec830d0fccee17c894c468a",
+    "wavelet_diffpool": "1aabe327592d272ca9d7a820bc934a8eda2bb70253b78894bc8d5d79471bce65",
+    "wavelet_spectral": "d02df6493ebb136210b3c35b0e33dee32ee6f8dd454716510968466ba669bf58",
 }
 
 
@@ -813,3 +813,61 @@ def pipeline_digest(variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_pipeline_outputs_and_gradients_match_recorded_digests(variant):
     assert pipeline_digest(variant) == PIPELINE_DIGESTS[variant]
+
+
+# -- node relabelling -------------------------------------------------------
+
+
+def relabelling_cases():
+    """(config, graph, relabelled graph, permutation) for graphs on each side
+    of m_out = 3, with dense features and with one-hot degrees; new node i
+    of the relabelled graph is node perm[i] of the original."""
+    rng = np.random.default_rng(33)
+    cfg = small_config(variant="gcn_diffpool", n_max=20, m_out=3, scales=(1.0, 2.0),
+                       activation="relu")
+    graphs = [random_graph(n, 2, rng, label=n % 2) for n in SIZES]
+    adjacency = random_graph(13, 1, rng).adjacency
+    graphs.append(Graph(adjacency, degree_onehot_features(adjacency, cap=6), label=1))
+    cases = []
+    for graph in graphs:
+        perm = rng.permutation(graph.node_count)
+        moved = Graph(graph.adjacency[np.ix_(perm, perm)], graph.features[perm], graph.label)
+        cases.append((replace(cfg, feature_dim=graph.feature_dim), graph, moved, perm))
+    return cases
+
+
+def test_gcn_diffpool_logits_do_not_depend_on_node_order():
+    """gcn_diffpool reads the graph, not its node numbering: under a seeded
+    relabelling its logits agree within 1e-12 relative."""
+    for cfg, graph, moved, _ in relabelling_cases():
+        model = CrossScaleModel(cfg, seed=5)
+        assert close_relative(model.forward(moved).logits.value,
+                              model.forward(graph).logits.value, 1e-12), graph.node_count
+
+
+def test_gcn_operand_and_first_assignment_permute_with_the_nodes():
+    """Under a relabelling P the GCN operand's Â X becomes P Â X on the same
+    columns, and the first DiffPool assignment's columns move with the nodes
+    (S becomes S P^T), within 1e-12 relative."""
+    for cfg, graph, moved, perm in relabelling_cases():
+        model = CrossScaleModel(cfg, seed=5)
+        operand, moved_operand = model.inputs_for(graph).gcn, model.inputs_for(moved).gcn
+        assert np.array_equal(moved_operand.columns, operand.columns)
+        assert close_relative(moved_operand.propagated, operand.propagated[perm], 1e-12)
+        stages, moved_stages = model.forward(graph).stages, model.forward(moved).stages
+        assert bool(stages) == bool(moved_stages) == (graph.node_count > cfg.m_out)
+        if stages:
+            assert close_relative(moved_stages[0].assignment.value,
+                                  stages[0].assignment.value[:, perm], 1e-12)
+
+
+def test_wavelets_permute_with_the_nodes():
+    """Every scale's psi_f of a relabelled graph is P psi_f P^T within 1e-12
+    relative."""
+    for _, graph, moved, perm in relabelling_cases():
+        if graph.node_count < 3:
+            continue
+        bases, moved_bases = (wavelet_bases(normalized_laplacian(g.adjacency), (1.0, 2.0), 6)
+                              for g in (graph, moved))
+        for f in range(2):
+            assert close_relative(moved_bases.psi(f), bases.psi(f)[np.ix_(perm, perm)], 1e-12)
