@@ -354,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     training.add_argument("--order", type=int, help="polynomial approximation order")
     training.add_argument("--m-out", type=int, help="final pooled size")
     training.add_argument("--n-max", type=int, help="largest supported graph size")
-    training.add_argument("--basis-mode", choices=("closed_form", "fitted_kernel"))
+    training.add_argument("--basis-mode", choices=("closed_form", "fitted_kernel"),
+                          help="Chebyshev coefficients of exp(-f lambda): exact Bessel-I "
+                          "series (closed_form) or quadrature fit (fitted_kernel, default)")
     training.add_argument("--epochs", type=int)
     training.add_argument("--batch-size", type=int)
     training.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
@@ -412,7 +414,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=(logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)],
         format="%(levelname)s %(name)s: %(message)s",
     )
     return exit_code(lambda: args.func(args))

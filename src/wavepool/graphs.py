@@ -12,6 +12,7 @@ import re
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +74,7 @@ class Graph:
     def node_count(self) -> int:
         return self.adjacency.shape[0]
 
-    @property
+    @cached_property
     def edge_count(self) -> int:
         return int(self.adjacency.sum()) // 2
 

@@ -210,15 +210,16 @@ def spectral_pool_assign(theta: Var, xi_n: np.ndarray, xi_m: np.ndarray,
     return ad.node(s, (theta,), vjp)
 
 
-def pool_apply(s: Var, adjacency: Var, features: Var) -> tuple[Var, Var, np.ndarray]:
+def pool_apply(s: Var, adjacency: Var, features: Var,
+               symmetric: bool = False) -> tuple[Var, Var, np.ndarray]:
     """Pool structure and features with an m x n assignment: A' = S A S^T
     and X' = S X, one node each, and the m x n product S A as a plain array,
     which the structure term of a constant A reuses.
 
-    dL/dS of A' is G S A^T + G^T S A. For a constant symmetric A, the
-    graph's own, that is (G + G^T)(S A) from the S A already held, m^2 n
-    work instead of m n^2; an adjacency that takes a gradient keeps the
-    general form.
+    dL/dS of A' is G S A^T + G^T S A. With ``symmetric`` the caller vouches
+    that a constant A is symmetric, as a ``Graph``'s own adjacency is, and
+    dL/dS is (G + G^T)(S A) from the S A already held, m^2 n work instead of
+    m n^2; any other adjacency keeps the general form.
     """
     s_mn = s.value
     n = s_mn.shape[1]
@@ -236,7 +237,7 @@ def pool_apply(s: Var, adjacency: Var, features: Var) -> tuple[Var, Var, np.ndar
 
     def adjacency_vjp(g, grads):
         acc_s, acc_a = grads
-        if acc_a is None and np.array_equal(a, a.T):
+        if acc_a is None and symmetric:
             acc_s += (g + g.T) @ left
             return
         g_left = g @ s_mn

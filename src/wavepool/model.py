@@ -28,7 +28,8 @@ bank (``spectral.wavelet_bases``): U and the (n, F) p_f(lambda) of the bank
 itself, and psi_f^+ X for every scale, about n^2 + 3n + 3nk floats. Both
 wavelet variants with equal settings share one eigendecomposition per graph,
 and no dense psi_f or psi_f^+ is stored. The first pooling stage records
-``pool_apply``'s S A, which the structure loss reuses.
+``pool_apply``'s S A and ||A||^2 (twice the graph's edge count), which the
+structure loss reuses.
 
 Checkpoints are a single binary file: a JSON manifest (configuration plus
 tensor shapes) followed by raw little-endian float64 tensor data.
@@ -140,6 +141,9 @@ class PoolStage:
     assignment: Var  # (m x n), one row per pooled node
     # S A from ``pool_apply``, recorded where A is the graph's constant
     product: np.ndarray | None = None
+    # ||A||_F^2 where it is known without reading A: twice the edge count
+    # of a graph's own 0/1 adjacency
+    squared_norm: float | None = None
 
 
 @dataclass
@@ -313,8 +317,8 @@ class CrossScaleModel:
         if n > cfg.m_out:
             m1 = mid_pool_size(n, cfg.m_out)
             s = self._assign(1, inputs.renormalized, h, n, m1)
-            pooled, h, product = pool_apply(s, adjacency, h)
-            stages.append(PoolStage(adjacency, s, product))
+            pooled, h, product = pool_apply(s, adjacency, h, symmetric=True)
+            stages.append(PoolStage(adjacency, s, product, 2.0 * graph.edge_count))
             adjacency = pooled
             pooled_adjacencies.append(adjacency)
             h = gcn_forward(adjacency, h, p["gcn.weight"], cfg.activation)

@@ -18,9 +18,10 @@ Two coefficient modes exist:
   ``g(x) = exp(-f (x + 1))``, i.e. ``exp(-f lambda)`` on the Laplacian
   spectrum. This is the default and converges to the dense eigendecomposition
   reference as M grows.
-* ``closed_form`` - coefficients ``2 exp(-f) J_i(-f)`` built from first-kind
-  Bessel values. Kept as an opt-in alternative; its reconstruction target is
-  oscillatory rather than low-pass, so only internal convergence is asserted.
+* ``closed_form`` - the exact Chebyshev series of the same kernel,
+  ``c_i = 2 exp(-f) I_i(-f)`` with the modified Bessel function ``I``
+  (Abramowitz & Stegun 9.6.34: e^{z cos t} = I_0(z) + 2 sum_k I_k(z) cos kt).
+  It needs no quadrature and agrees with ``fitted_kernel`` to rounding.
 
 ``cosine_transform`` returns the read-only n x n DCT-II matrix itself and
 caches it per size for the life of the process; the entries are bounded by
@@ -108,14 +109,12 @@ def chebyshev_apply(x, order: int) -> list:
     return terms
 
 
-def bessel_j(order: int, x: float) -> float:
-    """First-kind Bessel function J_i(x) by its power series.
+def bessel_i(order: int, x: float) -> float:
+    """Modified Bessel function of the first kind I_i(x) by its power series.
 
-    Terms are generated by the ratio recurrence and summation stops once the
-    next term's magnitude drops below 1e-16. Arguments are limited to
-    |x| <= 50; alternating-term cancellation amplifies roundoff as |x| grows,
-    so full double precision holds only for small |x| (the wavelet scales
-    used here stay below 5).
+    Terms are generated by the ratio recurrence; every term has the sign of
+    the first, so nothing cancels, and summation stops once the next term
+    falls below 1e-16 of the sum. Arguments are limited to |x| <= 50.
     """
     if order < 0:
         raise ContractViolationError(f"Bessel order must be >= 0, got {order}")
@@ -125,10 +124,10 @@ def bessel_j(order: int, x: float) -> float:
     term = half**order / math.factorial(order)
     total = term
     k = 1
-    ratio = -(half * half)
+    ratio = half * half
     while True:
         term = term * ratio / (k * (k + order))
-        if abs(term) < BESSEL_TERM_TOL:
+        if abs(term) <= BESSEL_TERM_TOL * abs(total):
             break
         total += term
         k += 1
@@ -140,7 +139,7 @@ def bessel_j(order: int, x: float) -> float:
 def wavelet_coefficients(scale: float, order: int, mode: str = MODE_FITTED_KERNEL) -> np.ndarray:
     """Chebyshev expansion coefficients c_0 .. c_order for scale ``scale``.
 
-    closed_form: c_i = 2 exp(-f) J_i(-f).
+    closed_form: c_i = 2 exp(-f) I_i(-f), the exact series of exp(-f (x + 1)).
     fitted_kernel: Chebyshev-Gauss quadrature of exp(-f (x + 1)) on [-1, 1]
     with 4 (order + 1) nodes.
     """
@@ -151,7 +150,7 @@ def wavelet_coefficients(scale: float, order: int, mode: str = MODE_FITTED_KERNE
     if mode not in _MODES:
         raise ContractViolationError(f"unknown mode {mode!r}")
     if mode == MODE_CLOSED_FORM:
-        return np.array([2.0 * math.exp(-scale) * bessel_j(i, -scale) for i in range(order + 1)])
+        return np.array([2.0 * math.exp(-scale) * bessel_i(i, -scale) for i in range(order + 1)])
     nodes = 4 * (order + 1)
     theta = math.pi * (np.arange(nodes) + 0.5) / nodes
     values = np.exp(-scale * (np.cos(theta) + 1.0))

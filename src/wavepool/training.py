@@ -15,13 +15,33 @@ only the pooled second stage, whose adjacency takes a gradient, forms it.
 probabilities and each counted stage's (adjacency, assignment), with a
 hand-written vjp. Validation goes through ``CrossScaleModel.predict`` and
 records no tape.
+
+``train`` splits every mini-batch into two lanes (``lanes``) and takes the
+batch gradient as lane 0's sum plus lane 1's sum, in that order, whichever
+process computes each lane. Lane 1 runs in one worker that ``train`` forks
+once per call when ``os.fork`` exists, at least two CPUs are available,
+OpenBLAS reads a thread count of 1 from the environment, no other Python
+thread runs and the batch size is at least 2; otherwise it runs in-process after lane 0, with the same
+numbers. The worker reads the parameters from, and writes its gradients to,
+one anonymous shared mapping. Each call logs one line on the
+``wavepool.training`` logger saying where lane 1 runs and why.
 """
 
 from __future__ import annotations
 
+import logging
+import math
+import mmap
+import os
+import pickle
+import signal
+import threading
 import time
+import traceback
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,8 +49,9 @@ from . import autodiff as ad
 from .autodiff import Var
 from .errors import ConfigError, ContractViolationError, NumericError
 from .graphs import GraphDataset
-from .model import CrossScaleModel, ForwardResult, PoolStage
+from .model import CrossScaleModel, ForwardResult, PoolStage, mid_pool_size
 from .settings import check_fields
+from .spectral import cosine_transform
 
 OPTIMIZERS = ("adam", "momentum")
 
@@ -39,6 +60,12 @@ STAGE_MODES = ("mean", "sum", "first")
 PROB_FLOOR = 1e-12  # clamp before log so empty support cannot produce -inf
 
 _SHUFFLE_STREAM = 0x53485546
+
+# OpenBLAS takes its thread count from the first of these that holds a
+# positive integer.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -116,7 +143,8 @@ def _structure(stage: PoolStage):
             raise ContractViolationError("a stage that records S A needs a constant adjacency")
         product = stage.product
         gram = s @ s.T
-        squared = np.vdot(a, a) - 2.0 * np.vdot(product, s) + np.vdot(gram, gram)
+        a_squared = np.vdot(a, a) if stage.squared_norm is None else stage.squared_norm
+        squared = a_squared - 2.0 * np.vdot(product, s) + np.vdot(gram, gram)
         norm = float(np.sqrt(max(squared, 0.0)))
 
         def gram_vjp(g, acc_adjacency, acc_assignment):
@@ -311,6 +339,262 @@ def _batches(order: np.ndarray, size: int):
         yield order[start:start + size]
 
 
+# -- lanes ----------------------------------------------------------------
+
+
+def lanes(sizes) -> tuple[list[int], list[int]]:
+    """Split a batch of graphs with the given node counts into two lanes of
+    batch positions, each in batch order. Largest graph first (ties in batch
+    order), each goes to the lane whose running sum of n^2 is lower, ties to
+    lane 0."""
+    load, members = [0, 0], ([], [])
+    for pos in sorted(range(len(sizes)), key=lambda p: -sizes[p]):
+        lane = 0 if load[0] <= load[1] else 1
+        load[lane] += sizes[pos] ** 2
+        members[lane].append(pos)
+    return sorted(members[0]), sorted(members[1])
+
+
+@cache
+def _blas_name() -> str:
+    try:
+        return str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
+    except (TypeError, KeyError):  # NumPy before 1.26 has no dict mode
+        return "unknown"
+
+
+def _blas_threads() -> tuple[bool, str]:
+    """Whether BLAS runs one thread, and the setting that says so or the
+    reason it cannot be told. Only OpenBLAS is identified; it reads the
+    first of ``BLAS_THREAD_VARS`` that holds a positive integer."""
+    name = _blas_name()
+    if "openblas" not in name.lower():
+        return False, f"BLAS {name!r} is not OpenBLAS, so its thread count is unknown"
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value) == 1, f"{var}={value}"
+    return False, f"none of {', '.join(BLAS_THREAD_VARS)} holds a positive integer"
+
+
+def worker_plan(batch_size: int) -> tuple[bool, str]:
+    """Whether ``train`` runs lane 1 in a forked worker, and why or why not."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False, "this platform has no os.fork or os.sched_getaffinity"
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2:
+        return False, f"only {cpus} CPU is available"
+    pinned, setting = _blas_threads()
+    if not pinned:
+        return False, f"BLAS is not pinned to one thread ({setting})"
+    if threading.active_count() > 1:  # a fork copies no thread but may copy a held lock
+        return False, f"{threading.active_count()} Python threads are running"
+    if batch_size < 2:
+        return False, f"batch size {batch_size} leaves lane 1 empty"
+    return True, f"{cpus} CPUs, {setting}, batch size {batch_size}"
+
+
+def _run_lane(model: CrossScaleModel, graphs, class_count: int, config: TrainConfig):
+    """Forward, loss and backward for each graph in turn, adding into the
+    parameters' ``.grad``; stops after the first non-finite loss (with no
+    backward) or the first error. Returns the per-graph (l_epsilon, l_p,
+    total, correct) and that error, or None."""
+    parts = []
+    try:
+        for graph in graphs:
+            result = model.forward(graph)
+            loss, p = graph_loss(result, graph.label, class_count,
+                                 config.beta, config.lp_stage_mode)
+            parts.append((p.l_epsilon, p.l_p, p.total, result.prediction == graph.label))
+            if not np.isfinite(p.total):
+                break
+            ad.backward(loss)
+    except Exception as exc:
+        return parts, exc
+    return parts, None
+
+
+def _finite(parts) -> bool:
+    return all(np.isfinite(total) for _, _, total, _ in parts)
+
+
+def _take_grads(params: dict[str, Var]) -> dict[str, np.ndarray]:
+    """The gradient buffers the parameters hold, by name, leaving them None."""
+    grads = {name: var.grad for name, var in params.items() if var.grad is not None}
+    for var in params.values():
+        var.grad = None
+    return grads
+
+
+def _shared_arrays(shapes):
+    """Zeroed float64 arrays of the given shapes in one anonymous shared
+    mapping, which a process forked afterwards shares, each on pages of its
+    own. Returns the mapping, the arrays and each array's (offset, length)
+    in bytes."""
+    sizes = [-(-math.prod(shape) * 8 // mmap.PAGESIZE) * mmap.PAGESIZE for shape in shapes]
+    mapping = mmap.mmap(-1, sum(sizes))
+    spans = list(zip(accumulate(sizes[:-1], initial=0), sizes))
+    arrays = [np.frombuffer(mapping, np.float64, math.prod(shape), offset).reshape(shape)
+              for shape, (offset, _) in zip(shapes, spans)]
+    return mapping, arrays, spans
+
+
+def _build_operands(model: CrossScaleModel, graphs) -> None:
+    """Everything a forward pass reads of each graph alone, so that a
+    process forked afterwards finds it built."""
+    cfg = model.config
+    for graph in graphs:
+        model.inputs_for(graph)
+        n = graph.node_count
+        if cfg.uses_spectral_pool and n > cfg.m_out:
+            for size in (n, mid_pool_size(n, cfg.m_out), cfg.m_out):
+                cosine_transform(size)
+
+
+def _send(pipe, message) -> None:
+    pickle.dump(message, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+    pipe.flush()
+
+
+def _serve(inbox, outbox, model: CrossScaleModel, graphs, class_count: int,
+           config: TrainConfig, shared_grads: dict[str, np.ndarray]) -> None:
+    """The worker's loop: for each batch of graph indices read from
+    ``inbox``, run that lane, copy the gradients it reached into the shared
+    buffers and write back the per-graph parts, the error (as ``(error,
+    traceback text)``) and the reached names. Returns at EOF."""
+    while True:
+        try:
+            indices = pickle.load(inbox)
+        except EOFError:
+            return
+        parts, error = _run_lane(model, [graphs[i] for i in indices], class_count, config)
+        reached = _take_grads(model.params)
+        for name, grad in reached.items():
+            shared_grads[name][...] = grad
+        if error is not None:
+            text = "".join(traceback.format_exception(error))
+            try:
+                pickle.dumps(error)
+            except Exception:  # an error that cannot cross the pipe as itself
+                error = RuntimeError(f"{type(error).__name__}: {error}")
+            error = (error, text)
+        _send(outbox, (parts, error, list(reached)))
+
+
+class _Lanes:
+    """Runs each batch's two lanes, leaves their summed gradient on the
+    parameters and returns the per-graph parts in batch order; lane 1 runs
+    in a forked worker when ``worker_plan`` allows it."""
+
+    def __init__(self, model: CrossScaleModel, train_set: GraphDataset, config: TrainConfig):
+        self.model, self.config = model, config
+        self.graphs = train_set.graphs
+        self.class_count = train_set.class_count
+        self.pipes = None  # (to the worker, from the worker)
+        forked, reason = worker_plan(config.batch_size)
+        log.info("lane 1 runs %s: %s", "in a forked worker" if forked else "in-process", reason)
+        if forked:
+            self._fork()
+
+    def _fork(self) -> None:
+        _build_operands(self.model, self.graphs)
+        params = self.model.params
+        shapes = [var.value.shape for var in params.values()]
+        self.mapping, arrays, spans = _shared_arrays(shapes + shapes)
+        for var, value in zip(params.values(), arrays):
+            value[...] = var.value
+            var.value = value
+        self.shared_grads = dict(zip(params, arrays[len(shapes):]))
+        self.grad_spans = dict(zip(params, spans[len(shapes):]))
+        from_parent, to_worker = os.pipe()
+        from_worker, to_parent = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:  # the worker: serve until EOF, never return
+            status = 1
+            try:
+                # the parent handles Ctrl-C; the worker reports through its pipe only
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                warnings.simplefilter("ignore")
+                os.close(to_worker)
+                os.close(from_worker)
+                with os.fdopen(from_parent, "rb") as inbox, os.fdopen(to_parent, "wb") as outbox:
+                    _serve(inbox, outbox, self.model, self.graphs, self.class_count,
+                           self.config, self.shared_grads)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(from_parent)
+        os.close(to_parent)
+        self.pipes = (os.fdopen(to_worker, "wb"), os.fdopen(from_worker, "rb"))
+
+    def run(self, batch: np.ndarray):
+        """The parts of every graph in batch order, or None when a lane
+        met a non-finite loss; the first error in lane order is raised."""
+        positions = lanes([self.graphs[int(i)].node_count for i in batch])
+        first, second = ([int(batch[p]) for p in lane] for lane in positions)
+        params = self.model.params
+        if self.pipes is not None and second:
+            _send(self.pipes[0], second)
+        results = [self._lane(first)]
+        grads = {}
+        if second and self.pipes is not None:
+            parts, error, reached = self._receive()
+            results.append((parts, error))
+            grads = {name: self.shared_grads[name] for name in reached}
+        elif second and results[0][1] is None and _finite(results[0][0]):
+            held = _take_grads(params)
+            results.append(self._lane(second))
+            grads = _take_grads(params)
+            for name, grad in held.items():
+                params[name].grad = grad
+        for parts, error in results:
+            if error is not None:
+                raise error
+            if not _finite(parts):
+                return None
+        for name, grad in grads.items():  # lane 0's sum plus lane 1's
+            var = params[name]
+            if var.grad is None:
+                var.grad = grad.copy()
+            else:
+                var.grad += grad
+            if self.pipes is not None:
+                # drop the pages just read from this process's memory (the
+                # worker keeps them), so that lane 1's buffers cost the
+                # parent one tensor at a time
+                self.mapping.madvise(mmap.MADV_DONTNEED, *self.grad_spans[name])
+        ordered = [None] * len(batch)
+        for lane, (parts, _) in zip(positions, results):
+            for pos, part in zip(lane, parts):
+                ordered[pos] = part
+        return ordered
+
+    def _lane(self, indices: list[int]):
+        return _run_lane(self.model, [self.graphs[i] for i in indices],
+                         self.class_count, self.config)
+
+    def _receive(self):
+        try:
+            parts, error, reached = pickle.load(self.pipes[1])
+        except EOFError:
+            raise ChildProcessError("the training worker exited unexpectedly") from None
+        if error is not None:
+            error, text = error
+            if hasattr(error, "add_note"):
+                error.add_note(f"raised in the training worker:\n{text}")
+        return parts, error, reached
+
+    def close(self) -> None:
+        """End the worker, if any. The parameters stay in the shared mapping
+        until ``load_state`` replaces them, as ``train`` does on return."""
+        if self.pipes is None:
+            return
+        for pipe in self.pipes:
+            pipe.close()
+        self.pipes = None
+        os.waitpid(self.pid, 0)
+
+
 def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset,
           config: TrainConfig) -> TrainOutcome:
     """Mini-batch training with best-validation parameter selection.
@@ -332,47 +616,45 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
     best_val = -1.0
     start = time.perf_counter()
     count = len(train_set.graphs)
-    for epoch in range(config.epochs):
-        order = rng.permutation(count) if config.shuffle else np.arange(count)
-        sums = np.zeros(3)
-        correct = 0
-        diverged = False
-        for batch in _batches(order, config.batch_size):
-            for idx in batch:
-                graph = train_set.graphs[int(idx)]
-                result = model.forward(graph)
-                loss, parts = graph_loss(result, graph.label, train_set.class_count,
-                                         config.beta, config.lp_stage_mode)
-                if not np.isfinite(parts.total):
+    runner = _Lanes(model, train_set, config)
+    try:
+        for epoch in range(config.epochs):
+            order = rng.permutation(count) if config.shuffle else np.arange(count)
+            sums = np.zeros(3)
+            correct = 0
+            diverged = False
+            for batch in _batches(order, config.batch_size):
+                parts = runner.run(batch)
+                if parts is None:
                     diverged = True
                     break
-                sums += (parts.l_epsilon, parts.l_p, parts.total)
-                correct += result.prediction == graph.label
-                ad.backward(loss)
+                for l_epsilon, l_p, total, hit in parts:
+                    sums += (l_epsilon, l_p, total)
+                    correct += hit
+                try:
+                    optimizer.step(model.params, len(batch))
+                except NumericError:
+                    diverged = True
+                    break
             if diverged:
+                report.diverged = True
                 break
-            try:
-                optimizer.step(model.params, len(batch))
-            except NumericError:
-                diverged = True
-                break
-        if diverged:
-            report.diverged = True
-            break
-        val_acc = evaluate_accuracy(model, val_set)
-        report.epochs.append(EpochRecord(
-            epoch=epoch,
-            l_epsilon=float(sums[0] / count),
-            l_p=float(sums[1] / count),
-            l_total=float(sums[2] / count),
-            train_acc=correct / count,
-            val_acc=val_acc,
-        ))
-        if val_acc > best_val:
-            best_val = val_acc
-            best_state = model.state()
-            report.best_epoch = epoch
-            report.best_val_acc = val_acc
+            val_acc = evaluate_accuracy(model, val_set)
+            report.epochs.append(EpochRecord(
+                epoch=epoch,
+                l_epsilon=float(sums[0] / count),
+                l_p=float(sums[1] / count),
+                l_total=float(sums[2] / count),
+                train_acc=correct / count,
+                val_acc=val_acc,
+            ))
+            if val_acc > best_val:
+                best_val = val_acc
+                best_state = model.state()
+                report.best_epoch = epoch
+                report.best_val_acc = val_acc
+    finally:
+        runner.close()
     report.seconds = time.perf_counter() - start
     model.load_state(best_state)
     return TrainOutcome(report=report, best_state=best_state)

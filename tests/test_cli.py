@@ -411,3 +411,20 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "cross-scale graph classification" in proc.stdout
+
+
+@pytest.mark.parametrize("verbose", [True, False])
+def test_verbose_shows_where_lane_1_runs(bench_dir, tmp_path, verbose):
+    """``-v`` shows the one INFO line ``train`` logs; without it the run
+    logs nothing."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavepool", "train", "--data", str(bench_dir),
+         "--out", str(tmp_path / "run"), "--seed", "1", *FAST, *(["-v"] if verbose else [])],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if "wavepool.training" in line]
+    if verbose:
+        assert len(lines) == 1 and lines[0].startswith("INFO wavepool.training: lane 1 runs ")
+    else:
+        assert lines == []

@@ -1,0 +1,169 @@
+"""Two-lane training: the lane rule, when lane 1 runs in a forked worker,
+and that the worker and in-process runs give the same numbers, errors,
+divergence and process clean-up.
+
+Scenarios that need a worker run in fresh processes (``tests.lane_runs``)
+with OpenBLAS pinned to one thread; the in-process runs of the same
+scenarios pin themselves to one CPU.
+"""
+
+import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+from wavepool import training
+
+ROOT = Path(__file__).resolve().parents[1]
+
+WORKER_POSSIBLE = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                   and len(os.sched_getaffinity(0)) >= 2
+                   and "openblas" in training._blas_name().lower())
+needs_worker = pytest.mark.skipif(
+    not WORKER_POSSIBLE, reason="needs os.fork, two CPUs and OpenBLAS")
+
+# "2": a worker where the host allows one; "1": pinned to one CPU, in-process
+CPUS = [pytest.param("2", marks=needs_worker, id="worker"), pytest.param("1", id="in-process")]
+
+
+def lane_env() -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in training.BLAS_THREAD_VARS}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
+    return env
+
+
+def scenario(*args) -> dict:
+    proc = subprocess.run([sys.executable, "-m", "tests.lane_runs", *args], cwd=ROOT,
+                          env=lane_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["plan"][0] == (args[-1] == "2"), result["plan"]
+    assert result["children_left"] is False
+    return result
+
+
+def test_lane_rule_balances_squared_sizes_largest_first():
+    # 9 and 9 split, then 5 joins the tied lane 0 and 3 the lighter lane 1
+    assert training.lanes([5, 9, 9, 3]) == ([0, 1], [2, 3])
+    assert training.lanes([10, 1, 1, 1, 1]) == ([0], [1, 2, 3, 4])
+    assert training.lanes([4, 4]) == ([0], [1])
+    assert training.lanes([7]) == ([0], [])
+    assert training.lanes([]) == ([], [])
+
+
+@pytest.fixture
+def two_cpus_and_openblas(monkeypatch):
+    for var in training.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(training, "_blas_name", lambda: "scipy-openblas")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return monkeypatch
+
+
+@pytest.mark.parametrize("settings, forked, reason", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, True, "OPENBLAS_NUM_THREADS=1"),
+    ({"OMP_NUM_THREADS": "1"}, True, "OMP_NUM_THREADS=1"),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True, "OMP_NUM_THREADS=1"),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False, "OPENBLAS_NUM_THREADS=2"),
+    ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False, "GOTO_NUM_THREADS=4"),
+    ({}, False, "none of OPENBLAS_NUM_THREADS"),
+])
+def test_worker_needs_openblas_pinned_to_one_thread(two_cpus_and_openblas, settings, forked,
+                                                    reason):
+    for var, value in settings.items():
+        two_cpus_and_openblas.setenv(var, value)
+    assert training.worker_plan(16)[0] is forked
+    assert reason in training.worker_plan(16)[1]
+
+
+def test_worker_needs_two_cpus_a_known_blas_one_thread_and_a_batch_of_two(two_cpus_and_openblas):
+    mp = two_cpus_and_openblas
+    mp.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert training.worker_plan(2) == (True, "2 CPUs, OPENBLAS_NUM_THREADS=1, batch size 2")
+    assert training.worker_plan(1) == (False, "batch size 1 leaves lane 1 empty")
+    mp.setattr(os, "sched_getaffinity", lambda pid: {3})
+    assert training.worker_plan(16) == (False, "only 1 CPU is available")
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    mp.setattr(training, "_blas_name", lambda: "mkl")
+    forked, reason = training.worker_plan(16)
+    assert not forked and "'mkl' is not OpenBLAS" in reason
+    mp.setattr(training, "_blas_name", lambda: "scipy-openblas")
+    waiting = threading.Event()
+    thread = threading.Thread(target=waiting.wait)
+    thread.start()
+    try:
+        assert training.worker_plan(16) == (False, "2 Python threads are running")
+    finally:
+        waiting.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
+@needs_worker
+def test_worker_and_in_process_runs_are_byte_identical():
+    """Report CSVs, best states, final parameters and every step's gradient
+    norm, bit for bit, for a GCN and a wavelet variant."""
+    worker, in_process = scenario("train", "2"), scenario("train", "1")
+    assert worker["runs"] == in_process["runs"]
+    for run in worker["runs"].values():
+        assert len(run["norms"]) == 3 * 3  # 3 epochs of three batches (19 graphs)
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+@pytest.mark.parametrize("lanes, raised", [("1", "boom in lane 1"), ("0", "boom in lane 0"),
+                                           ("01", "boom in lane 0")])
+def test_a_lane_error_reaches_the_caller_lane_0_first(cpus, lanes, raised):
+    result = scenario("error", lanes, cpus)
+    assert (result["error"], result["message"]) == ("NumericError", raised)
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+@pytest.mark.parametrize("lane", ["0", "1"])
+def test_a_nonfinite_loss_in_either_lane_diverges_without_a_step(cpus, lane):
+    result = scenario("diverge", lane, cpus)
+    assert result["diverged"] is True and result["epochs"] == 0
+    assert result["steps"] == 0 and result["unchanged"] is True
+
+
+def _state(pid: int) -> str:
+    """The process's state letter, "X" once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return "X"
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+def _wait_for(pid: int, states: str) -> str:
+    deadline = time.monotonic() + 30
+    while _state(pid) not in states and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return _state(pid)
+
+
+@needs_worker
+def test_worker_exits_when_its_parent_is_killed():
+    """Once lane 1 is done the worker waits on its pipe; a SIGKILL to the
+    parent closes the pipe and the worker exits (a zombie waiting for its
+    reaper counts as exited)."""
+    proc = subprocess.Popen([sys.executable, "-m", "tests.lane_runs", "orphan"], cwd=ROOT,
+                            env=lane_env(), stdout=subprocess.PIPE, text=True)
+    try:
+        assert select.select([proc.stdout], [], [], 60)[0], "no worker pid within 60 s"
+        worker = int(proc.stdout.readline())
+        assert _wait_for(worker, "S") == "S"  # idle, reading its pipe
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+        assert _wait_for(worker, "ZX") in "ZX"
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()

@@ -336,9 +336,9 @@ def test_pool_gradients_match_finite_differences(rng):
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_pool_apply_gradient_for_a_constant_adjacency(symmetric, rng):
     """With a constant adjacency dL/dS is taken from the S A the node holds:
-    (G + G^T)(S A) where A is symmetric, the general form where it is not.
-    Both match finite differences for a weighted A and a G that is not
-    symmetric."""
+    (G + G^T)(S A) where the caller vouches that A is symmetric, the general
+    form where it does not. Both match finite differences for a weighted A
+    and a G that is not symmetric."""
     n, m = 6, 3
     adj = np.abs(rng.standard_normal((n, n)))
     if symmetric:
@@ -348,7 +348,8 @@ def test_pool_apply_gradient_for_a_constant_adjacency(symmetric, rng):
     s0 = rng.random((m, n))
 
     def run(s):
-        pooled, _, _ = pool_apply(ad.as_var(s), ad.constant(adj), ad.constant(feats))
+        pooled, _, _ = pool_apply(ad.as_var(s), ad.constant(adj), ad.constant(feats),
+                                  symmetric=symmetric)
         return ops.sum_all(ops.mul(pooled, weights))
 
     var = ad.parameter(s0)

@@ -10,7 +10,7 @@ from wavepool.errors import ContractViolationError, DomainError
 from wavepool.spectral import (
     MODE_CLOSED_FORM,
     MODE_FITTED_KERNEL,
-    bessel_j,
+    bessel_i,
     chebyshev_apply,
     cosine_transform,
     exact_wavelet_oracle,
@@ -125,15 +125,15 @@ def test_chebyshev_order_zero_and_validation():
 
 
 def test_bessel_zero_order_at_one():
-    # value frozen from an independent reference implementation
-    assert bessel_j(0, 1.0) == pytest.approx(0.7651976865579666, abs=1e-12)
+    # value frozen from an independent reference implementation (scipy.special.iv)
+    assert bessel_i(0, 1.0) == pytest.approx(1.2660658777520084, rel=1e-15)
 
 
 def test_bessel_against_scipy_small_arguments():
-    for order in range(11):
+    for order in range(17):
         for x in np.linspace(-10.0, 10.0, 41):
-            assert bessel_j(order, float(x)) == pytest.approx(
-                scipy.special.jv(order, x), rel=1e-9, abs=1e-10
+            assert bessel_i(order, float(x)) == pytest.approx(
+                scipy.special.iv(order, x), rel=1e-13, abs=1e-300
             )
 
 
@@ -141,17 +141,17 @@ def test_bessel_parity():
     for order in range(11):
         sign = (-1.0) ** order
         for x in np.arange(0.5, 5.01, 0.5):
-            assert abs(bessel_j(order, -x) - sign * bessel_j(order, x)) <= 1e-14
+            assert bessel_i(order, -x) == sign * bessel_i(order, x)
 
 
 def test_bessel_domain_window():
-    assert math.isfinite(bessel_j(0, 50.0))
+    assert bessel_i(0, 50.0) == pytest.approx(scipy.special.iv(0, 50.0), rel=1e-13)
     with pytest.raises(DomainError):
-        bessel_j(0, 50.001)
+        bessel_i(0, 50.001)
     with pytest.raises(DomainError):
-        bessel_j(2, -51.0)
+        bessel_i(2, -51.0)
     with pytest.raises(ContractViolationError):
-        bessel_j(-1, 1.0)
+        bessel_i(-1, 1.0)
 
 
 # -- expansion coefficients -----------------------------------------------
@@ -165,9 +165,25 @@ def test_closed_form_zero_scale_is_identity_filter():
 
 def test_closed_form_leading_coefficient_scale_one():
     coeffs = wavelet_coefficients(1.0, 16, mode=MODE_CLOSED_FORM)
-    # 2 e^{-1} J_0(-1), frozen from an independent Bessel reference
-    assert coeffs[0] == pytest.approx(0.5630009946332505, abs=1e-12)
-    assert coeffs[0] == pytest.approx(2.0 * math.exp(-1.0) * bessel_j(0, 1.0), rel=1e-12)
+    # 2 e^{-1} I_0(-1), frozen from an independent Bessel reference
+    assert coeffs[0] == pytest.approx(0.931519215187281, abs=1e-12)
+    assert coeffs[0] == pytest.approx(2.0 * math.exp(-1.0) * bessel_i(0, 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, 3.0])
+def test_closed_form_bank_matches_fitted_kernel(scale, rng):
+    """Both modes expand exp(-f lambda): at M = 16 the closed-form bank's
+    coefficients, p_f(lambda) and dense psi_f equal the quadrature fit's
+    within 1e-12, and p_f(0) = 1 on an isolated node."""
+    adj = random_adjacency(20, 0.2, rng)
+    adj[0] = adj[:, 0] = 0.0
+    lap = normalized_laplacian(adj)
+    closed = wavelet_bases(lap, (scale,), 16, mode=MODE_CLOSED_FORM)
+    fitted = wavelet_bases(lap, (scale,), 16, mode=MODE_FITTED_KERNEL)
+    assert np.max(np.abs(closed.coefficients - fitted.coefficients)) <= 1e-12
+    assert np.max(np.abs(closed.values - fitted.values)) <= 1e-12
+    assert np.max(np.abs(closed.psi(0) - fitted.psi(0))) <= 1e-12
+    assert closed.psi(0)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fitted_zero_scale_coefficients():
