@@ -33,15 +33,19 @@ def degree_onehot_features(adjacency: np.ndarray, cap: int = DEGREE_CAP) -> np.n
     return feats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph with dense adjacency and node features."""
+    """Undirected simple graph with dense adjacency and node features.
+
+    Graphs compare and hash by identity: two graphs built from the same
+    arrays are distinct, as their memoised operands are.
+    """
 
     adjacency: np.ndarray  # (n, n), entries in {0, 1}, zero diagonal
     features: np.ndarray   # (n, l)
     label: int
     id: str = ""
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         adj = np.ascontiguousarray(np.asarray(self.adjacency, dtype=float))
@@ -95,7 +99,7 @@ class Graph:
         return entry[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphDataset:
     graphs: tuple[Graph, ...]
     class_count: int

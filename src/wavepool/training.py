@@ -18,13 +18,20 @@ records no tape.
 
 ``train`` splits every mini-batch into two lanes (``lanes``) and takes the
 batch gradient as lane 0's sum plus lane 1's sum, in that order, whichever
-process computes each lane. Lane 1 runs in one worker that ``train`` forks
-once per call when ``os.fork`` exists, at least two CPUs are available,
-OpenBLAS reads a thread count of 1 from the environment, no other Python
-thread runs and the batch size is at least 2; otherwise it runs in-process after lane 0, with the same
-numbers. The worker reads the parameters from, and writes its gradients to,
-one anonymous shared mapping. Each call logs one line on the
-``wavepool.training`` logger saying where lane 1 runs and why.
+process computes each lane. ``evaluate_accuracy`` splits its graphs the same
+way and adds the two lanes' hit counts. Lane 1 runs in a forked process when
+``os.fork`` exists, at least two CPUs are available, OpenBLAS reads a thread
+count of 1 from the environment, no other Python thread runs and the batch
+or pass holds at least two graphs (``worker_plan``); otherwise it runs
+in-process after lane 0, with the same numbers. ``train`` forks one worker
+per call, which reads the parameters from, and writes its gradients to, one
+anonymous shared mapping, and which also predicts lane 1 of every
+validation pass. Any other evaluation pass forks a process of its own that
+predicts from a copy-on-write snapshot of the parameters. Each ``train``
+call logs one INFO line on the ``wavepool.training`` logger saying where
+lane 1 runs and why, and at DEBUG one record per epoch (losses, gradient
+norms, clipped steps, seconds in the lanes and in validation) and one line
+per evaluation pass.
 """
 
 from __future__ import annotations
@@ -328,12 +335,6 @@ class TrainOutcome:
     best_state: dict[str, np.ndarray]
 
 
-def evaluate_accuracy(model: CrossScaleModel, dataset: GraphDataset) -> float:
-    """Share of graphs whose ``predict`` (no tape) matches the label."""
-    correct = sum(1 for g in dataset.graphs if model.predict(g) == g.label)
-    return correct / len(dataset.graphs)
-
-
 def _batches(order: np.ndarray, size: int):
     for start in range(0, len(order), size):
         yield order[start:start + size]
@@ -377,8 +378,9 @@ def _blas_threads() -> tuple[bool, str]:
     return False, f"none of {', '.join(BLAS_THREAD_VARS)} holds a positive integer"
 
 
-def worker_plan(batch_size: int) -> tuple[bool, str]:
-    """Whether ``train`` runs lane 1 in a forked worker, and why or why not."""
+def worker_plan(count: int) -> tuple[bool, str]:
+    """Whether lane 1 of a batch or an evaluation pass of ``count`` graphs
+    runs in a forked process, and why or why not."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return False, "this platform has no os.fork or os.sched_getaffinity"
     cpus = len(os.sched_getaffinity(0))
@@ -389,9 +391,9 @@ def worker_plan(batch_size: int) -> tuple[bool, str]:
         return False, f"BLAS is not pinned to one thread ({setting})"
     if threading.active_count() > 1:  # a fork copies no thread but may copy a held lock
         return False, f"{threading.active_count()} Python threads are running"
-    if batch_size < 2:
-        return False, f"batch size {batch_size} leaves lane 1 empty"
-    return True, f"{cpus} CPUs, {setting}, batch size {batch_size}"
+    if count < 2:
+        return False, f"{count} graph{'' if count == 1 else 's'} cannot fill two lanes"
+    return True, f"{cpus} CPUs, {setting}, {count} graphs at a time"
 
 
 def _run_lane(model: CrossScaleModel, graphs, class_count: int, config: TrainConfig):
@@ -426,6 +428,13 @@ def _take_grads(params: dict[str, Var]) -> dict[str, np.ndarray]:
     return grads
 
 
+def _hits(model: CrossScaleModel, graphs, indices=None) -> int:
+    """How many of the graphs (those at ``indices``, if given) ``predict``
+    labels right."""
+    chosen = graphs if indices is None else [graphs[i] for i in indices]
+    return sum(1 for g in chosen if model.predict(g) == g.label)
+
+
 def _shared_arrays(shapes):
     """Zeroed float64 arrays of the given shapes in one anonymous shared
     mapping, which a process forked afterwards shares, each on pages of its
@@ -441,11 +450,14 @@ def _shared_arrays(shapes):
 
 def _build_operands(model: CrossScaleModel, graphs) -> None:
     """Everything a forward pass reads of each graph alone, so that a
-    process forked afterwards finds it built."""
+    process forked afterwards finds it built. A graph the forward pass
+    rejects is left for it to reject."""
     cfg = model.config
     for graph in graphs:
-        model.inputs_for(graph)
         n = graph.node_count
+        if n > cfg.n_max or graph.feature_dim != cfg.feature_dim:
+            continue
+        model.inputs_for(graph)
         if cfg.uses_spectral_pool and n > cfg.m_out:
             for size in (n, mid_pool_size(n, cfg.m_out), cfg.m_out):
                 cosine_transform(size)
@@ -456,48 +468,107 @@ def _send(pipe, message) -> None:
     pipe.flush()
 
 
-def _serve(inbox, outbox, model: CrossScaleModel, graphs, class_count: int,
-           config: TrainConfig, shared_grads: dict[str, np.ndarray]) -> None:
-    """The worker's loop: for each batch of graph indices read from
-    ``inbox``, run that lane, copy the gradients it reached into the shared
-    buffers and write back the per-graph parts, the error (as ``(error,
-    traceback text)``) and the reached names. Returns at EOF."""
+def _shipped(error: Exception) -> tuple[Exception, str]:
+    """An error as it crosses a pipe: itself, or a RuntimeError naming it if
+    it cannot be pickled, and its traceback text."""
+    text = "".join(traceback.format_exception(error))
+    try:
+        pickle.dumps(error)
+    except Exception:  # an error that cannot cross the pipe as itself
+        error = RuntimeError(f"{type(error).__name__}: {error}")
+    return error, text
+
+
+def _serve(inbox, outbox, handlers: dict) -> None:
+    """A worker's loop: answer each ``(kind, payload)`` request read from
+    ``inbox`` with ``(handlers[kind](payload), None)``, or ``(None, shipped
+    error)`` when the handler raises. Returns at EOF."""
     while True:
         try:
-            indices = pickle.load(inbox)
+            kind, payload = pickle.load(inbox)
         except EOFError:
             return
-        parts, error = _run_lane(model, [graphs[i] for i in indices], class_count, config)
-        reached = _take_grads(model.params)
-        for name, grad in reached.items():
-            shared_grads[name][...] = grad
-        if error is not None:
-            text = "".join(traceback.format_exception(error))
+        try:
+            reply = handlers[kind](payload), None
+        except Exception as exc:
+            reply = None, _shipped(exc)
+        _send(outbox, reply)
+
+
+class _Worker:
+    """A forked process that serves ``handlers`` (see ``_serve``) over two
+    pipes. It sees the parent's memory as it was at the fork, copy-on-write,
+    apart from shared mappings. It ignores SIGINT (the parent handles
+    Ctrl-C) and warnings, never logs, and leaves with ``os._exit`` at EOF or
+    on a broken pipe, so it also ends when its parent is killed."""
+
+    def __init__(self, handlers: dict):
+        from_parent, to_worker = os.pipe()
+        from_worker, to_parent = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:  # the worker: serve until EOF, never return
+            status = 1
             try:
-                pickle.dumps(error)
-            except Exception:  # an error that cannot cross the pipe as itself
-                error = RuntimeError(f"{type(error).__name__}: {error}")
-            error = (error, text)
-        _send(outbox, (parts, error, list(reached)))
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                warnings.simplefilter("ignore")
+                os.close(to_worker)
+                os.close(from_worker)
+                with os.fdopen(from_parent, "rb") as inbox, os.fdopen(to_parent, "wb") as outbox:
+                    _serve(inbox, outbox, handlers)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(from_parent)
+        os.close(to_parent)
+        self.pipes = (os.fdopen(to_worker, "wb"), os.fdopen(from_worker, "rb"))
+
+    def send(self, kind: str, payload) -> None:
+        _send(self.pipes[0], (kind, payload))
+
+    def receive(self):
+        """The answer to the oldest unanswered request as (value, error);
+        an error carries the worker's traceback as a note."""
+        try:
+            value, error = pickle.load(self.pipes[1])
+        except EOFError:
+            raise ChildProcessError("the lane worker exited unexpectedly") from None
+        if error is not None:
+            error, text = error
+            if hasattr(error, "add_note"):  # Python 3.11 on
+                error.add_note(f"raised in the lane worker:\n{text}")
+        return value, error
+
+    def close(self) -> None:
+        """Close the pipes, so that the worker leaves, and reap it."""
+        if self.pipes is None:
+            return
+        for pipe in self.pipes:
+            pipe.close()
+        self.pipes = None
+        os.waitpid(self.pid, 0)
 
 
 class _Lanes:
     """Runs each batch's two lanes, leaves their summed gradient on the
-    parameters and returns the per-graph parts in batch order; lane 1 runs
-    in a forked worker when ``worker_plan`` allows it."""
+    parameters and returns the per-graph parts in batch order. When
+    ``worker_plan`` allows it, lane 1 runs in one forked worker, which also
+    predicts lane 1 of every validation pass."""
 
-    def __init__(self, model: CrossScaleModel, train_set: GraphDataset, config: TrainConfig):
+    def __init__(self, model: CrossScaleModel, train_set: GraphDataset,
+                 val_set: GraphDataset, config: TrainConfig):
         self.model, self.config = model, config
         self.graphs = train_set.graphs
+        self.val_graphs = val_set.graphs
         self.class_count = train_set.class_count
-        self.pipes = None  # (to the worker, from the worker)
-        forked, reason = worker_plan(config.batch_size)
-        log.info("lane 1 runs %s: %s", "in a forked worker" if forked else "in-process", reason)
+        self.worker = None
+        forked, self.reason = worker_plan(config.batch_size)
+        log.info("lane 1 runs %s: %s", "in a forked worker, for batches and validation"
+                 if forked else "in-process", self.reason)
         if forked:
             self._fork()
 
     def _fork(self) -> None:
-        _build_operands(self.model, self.graphs)
+        _build_operands(self.model, self.graphs + self.val_graphs)
         params = self.model.params
         shapes = [var.value.shape for var in params.values()]
         self.mapping, arrays, spans = _shared_arrays(shapes + shapes)
@@ -506,26 +577,22 @@ class _Lanes:
             var.value = value
         self.shared_grads = dict(zip(params, arrays[len(shapes):]))
         self.grad_spans = dict(zip(params, spans[len(shapes):]))
-        from_parent, to_worker = os.pipe()
-        from_worker, to_parent = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:  # the worker: serve until EOF, never return
-            status = 1
-            try:
-                # the parent handles Ctrl-C; the worker reports through its pipe only
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                warnings.simplefilter("ignore")
-                os.close(to_worker)
-                os.close(from_worker)
-                with os.fdopen(from_parent, "rb") as inbox, os.fdopen(to_parent, "wb") as outbox:
-                    _serve(inbox, outbox, self.model, self.graphs, self.class_count,
-                           self.config, self.shared_grads)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(from_parent)
-        os.close(to_parent)
-        self.pipes = (os.fdopen(to_worker, "wb"), os.fdopen(from_worker, "rb"))
+        self.worker = _Worker({
+            "train": self._serve_lane,
+            "predict": lambda indices: _hits(self.model, self.val_graphs, indices),
+        })
+
+    def _serve_lane(self, indices: list[int]):
+        """Lane 1 of a batch, in the worker: its per-graph parts and the
+        names of the parameters it reached, whose gradients it leaves in the
+        shared buffers."""
+        parts, error = self._lane(indices)
+        reached = _take_grads(self.model.params)
+        if error is not None:
+            raise error
+        for name, grad in reached.items():
+            self.shared_grads[name][...] = grad
+        return parts, list(reached)
 
     def run(self, batch: np.ndarray):
         """The parts of every graph in batch order, or None when a lane
@@ -533,12 +600,14 @@ class _Lanes:
         positions = lanes([self.graphs[int(i)].node_count for i in batch])
         first, second = ([int(batch[p]) for p in lane] for lane in positions)
         params = self.model.params
-        if self.pipes is not None and second:
-            _send(self.pipes[0], second)
+        forked = self.worker is not None and bool(second)
+        if forked:
+            self.worker.send("train", second)
         results = [self._lane(first)]
         grads = {}
-        if second and self.pipes is not None:
-            parts, error, reached = self._receive()
+        if forked:
+            reply, error = self.worker.receive()
+            parts, reached = ([], []) if error is not None else reply
             results.append((parts, error))
             grads = {name: self.shared_grads[name] for name in reached}
         elif second and results[0][1] is None and _finite(results[0][0]):
@@ -558,7 +627,7 @@ class _Lanes:
                 var.grad = grad.copy()
             else:
                 var.grad += grad
-            if self.pipes is not None:
+            if forked:
                 # drop the pages just read from this process's memory (the
                 # worker keeps them), so that lane 1's buffers cost the
                 # parent one tensor at a time
@@ -573,26 +642,66 @@ class _Lanes:
         return _run_lane(self.model, [self.graphs[i] for i in indices],
                          self.class_count, self.config)
 
-    def _receive(self):
-        try:
-            parts, error, reached = pickle.load(self.pipes[1])
-        except EOFError:
-            raise ChildProcessError("the training worker exited unexpectedly") from None
-        if error is not None:
-            error, text = error
-            if hasattr(error, "add_note"):
-                error.add_note(f"raised in the training worker:\n{text}")
-        return parts, error, reached
-
     def close(self) -> None:
         """End the worker, if any. The parameters stay in the shared mapping
         until ``load_state`` replaces them, as ``train`` does on return."""
-        if self.pipes is None:
-            return
-        for pipe in self.pipes:
-            pipe.close()
-        self.pipes = None
-        os.waitpid(self.pid, 0)
+        if self.worker is not None:
+            self.worker.close()
+            self.worker = None
+
+
+def evaluate_accuracy(model: CrossScaleModel, dataset: GraphDataset, *,
+                      runner: _Lanes | None = None) -> float:
+    """Share of graphs whose ``predict`` (no tape) matches the label.
+
+    The graphs split into two ``lanes`` and the lanes' integer hit counts
+    add, so the share is the same wherever each lane runs. Lane 1 runs in a
+    process forked for this call when ``worker_plan`` allows it; every
+    graph's operands are built before the fork, so that process builds none
+    and the memo stays here. ``train`` validates through its lane
+    ``runner``: lane 1 then goes to the runner's worker if it has one, else
+    runs here, and nothing forks. ``dataset`` must then be the validation
+    set the runner was built with, since its worker predicts by index.
+    """
+    graphs = dataset.graphs
+    if runner is None:
+        forked, reason = worker_plan(len(graphs))
+        where = "in a process forked for this pass"
+    else:
+        forked, reason = runner.worker is not None, runner.reason
+        where = "in the training worker"
+    log.debug("evaluating %d graphs: lane 1 runs %s: %s", len(graphs),
+              where if forked else "in-process", reason)
+    if not forked:
+        return _hits(model, graphs) / len(graphs)
+    first, second = lanes([g.node_count for g in graphs])
+    if runner is None:
+        _build_operands(model, graphs)
+        worker = _Worker({"predict": lambda indices: _hits(model, graphs, indices)})
+    else:
+        worker = runner.worker
+    try:
+        if second:
+            worker.send("predict", second)
+        hits = _hits(model, graphs, first)
+        if second:
+            count, error = worker.receive()
+            if error is not None:
+                raise error
+            hits += count
+    finally:
+        if runner is None:
+            worker.close()
+    return hits / len(graphs)
+
+
+def _log_epoch(record: EpochRecord, norms: list[float], clip: float | None,
+               lane_s: float, val_s: float) -> None:
+    clipped = 0 if clip is None else sum(norm > clip for norm in norms)
+    log.debug("epoch %d: l_epsilon %.6g, l_p %.6g, l_total %.6g; pre-clip gradient norm "
+              "max %.4g, median %.4g; %d of %d steps clipped; lanes %.3f s, validation %.3f s",
+              record.epoch, record.l_epsilon, record.l_p, record.l_total, max(norms),
+              float(np.median(norms)), clipped, len(norms), lane_s, val_s)
 
 
 def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset,
@@ -616,15 +725,20 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
     best_val = -1.0
     start = time.perf_counter()
     count = len(train_set.graphs)
-    runner = _Lanes(model, train_set, config)
+    watch = log.isEnabledFor(logging.DEBUG)
+    runner = _Lanes(model, train_set, val_set, config)
     try:
         for epoch in range(config.epochs):
             order = rng.permutation(count) if config.shuffle else np.arange(count)
             sums = np.zeros(3)
             correct = 0
             diverged = False
+            norms = []
+            lane_s = 0.0
             for batch in _batches(order, config.batch_size):
+                tick = time.perf_counter()
                 parts = runner.run(batch)
+                lane_s += time.perf_counter() - tick
                 if parts is None:
                     diverged = True
                     break
@@ -632,14 +746,16 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
                     sums += (l_epsilon, l_p, total)
                     correct += hit
                 try:
-                    optimizer.step(model.params, len(batch))
+                    norms.append(optimizer.step(model.params, len(batch)))
                 except NumericError:
                     diverged = True
                     break
             if diverged:
                 report.diverged = True
                 break
-            val_acc = evaluate_accuracy(model, val_set)
+            tick = time.perf_counter()
+            val_acc = evaluate_accuracy(model, val_set, runner=runner)
+            val_s = time.perf_counter() - tick
             report.epochs.append(EpochRecord(
                 epoch=epoch,
                 l_epsilon=float(sums[0] / count),
@@ -648,6 +764,8 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
                 train_acc=correct / count,
                 val_acc=val_acc,
             ))
+            if watch:
+                _log_epoch(report.epochs[-1], norms, config.grad_clip_norm, lane_s, val_s)
             if val_acc > best_val:
                 best_val = val_acc
                 best_state = model.state()

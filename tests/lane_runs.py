@@ -1,4 +1,4 @@
-"""One training scenario in a fresh process, for the lane tests.
+"""One training or evaluation scenario in a fresh process, for the lane tests.
 
     python -m tests.lane_runs SCENARIO [ARGS]
 
@@ -7,14 +7,23 @@ process starts with the threads they ask for. The last line of standard
 output is one JSON object. Scenarios:
 
 * ``train CPUS``: train two variants; with CPUS 1 the process first pins
-  itself to one CPU, so lane 1 runs in-process. Reports each run's CSV, the
-  digests of its best state and final parameters, and the gradient norms
-  ``Optimizer.step`` returned.
+  itself to one CPU, so lane 1 runs in-process. Reports each run's CSV,
+  best epoch, the digests of its best state and final parameters, the
+  gradient norms ``Optimizer.step`` returned and where each validation
+  pass ran lane 1 (from the DEBUG log).
 * ``error LANES CPUS``: a forward pass raises ``NumericError("boom in lane
   K")`` on one graph of the first batch in each lane K of LANES ("0", "1"
   or "01"). Reports the error that reached the caller.
 * ``diverge LANE CPUS``: one graph of the first batch in lane LANE gets a
   NaN loss. Reports whether the run diverged and how many steps it took.
+* ``evaluate CPUS``: ``evaluate_accuracy`` of all four variants on a corpus
+  of 1 to 30 nodes, next to the hits ``predict`` counts one graph at a time,
+  in total and over lane 1 alone.
+* ``evaluate-error LANES CPUS``: as ``error``, for one evaluation pass over
+  that corpus. Also reports whether the error carries the worker's
+  traceback as a note.
+* ``rebuild CPUS``: two evaluation passes of a wavelet model; reports how
+  many wavelet bases each pass built, in this process and any it forked.
 * ``orphan``: prints the worker's pid, then hangs in lane 0 until killed.
 
 Every scenario but ``orphan`` also reports whether a child process is left.
@@ -25,14 +34,19 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
+import mmap
 import os
 import sys
 import time
 
+import numpy as np
+
+from wavepool import model as model_module
 from wavepool import training
 from wavepool.errors import NumericError
-from wavepool.graphs import SplitSpec, split_dataset
-from wavepool.model import CrossScaleModel, ModelConfig
+from wavepool.graphs import Graph, GraphDataset, SplitSpec, degree_onehot_features, split_dataset
+from wavepool.model import VARIANTS, CrossScaleModel, ModelConfig
 from wavepool.synth import build_msg, three_class_config
 
 BATCH = 8
@@ -50,12 +64,50 @@ def children_left() -> bool:
     return True
 
 
-def setup(variant: str = "wavelet_spectral"):
-    dataset = build_msg(three_class_config(per_class=8, size_range=(8, 30), seed=0))
-    train_set, val_set, _ = split_dataset(dataset, SplitSpec(seed=0))
-    config = ModelConfig(feature_dim=dataset.feature_dim, class_count=3, variant=variant,
+def corpus():
+    return build_msg(three_class_config(per_class=8, size_range=(8, 30), seed=0))
+
+
+def model_for(variant: str, feature_dim: int) -> CrossScaleModel:
+    config = ModelConfig(feature_dim=feature_dim, class_count=3, variant=variant,
                          n_max=30, m_out=2, scales=(1.0, 2.0), order=6)
-    return CrossScaleModel(config, seed=0), train_set, val_set
+    return CrossScaleModel(config, seed=0)
+
+
+def setup(variant: str = "wavelet_spectral"):
+    dataset = corpus()
+    train_set, val_set, _ = split_dataset(dataset, SplitSpec(seed=0))
+    return model_for(variant, dataset.feature_dim), train_set, val_set
+
+
+def mixed_corpus() -> GraphDataset:
+    """The corpus plus a path of 3 nodes, an edge and an isolated node, which
+    take the model's small-graph branches (m_out is 2)."""
+    dataset = corpus()
+    small = []
+    for n in (3, 2, 1):
+        adjacency = np.eye(n, k=1) + np.eye(n, k=-1)
+        small.append(Graph(adjacency, degree_onehot_features(adjacency), n % 3))
+    return GraphDataset(dataset.graphs + tuple(small), 3, dataset.feature_dim)
+
+
+def pass_lanes(dataset) -> tuple[list[int], list[int]]:
+    return training.lanes([g.node_count for g in dataset.graphs])
+
+
+class Where(logging.Handler):
+    """Collects where each evaluation pass ran lane 1, from the DEBUG log."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.places: list[str] = []
+        log = logging.getLogger("wavepool.training")
+        log.setLevel(logging.DEBUG)
+        log.addHandler(self)
+
+    def emit(self, record):
+        if record.msg.startswith("evaluating"):
+            self.places.append(record.args[1])
 
 
 def first_batch_targets(train_set, lanes_wanted: str) -> dict[int, int]:
@@ -79,6 +131,7 @@ def count_steps() -> list[float]:
 
 def run_train() -> dict:
     norms = count_steps()
+    where = Where()
     runs = {}
     for variant in ("gcn_diffpool", "wavelet_spectral"):
         model, train_set, val_set = setup(variant)
@@ -87,11 +140,71 @@ def run_train() -> dict:
                                  training.TrainConfig(epochs=3, batch_size=BATCH, seed=1))
         runs[variant] = {
             "csv": outcome.report.to_csv(),
+            "best_epoch": outcome.report.best_epoch,
             "best_state": digest(outcome.best_state),
             "params": digest(model.state()),
             "norms": [float(n).hex() for n in norms[start:]],
         }
-    return {"runs": runs}
+    return {"runs": runs, "validation": where.places}
+
+
+def run_evaluate() -> dict:
+    dataset = mixed_corpus()
+    second = pass_lanes(dataset)[1]
+    where = Where()
+    runs = {}
+    for variant in VARIANTS:
+        model = model_for(variant, dataset.feature_dim)
+        runs[variant] = {
+            "accuracy": training.evaluate_accuracy(model, dataset),
+            "hits": sum(model.predict(g) == g.label for g in dataset.graphs),
+            "lane_1_hits": sum(model.predict(dataset.graphs[i]) == dataset.graphs[i].label
+                               for i in second),
+        }
+    return {"runs": runs, "graphs": len(dataset), "where": where.places}
+
+
+def run_evaluate_error(lanes_wanted: str) -> dict:
+    dataset = mixed_corpus()
+    # the first graph of lane 0 precedes the last of lane 1 in the corpus,
+    # so one graph at a time meets lane 0's target first as well
+    first, second = pass_lanes(dataset)
+    chosen = {0: dataset.graphs[first[0]], 1: dataset.graphs[second[-1]]}
+    targets = {id(chosen[int(k)]): int(k) for k in lanes_wanted}
+    forward = CrossScaleModel.forward
+
+    def failing(self, graph):
+        if id(graph) in targets:
+            raise NumericError(f"boom in lane {targets[id(graph)]}")
+        return forward(self, graph)
+
+    CrossScaleModel.forward = failing
+    try:
+        training.evaluate_accuracy(model_for("wavelet_spectral", dataset.feature_dim), dataset)
+    except Exception as exc:  # noqa: BLE001 - the scenario reports what arrived
+        notes = getattr(exc, "__notes__", [])
+        return {"error": type(exc).__name__, "message": str(exc),
+                "worker_note": any("raised in the lane worker" in n for n in notes)}
+    return {"error": None}
+
+
+def run_rebuild() -> dict:
+    dataset = mixed_corpus()
+    model = model_for("wavelet_spectral", dataset.feature_dim)
+    counter = np.frombuffer(mmap.mmap(-1, 8), np.int64)  # shared with forked processes
+    build = model_module.wavelet_bases
+
+    def counted(*args, **kwargs):
+        counter[0] += 1
+        return build(*args, **kwargs)
+
+    model_module.wavelet_bases = counted
+    builds = []
+    for _ in range(2):
+        before = int(counter[0])
+        training.evaluate_accuracy(model, dataset)
+        builds.append(int(counter[0]) - before)
+    return {"builds": builds, "graphs": len(dataset)}
 
 
 def run_error(lanes_wanted: str) -> dict:
@@ -167,7 +280,9 @@ def main(argv: list[str]) -> None:
     if scenario == "orphan":
         run_orphan()
         return
-    result = {"train": run_train, "error": run_error, "diverge": run_diverge}[scenario](*args[:-1])
+    result = {"train": run_train, "error": run_error, "diverge": run_diverge,
+              "evaluate": run_evaluate, "evaluate-error": run_evaluate_error,
+              "rebuild": run_rebuild}[scenario](*args[:-1])
     result["plan"] = training.worker_plan(BATCH)
     result["children_left"] = children_left()
     print(json.dumps(result))

@@ -428,3 +428,22 @@ def test_verbose_shows_where_lane_1_runs(bench_dir, tmp_path, verbose):
         assert len(lines) == 1 and lines[0].startswith("INFO wavepool.training: lane 1 runs ")
     else:
         assert lines == []
+
+
+def test_debug_shows_each_epoch_and_evaluation_pass(bench_dir, tmp_path):
+    """``-vv`` adds one DEBUG record per epoch and one line per evaluation
+    pass to the INFO line."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavepool", "train", "--data", str(bench_dir),
+         "--out", str(tmp_path / "run"), "--seed", "1", *FAST, "-vv"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if "wavepool.training" in line]
+    epochs = [line for line in lines if line.startswith("DEBUG wavepool.training: epoch ")]
+    passes = [line for line in lines if line.startswith("DEBUG wavepool.training: evaluating ")]
+    assert lines[0].startswith("INFO wavepool.training: lane 1 runs ")
+    assert [line.split(":")[1] for line in epochs] == [" epoch 0", " epoch 1"]  # --epochs 2
+    assert "pre-clip gradient norm max " in epochs[0] and "steps clipped" in epochs[0]
+    assert len(passes) == 3  # two validation passes and the test split
+    assert len(lines) == 1 + len(epochs) + len(passes)

@@ -71,6 +71,21 @@ def test_graph_counts():
     assert g.edge_count == 5
 
 
+def test_graphs_and_datasets_compare_by_identity():
+    """Graphs and datasets hold arrays, so they compare and hash as objects:
+    two graphs built from the same arrays are distinct, and a subset of
+    every graph is a new dataset."""
+    adj = cycle_adjacency(5)
+    g, h = make_graph(adj), make_graph(adj)
+    assert g in [h, g] and h in [g, h]
+    assert g != h and g == g
+    assert hash(g) == object.__hash__(g) and hash(h) == object.__hash__(h)
+    assert len({g, h, g}) == 2
+    ds = GraphDataset((g, h), class_count=1, feature_dim=g.feature_dim)
+    assert ds == ds and ds.subset([0, 1]) != ds
+    assert hash(ds) == object.__hash__(ds)
+
+
 # -- degree features ------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
-"""Two-lane training: the lane rule, when lane 1 runs in a forked worker,
-and that the worker and in-process runs give the same numbers, errors,
-divergence and process clean-up.
+"""Two-lane training and evaluation: the lane rule, when lane 1 runs in a
+forked process, and that forked and in-process runs give the same numbers,
+errors, divergence and process clean-up.
 
 Scenarios that need a worker run in fresh processes (``tests.lane_runs``)
 with OpenBLAS pinned to one thread; the in-process runs of the same
@@ -87,8 +87,9 @@ def test_worker_needs_openblas_pinned_to_one_thread(two_cpus_and_openblas, setti
 def test_worker_needs_two_cpus_a_known_blas_one_thread_and_a_batch_of_two(two_cpus_and_openblas):
     mp = two_cpus_and_openblas
     mp.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert training.worker_plan(2) == (True, "2 CPUs, OPENBLAS_NUM_THREADS=1, batch size 2")
-    assert training.worker_plan(1) == (False, "batch size 1 leaves lane 1 empty")
+    assert training.worker_plan(2) == (True, "2 CPUs, OPENBLAS_NUM_THREADS=1, 2 graphs at a time")
+    assert training.worker_plan(1) == (False, "1 graph cannot fill two lanes")
+    assert training.worker_plan(0) == (False, "0 graphs cannot fill two lanes")
     mp.setattr(os, "sched_getaffinity", lambda pid: {3})
     assert training.worker_plan(16) == (False, "only 1 CPU is available")
     mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -109,12 +110,51 @@ def test_worker_needs_two_cpus_a_known_blas_one_thread_and_a_batch_of_two(two_cp
 
 @needs_worker
 def test_worker_and_in_process_runs_are_byte_identical():
-    """Report CSVs, best states, final parameters and every step's gradient
-    norm, bit for bit, for a GCN and a wavelet variant."""
+    """Report CSVs, best epochs, best states, final parameters and every
+    step's gradient norm, bit for bit, for a GCN and a wavelet variant,
+    whose validation passes send lane 1 to the training worker."""
     worker, in_process = scenario("train", "2"), scenario("train", "1")
     assert worker["runs"] == in_process["runs"]
     for run in worker["runs"].values():
         assert len(run["norms"]) == 3 * 3  # 3 epochs of three batches (19 graphs)
+    assert worker["validation"] == ["in the training worker"] * 6
+    assert in_process["validation"] == ["in-process"] * 6
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_evaluation_lanes_count_every_hit(cpus):
+    """All four variants, on graphs of 1 to 30 nodes: the accuracy is the
+    hits of one graph at a time over the corpus, lane 1's included."""
+    result = scenario("evaluate", cpus)
+    where = "in a process forked for this pass" if cpus == "2" else "in-process"
+    assert result["where"] == [where] * 4
+    for run in result["runs"].values():
+        assert run["lane_1_hits"] > 0
+        assert run["accuracy"] == run["hits"] / result["graphs"]
+
+
+@needs_worker
+def test_forked_and_in_process_evaluation_agree():
+    assert scenario("evaluate", "2")["runs"] == scenario("evaluate", "1")["runs"]
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+@pytest.mark.parametrize("lanes, raised", [("1", "boom in lane 1"), ("0", "boom in lane 0"),
+                                           ("01", "boom in lane 0")])
+def test_an_evaluation_lane_error_reaches_the_caller(cpus, lanes, raised):
+    """The largest graph always goes to lane 0, so an oversized graph cannot
+    fail in lane 1 alone; a forward pass that raises on chosen graphs can."""
+    result = scenario("evaluate-error", lanes, cpus)
+    assert (result["error"], result["message"]) == ("NumericError", raised)
+    assert result["worker_note"] is (cpus == "2" and lanes == "1")
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_a_forked_evaluation_builds_operands_here_once(cpus):
+    """The first pass builds every graph's wavelet bases before any fork,
+    counted across processes, and the second builds none."""
+    result = scenario("rebuild", cpus)
+    assert result["builds"] == [result["graphs"], 0]
 
 
 @pytest.mark.parametrize("cpus", CPUS)
