@@ -98,6 +98,11 @@ class Graph:
             entry = self._memo[slot] = (key, build())
         return entry[1]
 
+    def holds(self, slot: str, key) -> bool:
+        """Whether ``slot`` holds the value ``memoised`` built for ``key``."""
+        entry = self._memo.get(slot)
+        return entry is not None and entry[0] == key
+
 
 @dataclass(frozen=True, eq=False)
 class GraphDataset:

@@ -127,6 +127,12 @@ class ModelConfig:
     def uses_spectral_pool(self) -> bool:
         return self.variant.endswith("spectral")
 
+    @property
+    def wavelet_key(self) -> tuple:
+        """What the wavelet operand depends on besides the graph: models with
+        equal scales, order and basis mode share it."""
+        return (self.scales, self.order, self.basis_mode)
+
 
 def mid_pool_size(n: int, m_out: int) -> int:
     """First-stage target for an n-node graph: a quarter, floored at m_out."""
@@ -274,9 +280,8 @@ class CrossScaleModel:
         cfg = self.config
         wavelets = gcn = renormalized = None
         if cfg.uses_wavelets:
-            key = (cfg.scales, cfg.order, cfg.basis_mode)
-            wavelets = graph.memoised("wavelets", key, lambda: wavelet_input(
-                wavelet_bases(normalized_laplacian(graph.adjacency), *key), graph.features))
+            wavelets = graph.memoised("wavelets", cfg.wavelet_key,
+                                      lambda: self.wavelet_operand(graph))
         else:
             gcn = graph.memoised("gcn", None,
                                  lambda: gcn_input(graph.adjacency, graph.features))
@@ -286,6 +291,12 @@ class CrossScaleModel:
             renormalized = graph.memoised("renormalized", None,
                                           lambda: renormalize(graph.adjacency))
         return GraphInputs(wavelets, gcn, renormalized)
+
+    def wavelet_operand(self, graph: Graph) -> WaveletInput:
+        """The graph's wavelet operand, built afresh; ``inputs_for`` keeps it
+        in the graph's "wavelets" slot under ``ModelConfig.wavelet_key``."""
+        return wavelet_input(wavelet_bases(normalized_laplacian(graph.adjacency),
+                                           *self.config.wavelet_key), graph.features)
 
     def _assign(self, stage: int, gcn_adjacency: Var | Renormalized | None,
                 features: Var, n: int, m: int) -> Var:

@@ -27,11 +27,15 @@ in-process after lane 0, with the same numbers. ``train`` forks one worker
 per call, which reads the parameters from, and writes its gradients to, one
 anonymous shared mapping, and which also predicts lane 1 of every
 validation pass. Any other evaluation pass forks a process of its own that
-predicts from a copy-on-write snapshot of the parameters. Each ``train``
-call logs one INFO line on the ``wavepool.training`` logger saying where
-lane 1 runs and why, and at DEBUG one record per epoch (losses, gradient
-norms, clipped steps, seconds in the lanes and in validation) and one line
-per evaluation pass.
+predicts from a copy-on-write snapshot of the parameters. Before either
+fork, every graph's operands are built here (``_build_operands``), also in
+two lanes: lane 1's missing wavelet operands come from a builder forked
+for that build under the same conditions, and are kept in the graphs' memo
+here. Each ``train`` call logs one INFO line on the ``wavepool.training``
+logger saying where lane 1 runs and why, and at DEBUG one record per epoch
+(losses, gradient norms, clipped steps, seconds in the lanes and in
+validation), one line per evaluation pass and one per operand build that
+builds anything.
 """
 
 from __future__ import annotations
@@ -448,19 +452,69 @@ def _shared_arrays(shapes):
     return mapping, arrays, spans
 
 
+def _fits(cfg, graph) -> bool:
+    return graph.node_count <= cfg.n_max and graph.feature_dim == cfg.feature_dim
+
+
 def _build_operands(model: CrossScaleModel, graphs) -> None:
     """Everything a forward pass reads of each graph alone, so that a
     process forked afterwards finds it built. A graph the forward pass
-    rejects is left for it to reject."""
+    rejects is left for it to reject.
+
+    The graphs whose wavelet operand is not yet memoised split into two
+    ``lanes``. When ``worker_plan`` allows it, a builder forked for this
+    call builds lane 1's operands while this process builds lane 0's and
+    every DCT matrix; lane 1's come back in one reply and go into each
+    graph's memo here, read-only. The first error in lane order is raised,
+    the builder's with its traceback as a note, and the builder is reaped
+    before this returns or raises. GCN operands are built here, and when
+    every graph already holds its wavelet operand nothing forks.
+    """
     cfg = model.config
-    for graph in graphs:
-        n = graph.node_count
-        if n > cfg.n_max or graph.feature_dim != cfg.feature_dim:
-            continue
-        model.inputs_for(graph)
-        if cfg.uses_spectral_pool and n > cfg.m_out:
-            for size in (n, mid_pool_size(n, cfg.m_out), cfg.m_out):
-                cosine_transform(size)
+    start = time.perf_counter()
+    watch = log.isEnabledFor(logging.DEBUG)
+    slot, key = ("wavelets", cfg.wavelet_key) if cfg.uses_wavelets else ("gcn", None)
+    # a GCN operand is cheap, and shipping it would copy the graph, so it is
+    # always built here; what is missing then matters to the log alone
+    unbuilt = ([g for g in graphs if _fits(cfg, g) and not g.holds(slot, key)]
+               if cfg.uses_wavelets or watch else [])
+    forked, reason = (worker_plan(len(unbuilt)) if cfg.uses_wavelets
+                      else (False, "GCN operands are built here"))
+    remote, builder = [], None
+    if forked:
+        remote = [unbuilt[i] for i in lanes([g.node_count for g in unbuilt])[1]]
+        builder = _Worker({"wavelets": lambda _: [model.wavelet_operand(g) for g in remote]})
+    try:
+        if builder is not None:
+            builder.send("wavelets", None)
+        skip = set(remote)
+        for graph in graphs:
+            if not _fits(cfg, graph):
+                continue
+            if graph not in skip:
+                model.inputs_for(graph)
+            n = graph.node_count
+            if cfg.uses_spectral_pool and n > cfg.m_out:
+                for size in (n, mid_pool_size(n, cfg.m_out), cfg.m_out):
+                    cosine_transform(size)
+        if builder is not None:
+            operands, error = builder.receive()
+            if error is not None:
+                raise error
+            for graph, operand in zip(remote, operands):
+                for array in operand:
+                    array.setflags(write=False)
+                graph.memoised(slot, key, lambda operand=operand: operand)
+                model.inputs_for(graph)
+    finally:
+        if builder is not None:
+            builder.close()
+    if watch and unbuilt:
+        where = (f"{len(unbuilt) - len(remote)} in lane 0 here, {len(remote)} in lane 1 in a "
+                 "forked builder" if forked else "both lanes in-process")
+        log.debug("built %d %s operands in %.3f s: %s: %s", len(unbuilt),
+                  "wavelet" if cfg.uses_wavelets else "GCN", time.perf_counter() - start,
+                  where, reason)
 
 
 def _send(pipe, message) -> None:
@@ -656,14 +710,18 @@ def evaluate_accuracy(model: CrossScaleModel, dataset: GraphDataset, *,
 
     The graphs split into two ``lanes`` and the lanes' integer hit counts
     add, so the share is the same wherever each lane runs. Lane 1 runs in a
-    process forked for this call when ``worker_plan`` allows it; every
-    graph's operands are built before the fork, so that process builds none
-    and the memo stays here. ``train`` validates through its lane
-    ``runner``: lane 1 then goes to the runner's worker if it has one, else
-    runs here, and nothing forks. ``dataset`` must then be the validation
-    set the runner was built with, since its worker predicts by index.
+    process forked for this call when ``worker_plan`` allows it. Every
+    graph's operands are built first (``_build_operands``, itself in two
+    lanes where some are missing) and kept here, so that process builds
+    none. ``train`` validates through its lane ``runner``: lane 1 then goes
+    to the runner's worker if it has one, else runs here, and nothing forks.
+    ``dataset`` must then be the validation set the runner was built with,
+    since its worker predicts by index.
     """
     graphs = dataset.graphs
+    if runner is not None and graphs is not runner.val_graphs:
+        raise ContractViolationError(
+            "evaluate_accuracy with a runner takes the validation set the runner was built with")
     if runner is None:
         forked, reason = worker_plan(len(graphs))
         where = "in a process forked for this pass"
@@ -710,7 +768,10 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
 
     The model is left holding the best-validation parameters on return. A
     non-finite loss or gradient marks the run diverged and stops training
-    with a partial report instead of raising.
+    with a partial report instead of raising. Before a lane worker forks,
+    the operands of every training and validation graph are built here
+    (``_build_operands``, lane 1's missing wavelet operands in a builder
+    forked for that).
     """
     if train_set.class_count != model.config.class_count:
         raise ContractViolationError(

@@ -23,8 +23,16 @@ output is one JSON object. Scenarios:
   that corpus. Also reports whether the error carries the worker's
   traceback as a note.
 * ``rebuild CPUS``: two evaluation passes of a wavelet model; reports how
-  many wavelet bases each pass built, in this process and any it forked.
-* ``orphan``: prints the worker's pid, then hangs in lane 0 until killed.
+  many wavelet bases each pass built in this process and in the processes
+  it forked, and how many processes each operand build forked.
+* ``build CPUS``: builds the operands of the 1-to-30-node corpus for all
+  four variants, and reports per variant whether every wavelet operand and
+  every logit equals an in-process build bit for bit, whether the operands
+  are read-only, and how many bases forked processes built. Then, for each
+  of "1", "0" and "01", a wavelet build that raises ``NumericError("boom in
+  lane K")`` on one graph of each lane K reports the error that arrived.
+* ``orphan``: builds the operands, then trains; prints the lane worker's
+  pid, then hangs in lane 0 until killed.
 
 Every scenario but ``orphan`` also reports whether a child process is left.
 """
@@ -188,23 +196,105 @@ def run_evaluate_error(lanes_wanted: str) -> dict:
     return {"error": None}
 
 
-def run_rebuild() -> dict:
-    dataset = mixed_corpus()
-    model = model_for("wavelet_spectral", dataset.feature_dim)
-    counter = np.frombuffer(mmap.mmap(-1, 8), np.int64)  # shared with forked processes
-    build = model_module.wavelet_bases
+def count_builds() -> np.ndarray:
+    """Counts wavelet bases built, at [0] in this process and at [1] in the
+    processes it forks, in a mapping they share."""
+    counter = np.frombuffer(mmap.mmap(-1, 16), np.int64)
+    parent, build = os.getpid(), model_module.wavelet_bases
 
     def counted(*args, **kwargs):
-        counter[0] += 1
+        counter[int(os.getpid() != parent)] += 1
         return build(*args, **kwargs)
 
     model_module.wavelet_bases = counted
+    return counter
+
+
+def count_build_forks() -> list[int]:
+    """How many processes each later operand build forks, one entry per
+    ``_build_operands`` call."""
+    forks, calls = [0], []
+    fork, build = os.fork, training._build_operands
+
+    def counting_fork():
+        pid = fork()
+        forks[0] += pid != 0
+        return pid
+
+    def counting_build(*args):
+        before = forks[0]
+        try:
+            build(*args)
+        finally:
+            calls.append(forks[0] - before)
+
+    os.fork, training._build_operands = counting_fork, counting_build
+    return calls
+
+
+def run_rebuild() -> dict:
+    dataset = mixed_corpus()
+    model = model_for("wavelet_spectral", dataset.feature_dim)
+    counter = count_builds()
+    build_forks = count_build_forks()
     builds = []
     for _ in range(2):
-        before = int(counter[0])
+        before = counter.copy()
         training.evaluate_accuracy(model, dataset)
-        builds.append(int(counter[0]) - before)
-    return {"builds": builds, "graphs": len(dataset)}
+        builds.append((counter - before).tolist())
+    return {"builds": builds, "build_forks": build_forks, "graphs": len(dataset),
+            "lane_1": len(pass_lanes(dataset)[1])}
+
+
+def operand_arrays(model: CrossScaleModel, graph: Graph) -> list[np.ndarray]:
+    wavelets = model.inputs_for(graph).wavelets
+    return [] if wavelets is None else list(wavelets)
+
+
+def run_build() -> dict:
+    counter = count_builds()
+    variants = {}
+    for variant in VARIANTS:
+        dataset, twins = mixed_corpus(), mixed_corpus()
+        model = model_for(variant, dataset.feature_dim)
+        before = counter.copy()
+        training._build_operands(model, dataset.graphs)
+        equal = read_only = True
+        for graph, twin in zip(dataset.graphs, twins.graphs):  # twins build here, lazily
+            ours, theirs = operand_arrays(model, graph), operand_arrays(model, twin)
+            equal &= len(ours) == len(theirs) and all(
+                np.array_equal(a, b) for a, b in zip(ours, theirs))
+            read_only &= not any(a.flags.writeable for a in ours)
+            equal &= (model.forward(graph).logits.value.tobytes()
+                      == model.forward(twin).logits.value.tobytes())
+        variants[variant] = {"equal": equal, "read_only": read_only,
+                             "forked_builds": int(counter[1] - before[1])}
+    errors = {}
+    operand = CrossScaleModel.wavelet_operand
+    for lanes_wanted in ("1", "0", "01"):
+        dataset = mixed_corpus()
+        first, second = pass_lanes(dataset)  # lane 0's graph comes first, as in evaluate-error
+        chosen = {0: dataset.graphs[first[0]], 1: dataset.graphs[second[-1]]}
+        targets = {id(chosen[int(k)]): int(k) for k in lanes_wanted}
+
+        def failing(self, graph, targets=targets):
+            if id(graph) in targets:
+                raise NumericError(f"boom in lane {targets[id(graph)]}")
+            return operand(self, graph)
+
+        CrossScaleModel.wavelet_operand = failing
+        try:
+            training._build_operands(model_for("wavelet_spectral", dataset.feature_dim),
+                                     dataset.graphs)
+            errors[lanes_wanted] = {"error": None}
+        except Exception as exc:  # noqa: BLE001 - the scenario reports what arrived
+            notes = getattr(exc, "__notes__", [])
+            errors[lanes_wanted] = {
+                "error": type(exc).__name__, "message": str(exc),
+                "worker_note": any("raised in the lane worker" in n for n in notes)}
+        finally:
+            CrossScaleModel.wavelet_operand = operand
+    return {"variants": variants, "errors": errors, "lane_1": len(pass_lanes(mixed_corpus())[1])}
 
 
 def run_error(lanes_wanted: str) -> dict:
@@ -254,6 +344,8 @@ def run_diverge(lane: str) -> dict:
 
 def run_orphan() -> None:
     model, train_set, val_set = setup()
+    # with every operand built, the first process ``train`` forks is the worker
+    training._build_operands(model, train_set.graphs + val_set.graphs)
     parent = os.getpid()
     fork, forward = os.fork, CrossScaleModel.forward
 
@@ -282,7 +374,7 @@ def main(argv: list[str]) -> None:
         return
     result = {"train": run_train, "error": run_error, "diverge": run_diverge,
               "evaluate": run_evaluate, "evaluate-error": run_evaluate_error,
-              "rebuild": run_rebuild}[scenario](*args[:-1])
+              "rebuild": run_rebuild, "build": run_build}[scenario](*args[:-1])
     result["plan"] = training.worker_plan(BATCH)
     result["children_left"] = children_left()
     print(json.dumps(result))

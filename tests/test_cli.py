@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -7,6 +8,8 @@ import pytest
 from wavepool import cli
 from wavepool.cli import build_parser, load_config_file, main, plan_from
 from wavepool.errors import ConfigError, NumericError
+
+from .test_lanes import WORKER_POSSIBLE, lane_env
 
 
 @pytest.fixture(scope="module")
@@ -432,7 +435,7 @@ def test_verbose_shows_where_lane_1_runs(bench_dir, tmp_path, verbose):
 
 def test_debug_shows_each_epoch_and_evaluation_pass(bench_dir, tmp_path):
     """``-vv`` adds one DEBUG record per epoch and one line per evaluation
-    pass to the INFO line."""
+    pass to the INFO line, and with pinned BLAS one per operand build."""
     proc = subprocess.run(
         [sys.executable, "-m", "wavepool", "train", "--data", str(bench_dir),
          "--out", str(tmp_path / "run"), "--seed", "1", *FAST, "-vv"],
@@ -445,5 +448,35 @@ def test_debug_shows_each_epoch_and_evaluation_pass(bench_dir, tmp_path):
     assert lines[0].startswith("INFO wavepool.training: lane 1 runs ")
     assert [line.split(":")[1] for line in epochs] == [" epoch 0", " epoch 1"]  # --epochs 2
     assert "pre-clip gradient norm max " in epochs[0] and "steps clipped" in epochs[0]
+    builds = [line for line in lines if line.startswith("DEBUG wavepool.training: built ")]
     assert len(passes) == 3  # two validation passes and the test split
-    assert len(lines) == 1 + len(epochs) + len(passes)
+    assert len(lines) == 1 + len(epochs) + len(passes) + len(builds)
+
+
+@pytest.mark.parametrize("verbosity", [["-vv"], []])
+def test_debug_shows_each_operand_build(bench_dir, tmp_path, verbosity):
+    """With BLAS pinned, ``-vv`` shows one record per operand build that
+    builds anything: the training and validation graphs' as ``train``
+    starts, then the test split's before its evaluation pass. Each gives the
+    operands per lane and where lane 1 ran and why. The default level shows
+    nothing."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavepool", "train", "--data", str(bench_dir),
+         "--out", str(tmp_path / "run"), "--seed", "1", *FAST, *verbosity],
+        capture_output=True, text=True, timeout=300, env=lane_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if "wavepool.training" in line]
+    if not verbosity:
+        assert lines == []
+        return
+    builds = [line for line in lines if line.startswith("DEBUG wavepool.training: built ")]
+    if not WORKER_POSSIBLE:  # nothing forks, so the forward passes build the operands
+        assert builds == []
+        return
+    pattern = (r"DEBUG wavepool\.training: built (\d+) wavelet operands in [\d.]+ s: (\d+) in "
+               r"lane 0 here, (\d+) in lane 1 in a forked builder: \d+ CPUs, "
+               r"OPENBLAS_NUM_THREADS=1, \1 graphs at a time")
+    counts = [tuple(map(int, re.fullmatch(pattern, line).groups())) for line in builds]
+    assert [total for total, _, _ in counts] == [21, 3]  # 21 training and validation graphs
+    assert all(total == first + second and second > 0 for total, first, second in counts)

@@ -151,10 +151,36 @@ def test_an_evaluation_lane_error_reaches_the_caller(cpus, lanes, raised):
 
 @pytest.mark.parametrize("cpus", CPUS)
 def test_a_forked_evaluation_builds_operands_here_once(cpus):
-    """The first pass builds every graph's wavelet bases before any fork,
-    counted across processes, and the second builds none."""
+    """The first pass builds each graph's wavelet bases once, counted per
+    process: with a worker, lane 1's in a builder forked for that, before the
+    pass forks its own lane 1. The second pass forks no builder and builds
+    nothing."""
     result = scenario("rebuild", cpus)
-    assert result["builds"] == [result["graphs"], 0]
+    graphs, lane_1 = result["graphs"], result["lane_1"]
+    if cpus == "2":
+        assert result["builds"] == [[graphs - lane_1, lane_1], [0, 0]]
+        assert result["build_forks"] == [1, 0]
+    else:  # no pass forks, so the forward passes build the operands here
+        assert result["builds"] == [[graphs, 0], [0, 0]]
+        assert result["build_forks"] == []
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_operand_builds_match_an_in_process_build_and_raise_lane_0_first(cpus):
+    """All four variants: every wavelet operand and logit equals an in-process
+    build bit for bit and is read-only; only wavelet variants build lane 1
+    elsewhere. A lane-1 error arrives with its type, message and the
+    builder's traceback; lane 0's wins when both lanes fail."""
+    result = scenario("build", cpus)
+    lane_1 = result["lane_1"] if cpus == "2" else 0
+    for variant, run in result["variants"].items():
+        assert run["equal"] is True and run["read_only"] is True, variant
+        assert run["forked_builds"] == (lane_1 if variant.startswith("wavelet") else 0)
+    assert result["errors"] == {
+        "1": {"error": "NumericError", "message": "boom in lane 1", "worker_note": cpus == "2"},
+        "0": {"error": "NumericError", "message": "boom in lane 0", "worker_note": False},
+        "01": {"error": "NumericError", "message": "boom in lane 0", "worker_note": False},
+    }
 
 
 @pytest.mark.parametrize("cpus", CPUS)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from wavepool import autodiff as ad
+from wavepool import training
 from wavepool.errors import ConfigError, ContractViolationError, NumericError
-from wavepool.graphs import Graph, SplitSpec, degree_onehot_features, split_dataset
+from wavepool.graphs import Graph, GraphDataset, SplitSpec, degree_onehot_features, split_dataset
 from wavepool.model import CrossScaleModel, ForwardResult, ModelConfig, PoolStage, init_parameters
 from wavepool.training import (
     PROB_FLOOR,
@@ -530,3 +531,20 @@ def test_train_rejects_class_count_mismatch():
     model = CrossScaleModel(toy_model_config(class_count=3), seed=0)
     with pytest.raises(ContractViolationError, match="classes"):
         train(model, train_set, val_set, TrainConfig(epochs=1))
+
+
+def test_evaluation_through_a_runner_takes_only_the_runners_validation_set(monkeypatch):
+    """The runner's worker predicts lane 1 by index into its own validation
+    graphs, so any other dataset is refused rather than scored with them."""
+    train_set, val_set, test_set = toy_splits()
+    model = CrossScaleModel(toy_model_config(), seed=3)
+    monkeypatch.setattr(training, "worker_plan", lambda count: (False, "in-process here"))
+    runner = training._Lanes(model, train_set, val_set, TrainConfig(epochs=1, batch_size=8))
+    try:
+        assert evaluate_accuracy(model, val_set, runner=runner) == evaluate_accuracy(model, val_set)
+        for other in (train_set, test_set, GraphDataset(tuple(val_set.graphs[::-1]),
+                                                        val_set.class_count, val_set.feature_dim)):
+            with pytest.raises(ContractViolationError, match="validation set the runner"):
+                evaluate_accuracy(model, other, runner=runner)
+    finally:
+        runner.close()
