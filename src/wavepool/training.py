@@ -18,24 +18,22 @@ records no tape.
 
 ``train`` splits every mini-batch into two lanes (``lanes``) and takes the
 batch gradient as lane 0's sum plus lane 1's sum, in that order, whichever
-process computes each lane. ``evaluate_accuracy`` splits its graphs the same
-way and adds the two lanes' hit counts. Lane 1 runs in a forked process when
-``os.fork`` exists, at least two CPUs are available, OpenBLAS reads a thread
-count of 1 from the environment, no other Python thread runs and the batch
-or pass holds at least two graphs (``worker_plan``); otherwise it runs
-in-process after lane 0, with the same numbers. ``train`` forks one worker
-per call, which reads the parameters from, and writes its gradients to, one
-anonymous shared mapping, and which also predicts lane 1 of every
-validation pass. Any other evaluation pass forks a process of its own that
-predicts from a copy-on-write snapshot of the parameters. Before either
-fork, every graph's operands are built here (``_build_operands``), also in
-two lanes: lane 1's missing wavelet operands come from a builder forked
-for that build under the same conditions, and are kept in the graphs' memo
-here. Each ``train`` call logs one INFO line on the ``wavepool.training``
-logger saying where lane 1 runs and why, and at DEBUG one record per epoch
-(losses, gradient norms, clipped steps, seconds in the lanes and in
-validation), one line per evaluation pass and one per operand build that
-builds anything.
+process computes each lane. Validation and ``evaluate_accuracy`` split their
+graphs the same way and add the two lanes' hit counts. All three go through
+one dispatch, ``_in_lanes``: lane 0 runs here, and lane 1 in a forked worker
+when ``os.fork`` exists, at least two CPUs are available, OpenBLAS reads a
+thread count of 1 from the environment, no other Python thread runs and the
+batch or pass holds at least two graphs (``worker_plan``); otherwise lane 1
+runs here after lane 0, with the same numbers. ``train`` forks one worker
+per call for its batches and validation passes; any other evaluation pass
+forks one of its own. Before either fork, every graph's operands are built
+here (``_build_operands``), also in two lanes: lane 1's missing wavelet
+operands come from a builder forked for that build under the same
+conditions, and are kept in the graphs' memo here. Each ``train`` call logs
+one INFO line on the ``wavepool.training`` logger saying where lane 1 runs
+and why, and at DEBUG one record per epoch (losses, gradient norms, clipped
+steps, seconds in the lanes and in validation), one line per evaluation pass
+and one per operand build that builds anything.
 """
 
 from __future__ import annotations
@@ -50,8 +48,9 @@ import threading
 import time
 import traceback
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate
 
 import numpy as np
@@ -400,28 +399,25 @@ def worker_plan(count: int) -> tuple[bool, str]:
     return True, f"{cpus} CPUs, {setting}, {count} graphs at a time"
 
 
+class _NonFinite(Exception):
+    """A lane met a non-finite loss; ``_Lanes.run`` turns it into None."""
+
+
 def _run_lane(model: CrossScaleModel, graphs, class_count: int, config: TrainConfig):
     """Forward, loss and backward for each graph in turn, adding into the
-    parameters' ``.grad``; stops after the first non-finite loss (with no
-    backward) or the first error. Returns the per-graph (l_epsilon, l_p,
-    total, correct) and that error, or None."""
+    parameters' ``.grad``. Returns the per-graph (l_epsilon, l_p, total,
+    correct); raises ``_NonFinite`` at the first non-finite loss, before its
+    backward."""
     parts = []
-    try:
-        for graph in graphs:
-            result = model.forward(graph)
-            loss, p = graph_loss(result, graph.label, class_count,
-                                 config.beta, config.lp_stage_mode)
-            parts.append((p.l_epsilon, p.l_p, p.total, result.prediction == graph.label))
-            if not np.isfinite(p.total):
-                break
-            ad.backward(loss)
-    except Exception as exc:
-        return parts, exc
-    return parts, None
-
-
-def _finite(parts) -> bool:
-    return all(np.isfinite(total) for _, _, total, _ in parts)
+    for graph in graphs:
+        result = model.forward(graph)
+        loss, p = graph_loss(result, graph.label, class_count,
+                             config.beta, config.lp_stage_mode)
+        if not np.isfinite(p.total):
+            raise _NonFinite
+        parts.append((p.l_epsilon, p.l_p, p.total, result.prediction == graph.label))
+        ad.backward(loss)
+    return parts
 
 
 def _take_grads(params: dict[str, Var]) -> dict[str, np.ndarray]:
@@ -432,11 +428,9 @@ def _take_grads(params: dict[str, Var]) -> dict[str, np.ndarray]:
     return grads
 
 
-def _hits(model: CrossScaleModel, graphs, indices=None) -> int:
-    """How many of the graphs (those at ``indices``, if given) ``predict``
-    labels right."""
-    chosen = graphs if indices is None else [graphs[i] for i in indices]
-    return sum(1 for g in chosen if model.predict(g) == g.label)
+def _hits(model: CrossScaleModel, graphs, indices) -> int:
+    """How many of the graphs at ``indices`` ``predict`` labels right."""
+    return sum(1 for i in indices if model.predict(graphs[i]) == graphs[i].label)
 
 
 def _shared_arrays(shapes):
@@ -480,12 +474,10 @@ def _build_operands(model: CrossScaleModel, graphs) -> None:
                if cfg.uses_wavelets or watch else [])
     forked, reason = (worker_plan(len(unbuilt)) if cfg.uses_wavelets
                       else (False, "GCN operands are built here"))
-    remote, builder = [], None
-    if forked:
-        remote = [unbuilt[i] for i in lanes([g.node_count for g in unbuilt])[1]]
-        builder = _Worker({"wavelets": lambda _: [model.wavelet_operand(g) for g in remote]})
-    try:
-        if builder is not None:
+    remote = [unbuilt[i] for i in lanes([g.node_count for g in unbuilt])[1]] if forked else []
+    with (_Worker({"wavelets": lambda _: [model.wavelet_operand(g) for g in remote]})
+          if forked else nullcontext()) as builder:
+        if forked:
             builder.send("wavelets", None)
         skip = set(remote)
         for graph in graphs:
@@ -497,7 +489,7 @@ def _build_operands(model: CrossScaleModel, graphs) -> None:
             if cfg.uses_spectral_pool and n > cfg.m_out:
                 for size in (n, mid_pool_size(n, cfg.m_out), cfg.m_out):
                     cosine_transform(size)
-        if builder is not None:
+        if forked:
             operands, error = builder.receive()
             if error is not None:
                 raise error
@@ -506,9 +498,6 @@ def _build_operands(model: CrossScaleModel, graphs) -> None:
                     array.setflags(write=False)
                 graph.memoised(slot, key, lambda operand=operand: operand)
                 model.inputs_for(graph)
-    finally:
-        if builder is not None:
-            builder.close()
     if watch and unbuilt:
         where = (f"{len(unbuilt) - len(remote)} in lane 0 here, {len(remote)} in lane 1 in a "
                  "forked builder" if forked else "both lanes in-process")
@@ -554,7 +543,8 @@ class _Worker:
     pipes. It sees the parent's memory as it was at the fork, copy-on-write,
     apart from shared mappings. It ignores SIGINT (the parent handles
     Ctrl-C) and warnings, never logs, and leaves with ``os._exit`` at EOF or
-    on a broken pipe, so it also ends when its parent is killed."""
+    on a broken pipe, so it also ends when its parent is killed. ``close``,
+    or leaving a ``with`` block, reaps it."""
 
     def __init__(self, handlers: dict):
         from_parent, to_worker = os.pipe()
@@ -601,18 +591,47 @@ class _Worker:
         self.pipes = None
         os.waitpid(self.pid, 0)
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def _in_lanes(graphs, indices, run, worker: _Worker | None, kind: str):
+    """Split the graphs at ``indices`` into two ``lanes`` and return each
+    lane's positions in ``indices`` and its result. Lane 0 is ``run(its
+    indices)`` here. Lane 1 goes to ``worker``'s ``kind`` handler, sent
+    before lane 0 starts and received after it ends, even when lane 0 raises;
+    with no worker it is ``run`` here after lane 0. The first error in lane
+    order is raised."""
+    positions = lanes([graphs[i].node_count for i in indices])
+    first, second = ([indices[p] for p in lane] for lane in positions)
+    if worker is None:
+        return positions, [run(first), run(second)]
+    worker.send(kind, second)
+    try:
+        here = run(first)
+    finally:
+        there, error = worker.receive()
+    if error is not None:
+        raise error
+    return positions, [here, there]
+
 
 class _Lanes:
-    """Runs each batch's two lanes, leaves their summed gradient on the
-    parameters and returns the per-graph parts in batch order. When
-    ``worker_plan`` allows it, lane 1 runs in one forked worker, which also
-    predicts lane 1 of every validation pass."""
+    """``train``'s two lanes, both through ``_in_lanes``: ``run`` takes one
+    mini-batch, and ``accuracy`` one validation pass. When ``worker_plan``
+    allows it, lane 1 of both runs in one worker forked for the ``train``
+    call, which reads the parameters from, and writes lane 1's gradients to,
+    one anonymous shared mapping."""
 
     def __init__(self, model: CrossScaleModel, train_set: GraphDataset,
                  val_set: GraphDataset, config: TrainConfig):
         self.model, self.config = model, config
         self.graphs = train_set.graphs
         self.val_graphs = val_set.graphs
+        self.val_hits = partial(_hits, model, self.val_graphs)
         self.class_count = train_set.class_count
         self.worker = None
         forked, self.reason = worker_plan(config.batch_size)
@@ -631,57 +650,46 @@ class _Lanes:
             var.value = value
         self.shared_grads = dict(zip(params, arrays[len(shapes):]))
         self.grad_spans = dict(zip(params, spans[len(shapes):]))
-        self.worker = _Worker({
-            "train": self._serve_lane,
-            "predict": lambda indices: _hits(self.model, self.val_graphs, indices),
-        })
+        self.worker = _Worker({"train": self._serve_lane, "predict": self.val_hits})
+
+    def _lane(self, indices: list[int]):
+        """One lane of a batch: its per-graph parts and the gradients it
+        added, by parameter name, taken off the parameters."""
+        parts = _run_lane(self.model, [self.graphs[i] for i in indices],
+                          self.class_count, self.config)
+        return parts, _take_grads(self.model.params)
 
     def _serve_lane(self, indices: list[int]):
         """Lane 1 of a batch, in the worker: its per-graph parts and the
         names of the parameters it reached, whose gradients it leaves in the
         shared buffers."""
-        parts, error = self._lane(indices)
-        reached = _take_grads(self.model.params)
-        if error is not None:
-            raise error
-        for name, grad in reached.items():
+        parts, grads = self._lane(indices)
+        for name, grad in grads.items():
             self.shared_grads[name][...] = grad
-        return parts, list(reached)
+        return parts, list(grads)
 
     def run(self, batch: np.ndarray):
-        """The parts of every graph in batch order, or None when a lane
-        met a non-finite loss; the first error in lane order is raised."""
-        positions = lanes([self.graphs[int(i)].node_count for i in batch])
-        first, second = ([int(batch[p]) for p in lane] for lane in positions)
+        """The parts of every graph in batch order, leaving lane 0's gradient
+        sum plus lane 1's on the parameters, or None when a lane met a
+        non-finite loss; the first error in lane order is raised."""
+        try:
+            positions, results = _in_lanes(self.graphs, [int(i) for i in batch],
+                                           self._lane, self.worker, "train")
+        except _NonFinite:
+            return None
+        (_, grads), (_, more) = results
+        if self.worker is not None:
+            more = {name: self.shared_grads[name] for name in more}
         params = self.model.params
-        forked = self.worker is not None and bool(second)
-        if forked:
-            self.worker.send("train", second)
-        results = [self._lane(first)]
-        grads = {}
-        if forked:
-            reply, error = self.worker.receive()
-            parts, reached = ([], []) if error is not None else reply
-            results.append((parts, error))
-            grads = {name: self.shared_grads[name] for name in reached}
-        elif second and results[0][1] is None and _finite(results[0][0]):
-            held = _take_grads(params)
-            results.append(self._lane(second))
-            grads = _take_grads(params)
-            for name, grad in held.items():
-                params[name].grad = grad
-        for parts, error in results:
-            if error is not None:
-                raise error
-            if not _finite(parts):
-                return None
-        for name, grad in grads.items():  # lane 0's sum plus lane 1's
+        for name, grad in grads.items():
+            params[name].grad = grad
+        for name, grad in more.items():  # lane 0's sum plus lane 1's
             var = params[name]
             if var.grad is None:
                 var.grad = grad.copy()
             else:
                 var.grad += grad
-            if forked:
+            if self.worker is not None:
                 # drop the pages just read from this process's memory (the
                 # worker keeps them), so that lane 1's buffers cost the
                 # parent one tensor at a time
@@ -692,9 +700,14 @@ class _Lanes:
                 ordered[pos] = part
         return ordered
 
-    def _lane(self, indices: list[int]):
-        return _run_lane(self.model, [self.graphs[i] for i in indices],
-                         self.class_count, self.config)
+    def accuracy(self) -> float:
+        """The validation set's accuracy, equal to ``evaluate_accuracy``'s."""
+        graphs = self.val_graphs
+        log.debug("evaluating %d graphs: lane 1 runs %s: %s", len(graphs),
+                  "in-process" if self.worker is None else "in the training worker",
+                  self.reason)
+        _, hits = _in_lanes(graphs, range(len(graphs)), self.val_hits, self.worker, "predict")
+        return sum(hits) / len(graphs)
 
     def close(self) -> None:
         """End the worker, if any. The parameters stay in the shared mapping
@@ -704,53 +717,25 @@ class _Lanes:
             self.worker = None
 
 
-def evaluate_accuracy(model: CrossScaleModel, dataset: GraphDataset, *,
-                      runner: _Lanes | None = None) -> float:
+def evaluate_accuracy(model: CrossScaleModel, dataset: GraphDataset) -> float:
     """Share of graphs whose ``predict`` (no tape) matches the label.
 
-    The graphs split into two ``lanes`` and the lanes' integer hit counts
-    add, so the share is the same wherever each lane runs. Lane 1 runs in a
-    process forked for this call when ``worker_plan`` allows it. Every
-    graph's operands are built first (``_build_operands``, itself in two
-    lanes where some are missing) and kept here, so that process builds
-    none. ``train`` validates through its lane ``runner``: lane 1 then goes
-    to the runner's worker if it has one, else runs here, and nothing forks.
-    ``dataset`` must then be the validation set the runner was built with,
-    since its worker predicts by index.
+    The graphs split into two lanes through ``_in_lanes`` and the lanes'
+    integer hit counts add, so the share is the same wherever each lane
+    runs. Lane 1 runs in a process forked for this call when ``worker_plan``
+    allows it, after every graph's operands are built and kept here
+    (``_build_operands``), so that process builds none.
     """
     graphs = dataset.graphs
-    if runner is not None and graphs is not runner.val_graphs:
-        raise ContractViolationError(
-            "evaluate_accuracy with a runner takes the validation set the runner was built with")
-    if runner is None:
-        forked, reason = worker_plan(len(graphs))
-        where = "in a process forked for this pass"
-    else:
-        forked, reason = runner.worker is not None, runner.reason
-        where = "in the training worker"
+    forked, reason = worker_plan(len(graphs))
     log.debug("evaluating %d graphs: lane 1 runs %s: %s", len(graphs),
-              where if forked else "in-process", reason)
-    if not forked:
-        return _hits(model, graphs) / len(graphs)
-    first, second = lanes([g.node_count for g in graphs])
-    if runner is None:
+              "in a process forked for this pass" if forked else "in-process", reason)
+    if forked:
         _build_operands(model, graphs)
-        worker = _Worker({"predict": lambda indices: _hits(model, graphs, indices)})
-    else:
-        worker = runner.worker
-    try:
-        if second:
-            worker.send("predict", second)
-        hits = _hits(model, graphs, first)
-        if second:
-            count, error = worker.receive()
-            if error is not None:
-                raise error
-            hits += count
-    finally:
-        if runner is None:
-            worker.close()
-    return hits / len(graphs)
+    count = partial(_hits, model, graphs)
+    with _Worker({"predict": count}) if forked else nullcontext() as worker:
+        _, hits = _in_lanes(graphs, range(len(graphs)), count, worker, "predict")
+    return sum(hits) / len(graphs)
 
 
 def _log_epoch(record: EpochRecord, norms: list[float], clip: float | None,
@@ -768,9 +753,10 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
 
     The model is left holding the best-validation parameters on return. A
     non-finite loss or gradient marks the run diverged and stops training
-    with a partial report instead of raising. Before a lane worker forks,
-    the operands of every training and validation graph are built here
-    (``_build_operands``, lane 1's missing wavelet operands in a builder
+    with a partial report instead of raising. Whether the run ends, diverges
+    or raises, no parameter is left holding a gradient. Before a lane worker
+    forks, the operands of every training and validation graph are built
+    here (``_build_operands``, lane 1's missing wavelet operands in a builder
     forked for that).
     """
     if train_set.class_count != model.config.class_count:
@@ -815,7 +801,7 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
                 report.diverged = True
                 break
             tick = time.perf_counter()
-            val_acc = evaluate_accuracy(model, val_set, runner=runner)
+            val_acc = runner.accuracy()
             val_s = time.perf_counter() - tick
             report.epochs.append(EpochRecord(
                 epoch=epoch,
@@ -834,6 +820,8 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
                 report.best_val_acc = val_acc
     finally:
         runner.close()
+        for var in model.params.values():  # a batch that diverged or raised leaves some
+            var.grad = None
     report.seconds = time.perf_counter() - start
     model.load_state(best_state)
     return TrainOutcome(report=report, best_state=best_state)

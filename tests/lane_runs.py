@@ -11,11 +11,17 @@ output is one JSON object. Scenarios:
   best epoch, the digests of its best state and final parameters, the
   gradient norms ``Optimizer.step`` returned and where each validation
   pass ran lane 1 (from the DEBUG log).
-* ``error LANES CPUS``: a forward pass raises ``NumericError("boom in lane
-  K")`` on one graph of the first batch in each lane K of LANES ("0", "1"
-  or "01"). Reports the error that reached the caller.
-* ``diverge LANE CPUS``: one graph of the first batch in lane LANE gets a
-  NaN loss. Reports whether the run diverged and how many steps it took.
+* ``error LANES [NAN_LANES] CPUS``: a forward pass raises
+  ``NumericError("boom in lane K")`` on one graph of the first batch in
+  each lane K of LANES ("0", "1" or "01"), and one graph of the first batch
+  in each lane of NAN_LANES gets a NaN loss. Reports the error that reached
+  the caller.
+* ``diverge LANE [ERROR_LANES] CPUS``: one graph of the first batch in lane
+  LANE gets a NaN loss, and a forward pass raises on one in each lane of
+  ERROR_LANES. Reports whether the run diverged and how many steps it took.
+* ``die CPUS``: every forward pass in a forked process ends that process
+  with ``os._exit``; trains, then evaluates the 1-to-30-node corpus, and
+  reports the error that reached each caller.
 * ``evaluate CPUS``: ``evaluate_accuracy`` of all four variants on a corpus
   of 1 to 30 nodes, next to the hits ``predict`` counts one graph at a time,
   in total and over lane 1 alone.
@@ -297,17 +303,34 @@ def run_build() -> dict:
     return {"variants": variants, "errors": errors, "lane_1": len(pass_lanes(mixed_corpus())[1])}
 
 
-def run_error(lanes_wanted: str) -> dict:
-    model, train_set, val_set = setup()
-    targets = first_batch_targets(train_set, lanes_wanted)
-    forward = CrossScaleModel.forward
+def poison(train_set, error_lanes: str, nan_lanes: str) -> None:
+    """A forward pass raises ``NumericError("boom in lane K")`` on one graph
+    of the unshuffled first batch in each lane K of ``error_lanes``, and one
+    graph in each lane of ``nan_lanes`` gets a NaN loss."""
+    failing = first_batch_targets(train_set, error_lanes)
+    nan = first_batch_targets(train_set, nan_lanes)
+    current = {}
+    forward, graph_loss = CrossScaleModel.forward, training.graph_loss
 
-    def failing(self, graph):
-        if id(graph) in targets:
-            raise NumericError(f"boom in lane {targets[id(graph)]}")
+    def tracking(self, graph):
+        if id(graph) in failing:
+            raise NumericError(f"boom in lane {failing[id(graph)]}")
+        current["graph"] = graph
         return forward(self, graph)
 
-    CrossScaleModel.forward = failing
+    def poisoned(result, *args, **kwargs):
+        loss, parts = graph_loss(result, *args, **kwargs)
+        if id(current["graph"]) in nan:
+            parts = dataclasses.replace(parts, total=float("nan"))
+        return loss, parts
+
+    CrossScaleModel.forward = tracking
+    training.graph_loss = poisoned
+
+
+def run_error(lanes_wanted: str, nan_lanes: str = "") -> dict:
+    model, train_set, val_set = setup()
+    poison(train_set, lanes_wanted, nan_lanes)
     try:
         training.train(model, train_set, val_set,
                        training.TrainConfig(epochs=1, batch_size=BATCH, shuffle=False))
@@ -316,30 +339,43 @@ def run_error(lanes_wanted: str) -> dict:
     return {"error": None}
 
 
-def run_diverge(lane: str) -> dict:
+def run_diverge(lane: str, error_lanes: str = "") -> dict:
     model, train_set, val_set = setup()
     initial = digest(model.state())
-    targets = first_batch_targets(train_set, lane)
-    current = {}
-    forward, graph_loss = CrossScaleModel.forward, training.graph_loss
-
-    def tracking(self, graph):
-        current["graph"] = graph
-        return forward(self, graph)
-
-    def poisoned(result, *args, **kwargs):
-        loss, parts = graph_loss(result, *args, **kwargs)
-        if id(current["graph"]) in targets:
-            parts = dataclasses.replace(parts, total=float("nan"))
-        return loss, parts
-
-    CrossScaleModel.forward = tracking
-    training.graph_loss = poisoned
+    poison(train_set, error_lanes, lane)
     norms = count_steps()
     outcome = training.train(model, train_set, val_set,
                              training.TrainConfig(epochs=2, batch_size=BATCH, shuffle=False))
     return {"diverged": outcome.report.diverged, "epochs": len(outcome.report.epochs),
             "steps": len(norms), "unchanged": digest(model.state()) == initial}
+
+
+def run_die() -> dict:
+    parent = os.getpid()
+    forward = CrossScaleModel.forward
+
+    def dying(self, graph):
+        if os.getpid() != parent:
+            os._exit(3)
+        return forward(self, graph)
+
+    CrossScaleModel.forward = dying
+    model, train_set, val_set = setup()
+    dataset = mixed_corpus()
+    calls = {
+        "train": lambda: training.train(model, train_set, val_set,
+                                        training.TrainConfig(epochs=1, batch_size=BATCH)),
+        "evaluate": lambda: training.evaluate_accuracy(
+            model_for("wavelet_spectral", dataset.feature_dim), dataset),
+    }
+    errors = {}
+    for name, call in calls.items():
+        try:
+            call()
+            errors[name] = None
+        except Exception as exc:  # noqa: BLE001 - the scenario reports what arrived
+            errors[name] = [type(exc).__name__, str(exc)]
+    return {"errors": errors}
 
 
 def run_orphan() -> None:
@@ -374,7 +410,7 @@ def main(argv: list[str]) -> None:
         return
     result = {"train": run_train, "error": run_error, "diverge": run_diverge,
               "evaluate": run_evaluate, "evaluate-error": run_evaluate_error,
-              "rebuild": run_rebuild, "build": run_build}[scenario](*args[:-1])
+              "rebuild": run_rebuild, "build": run_build, "die": run_die}[scenario](*args[:-1])
     result["plan"] = training.worker_plan(BATCH)
     result["children_left"] = children_left()
     print(json.dumps(result))

@@ -199,6 +199,28 @@ def test_a_nonfinite_loss_in_either_lane_diverges_without_a_step(cpus, lane):
     assert result["steps"] == 0 and result["unchanged"] is True
 
 
+@pytest.mark.parametrize("cpus", CPUS)
+def test_a_nonfinite_loss_in_lane_0_diverges_over_an_error_in_lane_1(cpus):
+    result = scenario("diverge", "0", "1", cpus)
+    assert result["diverged"] is True and result["epochs"] == 0
+    assert result["steps"] == 0 and result["unchanged"] is True
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_an_error_in_lane_0_is_raised_over_a_nonfinite_loss_in_lane_1(cpus):
+    result = scenario("error", "0", "1", cpus)
+    assert (result["error"], result["message"]) == ("NumericError", "boom in lane 0")
+
+
+@needs_worker
+def test_a_worker_that_dies_reaches_the_caller_and_is_reaped():
+    """Lane 1's forward pass ends the worker of ``train`` and the process an
+    evaluation pass forked; each caller gets a ChildProcessError, and
+    ``scenario`` checks that no child is left."""
+    died = ["ChildProcessError", "the lane worker exited unexpectedly"]
+    assert scenario("die", "2")["errors"] == {"train": died, "evaluate": died}
+
+
 def _state(pid: int) -> str:
     """The process's state letter, "X" once it is gone."""
     try:

@@ -7,7 +7,7 @@ import pytest
 from wavepool import autodiff as ad
 from wavepool import training
 from wavepool.errors import ConfigError, ContractViolationError, NumericError
-from wavepool.graphs import Graph, GraphDataset, SplitSpec, degree_onehot_features, split_dataset
+from wavepool.graphs import Graph, SplitSpec, degree_onehot_features, split_dataset
 from wavepool.model import CrossScaleModel, ForwardResult, ModelConfig, PoolStage, init_parameters
 from wavepool.training import (
     PROB_FLOOR,
@@ -526,6 +526,40 @@ def test_train_divergence_is_reported_not_raised():
     assert len(outcome.report.epochs) < 3
 
 
+def test_a_diverged_run_leaves_no_gradient_for_the_next(monkeypatch):
+    """A NaN loss on the last graph of the first batch's lane 0 diverges the
+    run after the lane's other graphs added their gradients. After
+    ``load_state``, the next run equals a fresh model's bit for bit."""
+    train_set, val_set, _ = toy_splits()
+    config = TrainConfig(epochs=2, batch_size=8, seed=0, shuffle=False)
+    fresh = train(CrossScaleModel(toy_model_config(), seed=0), train_set, val_set, config)
+    batch = train_set.graphs[:config.batch_size]
+    poisoned = batch[training.lanes([g.node_count for g in batch])[0][-1]]
+    model = CrossScaleModel(toy_model_config(), seed=0)
+    initial = model.state()
+    forward, graph_loss, current = model.forward, training.graph_loss, {}
+
+    def tracking(graph):
+        current["graph"] = graph
+        return forward(graph)
+
+    def nan_loss(result, *args):
+        loss, parts = graph_loss(result, *args)
+        if current["graph"] is poisoned:
+            parts = training.LossParts(parts.l_epsilon, parts.l_p, float("nan"))
+        return loss, parts
+
+    monkeypatch.setattr(model, "forward", tracking)
+    monkeypatch.setattr(training, "graph_loss", nan_loss)
+    assert train(model, train_set, val_set, config).report.diverged is True
+    monkeypatch.undo()
+    model.load_state(initial)
+    again = train(model, train_set, val_set, config)
+    assert again.report.to_csv() == fresh.report.to_csv()
+    for name, value in fresh.best_state.items():
+        assert again.best_state[name].tobytes() == value.tobytes()
+
+
 def test_train_rejects_class_count_mismatch():
     train_set, val_set, _ = toy_splits()
     model = CrossScaleModel(toy_model_config(class_count=3), seed=0)
@@ -533,18 +567,12 @@ def test_train_rejects_class_count_mismatch():
         train(model, train_set, val_set, TrainConfig(epochs=1))
 
 
-def test_evaluation_through_a_runner_takes_only_the_runners_validation_set(monkeypatch):
-    """The runner's worker predicts lane 1 by index into its own validation
-    graphs, so any other dataset is refused rather than scored with them."""
-    train_set, val_set, test_set = toy_splits()
+def test_validation_through_the_training_lanes_equals_evaluate_accuracy(monkeypatch):
+    train_set, val_set, _ = toy_splits()
     model = CrossScaleModel(toy_model_config(), seed=3)
     monkeypatch.setattr(training, "worker_plan", lambda count: (False, "in-process here"))
     runner = training._Lanes(model, train_set, val_set, TrainConfig(epochs=1, batch_size=8))
     try:
-        assert evaluate_accuracy(model, val_set, runner=runner) == evaluate_accuracy(model, val_set)
-        for other in (train_set, test_set, GraphDataset(tuple(val_set.graphs[::-1]),
-                                                        val_set.class_count, val_set.feature_dim)):
-            with pytest.raises(ContractViolationError, match="validation set the runner"):
-                evaluate_accuracy(model, other, runner=runner)
+        assert runner.accuracy() == evaluate_accuracy(model, val_set)
     finally:
         runner.close()
