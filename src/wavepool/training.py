@@ -16,24 +16,23 @@ probabilities and each counted stage's (adjacency, assignment), with a
 hand-written vjp. Validation goes through ``CrossScaleModel.predict`` and
 records no tape.
 
-``train`` splits every mini-batch into two lanes (``lanes``) and takes the
-batch gradient as lane 0's sum plus lane 1's sum, in that order, whichever
-process computes each lane. Validation and ``evaluate_accuracy`` split their
-graphs the same way and add the two lanes' hit counts. All three go through
-one dispatch, ``_in_lanes``: lane 0 runs here, and lane 1 in a forked worker
-when ``os.fork`` exists, at least two CPUs are available, OpenBLAS reads a
+Four jobs run in two lanes through one dispatch, ``_in_lanes``: a training
+batch, a validation pass, an ``evaluate_accuracy`` pass and the operand
+build before a fork (``_build_operands``). Each splits its graphs by n^2
+(``lanes``). Lane 0 runs here, and lane 1 in a forked worker when
+``os.fork`` exists, at least two CPUs are available, OpenBLAS reads a
 thread count of 1 from the environment, no other Python thread runs and the
-batch or pass holds at least two graphs (``worker_plan``); otherwise lane 1
-runs here after lane 0, with the same numbers. ``train`` forks one worker
-per call for its batches and validation passes; any other evaluation pass
-forks one of its own. Before either fork, every graph's operands are built
-here (``_build_operands``), also in two lanes: lane 1's missing wavelet
-operands come from a builder forked for that build under the same
-conditions, and are kept in the graphs' memo here. Each ``train`` call logs
-one INFO line on the ``wavepool.training`` logger saying where lane 1 runs
-and why, and at DEBUG one record per epoch (losses, gradient norms, clipped
-steps, seconds in the lanes and in validation), one line per evaluation pass
-and one per operand build that builds anything.
+job holds at least two graphs (``worker_plan``); otherwise lane 1 runs here
+after lane 0, with the same numbers. The first error in lane order is
+raised. A batch's gradient is lane 0's sum plus lane 1's, and a pass adds
+the lanes' hit counts. ``train`` forks one worker for its batches and
+validation passes, any other evaluation pass one of its own, and a build a
+builder whose wavelet operands are kept in the graphs' memo here. Each
+``train`` call logs one INFO line on the ``wavepool.training`` logger
+saying where lane 1 runs and why, and at DEBUG one record per epoch
+(losses, gradient norms, clipped steps, seconds in the lanes and in
+validation), one line per evaluation pass and one per build of any wavelet
+operand.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import threading
 import time
 import traceback
 import warnings
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import accumulate
@@ -446,66 +445,6 @@ def _shared_arrays(shapes):
     return mapping, arrays, spans
 
 
-def _fits(cfg, graph) -> bool:
-    return graph.node_count <= cfg.n_max and graph.feature_dim == cfg.feature_dim
-
-
-def _build_operands(model: CrossScaleModel, graphs) -> None:
-    """Everything a forward pass reads of each graph alone, so that a
-    process forked afterwards finds it built. A graph the forward pass
-    rejects is left for it to reject.
-
-    The graphs whose wavelet operand is not yet memoised split into two
-    ``lanes``. When ``worker_plan`` allows it, a builder forked for this
-    call builds lane 1's operands while this process builds lane 0's and
-    every DCT matrix; lane 1's come back in one reply and go into each
-    graph's memo here, read-only. The first error in lane order is raised,
-    the builder's with its traceback as a note, and the builder is reaped
-    before this returns or raises. GCN operands are built here, and when
-    every graph already holds its wavelet operand nothing forks.
-    """
-    cfg = model.config
-    start = time.perf_counter()
-    watch = log.isEnabledFor(logging.DEBUG)
-    slot, key = ("wavelets", cfg.wavelet_key) if cfg.uses_wavelets else ("gcn", None)
-    # a GCN operand is cheap, and shipping it would copy the graph, so it is
-    # always built here; what is missing then matters to the log alone
-    unbuilt = ([g for g in graphs if _fits(cfg, g) and not g.holds(slot, key)]
-               if cfg.uses_wavelets or watch else [])
-    forked, reason = (worker_plan(len(unbuilt)) if cfg.uses_wavelets
-                      else (False, "GCN operands are built here"))
-    remote = [unbuilt[i] for i in lanes([g.node_count for g in unbuilt])[1]] if forked else []
-    with (_Worker({"wavelets": lambda _: [model.wavelet_operand(g) for g in remote]})
-          if forked else nullcontext()) as builder:
-        if forked:
-            builder.send("wavelets", None)
-        skip = set(remote)
-        for graph in graphs:
-            if not _fits(cfg, graph):
-                continue
-            if graph not in skip:
-                model.inputs_for(graph)
-            n = graph.node_count
-            if cfg.uses_spectral_pool and n > cfg.m_out:
-                for size in (n, mid_pool_size(n, cfg.m_out), cfg.m_out):
-                    cosine_transform(size)
-        if forked:
-            operands, error = builder.receive()
-            if error is not None:
-                raise error
-            for graph, operand in zip(remote, operands):
-                for array in operand:
-                    array.setflags(write=False)
-                graph.memoised(slot, key, lambda operand=operand: operand)
-                model.inputs_for(graph)
-    if watch and unbuilt:
-        where = (f"{len(unbuilt) - len(remote)} in lane 0 here, {len(remote)} in lane 1 in a "
-                 "forked builder" if forked else "both lanes in-process")
-        log.debug("built %d %s operands in %.3f s: %s: %s", len(unbuilt),
-                  "wavelet" if cfg.uses_wavelets else "GCN", time.perf_counter() - start,
-                  where, reason)
-
-
 def _send(pipe, message) -> None:
     pickle.dump(message, pipe, protocol=pickle.HIGHEST_PROTOCOL)
     pipe.flush()
@@ -549,7 +488,12 @@ class _Worker:
     def __init__(self, handlers: dict):
         from_parent, to_worker = os.pipe()
         from_worker, to_parent = os.pipe()
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (from_parent, to_worker, from_worker, to_parent):
+                os.close(fd)
+            raise
         if self.pid == 0:  # the worker: serve until EOF, never return
             status = 1
             try:
@@ -567,7 +511,10 @@ class _Worker:
         self.pipes = (os.fdopen(to_worker, "wb"), os.fdopen(from_worker, "rb"))
 
     def send(self, kind: str, payload) -> None:
-        _send(self.pipes[0], (kind, payload))
+        try:
+            _send(self.pipes[0], (kind, payload))
+        except BrokenPipeError:
+            raise ChildProcessError("the lane worker exited unexpectedly") from None
 
     def receive(self):
         """The answer to the oldest unanswered request as (value, error);
@@ -583,13 +530,19 @@ class _Worker:
         return value, error
 
     def close(self) -> None:
-        """Close the pipes, so that the worker leaves, and reap it."""
+        """Close the pipes, so that the worker leaves, and reap it. A request
+        that a dead worker left unread fails to flush, and its pipe closes
+        all the same."""
         if self.pipes is None:
             return
-        for pipe in self.pipes:
-            pipe.close()
+        requests, replies = self.pipes
         self.pipes = None
-        os.waitpid(self.pid, 0)
+        try:
+            with suppress(BrokenPipeError):
+                requests.close()
+            replies.close()
+        finally:
+            os.waitpid(self.pid, 0)
 
     def __enter__(self):
         return self
@@ -617,6 +570,48 @@ def _in_lanes(graphs, indices, run, worker: _Worker | None, kind: str):
     if error is not None:
         raise error
     return positions, [here, there]
+
+
+def _build_operands(model: CrossScaleModel, graphs) -> None:
+    """Everything a forward pass reads of each graph alone, so that a
+    process forked afterwards finds it built. A graph the forward pass
+    rejects is left for it to reject.
+
+    The graphs whose wavelet operand is not yet memoised go through
+    ``_in_lanes``. Lane 0 builds every DCT matrix that spectral pooling will
+    ask for, then its graphs' operands; lane 1's come from a builder forked
+    for this call, when ``worker_plan`` allows it, and go into each graph's
+    memo here, read-only. Then every graph's GCN and renormalized operands
+    are built here.
+    """
+    cfg = model.config
+    start = time.perf_counter()
+    graphs = [g for g in graphs if g.node_count <= cfg.n_max and g.feature_dim == cfg.feature_dim]
+    unbuilt = [graph for graph in graphs
+               if cfg.uses_wavelets and not graph.holds("wavelets", cfg.wavelet_key)]
+    sizes = {size for graph in graphs if cfg.uses_spectral_pool and graph.node_count > cfg.m_out
+             for size in (graph.node_count, mid_pool_size(graph.node_count, cfg.m_out), cfg.m_out)}
+
+    def build_here(indices):
+        for size in sizes:
+            cosine_transform(size)
+        return [model.inputs_for(unbuilt[i]).wavelets for i in indices]
+
+    forked, reason = worker_plan(len(unbuilt))
+    with (_Worker({"build": lambda indices: [model.wavelet_operand(unbuilt[i]) for i in indices]})
+          if forked else nullcontext()) as builder:
+        (_, second), (_, operands) = _in_lanes(unbuilt, range(len(unbuilt)), build_here,
+                                               builder, "build")
+    for i, operand in zip(second, operands):
+        for array in operand:
+            array.setflags(write=False)
+        unbuilt[i].memoised("wavelets", cfg.wavelet_key, lambda operand=operand: operand)
+    for graph in graphs:
+        model.inputs_for(graph)
+    if unbuilt:
+        log.debug("built %d wavelet operands in %.3f s: %d in lane 0 here, %d in lane 1 %s: %s",
+                  len(unbuilt), time.perf_counter() - start, len(unbuilt) - len(second),
+                  len(second), "in a forked builder" if forked else "here", reason)
 
 
 class _Lanes:
@@ -702,12 +697,8 @@ class _Lanes:
 
     def accuracy(self) -> float:
         """The validation set's accuracy, equal to ``evaluate_accuracy``'s."""
-        graphs = self.val_graphs
-        log.debug("evaluating %d graphs: lane 1 runs %s: %s", len(graphs),
-                  "in-process" if self.worker is None else "in the training worker",
-                  self.reason)
-        _, hits = _in_lanes(graphs, range(len(graphs)), self.val_hits, self.worker, "predict")
-        return sum(hits) / len(graphs)
+        return _accuracy(self.val_graphs, self.val_hits, self.worker, "in the training worker",
+                         self.reason)
 
     def close(self) -> None:
         """End the worker, if any. The parameters stay in the shared mapping
@@ -717,25 +708,31 @@ class _Lanes:
             self.worker = None
 
 
+def _accuracy(graphs, hits, worker: _Worker | None, where: str, reason: str) -> float:
+    """The share of ``graphs`` that ``hits`` counts right, over two lanes;
+    logs lane 1 as running ``where`` with a worker, else in-process."""
+    log.debug("evaluating %d graphs: lane 1 runs %s: %s", len(graphs),
+              "in-process" if worker is None else where, reason)
+    _, counts = _in_lanes(graphs, range(len(graphs)), hits, worker, "predict")
+    return sum(counts) / len(graphs)
+
+
 def evaluate_accuracy(model: CrossScaleModel, dataset: GraphDataset) -> float:
     """Share of graphs whose ``predict`` (no tape) matches the label.
 
-    The graphs split into two lanes through ``_in_lanes`` and the lanes'
-    integer hit counts add, so the share is the same wherever each lane
-    runs. Lane 1 runs in a process forked for this call when ``worker_plan``
-    allows it, after every graph's operands are built and kept here
-    (``_build_operands``), so that process builds none.
+    The pass is one ``_in_lanes`` call, the dispatch every lane job goes
+    through, and the lanes' integer hit counts add, so the share is the same
+    wherever each lane runs. When ``worker_plan`` allows it, every graph's
+    operands are first built and kept here (``_build_operands``), so that
+    the process forked for this pass's lane 1 builds none.
     """
     graphs = dataset.graphs
     forked, reason = worker_plan(len(graphs))
-    log.debug("evaluating %d graphs: lane 1 runs %s: %s", len(graphs),
-              "in a process forked for this pass" if forked else "in-process", reason)
     if forked:
         _build_operands(model, graphs)
     count = partial(_hits, model, graphs)
     with _Worker({"predict": count}) if forked else nullcontext() as worker:
-        _, hits = _in_lanes(graphs, range(len(graphs)), count, worker, "predict")
-    return sum(hits) / len(graphs)
+        return _accuracy(graphs, count, worker, "in a process forked for this pass", reason)
 
 
 def _log_epoch(record: EpochRecord, norms: list[float], clip: float | None,

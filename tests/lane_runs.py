@@ -34,9 +34,14 @@ output is one JSON object. Scenarios:
 * ``build CPUS``: builds the operands of the 1-to-30-node corpus for all
   four variants, and reports per variant whether every wavelet operand and
   every logit equals an in-process build bit for bit, whether the operands
-  are read-only, and how many bases forked processes built. Then, for each
+  are read-only, how many bases forked processes built, how many DCT
+  matrices the build made here and in forked processes, and how many the
+  forward passes after it made. Then, for each
   of "1", "0" and "01", a wavelet build that raises ``NumericError("boom in
   lane K")`` on one graph of each lane K reports the error that arrived.
+* ``kill CPUS``: trains twice, and SIGKILLs the idle training worker once
+  after the first batch and once before the first validation pass; reports
+  the error that reached each caller.
 * ``orphan``: builds the operands, then trains; prints the lane worker's
   pid, then hangs in lane 0 until killed.
 
@@ -46,11 +51,13 @@ Every scenario but ``orphan`` also reports whether a child process is left.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import mmap
 import os
+import signal
 import sys
 import time
 
@@ -61,6 +68,7 @@ from wavepool import training
 from wavepool.errors import NumericError
 from wavepool.graphs import Graph, GraphDataset, SplitSpec, degree_onehot_features, split_dataset
 from wavepool.model import VARIANTS, CrossScaleModel, ModelConfig
+from wavepool.spectral import cosine_transform
 from wavepool.synth import build_msg, three_class_config
 
 BATCH = 8
@@ -202,18 +210,34 @@ def run_evaluate_error(lanes_wanted: str) -> dict:
     return {"error": None}
 
 
-def count_builds() -> np.ndarray:
-    """Counts wavelet bases built, at [0] in this process and at [1] in the
-    processes it forks, in a mapping they share."""
+def counting(build):
+    """``build`` wrapped to count its calls, at [0] in this process and at
+    [1] in the processes it forks, in a mapping they share; returns the
+    counter and the wrapper."""
     counter = np.frombuffer(mmap.mmap(-1, 16), np.int64)
-    parent, build = os.getpid(), model_module.wavelet_bases
+    parent = os.getpid()
 
     def counted(*args, **kwargs):
         counter[int(os.getpid() != parent)] += 1
         return build(*args, **kwargs)
 
-    model_module.wavelet_bases = counted
+    return counter, counted
+
+
+def count_builds() -> np.ndarray:
+    """Counts wavelet bases built, as ``counting`` does."""
+    counter, model_module.wavelet_bases = counting(model_module.wavelet_bases)
     return counter
+
+
+def count_dcts():
+    """Counts DCT matrices built, as ``counting`` does, behind a cache of
+    their own for the model and the operand build; returns the counter and
+    the function that empties that cache."""
+    counter, counted = counting(cosine_transform.__wrapped__)
+    cached = functools.cache(counted)
+    model_module.cosine_transform = training.cosine_transform = cached
+    return counter, cached.cache_clear
 
 
 def count_build_forks() -> list[int]:
@@ -259,12 +283,16 @@ def operand_arrays(model: CrossScaleModel, graph: Graph) -> list[np.ndarray]:
 
 def run_build() -> dict:
     counter = count_builds()
+    dcts, clear_dcts = count_dcts()
     variants = {}
     for variant in VARIANTS:
         dataset, twins = mixed_corpus(), mixed_corpus()
         model = model_for(variant, dataset.feature_dim)
         before = counter.copy()
+        clear_dcts()
+        dcts_before = dcts.copy()
         training._build_operands(model, dataset.graphs)
+        built_dcts = dcts - dcts_before
         equal = read_only = True
         for graph, twin in zip(dataset.graphs, twins.graphs):  # twins build here, lazily
             ours, theirs = operand_arrays(model, graph), operand_arrays(model, twin)
@@ -274,7 +302,9 @@ def run_build() -> dict:
             equal &= (model.forward(graph).logits.value.tobytes()
                       == model.forward(twin).logits.value.tobytes())
         variants[variant] = {"equal": equal, "read_only": read_only,
-                             "forked_builds": int(counter[1] - before[1])}
+                             "forked_builds": int(counter[1] - before[1]),
+                             "dcts": built_dcts.tolist(),
+                             "forward_dcts": int(dcts[0] - dcts_before[0] - built_dcts[0])}
     errors = {}
     operand = CrossScaleModel.wavelet_operand
     for lanes_wanted in ("1", "0", "01"):
@@ -378,6 +408,43 @@ def run_die() -> dict:
     return {"errors": errors}
 
 
+def kill_idle(pid: int) -> None:
+    """SIGKILL a worker that waits on its pipe, and wait until it is dead,
+    leaving it for its owner to reap."""
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+
+
+def run_kill() -> dict:
+    workers = []
+    init, step = training._Worker.__init__, training.Optimizer.step
+
+    def recording(self, handlers):
+        init(self, handlers)
+        workers.append(self.pid)  # the last one forked is the training worker
+
+    training._Worker.__init__ = recording
+    errors = {}
+    # the 19 training graphs make three batches an epoch, so the request after
+    # step 3 is the first validation pass
+    for name, steps in (("batch", 1), ("validation", 3)):
+        def killing(self, params, batch_size, steps=steps):
+            norm = step(self, params, batch_size)
+            if self.step_count == steps:
+                kill_idle(workers[-1])
+            return norm
+
+        training.Optimizer.step = killing
+        model, train_set, val_set = setup()
+        try:
+            training.train(model, train_set, val_set,
+                           training.TrainConfig(epochs=2, batch_size=BATCH))
+            errors[name] = None
+        except Exception as exc:  # noqa: BLE001 - the scenario reports what arrived
+            errors[name] = [type(exc).__name__, str(exc)]
+    return {"errors": errors}
+
+
 def run_orphan() -> None:
     model, train_set, val_set = setup()
     # with every operand built, the first process ``train`` forks is the worker
@@ -410,7 +477,8 @@ def main(argv: list[str]) -> None:
         return
     result = {"train": run_train, "error": run_error, "diverge": run_diverge,
               "evaluate": run_evaluate, "evaluate-error": run_evaluate_error,
-              "rebuild": run_rebuild, "build": run_build, "die": run_die}[scenario](*args[:-1])
+              "rebuild": run_rebuild, "build": run_build, "die": run_die,
+              "kill": run_kill}[scenario](*args[:-1])
     result["plan"] = training.worker_plan(BATCH)
     result["children_left"] = children_left()
     print(json.dumps(result))

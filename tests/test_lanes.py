@@ -169,13 +169,18 @@ def test_a_forked_evaluation_builds_operands_here_once(cpus):
 def test_operand_builds_match_an_in_process_build_and_raise_lane_0_first(cpus):
     """All four variants: every wavelet operand and logit equals an in-process
     build bit for bit and is read-only; only wavelet variants build lane 1
-    elsewhere. A lane-1 error arrives with its type, message and the
-    builder's traceback; lane 0's wins when both lanes fail."""
+    elsewhere. Every DCT matrix is built in this process, by the build, and
+    no forward pass after it builds one. A lane-1 error arrives with its
+    type, message and the builder's traceback; lane 0's wins when both lanes
+    fail."""
     result = scenario("build", cpus)
     lane_1 = result["lane_1"] if cpus == "2" else 0
     for variant, run in result["variants"].items():
         assert run["equal"] is True and run["read_only"] is True, variant
         assert run["forked_builds"] == (lane_1 if variant.startswith("wavelet") else 0)
+        here, forked = run["dcts"]
+        assert (here > 0) is variant.endswith("spectral") and forked == 0, variant
+        assert run["forward_dcts"] == 0, variant
     assert result["errors"] == {
         "1": {"error": "NumericError", "message": "boom in lane 1", "worker_note": cpus == "2"},
         "0": {"error": "NumericError", "message": "boom in lane 0", "worker_note": False},
@@ -219,6 +224,27 @@ def test_a_worker_that_dies_reaches_the_caller_and_is_reaped():
     ``scenario`` checks that no child is left."""
     died = ["ChildProcessError", "the lane worker exited unexpectedly"]
     assert scenario("die", "2")["errors"] == {"train": died, "evaluate": died}
+
+
+@needs_worker
+def test_a_worker_killed_while_idle_reaches_the_caller_and_is_reaped():
+    """A SIGKILL to the idle training worker, between two batches or before
+    a validation pass, fails the next request: each caller gets a
+    ChildProcessError, and ``scenario`` checks that no child is left."""
+    died = ["ChildProcessError", "the lane worker exited unexpectedly"]
+    assert scenario("kill", "2")["errors"] == {"batch": died, "validation": died}
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_a_failed_fork_closes_its_pipes(monkeypatch):
+    def failing_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork, raising=False)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        training._Worker({})
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def _state(pid: int) -> str:
