@@ -19,11 +19,11 @@ records no tape.
 Four jobs run in two lanes through one dispatch, ``_in_lanes``: a training
 batch, a validation pass, an ``evaluate_accuracy`` pass and the operand
 build before a fork (``_build_operands``). Each splits its graphs by n^2
-(``lanes``). Lane 0 runs here, and lane 1 in a forked worker when
-``os.fork`` exists, at least two CPUs are available, OpenBLAS reads a
-thread count of 1 from the environment, no other Python thread runs and the
-job holds at least two graphs (``worker_plan``); otherwise lane 1 runs here
-after lane 0, with the same numbers. The first error in lane order is
+(``lanes``). Lane 0 runs here, and lane 1 in a forked worker where
+``worker_plan`` allows it, else here after lane 0, with the same numbers.
+``train``, ``evaluate_accuracy`` and ``_build_operands`` run OpenBLAS on one
+thread and then restore the caller's count, so the numbers do not depend on
+the count the process started with. The first error in lane order is
 raised. A batch's gradient is lane 0's sum plus lane 1's, and a pass adds
 the lanes' hit counts. ``train`` forks one worker for its batches and
 validation passes, any other evaluation pass one of its own, and a build a
@@ -37,6 +37,7 @@ operand.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 import mmap
@@ -47,7 +48,7 @@ import threading
 import time
 import traceback
 import warnings
-from contextlib import nullcontext, suppress
+from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import accumulate
@@ -69,10 +70,6 @@ STAGE_MODES = ("mean", "sum", "first")
 PROB_FLOOR = 1e-12  # clamp before log so empty support cannot produce -inf
 
 _SHUFFLE_STREAM = 0x53485546
-
-# OpenBLAS takes its thread count from the first of these that holds a
-# positive integer.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 log = logging.getLogger(__name__)
 
@@ -359,43 +356,56 @@ def lanes(sizes) -> tuple[list[int], list[int]]:
 
 
 @cache
-def _blas_name() -> str:
+def _blas_control() -> tuple:
+    """The (get, set) thread-count functions of every loaded OpenBLAS,
+    found by file name in /proc/self/maps; empty where there is none."""
     try:
-        return str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
-    except (TypeError, KeyError):  # NumPy before 1.26 has no dict mode
-        return "unknown"
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p) and os.path.isfile(p)):
+        library = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            with suppress(AttributeError):
+                controls.append((getattr(library, name.format("get")),
+                                 getattr(library, name.format("set"))))
+                break
+    return tuple(controls)
 
 
-def _blas_threads() -> tuple[bool, str]:
-    """Whether BLAS runs one thread, and the setting that says so or the
-    reason it cannot be told. Only OpenBLAS is identified; it reads the
-    first of ``BLAS_THREAD_VARS`` that holds a positive integer."""
-    name = _blas_name()
-    if "openblas" not in name.lower():
-        return False, f"BLAS {name!r} is not OpenBLAS, so its thread count is unknown"
-    for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value) == 1, f"{var}={value}"
-    return False, f"none of {', '.join(BLAS_THREAD_VARS)} holds a positive integer"
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every OpenBLAS of ``_blas_control`` on one thread,
+    and give each back the caller's count after."""
+    counts = [(set_count, get_count()) for get_count, set_count in _blas_control()]
+    for set_count, _ in counts:
+        set_count(1)
+    try:
+        yield
+    finally:
+        for set_count, count in counts:
+            set_count(count)
 
 
 def worker_plan(count: int) -> tuple[bool, str]:
-    """Whether lane 1 of a batch or an evaluation pass of ``count`` graphs
-    runs in a forked process, and why or why not."""
+    """Whether lane 1 of a job of ``count`` graphs runs in a forked process,
+    and why or why not. Any BLAS but an OpenBLAS that ``_one_blas_thread``
+    can set keeps lane 1 in-process."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return False, "this platform has no os.fork or os.sched_getaffinity"
     cpus = len(os.sched_getaffinity(0))
     if cpus < 2:
         return False, f"only {cpus} CPU is available"
-    pinned, setting = _blas_threads()
-    if not pinned:
-        return False, f"BLAS is not pinned to one thread ({setting})"
+    if not _blas_control():
+        return False, "no OpenBLAS thread control found"
     if threading.active_count() > 1:  # a fork copies no thread but may copy a held lock
         return False, f"{threading.active_count()} Python threads are running"
     if count < 2:
         return False, f"{count} graph{'' if count == 1 else 's'} cannot fill two lanes"
-    return True, f"{cpus} CPUs, {setting}, {count} graphs at a time"
+    return True, f"{cpus} CPUs, one OpenBLAS thread per lane, {count} graphs at a time"
 
 
 class _NonFinite(Exception):
@@ -482,8 +492,8 @@ class _Worker:
     pipes. It sees the parent's memory as it was at the fork, copy-on-write,
     apart from shared mappings. It ignores SIGINT (the parent handles
     Ctrl-C) and warnings, never logs, and leaves with ``os._exit`` at EOF or
-    on a broken pipe, so it also ends when its parent is killed. ``close``,
-    or leaving a ``with`` block, reaps it."""
+    on a broken pipe, so it also ends when its parent is killed. ``close``
+    reaps it."""
 
     def __init__(self, handlers: dict):
         from_parent, to_worker = os.pipe()
@@ -544,12 +554,6 @@ class _Worker:
         finally:
             os.waitpid(self.pid, 0)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 def _in_lanes(graphs, indices, run, worker: _Worker | None, kind: str):
     """Split the graphs at ``indices`` into two ``lanes`` and return each
@@ -572,18 +576,15 @@ def _in_lanes(graphs, indices, run, worker: _Worker | None, kind: str):
     return positions, [here, there]
 
 
+@_one_blas_thread()
 def _build_operands(model: CrossScaleModel, graphs) -> None:
     """Everything a forward pass reads of each graph alone, so that a
-    process forked afterwards finds it built. A graph the forward pass
-    rejects is left for it to reject.
-
-    The graphs whose wavelet operand is not yet memoised go through
-    ``_in_lanes``. Lane 0 builds every DCT matrix that spectral pooling will
-    ask for, then its graphs' operands; lane 1's come from a builder forked
-    for this call, when ``worker_plan`` allows it, and go into each graph's
-    memo here, read-only. Then every graph's GCN and renormalized operands
-    are built here.
-    """
+    process forked afterwards finds it built; a graph the forward pass
+    rejects is left for it to reject. The graphs whose wavelet operand is
+    not yet memoised go through ``_in_lanes``: lane 0 builds every DCT
+    matrix spectral pooling will ask for, then its graphs' operands, and
+    lane 1's go into each graph's memo here, read-only. Then every graph's
+    GCN and renormalized operands are built here."""
     cfg = model.config
     start = time.perf_counter()
     graphs = [g for g in graphs if g.node_count <= cfg.n_max and g.feature_dim == cfg.feature_dim]
@@ -598,8 +599,8 @@ def _build_operands(model: CrossScaleModel, graphs) -> None:
         return [model.inputs_for(unbuilt[i]).wavelets for i in indices]
 
     forked, reason = worker_plan(len(unbuilt))
-    with (_Worker({"build": lambda indices: [model.wavelet_operand(unbuilt[i]) for i in indices]})
-          if forked else nullcontext()) as builder:
+    build = {"build": lambda indices: [model.wavelet_operand(unbuilt[i]) for i in indices]}
+    with closing(_Worker(build)) if forked else nullcontext() as builder:
         (_, second), (_, operands) = _in_lanes(unbuilt, range(len(unbuilt)), build_here,
                                                builder, "build")
     for i, operand in zip(second, operands):
@@ -717,21 +718,18 @@ def _accuracy(graphs, hits, worker: _Worker | None, where: str, reason: str) -> 
     return sum(counts) / len(graphs)
 
 
+@_one_blas_thread()
 def evaluate_accuracy(model: CrossScaleModel, dataset: GraphDataset) -> float:
-    """Share of graphs whose ``predict`` (no tape) matches the label.
-
-    The pass is one ``_in_lanes`` call, the dispatch every lane job goes
-    through, and the lanes' integer hit counts add, so the share is the same
-    wherever each lane runs. When ``worker_plan`` allows it, every graph's
-    operands are first built and kept here (``_build_operands``), so that
-    the process forked for this pass's lane 1 builds none.
-    """
+    """Share of graphs whose ``predict`` (no tape) matches the label, the
+    same wherever each lane runs. Where lane 1 forks, every graph's operands
+    are first built and kept here (``_build_operands``), so that the process
+    forked for it builds none."""
     graphs = dataset.graphs
     forked, reason = worker_plan(len(graphs))
     if forked:
         _build_operands(model, graphs)
     count = partial(_hits, model, graphs)
-    with _Worker({"predict": count}) if forked else nullcontext() as worker:
+    with closing(_Worker({"predict": count})) if forked else nullcontext() as worker:
         return _accuracy(graphs, count, worker, "in a process forked for this pass", reason)
 
 
@@ -744,6 +742,7 @@ def _log_epoch(record: EpochRecord, norms: list[float], clip: float | None,
               float(np.median(norms)), clipped, len(norms), lane_s, val_s)
 
 
+@_one_blas_thread()
 def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset,
           config: TrainConfig) -> TrainOutcome:
     """Mini-batch training with best-validation parameter selection.
@@ -752,9 +751,8 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
     non-finite loss or gradient marks the run diverged and stops training
     with a partial report instead of raising. Whether the run ends, diverges
     or raises, no parameter is left holding a gradient. Before a lane worker
-    forks, the operands of every training and validation graph are built
-    here (``_build_operands``, lane 1's missing wavelet operands in a builder
-    forked for that).
+    forks, every training and validation graph's operands are built
+    (``_build_operands``).
     """
     if train_set.class_count != model.config.class_count:
         raise ContractViolationError(

@@ -2,8 +2,9 @@
 
     python -m tests.lane_runs SCENARIO [ARGS]
 
-The caller sets the BLAS thread variables in the environment, so that the
-process starts with the threads they ask for. The last line of standard
+The caller removes the BLAS thread variables from the environment, so the
+process starts with OpenBLAS's default thread count and the lanes set one
+thread themselves, or sets them to start pinned. The last line of standard
 output is one JSON object. Scenarios:
 
 * ``train CPUS``: train two variants; with CPUS 1 the process first pins
@@ -11,6 +12,14 @@ output is one JSON object. Scenarios:
   best epoch, the digests of its best state and final parameters, the
   gradient norms ``Optimizer.step`` returned and where each validation
   pass ran lane 1 (from the DEBUG log).
+* ``agree CPUS``: as ``train``, on a corpus of 20 to 200 nodes, where one
+  BLAS thread and two give different last bits; also reports the largest
+  training graph's node count.
+* ``late-pin CPUS``: sets ``OPENBLAS_NUM_THREADS=1`` after NumPy has
+  loaded, then trains; reports the largest OpenBLAS thread count that the
+  forward passes read through the library, in this process (lane 0) and in
+  the processes it forked (lane 1), and the count before and after
+  ``train``.
 * ``error LANES [NAN_LANES] CPUS``: a forward pass raises
   ``NumericError("boom in lane K")`` on one graph of the first batch in
   each lane K of LANES ("0", "1" or "01"), and one graph of the first batch
@@ -90,16 +99,20 @@ def corpus():
     return build_msg(three_class_config(per_class=8, size_range=(8, 30), seed=0))
 
 
-def model_for(variant: str, feature_dim: int) -> CrossScaleModel:
+def large_corpus():
+    return build_msg(three_class_config(per_class=8, size_range=(20, 200), seed=0))
+
+
+def model_for(variant: str, feature_dim: int, n_max: int = 30) -> CrossScaleModel:
     config = ModelConfig(feature_dim=feature_dim, class_count=3, variant=variant,
-                         n_max=30, m_out=2, scales=(1.0, 2.0), order=6)
+                         n_max=n_max, m_out=2, scales=(1.0, 2.0), order=6)
     return CrossScaleModel(config, seed=0)
 
 
-def setup(variant: str = "wavelet_spectral"):
-    dataset = corpus()
+def setup(variant: str = "wavelet_spectral", dataset=None, n_max: int = 30):
+    dataset = corpus() if dataset is None else dataset
     train_set, val_set, _ = split_dataset(dataset, SplitSpec(seed=0))
-    return model_for(variant, dataset.feature_dim), train_set, val_set
+    return model_for(variant, dataset.feature_dim, n_max), train_set, val_set
 
 
 def mixed_corpus() -> GraphDataset:
@@ -151,12 +164,12 @@ def count_steps() -> list[float]:
     return norms
 
 
-def run_train() -> dict:
+def run_train(dataset=None, n_max: int = 30) -> dict:
     norms = count_steps()
     where = Where()
     runs = {}
     for variant in ("gcn_diffpool", "wavelet_spectral"):
-        model, train_set, val_set = setup(variant)
+        model, train_set, val_set = setup(variant, dataset, n_max)
         start = len(norms)
         outcome = training.train(model, train_set, val_set,
                                  training.TrainConfig(epochs=3, batch_size=BATCH, seed=1))
@@ -167,7 +180,27 @@ def run_train() -> dict:
             "params": digest(model.state()),
             "norms": [float(n).hex() for n in norms[start:]],
         }
-    return {"runs": runs, "validation": where.places}
+    return {"runs": runs, "validation": where.places,
+            "largest": max(g.node_count for g in train_set.graphs)}
+
+
+def run_late_pin() -> dict:
+    get_count = training._blas_control()[0][0]
+    seen = np.frombuffer(mmap.mmap(-1, 16), np.int64)  # shared with the forked lanes
+    parent = os.getpid()
+    forward = CrossScaleModel.forward
+
+    def reading(self, graph):
+        lane = int(os.getpid() != parent)
+        seen[lane] = max(seen[lane], get_count())
+        return forward(self, graph)
+
+    CrossScaleModel.forward = reading
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    model, train_set, val_set = setup()
+    before = get_count()
+    training.train(model, train_set, val_set, training.TrainConfig(epochs=1, batch_size=BATCH))
+    return {"lanes": seen.tolist(), "before": before, "after": get_count()}
 
 
 def run_evaluate() -> dict:
@@ -475,7 +508,8 @@ def main(argv: list[str]) -> None:
     if scenario == "orphan":
         run_orphan()
         return
-    result = {"train": run_train, "error": run_error, "diverge": run_diverge,
+    result = {"train": run_train, "agree": lambda: run_train(large_corpus(), 200),
+              "late-pin": run_late_pin, "error": run_error, "diverge": run_diverge,
               "evaluate": run_evaluate, "evaluate-error": run_evaluate_error,
               "rebuild": run_rebuild, "build": run_build, "die": run_die,
               "kill": run_kill}[scenario](*args[:-1])

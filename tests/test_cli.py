@@ -435,7 +435,7 @@ def test_verbose_shows_where_lane_1_runs(bench_dir, tmp_path, verbose):
 
 def test_debug_shows_each_epoch_and_evaluation_pass(bench_dir, tmp_path):
     """``-vv`` adds one DEBUG record per epoch and one line per evaluation
-    pass to the INFO line, and with pinned BLAS one per operand build."""
+    pass to the INFO line, and where lane 1 forks one per operand build."""
     proc = subprocess.run(
         [sys.executable, "-m", "wavepool", "train", "--data", str(bench_dir),
          "--out", str(tmp_path / "run"), "--seed", "1", *FAST, "-vv"],
@@ -455,7 +455,7 @@ def test_debug_shows_each_epoch_and_evaluation_pass(bench_dir, tmp_path):
 
 @pytest.mark.parametrize("verbosity", [["-vv"], []])
 def test_debug_shows_each_operand_build(bench_dir, tmp_path, verbosity):
-    """With BLAS pinned, ``-vv`` shows one record per operand build that
+    """Where lane 1 forks, ``-vv`` shows one record per operand build that
     builds anything: the training and validation graphs' as ``train``
     starts, then the test split's before its evaluation pass. Each gives the
     operands per lane and where lane 1 ran and why. The default level shows
@@ -476,7 +476,7 @@ def test_debug_shows_each_operand_build(bench_dir, tmp_path, verbosity):
         return
     pattern = (r"DEBUG wavepool\.training: built (\d+) wavelet operands in [\d.]+ s: (\d+) in "
                r"lane 0 here, (\d+) in lane 1 in a forked builder: \d+ CPUs, "
-               r"OPENBLAS_NUM_THREADS=1, \1 graphs at a time")
+               r"one OpenBLAS thread per lane, \1 graphs at a time")
     counts = [tuple(map(int, re.fullmatch(pattern, line).groups())) for line in builds]
     assert [total for total, _, _ in counts] == [21, 3]  # 21 training and validation graphs
     assert all(total == first + second and second > 0 for total, first, second in counts)

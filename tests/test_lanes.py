@@ -1,10 +1,12 @@
 """Two-lane training and evaluation: the lane rule, when lane 1 runs in a
-forked process, and that forked and in-process runs give the same numbers,
-errors, divergence and process clean-up.
+forked process, that the lanes run OpenBLAS on one thread whatever the
+environment says, and that forked and in-process runs give the same
+numbers, errors, divergence and process clean-up.
 
-Scenarios that need a worker run in fresh processes (``tests.lane_runs``)
-with OpenBLAS pinned to one thread; the in-process runs of the same
-scenarios pin themselves to one CPU.
+Scenarios run in fresh processes (``tests.lane_runs``) started with every
+BLAS thread variable removed, so that they exercise the default start; one
+scenario also starts with ``OPENBLAS_NUM_THREADS=1`` and compares. The
+in-process runs of the same scenarios pin themselves to one CPU.
 """
 
 import json
@@ -20,29 +22,35 @@ from pathlib import Path
 import pytest
 
 from wavepool import training
+from wavepool.errors import NumericError
+from wavepool.model import CrossScaleModel
+
+from .test_training import toy_model_config, toy_splits
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# the variables OpenBLAS reads its thread count from at load
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 WORKER_POSSIBLE = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-                   and len(os.sched_getaffinity(0)) >= 2
-                   and "openblas" in training._blas_name().lower())
+                   and len(os.sched_getaffinity(0)) >= 2 and bool(training._blas_control()))
 needs_worker = pytest.mark.skipif(
-    not WORKER_POSSIBLE, reason="needs os.fork, two CPUs and OpenBLAS")
+    not WORKER_POSSIBLE, reason="needs os.fork, two CPUs and OpenBLAS thread control")
 
 # "2": a worker where the host allows one; "1": pinned to one CPU, in-process
 CPUS = [pytest.param("2", marks=needs_worker, id="worker"), pytest.param("1", id="in-process")]
 
 
 def lane_env() -> dict:
-    env = {k: v for k, v in os.environ.items() if k not in training.BLAS_THREAD_VARS}
-    env["OPENBLAS_NUM_THREADS"] = "1"
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
     return env
 
 
-def scenario(*args) -> dict:
+def scenario(*args, env: dict | None = None) -> dict:
     proc = subprocess.run([sys.executable, "-m", "tests.lane_runs", *args], cwd=ROOT,
-                          env=lane_env(), capture_output=True, text=True, timeout=300)
+                          env={**lane_env(), **(env or {})}, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr[-3000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["plan"][0] == (args[-1] == "2"), result["plan"]
@@ -61,42 +69,20 @@ def test_lane_rule_balances_squared_sizes_largest_first():
 
 @pytest.fixture
 def two_cpus_and_openblas(monkeypatch):
-    for var in training.BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setattr(training, "_blas_name", lambda: "scipy-openblas")
+    monkeypatch.setattr(training, "_blas_control", lambda: ((lambda: 1, lambda count: None),))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     return monkeypatch
 
 
-@pytest.mark.parametrize("settings, forked, reason", [
-    ({"OPENBLAS_NUM_THREADS": "1"}, True, "OPENBLAS_NUM_THREADS=1"),
-    ({"OMP_NUM_THREADS": "1"}, True, "OMP_NUM_THREADS=1"),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True, "OMP_NUM_THREADS=1"),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False, "OPENBLAS_NUM_THREADS=2"),
-    ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False, "GOTO_NUM_THREADS=4"),
-    ({}, False, "none of OPENBLAS_NUM_THREADS"),
-])
-def test_worker_needs_openblas_pinned_to_one_thread(two_cpus_and_openblas, settings, forked,
-                                                    reason):
-    for var, value in settings.items():
-        two_cpus_and_openblas.setenv(var, value)
-    assert training.worker_plan(16)[0] is forked
-    assert reason in training.worker_plan(16)[1]
-
-
 def test_worker_needs_two_cpus_a_known_blas_one_thread_and_a_batch_of_two(two_cpus_and_openblas):
     mp = two_cpus_and_openblas
-    mp.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert training.worker_plan(2) == (True, "2 CPUs, OPENBLAS_NUM_THREADS=1, 2 graphs at a time")
+    assert training.worker_plan(2) == (
+        True, "2 CPUs, one OpenBLAS thread per lane, 2 graphs at a time")
     assert training.worker_plan(1) == (False, "1 graph cannot fill two lanes")
     assert training.worker_plan(0) == (False, "0 graphs cannot fill two lanes")
     mp.setattr(os, "sched_getaffinity", lambda pid: {3})
     assert training.worker_plan(16) == (False, "only 1 CPU is available")
     mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    mp.setattr(training, "_blas_name", lambda: "mkl")
-    forked, reason = training.worker_plan(16)
-    assert not forked and "'mkl' is not OpenBLAS" in reason
-    mp.setattr(training, "_blas_name", lambda: "scipy-openblas")
     waiting = threading.Event()
     thread = threading.Thread(target=waiting.wait)
     thread.start()
@@ -106,6 +92,51 @@ def test_worker_needs_two_cpus_a_known_blas_one_thread_and_a_batch_of_two(two_cp
         waiting.set()
         thread.join(timeout=30)
     assert not thread.is_alive()
+
+
+def test_without_openblas_thread_control_lane_1_stays_in_process(two_cpus_and_openblas):
+    two_cpus_and_openblas.setattr(training, "_blas_control", lambda: ())
+    assert training.worker_plan(16) == (False, "no OpenBLAS thread control found")
+    with training._one_blas_thread():  # nothing to set, nothing to restore
+        pass
+
+
+def test_worker_possible_keys_on_the_openblas_lookup():
+    """The skip marker says what ``worker_plan`` decides in this process,
+    where no other Python thread runs: both rest on ``_blas_control``."""
+    assert WORKER_POSSIBLE is training.worker_plan(2)[0]
+
+
+@pytest.mark.skipif(not training._blas_control(), reason="needs OpenBLAS thread control")
+def test_the_lanes_run_one_blas_thread_and_restore_the_callers_count(monkeypatch):
+    """``evaluate_accuracy`` and ``train`` run their forward passes on one
+    OpenBLAS thread and give back a count of 2, set through the library,
+    when they return and when they raise."""
+    get_count, set_count = training._blas_control()[0]
+    original, seen, fail = get_count(), [], False
+    forward = CrossScaleModel.forward
+
+    def reading(self, graph):
+        seen.append(get_count())
+        if fail:
+            raise NumericError("boom")
+        return forward(self, graph)
+
+    monkeypatch.setattr(CrossScaleModel, "forward", reading)
+    monkeypatch.setattr(training, "worker_plan", lambda count: (False, "in-process here"))
+    train_set, val_set, _ = toy_splits()
+    model = CrossScaleModel(toy_model_config(), seed=0)
+    set_count(2)
+    try:
+        training.evaluate_accuracy(model, val_set)
+        assert get_count() == 2
+        fail = True
+        with pytest.raises(NumericError, match="boom"):
+            training.train(model, train_set, val_set, training.TrainConfig(epochs=1))
+        assert get_count() == 2
+    finally:
+        set_count(original)
+    assert len(seen) == len(val_set.graphs) + 1 and set(seen) == {1}
 
 
 @needs_worker
@@ -119,6 +150,29 @@ def test_worker_and_in_process_runs_are_byte_identical():
         assert len(run["norms"]) == 3 * 3  # 3 epochs of three batches (19 graphs)
     assert worker["validation"] == ["in the training worker"] * 6
     assert in_process["validation"] == ["in-process"] * 6
+
+
+@needs_worker
+def test_unpinned_and_pinned_starts_fork_and_agree_bit_for_bit():
+    """A start with no thread variable and one with OPENBLAS_NUM_THREADS=1
+    both fork lane 1 and give the same CSVs, best states, final parameters
+    and step norms, on a corpus whose largest graphs would round differently
+    on two BLAS threads."""
+    unpinned = scenario("agree", "2")
+    pinned = scenario("agree", "2", env={"OPENBLAS_NUM_THREADS": "1"})
+    assert unpinned["largest"] >= 150
+    assert unpinned["validation"] == pinned["validation"] == ["in the training worker"] * 6
+    assert unpinned["runs"] == pinned["runs"]
+
+
+@needs_worker
+def test_a_thread_variable_set_after_numpy_loads_leaves_each_lane_one_thread():
+    """OpenBLAS read its thread count when NumPy loaded, so a variable set
+    later changes nothing; the lanes set one thread themselves, in lane 0
+    here and in lane 1's worker, and ``train`` restores the count after."""
+    result = scenario("late-pin", "2")
+    assert result["lanes"] == [1, 1]
+    assert result["before"] == result["after"] > 1
 
 
 @pytest.mark.parametrize("cpus", CPUS)
