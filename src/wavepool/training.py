@@ -16,42 +16,27 @@ probabilities and each counted stage's (adjacency, assignment), with a
 hand-written vjp. Validation goes through ``CrossScaleModel.predict`` and
 records no tape.
 
-Four jobs run in two lanes through one dispatch, ``_in_lanes``: a training
-batch, a validation pass, an ``evaluate_accuracy`` pass and the operand
-build before a fork (``_build_operands``). Each splits its graphs by n^2
-(``lanes``). Lane 0 runs here, and lane 1 in a forked worker where
-``worker_plan`` allows it, else here after lane 0, with the same numbers.
-``train``, ``evaluate_accuracy`` and ``_build_operands`` run OpenBLAS on one
-thread and then restore the caller's count, so the numbers do not depend on
-the count the process started with. The first error in lane order is
-raised. A batch's gradient is lane 0's sum plus lane 1's, and a pass adds
-the lanes' hit counts. ``train`` forks one worker for its batches and
-validation passes, any other evaluation pass one of its own, and a build a
-builder whose wavelet operands are kept in the graphs' memo here. Each
-``train`` call logs one INFO line on the ``wavepool.training`` logger
-saying where lane 1 runs and why, and at DEBUG one record per epoch
-(losses, gradient norms, clipped steps, seconds in the lanes and in
-validation), one line per evaluation pass and one per build of any wavelet
-operand.
+Training batches, validation passes, ``evaluate_accuracy`` passes and the
+operand build before a fork (``_build_operands``) each run in two lanes
+through ``wavepool.lanes.Lanes``: ``train`` forks one worker for its
+batches and validation, any other evaluation pass one of its own, and a
+build a builder. A batch's gradient is lane 0's sum plus lane 1's, and a
+pass adds the lanes' hit counts. Each ``train`` call logs one INFO line on the
+``wavepool.training`` logger saying where lane 1 runs and why, and at DEBUG
+one record per epoch (losses, gradient norms, clipped steps, seconds in the
+lanes and in validation), one line per evaluation pass and one per build of
+any wavelet operand.
 """
 
 from __future__ import annotations
 
-import ctypes
 import logging
-import math
 import mmap
-import os
-import pickle
-import signal
-import threading
 import time
-import traceback
 import warnings
-from contextlib import closing, contextmanager, nullcontext, suppress
+from contextlib import closing
 from dataclasses import dataclass, field
-from functools import cache, partial
-from itertools import accumulate
+from functools import partial
 
 import numpy as np
 
@@ -59,6 +44,7 @@ from . import autodiff as ad
 from .autodiff import Var
 from .errors import ConfigError, ContractViolationError, NumericError
 from .graphs import GraphDataset
+from .lanes import Lanes, _one_blas_thread, _shared_arrays
 from .model import CrossScaleModel, ForwardResult, PoolStage, mid_pool_size
 from .settings import check_fields
 from .spectral import cosine_transform
@@ -339,102 +325,32 @@ def _batches(order: np.ndarray, size: int):
         yield order[start:start + size]
 
 
-# -- lanes ----------------------------------------------------------------
-
-
-def lanes(sizes) -> tuple[list[int], list[int]]:
-    """Split a batch of graphs with the given node counts into two lanes of
-    batch positions, each in batch order. Largest graph first (ties in batch
-    order), each goes to the lane whose running sum of n^2 is lower, ties to
-    lane 0."""
-    load, members = [0, 0], ([], [])
-    for pos in sorted(range(len(sizes)), key=lambda p: -sizes[p]):
-        lane = 0 if load[0] <= load[1] else 1
-        load[lane] += sizes[pos] ** 2
-        members[lane].append(pos)
-    return sorted(members[0]), sorted(members[1])
-
-
-@cache
-def _blas_control() -> tuple:
-    """The (get, set) thread-count functions of every loaded OpenBLAS,
-    found by file name in /proc/self/maps; empty where there is none."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
-    except OSError:
-        return ()
-    controls = []
-    for path in sorted(p for p in paths if "openblas" in os.path.basename(p) and os.path.isfile(p)):
-        library = ctypes.CDLL(path)
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                     "openblas_{}_num_threads"):
-            with suppress(AttributeError):
-                controls.append((getattr(library, name.format("get")),
-                                 getattr(library, name.format("set"))))
-                break
-    return tuple(controls)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with every OpenBLAS of ``_blas_control`` on one thread,
-    and give each back the caller's count after."""
-    counts = [(set_count, get_count()) for get_count, set_count in _blas_control()]
-    for set_count, _ in counts:
-        set_count(1)
-    try:
-        yield
-    finally:
-        for set_count, count in counts:
-            set_count(count)
-
-
-def worker_plan(count: int) -> tuple[bool, str]:
-    """Whether lane 1 of a job of ``count`` graphs runs in a forked process,
-    and why or why not. Any BLAS but an OpenBLAS that ``_one_blas_thread``
-    can set keeps lane 1 in-process."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return False, "this platform has no os.fork or os.sched_getaffinity"
-    cpus = len(os.sched_getaffinity(0))
-    if cpus < 2:
-        return False, f"only {cpus} CPU is available"
-    if not _blas_control():
-        return False, "no OpenBLAS thread control found"
-    if threading.active_count() > 1:  # a fork copies no thread but may copy a held lock
-        return False, f"{threading.active_count()} Python threads are running"
-    if count < 2:
-        return False, f"{count} graph{'' if count == 1 else 's'} cannot fill two lanes"
-    return True, f"{cpus} CPUs, one OpenBLAS thread per lane, {count} graphs at a time"
+# -- the lanes' jobs -------------------------------------------------------
 
 
 class _NonFinite(Exception):
-    """A lane met a non-finite loss; ``_Lanes.run`` turns it into None."""
+    """A lane met a non-finite loss; ``_TrainingLanes.run`` turns it into None."""
 
 
-def _run_lane(model: CrossScaleModel, graphs, class_count: int, config: TrainConfig):
-    """Forward, loss and backward for each graph in turn, adding into the
-    parameters' ``.grad``. Returns the per-graph (l_epsilon, l_p, total,
-    correct); raises ``_NonFinite`` at the first non-finite loss, before its
-    backward."""
+def _run_lane(model: CrossScaleModel, graphs, config: TrainConfig, indices):
+    """Forward, loss and backward for each graph at ``indices`` in turn.
+    Returns the per-graph (l_epsilon, l_p, total, correct) and the gradients added, by
+    parameter name, taken off the parameters; raises ``_NonFinite`` at the
+    first non-finite loss, before its backward."""
     parts = []
-    for graph in graphs:
+    for graph in (graphs[i] for i in indices):
         result = model.forward(graph)
-        loss, p = graph_loss(result, graph.label, class_count,
+        loss, p = graph_loss(result, graph.label, model.config.class_count,
                              config.beta, config.lp_stage_mode)
         if not np.isfinite(p.total):
             raise _NonFinite
         parts.append((p.l_epsilon, p.l_p, p.total, result.prediction == graph.label))
         ad.backward(loss)
-    return parts
-
-
-def _take_grads(params: dict[str, Var]) -> dict[str, np.ndarray]:
-    """The gradient buffers the parameters hold, by name, leaving them None."""
+    params = model.params
     grads = {name: var.grad for name, var in params.items() if var.grad is not None}
     for var in params.values():
         var.grad = None
-    return grads
+    return parts, grads
 
 
 def _hits(model: CrossScaleModel, graphs, indices) -> int:
@@ -442,149 +358,15 @@ def _hits(model: CrossScaleModel, graphs, indices) -> int:
     return sum(1 for i in indices if model.predict(graphs[i]) == graphs[i].label)
 
 
-def _shared_arrays(shapes):
-    """Zeroed float64 arrays of the given shapes in one anonymous shared
-    mapping, which a process forked afterwards shares, each on pages of its
-    own. Returns the mapping, the arrays and each array's (offset, length)
-    in bytes."""
-    sizes = [-(-math.prod(shape) * 8 // mmap.PAGESIZE) * mmap.PAGESIZE for shape in shapes]
-    mapping = mmap.mmap(-1, sum(sizes))
-    spans = list(zip(accumulate(sizes[:-1], initial=0), sizes))
-    arrays = [np.frombuffer(mapping, np.float64, math.prod(shape), offset).reshape(shape)
-              for shape, (offset, _) in zip(shapes, spans)]
-    return mapping, arrays, spans
-
-
-def _send(pipe, message) -> None:
-    pickle.dump(message, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-    pipe.flush()
-
-
-def _shipped(error: Exception) -> tuple[Exception, str]:
-    """An error as it crosses a pipe: itself, or a RuntimeError naming it if
-    it cannot be pickled, and its traceback text."""
-    text = "".join(traceback.format_exception(error))
-    try:
-        pickle.dumps(error)
-    except Exception:  # an error that cannot cross the pipe as itself
-        error = RuntimeError(f"{type(error).__name__}: {error}")
-    return error, text
-
-
-def _serve(inbox, outbox, handlers: dict) -> None:
-    """A worker's loop: answer each ``(kind, payload)`` request read from
-    ``inbox`` with ``(handlers[kind](payload), None)``, or ``(None, shipped
-    error)`` when the handler raises. Returns at EOF."""
-    while True:
-        try:
-            kind, payload = pickle.load(inbox)
-        except EOFError:
-            return
-        try:
-            reply = handlers[kind](payload), None
-        except Exception as exc:
-            reply = None, _shipped(exc)
-        _send(outbox, reply)
-
-
-class _Worker:
-    """A forked process that serves ``handlers`` (see ``_serve``) over two
-    pipes. It sees the parent's memory as it was at the fork, copy-on-write,
-    apart from shared mappings. It ignores SIGINT (the parent handles
-    Ctrl-C) and warnings, never logs, and leaves with ``os._exit`` at EOF or
-    on a broken pipe, so it also ends when its parent is killed. ``close``
-    reaps it."""
-
-    def __init__(self, handlers: dict):
-        from_parent, to_worker = os.pipe()
-        from_worker, to_parent = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (from_parent, to_worker, from_worker, to_parent):
-                os.close(fd)
-            raise
-        if self.pid == 0:  # the worker: serve until EOF, never return
-            status = 1
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                warnings.simplefilter("ignore")
-                os.close(to_worker)
-                os.close(from_worker)
-                with os.fdopen(from_parent, "rb") as inbox, os.fdopen(to_parent, "wb") as outbox:
-                    _serve(inbox, outbox, handlers)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(from_parent)
-        os.close(to_parent)
-        self.pipes = (os.fdopen(to_worker, "wb"), os.fdopen(from_worker, "rb"))
-
-    def send(self, kind: str, payload) -> None:
-        try:
-            _send(self.pipes[0], (kind, payload))
-        except BrokenPipeError:
-            raise ChildProcessError("the lane worker exited unexpectedly") from None
-
-    def receive(self):
-        """The answer to the oldest unanswered request as (value, error);
-        an error carries the worker's traceback as a note."""
-        try:
-            value, error = pickle.load(self.pipes[1])
-        except EOFError:
-            raise ChildProcessError("the lane worker exited unexpectedly") from None
-        if error is not None:
-            error, text = error
-            if hasattr(error, "add_note"):  # Python 3.11 on
-                error.add_note(f"raised in the lane worker:\n{text}")
-        return value, error
-
-    def close(self) -> None:
-        """Close the pipes, so that the worker leaves, and reap it. A request
-        that a dead worker left unread fails to flush, and its pipe closes
-        all the same."""
-        if self.pipes is None:
-            return
-        requests, replies = self.pipes
-        self.pipes = None
-        try:
-            with suppress(BrokenPipeError):
-                requests.close()
-            replies.close()
-        finally:
-            os.waitpid(self.pid, 0)
-
-
-def _in_lanes(graphs, indices, run, worker: _Worker | None, kind: str):
-    """Split the graphs at ``indices`` into two ``lanes`` and return each
-    lane's positions in ``indices`` and its result. Lane 0 is ``run(its
-    indices)`` here. Lane 1 goes to ``worker``'s ``kind`` handler, sent
-    before lane 0 starts and received after it ends, even when lane 0 raises;
-    with no worker it is ``run`` here after lane 0. The first error in lane
-    order is raised."""
-    positions = lanes([graphs[i].node_count for i in indices])
-    first, second = ([indices[p] for p in lane] for lane in positions)
-    if worker is None:
-        return positions, [run(first), run(second)]
-    worker.send(kind, second)
-    try:
-        here = run(first)
-    finally:
-        there, error = worker.receive()
-    if error is not None:
-        raise error
-    return positions, [here, there]
-
-
 @_one_blas_thread()
 def _build_operands(model: CrossScaleModel, graphs) -> None:
     """Everything a forward pass reads of each graph alone, so that a
     process forked afterwards finds it built; a graph the forward pass
     rejects is left for it to reject. The graphs whose wavelet operand is
-    not yet memoised go through ``_in_lanes``: lane 0 builds every DCT
-    matrix spectral pooling will ask for, then its graphs' operands, and
-    lane 1's go into each graph's memo here, read-only. Then every graph's
-    GCN and renormalized operands are built here."""
+    not yet memoised go through ``Lanes``: lane 0 builds every DCT matrix
+    spectral pooling will ask for, then its graphs' operands, and lane 1's
+    go into each graph's memo here, read-only. Then every graph's GCN and
+    renormalized operands are built here."""
     cfg = model.config
     start = time.perf_counter()
     graphs = [g for g in graphs if g.node_count <= cfg.n_max and g.feature_dim == cfg.feature_dim]
@@ -598,11 +380,10 @@ def _build_operands(model: CrossScaleModel, graphs) -> None:
             cosine_transform(size)
         return [model.inputs_for(unbuilt[i]).wavelets for i in indices]
 
-    forked, reason = worker_plan(len(unbuilt))
     build = {"build": lambda indices: [model.wavelet_operand(unbuilt[i]) for i in indices]}
-    with closing(_Worker(build)) if forked else nullcontext() as builder:
-        (_, second), (_, operands) = _in_lanes(unbuilt, range(len(unbuilt)), build_here,
-                                               builder, "build")
+    with closing(Lanes(len(unbuilt), build)) as builder:
+        builder.fork()
+        (_, second), (_, operands) = builder.run(unbuilt, range(len(unbuilt)), "build", build_here)
     for i, operand in zip(second, operands):
         for array in operand:
             array.setflags(write=False)
@@ -612,31 +393,31 @@ def _build_operands(model: CrossScaleModel, graphs) -> None:
     if unbuilt:
         log.debug("built %d wavelet operands in %.3f s: %d in lane 0 here, %d in lane 1 %s: %s",
                   len(unbuilt), time.perf_counter() - start, len(unbuilt) - len(second),
-                  len(second), "in a forked builder" if forked else "here", reason)
+                  len(second), "in a forked builder" if builder.forked else "here",
+                  builder.reason)
 
 
-class _Lanes:
-    """``train``'s two lanes, both through ``_in_lanes``: ``run`` takes one
-    mini-batch, and ``accuracy`` one validation pass. When ``worker_plan``
-    allows it, lane 1 of both runs in one worker forked for the ``train``
-    call, which reads the parameters from, and writes lane 1's gradients to,
-    one anonymous shared mapping."""
+class _TrainingLanes:
+    """``train``'s ``Lanes``: ``run`` takes one mini-batch, and ``accuracy``
+    one validation pass. Where lane 1 forks, one worker serves both for the
+    ``train`` call; it reads the parameters from, and writes lane 1's
+    gradients to, one anonymous shared mapping."""
 
     def __init__(self, model: CrossScaleModel, train_set: GraphDataset,
                  val_set: GraphDataset, config: TrainConfig):
-        self.model, self.config = model, config
+        self.model = model
         self.graphs = train_set.graphs
         self.val_graphs = val_set.graphs
-        self.val_hits = partial(_hits, model, self.val_graphs)
-        self.class_count = train_set.class_count
-        self.worker = None
-        forked, self.reason = worker_plan(config.batch_size)
+        self.lane = partial(_run_lane, model, self.graphs, config)
+        self.lanes = Lanes(config.batch_size, {
+            "train": self._serve_lane, "predict": partial(_hits, model, self.val_graphs)})
         log.info("lane 1 runs %s: %s", "in a forked worker, for batches and validation"
-                 if forked else "in-process", self.reason)
-        if forked:
-            self._fork()
+                 if self.lanes.forked else "in-process", self.lanes.reason)
+        self.lanes.fork(self._share)
 
-    def _fork(self) -> None:
+    def _share(self) -> None:
+        """Build every graph's operands, then move the parameters into one
+        shared mapping next to lane 1's gradient buffers."""
         _build_operands(self.model, self.graphs + self.val_graphs)
         params = self.model.params
         shapes = [var.value.shape for var in params.values()]
@@ -646,20 +427,12 @@ class _Lanes:
             var.value = value
         self.shared_grads = dict(zip(params, arrays[len(shapes):]))
         self.grad_spans = dict(zip(params, spans[len(shapes):]))
-        self.worker = _Worker({"train": self._serve_lane, "predict": self.val_hits})
-
-    def _lane(self, indices: list[int]):
-        """One lane of a batch: its per-graph parts and the gradients it
-        added, by parameter name, taken off the parameters."""
-        parts = _run_lane(self.model, [self.graphs[i] for i in indices],
-                          self.class_count, self.config)
-        return parts, _take_grads(self.model.params)
 
     def _serve_lane(self, indices: list[int]):
         """Lane 1 of a batch, in the worker: its per-graph parts and the
         names of the parameters it reached, whose gradients it leaves in the
         shared buffers."""
-        parts, grads = self._lane(indices)
+        parts, grads = self.lane(indices)
         for name, grad in grads.items():
             self.shared_grads[name][...] = grad
         return parts, list(grads)
@@ -669,12 +442,12 @@ class _Lanes:
         sum plus lane 1's on the parameters, or None when a lane met a
         non-finite loss; the first error in lane order is raised."""
         try:
-            positions, results = _in_lanes(self.graphs, [int(i) for i in batch],
-                                           self._lane, self.worker, "train")
+            positions, results = self.lanes.run(self.graphs, [int(i) for i in batch], "train",
+                                                self.lane)
         except _NonFinite:
             return None
         (_, grads), (_, more) = results
-        if self.worker is not None:
+        if self.lanes.forked:
             more = {name: self.shared_grads[name] for name in more}
         params = self.model.params
         for name, grad in grads.items():
@@ -685,7 +458,7 @@ class _Lanes:
                 var.grad = grad.copy()
             else:
                 var.grad += grad
-            if self.worker is not None:
+            if self.lanes.forked:
                 # drop the pages just read from this process's memory (the
                 # worker keeps them), so that lane 1's buffers cost the
                 # parent one tensor at a time
@@ -698,23 +471,20 @@ class _Lanes:
 
     def accuracy(self) -> float:
         """The validation set's accuracy, equal to ``evaluate_accuracy``'s."""
-        return _accuracy(self.val_graphs, self.val_hits, self.worker, "in the training worker",
-                         self.reason)
+        return _accuracy(self.val_graphs, self.lanes, "in the training worker")
 
     def close(self) -> None:
         """End the worker, if any. The parameters stay in the shared mapping
         until ``load_state`` replaces them, as ``train`` does on return."""
-        if self.worker is not None:
-            self.worker.close()
-            self.worker = None
+        self.lanes.close()
 
 
-def _accuracy(graphs, hits, worker: _Worker | None, where: str, reason: str) -> float:
-    """The share of ``graphs`` that ``hits`` counts right, over two lanes;
-    logs lane 1 as running ``where`` with a worker, else in-process."""
+def _accuracy(graphs, pass_lanes: Lanes, where: str) -> float:
+    """The share of ``graphs`` that the lanes' "predict" handler counts
+    right; logs lane 1 as running ``where`` when it forks, else in-process."""
     log.debug("evaluating %d graphs: lane 1 runs %s: %s", len(graphs),
-              "in-process" if worker is None else where, reason)
-    _, counts = _in_lanes(graphs, range(len(graphs)), hits, worker, "predict")
+              where if pass_lanes.forked else "in-process", pass_lanes.reason)
+    _, counts = pass_lanes.run(graphs, range(len(graphs)), "predict")
     return sum(counts) / len(graphs)
 
 
@@ -725,12 +495,9 @@ def evaluate_accuracy(model: CrossScaleModel, dataset: GraphDataset) -> float:
     are first built and kept here (``_build_operands``), so that the process
     forked for it builds none."""
     graphs = dataset.graphs
-    forked, reason = worker_plan(len(graphs))
-    if forked:
-        _build_operands(model, graphs)
-    count = partial(_hits, model, graphs)
-    with closing(_Worker({"predict": count})) if forked else nullcontext() as worker:
-        return _accuracy(graphs, count, worker, "in a process forked for this pass", reason)
+    with closing(Lanes(len(graphs), {"predict": partial(_hits, model, graphs)})) as pass_lanes:
+        pass_lanes.fork(partial(_build_operands, model, graphs))
+        return _accuracy(graphs, pass_lanes, "in a process forked for this pass")
 
 
 def _log_epoch(record: EpochRecord, norms: list[float], clip: float | None,
@@ -768,7 +535,7 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
     start = time.perf_counter()
     count = len(train_set.graphs)
     watch = log.isEnabledFor(logging.DEBUG)
-    runner = _Lanes(model, train_set, val_set, config)
+    runner = _TrainingLanes(model, train_set, val_set, config)
     try:
         for epoch in range(config.epochs):
             order = rng.permutation(count) if config.shuffle else np.arange(count)

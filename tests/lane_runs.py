@@ -31,6 +31,14 @@ output is one JSON object. Scenarios:
 * ``die CPUS``: every forward pass in a forked process ends that process
   with ``os._exit``; trains, then evaluates the 1-to-30-node corpus, and
   reports the error that reached each caller.
+* ``cut CPUS``: lane 1 of an operand build, a training batch and an
+  evaluation pass replies with an array larger than a pipe holds, and
+  SIGALRM ends its process while it waits to write the rest; lane 0 waits
+  for that, so the reply arrives cut short. Reports the error that reached
+  each caller.
+* ``collect CPUS``: trains with the garbage collector off, and reports
+  whether ``train``'s lanes, and where lane 1 forks their shared mapping,
+  are still alive once it returns.
 * ``evaluate CPUS``: ``evaluate_accuracy`` of all four variants on a corpus
   of 1 to 30 nodes, next to the hits ``predict`` counts one graph at a time,
   in total and over lane 1 alone.
@@ -61,6 +69,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import logging
@@ -69,11 +78,12 @@ import os
 import signal
 import sys
 import time
+import weakref
 
 import numpy as np
 
 from wavepool import model as model_module
-from wavepool import training
+from wavepool import lanes, training
 from wavepool.errors import NumericError
 from wavepool.graphs import Graph, GraphDataset, SplitSpec, degree_onehot_features, split_dataset
 from wavepool.model import VARIANTS, CrossScaleModel, ModelConfig
@@ -127,7 +137,7 @@ def mixed_corpus() -> GraphDataset:
 
 
 def pass_lanes(dataset) -> tuple[list[int], list[int]]:
-    return training.lanes([g.node_count for g in dataset.graphs])
+    return lanes.lanes([g.node_count for g in dataset.graphs])
 
 
 class Where(logging.Handler):
@@ -148,7 +158,7 @@ class Where(logging.Handler):
 def first_batch_targets(train_set, lanes_wanted: str) -> dict[int, int]:
     """id of one graph of the unshuffled first batch per wanted lane -> lane."""
     batch = train_set.graphs[:BATCH]
-    positions = training.lanes([g.node_count for g in batch])
+    positions = lanes.lanes([g.node_count for g in batch])
     return {id(batch[positions[int(k)][-1]]): int(k) for k in lanes_wanted}
 
 
@@ -185,7 +195,7 @@ def run_train(dataset=None, n_max: int = 30) -> dict:
 
 
 def run_late_pin() -> dict:
-    get_count = training._blas_control()[0][0]
+    get_count = lanes._blas_control()[0][0]
     seen = np.frombuffer(mmap.mmap(-1, 16), np.int64)  # shared with the forked lanes
     parent = os.getpid()
     forward = CrossScaleModel.forward
@@ -425,12 +435,16 @@ def run_die() -> dict:
     CrossScaleModel.forward = dying
     model, train_set, val_set = setup()
     dataset = mixed_corpus()
-    calls = {
+    return arrivals({
         "train": lambda: training.train(model, train_set, val_set,
                                         training.TrainConfig(epochs=1, batch_size=BATCH)),
         "evaluate": lambda: training.evaluate_accuracy(
             model_for("wavelet_spectral", dataset.feature_dim), dataset),
-    }
+    })
+
+
+def arrivals(calls: dict) -> dict:
+    """The error, as [type, message], that each call raised, or None."""
     errors = {}
     for name, call in calls.items():
         try:
@@ -439,6 +453,56 @@ def run_die() -> dict:
         except Exception as exc:  # noqa: BLE001 - the scenario reports what arrived
             errors[name] = [type(exc).__name__, str(exc)]
     return {"errors": errors}
+
+
+def cut_in_child(function):
+    """``function``, but in a forked process it returns a value shaped as
+    ``_run_lane``'s that holds 1 MB, and SIGALRM ends the process 0.1 s
+    later; here it first waits until a child process has exited."""
+    parent = os.getpid()
+
+    def cutting(*args, **kwargs):
+        if os.getpid() != parent:
+            signal.setitimer(signal.ITIMER_REAL, 0.1)
+            return [np.zeros(1 << 17)], {}
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        return function(*args, **kwargs)
+
+    return cutting
+
+
+def run_cut() -> dict:
+    training._hits = cut_in_child(training._hits)
+    training._run_lane = cut_in_child(training._run_lane)
+    CrossScaleModel.wavelet_operand = cut_in_child(CrossScaleModel.wavelet_operand)
+    # a GCN model forks no builder, so its batches and passes reach their own worker
+    model, train_set, val_set = setup("gcn_diffpool")
+    dataset = mixed_corpus()
+    return arrivals({
+        "build": lambda: training._build_operands(
+            model_for("wavelet_spectral", dataset.feature_dim), dataset.graphs),
+        "train": lambda: training.train(model, train_set, val_set,
+                                        training.TrainConfig(epochs=1, batch_size=BATCH)),
+        "evaluate": lambda: training.evaluate_accuracy(
+            model_for("gcn_diffpool", dataset.feature_dim), dataset),
+    })
+
+
+def run_collect() -> dict:
+    gc.disable()
+    refs = []
+    init = training._TrainingLanes.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        refs.append(weakref.ref(self))
+        if self.lanes.forked:
+            refs.append(weakref.ref(self.mapping))
+
+    training._TrainingLanes.__init__ = recording
+    model, train_set, val_set = setup()
+    training.train(model, train_set, val_set, training.TrainConfig(epochs=1, batch_size=BATCH))
+    return {"alive": [ref() is not None for ref in refs]}
 
 
 def kill_idle(pid: int) -> None:
@@ -450,13 +514,13 @@ def kill_idle(pid: int) -> None:
 
 def run_kill() -> dict:
     workers = []
-    init, step = training._Worker.__init__, training.Optimizer.step
+    fork, step = lanes.Lanes.fork, training.Optimizer.step
 
-    def recording(self, handlers):
-        init(self, handlers)
+    def recording(self, *args):
+        fork(self, *args)
         workers.append(self.pid)  # the last one forked is the training worker
 
-    training._Worker.__init__ = recording
+    lanes.Lanes.fork = recording
     errors = {}
     # the 19 training graphs make three batches an epoch, so the request after
     # step 3 is the first validation pass
@@ -512,8 +576,8 @@ def main(argv: list[str]) -> None:
               "late-pin": run_late_pin, "error": run_error, "diverge": run_diverge,
               "evaluate": run_evaluate, "evaluate-error": run_evaluate_error,
               "rebuild": run_rebuild, "build": run_build, "die": run_die,
-              "kill": run_kill}[scenario](*args[:-1])
-    result["plan"] = training.worker_plan(BATCH)
+              "cut": run_cut, "collect": run_collect, "kill": run_kill}[scenario](*args[:-1])
+    result["plan"] = lanes.worker_plan(BATCH)
     result["children_left"] = children_left()
     print(json.dumps(result))
 

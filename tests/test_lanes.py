@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from wavepool import training
+from wavepool import lanes, training
 from wavepool.errors import NumericError
 from wavepool.model import CrossScaleModel
 
@@ -33,7 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 WORKER_POSSIBLE = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-                   and len(os.sched_getaffinity(0)) >= 2 and bool(training._blas_control()))
+                   and len(os.sched_getaffinity(0)) >= 2 and bool(lanes._blas_control()))
 needs_worker = pytest.mark.skipif(
     not WORKER_POSSIBLE, reason="needs os.fork, two CPUs and OpenBLAS thread control")
 
@@ -60,34 +60,34 @@ def scenario(*args, env: dict | None = None) -> dict:
 
 def test_lane_rule_balances_squared_sizes_largest_first():
     # 9 and 9 split, then 5 joins the tied lane 0 and 3 the lighter lane 1
-    assert training.lanes([5, 9, 9, 3]) == ([0, 1], [2, 3])
-    assert training.lanes([10, 1, 1, 1, 1]) == ([0], [1, 2, 3, 4])
-    assert training.lanes([4, 4]) == ([0], [1])
-    assert training.lanes([7]) == ([0], [])
-    assert training.lanes([]) == ([], [])
+    assert lanes.lanes([5, 9, 9, 3]) == ([0, 1], [2, 3])
+    assert lanes.lanes([10, 1, 1, 1, 1]) == ([0], [1, 2, 3, 4])
+    assert lanes.lanes([4, 4]) == ([0], [1])
+    assert lanes.lanes([7]) == ([0], [])
+    assert lanes.lanes([]) == ([], [])
 
 
 @pytest.fixture
 def two_cpus_and_openblas(monkeypatch):
-    monkeypatch.setattr(training, "_blas_control", lambda: ((lambda: 1, lambda count: None),))
+    monkeypatch.setattr(lanes, "_blas_control", lambda: ((lambda: 1, lambda count: None),))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     return monkeypatch
 
 
 def test_worker_needs_two_cpus_a_known_blas_one_thread_and_a_batch_of_two(two_cpus_and_openblas):
     mp = two_cpus_and_openblas
-    assert training.worker_plan(2) == (
+    assert lanes.worker_plan(2) == (
         True, "2 CPUs, one OpenBLAS thread per lane, 2 graphs at a time")
-    assert training.worker_plan(1) == (False, "1 graph cannot fill two lanes")
-    assert training.worker_plan(0) == (False, "0 graphs cannot fill two lanes")
+    assert lanes.worker_plan(1) == (False, "1 graph cannot fill two lanes")
+    assert lanes.worker_plan(0) == (False, "0 graphs cannot fill two lanes")
     mp.setattr(os, "sched_getaffinity", lambda pid: {3})
-    assert training.worker_plan(16) == (False, "only 1 CPU is available")
+    assert lanes.worker_plan(16) == (False, "only 1 CPU is available")
     mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     waiting = threading.Event()
     thread = threading.Thread(target=waiting.wait)
     thread.start()
     try:
-        assert training.worker_plan(16) == (False, "2 Python threads are running")
+        assert lanes.worker_plan(16) == (False, "2 Python threads are running")
     finally:
         waiting.set()
         thread.join(timeout=30)
@@ -95,24 +95,24 @@ def test_worker_needs_two_cpus_a_known_blas_one_thread_and_a_batch_of_two(two_cp
 
 
 def test_without_openblas_thread_control_lane_1_stays_in_process(two_cpus_and_openblas):
-    two_cpus_and_openblas.setattr(training, "_blas_control", lambda: ())
-    assert training.worker_plan(16) == (False, "no OpenBLAS thread control found")
-    with training._one_blas_thread():  # nothing to set, nothing to restore
+    two_cpus_and_openblas.setattr(lanes, "_blas_control", lambda: ())
+    assert lanes.worker_plan(16) == (False, "no OpenBLAS thread control found")
+    with lanes._one_blas_thread():  # nothing to set, nothing to restore
         pass
 
 
 def test_worker_possible_keys_on_the_openblas_lookup():
     """The skip marker says what ``worker_plan`` decides in this process,
     where no other Python thread runs: both rest on ``_blas_control``."""
-    assert WORKER_POSSIBLE is training.worker_plan(2)[0]
+    assert WORKER_POSSIBLE is lanes.worker_plan(2)[0]
 
 
-@pytest.mark.skipif(not training._blas_control(), reason="needs OpenBLAS thread control")
+@pytest.mark.skipif(not lanes._blas_control(), reason="needs OpenBLAS thread control")
 def test_the_lanes_run_one_blas_thread_and_restore_the_callers_count(monkeypatch):
     """``evaluate_accuracy`` and ``train`` run their forward passes on one
     OpenBLAS thread and give back a count of 2, set through the library,
     when they return and when they raise."""
-    get_count, set_count = training._blas_control()[0]
+    get_count, set_count = lanes._blas_control()[0]
     original, seen, fail = get_count(), [], False
     forward = CrossScaleModel.forward
 
@@ -123,7 +123,7 @@ def test_the_lanes_run_one_blas_thread_and_restore_the_callers_count(monkeypatch
         return forward(self, graph)
 
     monkeypatch.setattr(CrossScaleModel, "forward", reading)
-    monkeypatch.setattr(training, "worker_plan", lambda count: (False, "in-process here"))
+    monkeypatch.setattr(lanes, "worker_plan", lambda count: (False, "in-process here"))
     train_set, val_set, _ = toy_splits()
     model = CrossScaleModel(toy_model_config(), seed=0)
     set_count(2)
@@ -281,6 +281,23 @@ def test_a_worker_that_dies_reaches_the_caller_and_is_reaped():
 
 
 @needs_worker
+def test_a_worker_that_dies_mid_reply_reaches_the_caller_and_is_reaped():
+    """Lane 1's worker dies partway through its reply to an operand build, a
+    training batch and an evaluation pass; each caller gets a
+    ChildProcessError, and ``scenario`` checks that no child is left."""
+    died = ["ChildProcessError", "the lane worker exited unexpectedly"]
+    assert scenario("cut", "2")["errors"] == {"build": died, "train": died, "evaluate": died}
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_train_leaves_its_lanes_to_reference_counting(cpus):
+    """With the garbage collector off, ``train``'s lanes, and where lane 1
+    forks their shared mapping, are freed once it returns: no reference
+    cycle holds them."""
+    assert scenario("collect", cpus)["alive"] == [False] * (2 if cpus == "2" else 1)
+
+
+@needs_worker
 def test_a_worker_killed_while_idle_reaches_the_caller_and_is_reaped():
     """A SIGKILL to the idle training worker, between two batches or before
     a validation pass, fails the next request: each caller gets a
@@ -294,10 +311,11 @@ def test_a_failed_fork_closes_its_pipes(monkeypatch):
     def failing_fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
+    monkeypatch.setattr(lanes, "worker_plan", lambda count: (True, "forced"))
     monkeypatch.setattr(os, "fork", failing_fork, raising=False)
     before = len(os.listdir("/proc/self/fd"))
     with pytest.raises(BlockingIOError):
-        training._Worker({})
+        lanes.Lanes(2, {}).fork()
     assert len(os.listdir("/proc/self/fd")) == before
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wavepool import autodiff as ad
-from wavepool import training
+from wavepool import lanes, training
 from wavepool.errors import ConfigError, ContractViolationError, NumericError
 from wavepool.graphs import Graph, SplitSpec, degree_onehot_features, split_dataset
 from wavepool.model import CrossScaleModel, ForwardResult, ModelConfig, PoolStage, init_parameters
@@ -534,7 +534,7 @@ def test_a_diverged_run_leaves_no_gradient_for_the_next(monkeypatch):
     config = TrainConfig(epochs=2, batch_size=8, seed=0, shuffle=False)
     fresh = train(CrossScaleModel(toy_model_config(), seed=0), train_set, val_set, config)
     batch = train_set.graphs[:config.batch_size]
-    poisoned = batch[training.lanes([g.node_count for g in batch])[0][-1]]
+    poisoned = batch[lanes.lanes([g.node_count for g in batch])[0][-1]]
     model = CrossScaleModel(toy_model_config(), seed=0)
     initial = model.state()
     forward, graph_loss, current = model.forward, training.graph_loss, {}
@@ -570,8 +570,8 @@ def test_train_rejects_class_count_mismatch():
 def test_validation_through_the_training_lanes_equals_evaluate_accuracy(monkeypatch):
     train_set, val_set, _ = toy_splits()
     model = CrossScaleModel(toy_model_config(), seed=3)
-    monkeypatch.setattr(training, "worker_plan", lambda count: (False, "in-process here"))
-    runner = training._Lanes(model, train_set, val_set, TrainConfig(epochs=1, batch_size=8))
+    monkeypatch.setattr(lanes, "worker_plan", lambda count: (False, "in-process here"))
+    runner = training._TrainingLanes(model, train_set, val_set, TrainConfig(epochs=1, batch_size=8))
     try:
         assert runner.accuracy() == evaluate_accuracy(model, val_set)
     finally:
