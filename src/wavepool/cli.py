@@ -129,14 +129,18 @@ def parse_span(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _parse_at_least(lowest: int):
+    """An argparse ``type`` for an integer of at least ``lowest``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    return parse
 
 
 def _dataset(args):
@@ -343,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", help="JSON config file (schema_version %d)" % SCHEMA_VERSION)
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0, help="base random seed")
+    seed.add_argument("--seed", type=_parse_at_least(0), default=0, help="base random seed")
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--data", required=True, help="TU-format dataset directory")
 
@@ -371,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed_list = grid.add_mutually_exclusive_group()
     seed_list.add_argument("--seeds", type=_number_list(int),
                            help="comma-separated explicit seed list")
-    seed_list.add_argument("--num-seeds", type=_parse_positive, help="use seeds 0..N-1")
+    seed_list.add_argument("--num-seeds", type=_parse_at_least(1), help="use seeds 0..N-1")
     grid.add_argument("--timing", action="store_true",
                       help="write wall-clock into per-seed CSV (breaks byte-reproducibility)")
 
@@ -387,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=("default", "three-class", "three_class"))
     p.add_argument("--per-class", type=int)
     p.add_argument("--size-range", type=parse_span, help="node-count range LO:HI")
-    p.add_argument("--bins", type=_parse_positive, default=20, help="histogram bins")
+    p.add_argument("--bins", type=_parse_at_least(1), default=20, help="histogram bins")
 
     command("train", cmd_train, "train one model on a TU-format dataset", [training, seed])
     command("evaluate", cmd_evaluate, "multi-seed accuracy for one variant", [grid])
@@ -399,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("stability", cmd_stability, "perturbation-bound checks", [seed],
                 out_required=False)
-    p.add_argument("--trials", type=_parse_positive, default=10_000)
-    p.add_argument("--graphs", type=_parse_positive, default=5)
+    p.add_argument("--trials", type=_parse_at_least(1), default=10_000)
+    p.add_argument("--graphs", type=_parse_at_least(1), default=5)
     p.add_argument("--size-range", type=parse_span, help="graph size range LO:HI (default 8:32)")
 
     command("stats", cmd_stats, "dataset statistics report", [data], out_required=False)

@@ -3,7 +3,7 @@
 Every stage is one autodiff node with a hand-written vjp: the wavelet
 convolution over all scales, the spectral and DiffPool assignments, the
 pooled adjacency and pooled features, the graph convolution and the
-classifier's logits and probabilities. Each takes the model's parameter
+classifier's logits. Each takes the model's parameter
 ``Var``s themselves (``model.parameter_shapes`` names them), activations and
 other settings as plain values, and read-only arrays for what the graph
 alone determines; it returns ``Var`` nodes. Inside ``autodiff.no_grad()``
@@ -395,12 +395,10 @@ def diffpool_assign(adjacency: Var | Renormalized, features: Var, weight: Var,
     return ad.node(s.T, inputs, lambda g, grads: propagate_vjp(_softmax_vjp(g.T, s), grads))
 
 
-def classify(x_final: Var, weight: Var, bias: Var) -> tuple[Var, Var]:
+def classify(x_final: Var, weight: Var, bias: Var) -> Var:
     """Flatten the fixed-size pooled features and apply the linear head,
-    ``weight`` (m_out * l, c) and ``bias`` (c,).
-
-    Returns (logits, probabilities), both length-c vectors, one node each.
-    """
+    ``weight`` (m_out * l, c) and ``bias`` (c,): the length-c logits, one
+    node."""
     q, c = weight.value.shape
     rows, width = x_final.value.shape
     if rows * width != q:
@@ -411,7 +409,7 @@ def classify(x_final: Var, weight: Var, bias: Var) -> tuple[Var, Var]:
     flat = x_final.value.reshape(1, q)
     w = weight.value
 
-    def logits_vjp(g, grads):
+    def vjp(g, grads):
         acc_x, acc_w, acc_b = grads
         g = g.reshape(1, c)
         if acc_x is not None:
@@ -421,11 +419,4 @@ def classify(x_final: Var, weight: Var, bias: Var) -> tuple[Var, Var]:
         if acc_b is not None:
             acc_b += g[0]
 
-    logit_values = (flat @ w + bias.value).reshape(c)
-    logits = ad.node(logit_values, (x_final, weight, bias), logits_vjp)
-    probs = _softmax(logit_values)
-
-    def probs_vjp(g, grads):
-        grads[0] += _softmax_vjp(g, probs)
-
-    return logits, ad.node(probs, (logits,), probs_vjp)
+    return ad.node((flat @ w + bias.value).reshape(c), (x_final, weight, bias), vjp)

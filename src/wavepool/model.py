@@ -155,7 +155,6 @@ class PoolStage:
 @dataclass
 class ForwardResult:
     logits: Var  # (c,)
-    probs: Var   # (c,)
     stages: list[PoolStage] = field(default_factory=list)
     pooled_adjacencies: list[Var] = field(default_factory=list)
 
@@ -342,8 +341,8 @@ class CrossScaleModel:
             h = gcn_forward(inputs.renormalized, h, p["gcn.weight"], cfg.activation)
             if n < cfg.m_out:
                 h = ad.pad_rows(h, cfg.m_out)
-        logits, probs = classify(h, p["classifier.weight"], p["classifier.bias"])
-        return ForwardResult(logits, probs, stages, pooled_adjacencies)
+        logits = classify(h, p["classifier.weight"], p["classifier.bias"])
+        return ForwardResult(logits, stages, pooled_adjacencies)
 
     def predict(self, graph: Graph) -> int:
         """The predicted class, from a forward pass that records no tape."""

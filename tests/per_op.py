@@ -303,11 +303,11 @@ def diffpool_assign(adjacency, features, weight, width):
 
 def classify(x_final, weight, bias):
     q, c = weight.value.shape
-    logits = add(matmul(reshape(x_final, (1, q)), weight), bias)
-    return reshape(logits, (c,)), reshape(row_softmax(logits), (c,))
+    return reshape(add(matmul(reshape(x_final, (1, q)), weight), bias), (c,))
 
 
-def cross_entropy_loss(label, probs, class_count):
+def cross_entropy_loss(label, logits, class_count):
+    probs = reshape(row_softmax(reshape(logits, (1, class_count))), (class_count,))
     onehot = np.zeros(class_count)
     onehot[label] = 1.0
     picked = sum_all(mul(ad.constant(onehot), log(clip_min(probs, PROB_FLOOR))))
@@ -322,7 +322,7 @@ def link_prediction_loss(stage):
 def graph_loss(result, label, class_count, beta, stage_mode="mean"):
     if stage_mode not in STAGE_MODES:
         raise ContractViolationError(f"unknown stage mode {stage_mode!r}")
-    ce = cross_entropy_loss(label, result.probs, class_count)
+    ce = cross_entropy_loss(label, result.logits, class_count)
     if beta == 0.0 or not result.stages:
         return ce if beta == 0.0 else scale(ce, 1.0 - beta)
     stages = result.stages[:1] if stage_mode == "first" else result.stages
@@ -367,5 +367,4 @@ def forward(model, graph):
         h = gcn_forward(inputs.renormalized, h, p["gcn.weight"], cfg.activation)
         if n < cfg.m_out:
             h = ad.pad_rows(h, cfg.m_out)
-    logits, probs = classify(h, p["classifier.weight"], p["classifier.bias"])
-    return ForwardResult(logits, probs, stages)
+    return ForwardResult(classify(h, p["classifier.weight"], p["classifier.bias"]), stages)

@@ -92,6 +92,31 @@ def test_bad_seed_flags_exit_2(bench_dir, tmp_path, capsys, flags):
     assert not (tmp_path / "o" / "per_seed.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "train", "stability"])
+def test_negative_seed_exits_2_and_names_it(bench_dir, tmp_path, capsys, command):
+    data = ["--data", str(bench_dir)] if command == "train" else []
+    code = main([command, *data, "--out", str(tmp_path / "o"), "--seed", "-1"])
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "er", "p": 1.5}, {"family": "er", "p": -0.1},
+    {"family": "ws", "k": 3}, {"family": "ws", "k": -2}, {"family": "ws", "p_rewire": 1.5},
+    {"family": "ba", "m": 0},
+], ids=lambda spec: "-".join(map(str, spec.values())))
+def test_bad_family_parameter_exits_2_before_any_output(tmp_path, capsys, spec):
+    cfg = tmp_path / "c.json"
+    classes = [{**spec, "count": 2, "size_range": [8, 12]}, {"family": "er", "count": 2}]
+    cfg.write_text(json.dumps({"schema_version": 1, "msg": {"classes": classes}}))
+    code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and [k for k in spec if k != "family"][0] in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("seeds", [["x"], [1.5], [True], [], 3, [1, 1]])
 def test_bad_config_seeds_exit_2(bench_dir, tmp_path, capsys, seeds):
     cfg = tmp_path / "c.json"
@@ -448,6 +473,7 @@ def test_debug_shows_each_epoch_and_evaluation_pass(bench_dir, tmp_path):
     assert lines[0].startswith("INFO wavepool.training: lane 1 runs ")
     assert [line.split(":")[1] for line in epochs] == [" epoch 0", " epoch 1"]  # --epochs 2
     assert "pre-clip gradient norm max " in epochs[0] and "steps clipped" in epochs[0]
+    assert re.search(r"; \d+ graphs at the probability floor;", epochs[0])
     builds = [line for line in lines if line.startswith("DEBUG wavepool.training: built ")]
     assert len(passes) == 3  # two validation passes and the test split
     assert len(lines) == 1 + len(epochs) + len(passes) + len(builds)

@@ -158,7 +158,7 @@ def test_forward_all_variants(variant, rng):
     graph = random_graph(12, 2, rng)
     result = model.forward(graph)
     assert result.logits.value.shape == (2,)
-    assert result.probs.value.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.isfinite(result.logits.value))
     # 12 nodes pool to ceil(12/4) = 3, then to m_out = 2: two stages
     assert len(result.stages) == 2
     assert len(result.pooled_adjacencies) == 2
@@ -221,7 +221,7 @@ def test_forward_without_row_softmax(rng):
 
 def test_closed_form_basis_mode_runs(rng):
     model = CrossScaleModel(small_config(basis_mode="closed_form"), seed=0)
-    assert model.forward(random_graph(7, 2, rng)).probs.value.shape == (2,)
+    assert model.forward(random_graph(7, 2, rng)).logits.value.shape == (2,)
 
 
 # -- parameter management -------------------------------------------------
@@ -655,7 +655,6 @@ def test_fused_pipeline_matches_per_op_composition(variant, stage_mode, rng):
             runs.append((result, total, model))
         (fused, fused_total, fused_model), (ref, ref_total, ref_model) = runs
         assert np.array_equal(fused.logits.value, ref.logits.value)
-        assert np.array_equal(fused.probs.value, ref.probs.value)
         for a, b in zip(fused.stages, ref.stages):
             assert np.array_equal(a.assignment.value, b.assignment.value)
             assert np.array_equal(a.adjacency.value, b.adjacency.value)

@@ -36,53 +36,46 @@ def toy_splits(per_class=10, seed=0):
     return split_dataset(toy_dataset(per_class=per_class), SplitSpec(seed=seed))
 
 
-def fabricated_result(probs, stages=()):
-    p = ad.as_var(probs)
-    return ForwardResult(logits=ad.constant(np.log(np.maximum(p.value, 1e-9))),
-                         probs=p, stages=list(stages))
+def fabricated_result(logits, stages=()):
+    return ForwardResult(logits=ad.as_var(logits), stages=list(stages))
 
 
-def cross_entropy(label, probs, class_count):
+def cross_entropy(label, logits, class_count):
     """graph_loss at beta = 0 without stages: the scaled cross-entropy alone."""
-    return graph_loss(fabricated_result(probs), label, class_count, beta=0.0)[0]
+    return graph_loss(fabricated_result(logits), label, class_count, beta=0.0)[0]
 
 
 def structure(stage):
     """graph_loss at beta = 1 with one stage: its structure term alone."""
-    return graph_loss(fabricated_result([0.5, 0.5], [stage]), 0, 2, beta=1.0)[0]
+    return graph_loss(fabricated_result([0.0, 0.0], [stage]), 0, 2, beta=1.0)[0]
 
 
 # -- cross-entropy --------------------------------------------------------
 
 
 def test_cross_entropy_hand_value():
-    loss = cross_entropy(0, ad.constant([0.75, 0.25]), 2)
+    loss = cross_entropy(0, ad.constant(np.log([0.75, 0.25])), 2)
     assert loss.value == pytest.approx(-0.5 * math.log(0.75), abs=1e-15)
 
 
 def test_cross_entropy_clamps_zero_probability():
-    loss = cross_entropy(1, ad.constant([1.0, 0.0]), 2)
+    loss = cross_entropy(1, ad.constant([0.0, -np.inf]), 2)  # probabilities [1, 0]
     assert loss.value == pytest.approx(-0.5 * math.log(PROB_FLOOR), rel=1e-12)
     assert math.isfinite(float(loss.value))
 
 
 def test_cross_entropy_validation():
     with pytest.raises(ContractViolationError, match="label"):
-        cross_entropy(2, ad.constant([0.5, 0.5]), 2)
+        cross_entropy(2, ad.constant([0.0, 0.0]), 2)
     with pytest.raises(ContractViolationError, match="shape"):
-        cross_entropy(0, ad.constant([0.5, 0.3, 0.2]), 2)
-    with pytest.raises(ContractViolationError, match="distribution"):
-        cross_entropy(0, ad.constant([0.9, 0.4]), 2)
-    with pytest.raises(ContractViolationError, match="distribution"):
-        cross_entropy(0, ad.constant([1.2, -0.2]), 2)
+        cross_entropy(0, ad.constant(np.log([0.5, 0.3, 0.2])), 2)
 
 
 def test_cross_entropy_gradient_through_softmax(rng):
     logits0 = rng.standard_normal(4)
 
     def build(v):
-        probs = ops.reshape(ops.row_softmax(ops.reshape(v, (1, 4))), (4,))
-        return cross_entropy(1, probs, 4)
+        return cross_entropy(1, v, 4)
 
     leaf = ad.parameter(logits0)
     ad.backward(build(leaf))
@@ -116,7 +109,7 @@ def test_graph_loss_blend_hand_value():
         adjacency=ad.constant(np.eye(2)),
         assignment=ad.constant(np.array([[1.0, 0.0]])),
     )
-    result = fabricated_result([0.75, 0.25], [stage])
+    result = fabricated_result(np.log([0.75, 0.25]), [stage])
     total, parts = graph_loss(result, 0, 2, beta=0.4)
     ce = -0.5 * math.log(0.75)
     assert parts.l_epsilon == pytest.approx(ce, abs=1e-12)
@@ -128,7 +121,7 @@ def test_graph_loss_blend_hand_value():
 def test_graph_loss_beta_zero_skips_structure_term():
     boobytrapped = PoolStage(adjacency=ad.constant(np.eye(3)),
                              assignment=ad.constant(np.zeros((2, 4))))  # wrong n
-    result = fabricated_result([0.5, 0.5], [boobytrapped])
+    result = fabricated_result([0.0, 0.0], [boobytrapped])
     total, parts = graph_loss(result, 0, 2, beta=0.0)
     # the malformed stage would raise if touched; beta = 0 must never build it
     assert parts.l_p == 0.0
@@ -136,7 +129,7 @@ def test_graph_loss_beta_zero_skips_structure_term():
 
 
 def test_graph_loss_without_stages_scales_ce():
-    result = fabricated_result([0.75, 0.25])
+    result = fabricated_result(np.log([0.75, 0.25]))
     total, parts = graph_loss(result, 0, 2, beta=0.4)
     assert float(total.value) == pytest.approx(0.6 * parts.l_epsilon, abs=1e-15)
     assert parts.l_p == 0.0
@@ -146,7 +139,7 @@ def test_graph_loss_averages_stages():
     stage1 = PoolStage(ad.constant(np.eye(2)), ad.constant(np.array([[1.0, 0.0]])))
     stage2 = PoolStage(ad.constant(np.zeros((2, 2))),
                        ad.constant(np.array([[1.0, 1.0]])))
-    result = fabricated_result([0.5, 0.5], [stage1, stage2])
+    result = fabricated_result([0.0, 0.0], [stage1, stage2])
     _, parts = graph_loss(result, 0, 2, beta=1.0)
     assert parts.l_p == pytest.approx((1.0 + 2.0) / 2.0, abs=1e-12)
 
@@ -156,7 +149,7 @@ def test_graph_loss_stage_modes():
         stage1 = PoolStage(ad.constant(np.eye(2)), ad.constant(np.array([[1.0, 0.0]])))
         stage2 = PoolStage(ad.constant(np.zeros((2, 2))),
                            ad.constant(np.array([[1.0, 1.0]])))
-        return fabricated_result([0.5, 0.5], [stage1, stage2])
+        return fabricated_result([0.0, 0.0], [stage1, stage2])
 
     _, summed = graph_loss(result(), 0, 2, beta=1.0, stage_mode="sum")
     assert summed.l_p == pytest.approx(3.0, abs=1e-12)
@@ -175,18 +168,16 @@ def random_stage(rng, n, m):
 @pytest.mark.parametrize("stage_mode", ["mean", "sum", "first"])
 def test_fused_loss_matches_per_op_composition(beta, stage_mode, rng):
     stages = [random_stage(rng, 6, 3), random_stage(rng, 3, 2)]
-    logits = rng.standard_normal(3)
-    probs0 = np.exp(logits) / np.exp(logits).sum()
+    logits0 = rng.standard_normal(3)
     runs = []
     for loss in (graph_loss, ops.graph_loss):
-        probs = ad.parameter(probs0)
+        logits = ad.parameter(logits0)
         vars_ = [(ad.parameter(a), ad.parameter(s)) for a, s in stages]
-        result = ForwardResult(ad.constant(logits), probs,
-                               [PoolStage(a, s) for a, s in vars_])
+        result = ForwardResult(logits, [PoolStage(a, s) for a, s in vars_])
         total = loss(result, 1, 3, beta, stage_mode)
         total = total[0] if isinstance(total, tuple) else total
         ad.backward(total)
-        runs.append((total, [probs] + [v for pair in vars_ for v in pair]))
+        runs.append((total, [logits] + [v for pair in vars_ for v in pair]))
     (fused, fused_vars), (ref, ref_vars) = runs
     assert float(fused.value) == float(ref.value)
     for var, expected in zip(fused_vars, ref_vars):
@@ -197,14 +188,38 @@ def test_fused_loss_matches_per_op_composition(beta, stage_mode, rng):
 
 
 def test_loss_gradients_vanish_below_clip_floor_and_at_zero_residual():
-    probs = ad.parameter([1.0, 0.0])
-    ad.backward(cross_entropy(1, probs, 2))
-    assert np.array_equal(probs.grad, [0.0, 0.0])
+    logits = ad.parameter([0.0, -np.inf])  # probabilities [1, 0]
+    ad.backward(cross_entropy(1, logits, 2))
+    assert np.array_equal(logits.grad, [0.0, 0.0])
     s = ad.parameter(np.eye(2))
     adjacency = ad.parameter(np.eye(2))
     ad.backward(structure(PoolStage(adjacency, s)))
     assert np.array_equal(s.grad, np.zeros((2, 2)))
     assert np.array_equal(adjacency.grad, np.zeros((2, 2)))
+
+
+def test_loss_parts_mark_a_graph_at_the_probability_floor():
+    assert graph_loss(fabricated_result([0.0, -40.0]), 1, 2, beta=0.0)[1].floored is True
+    assert graph_loss(fabricated_result([0.0, 0.0]), 1, 2, beta=0.0)[1].floored is False
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1, 0.5, 1.0])
+def test_graph_loss_gradient_at_the_logits(beta, rng):
+    """Above the floor the gradient at the logits is (1 - beta)(softmax(z) -
+    e_label)/c; at the floor it is exactly zero."""
+    c = 3
+    for z, label in [(rng.standard_normal(c), 0), (3.0 * rng.standard_normal(c), 2),
+                     (np.array([0.0, -20.0, 1.0]), 1), (np.array([0.0, -40.0, 1.0]), 1)]:
+        logits = ad.parameter(z)
+        total, parts = graph_loss(fabricated_result(logits), label, c, beta)
+        ad.backward(total)
+        if parts.floored:
+            assert np.array_equal(logits.grad, np.zeros(c))
+        else:
+            q = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
+            expected = (1.0 - beta) * (q - np.eye(c)[label]) / c
+            assert np.allclose(logits.grad, expected, rtol=0.0, atol=1e-15)
+    assert parts.floored  # the last case sits at the floor
 
 
 def stage_one_pair(a, s):
