@@ -47,15 +47,14 @@ def main(argv=None) -> int:
 
 
 def run(args) -> int:
-    dataset = build_msg(three_class_config(
-        per_class=args.per_class, size_range=args.size_range, seed=0))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     plan = ExperimentPlan(
         seeds=tuple(range(args.seeds)),
         train=TrainConfig(epochs=args.epochs),
     )
+    dataset = build_msg(three_class_config(
+        per_class=args.per_class, size_range=args.size_range, seed=0))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     for axis in args.axes:
         values = GRIDS[axis]

@@ -44,6 +44,10 @@ def main(argv=None) -> int:
 
 
 def run(args) -> int:
+    plan = ExperimentPlan(
+        seeds=tuple(range(args.seeds)),
+        train=TrainConfig(epochs=args.epochs),
+    )
     dataset = build_msg(three_class_config(
         per_class=args.per_class, size_range=args.size_range, seed=args.data_seed))
     out = Path(args.out)
@@ -52,10 +56,6 @@ def run(args) -> int:
     print(f"built {len(dataset.graphs)} graphs, "
           f"{dataset.sizes.min()}-{dataset.sizes.max()} nodes")
 
-    plan = ExperimentPlan(
-        seeds=tuple(range(args.seeds)),
-        train=TrainConfig(epochs=args.epochs),
-    )
     started = time.monotonic()
     result = run_ablation(dataset, plan)
     elapsed = time.monotonic() - started

@@ -135,7 +135,7 @@ class ModelConfig:
 
 
 def mid_pool_size(n: int, m_out: int) -> int:
-    """First-stage target for an n-node graph: a quarter, floored at m_out."""
+    """First-stage target for an n-node graph: a quarter, at least m_out."""
     return max(math.ceil(n / 4), m_out)
 
 

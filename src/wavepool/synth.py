@@ -118,15 +118,16 @@ class ClassSpec:
         lo, hi = self.size_range
         if not (4 <= lo <= hi <= 1000):
             raise ConfigError(f"size range must satisfy 4 <= lo <= hi <= 1000, got {self.size_range}")
-        # the generators' own rules, for the parameters this family reads
+        # the generators' own rules, for the parameters this family reads; a graph
+        # has at least k + 1 (ws) or m + 2 (ba) nodes, so these stay within 1000
         if self.family == "er" and not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"er edge probability p must lie in [0, 1], got {self.p}")
-        if self.family == "ws" and (self.k < 0 or self.k % 2 != 0):
-            raise ConfigError(f"ws ring degree k must be even and non-negative, got {self.k}")
+        if self.family == "ws" and not (0 <= self.k <= 998 and self.k % 2 == 0):
+            raise ConfigError(f"ws ring degree k must be even and in [0, 998], got {self.k}")
         if self.family == "ws" and not 0.0 <= self.p_rewire <= 1.0:
             raise ConfigError(f"ws p_rewire must lie in [0, 1], got {self.p_rewire}")
-        if self.family == "ba" and self.m < 1:
-            raise ConfigError(f"ba attachment count m must be >= 1, got {self.m}")
+        if self.family == "ba" and not 1 <= self.m <= 998:
+            raise ConfigError(f"ba attachment count m must lie in [1, 998], got {self.m}")
 
 
 def default_msg_classes() -> tuple[ClassSpec, ...]:

@@ -11,10 +11,10 @@ beta = 0 the structure term is skipped outright (no residual graph is
 built). The first stage pools the graph's constant adjacency and records
 S A, so its term is taken from S A and S S^T without the n x n residual;
 only the pooled second stage, whose adjacency takes a gradient, forms it.
-``graph_loss`` is the only loss: one tape node over the logits, whose
-softmax it takes itself, and each counted stage's (adjacency, assignment),
-with a hand-written vjp. Validation goes through ``CrossScaleModel.predict``
-and records no tape.
+``graph_loss`` is the only loss: one tape node over the logits and each
+counted stage's (adjacency, assignment), with a hand-written vjp. Its
+cross-entropy is log-softmax of the logits, finite for any finite logits.
+Validation goes through ``CrossScaleModel.predict`` and records no tape.
 
 Training batches, validation passes, ``evaluate_accuracy`` passes and the
 operand build before a fork (``_build_operands``) each run in two lanes
@@ -23,9 +23,9 @@ batches and validation, any other evaluation pass one of its own, and a
 build a builder. A batch's gradient is lane 0's sum plus lane 1's, and a
 pass adds the lanes' hit counts. Each ``train`` call logs one INFO line on the
 ``wavepool.training`` logger saying where lane 1 runs and why, and at DEBUG
-one record per epoch (losses, gradient norms, clipped steps, graphs at the
-probability floor, seconds in the lanes and in validation), one line per
-evaluation pass and one per build of any wavelet operand.
+one record per epoch (losses, gradient norms, clipped steps, seconds in
+the lanes and in validation), one line per evaluation pass and one per
+build of any wavelet operand.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .autodiff import Var
 from .errors import ConfigError, ContractViolationError, NumericError
 from .graphs import GraphDataset
 from .lanes import Lanes, _one_blas_thread, _shared_arrays
-from .layers import _softmax, _softmax_vjp
 from .model import CrossScaleModel, ForwardResult, PoolStage, mid_pool_size
 from .settings import check_fields
 from .spectral import cosine_transform
@@ -53,8 +52,6 @@ from .spectral import cosine_transform
 OPTIMIZERS = ("adam", "momentum")
 
 STAGE_MODES = ("mean", "sum", "first")
-
-PROB_FLOOR = 1e-12  # clamp before log so empty support cannot produce -inf
 
 _SHUFFLE_STREAM = 0x53485546
 
@@ -100,25 +97,26 @@ class TrainConfig:
 
 
 def _cross_entropy(label: int, logits: Var, class_count: int):
-    """The scaled cross-entropy of q = softmax(logits), whether q[label] is at
-    the clip floor, and a vjp adding g * dCE/dlogits (0 at the floor) into a buffer."""
+    """The scaled cross-entropy (logsumexp(z) - z[label]) / c of the logits z,
+    with the max shifted out, and a vjp adding g (softmax(z) - e_label) / c
+    into the logits' buffer."""
     if not 0 <= label < class_count:
         raise ContractViolationError(f"label {label} outside [0, {class_count})")
     z = logits.value
     if z.shape != (class_count,):
         raise ContractViolationError(f"logit vector has shape {z.shape}, expected ({class_count},)")
-    q = _softmax(z)
-    clipped = np.maximum(q, PROB_FLOOR)
-    factor = -1.0 / class_count
-    floored = bool(q[label] <= PROB_FLOOR)
+    shifted = z - z.max()
+    e = np.exp(shifted)
+    total = e.sum()
+    factor = 1.0 / class_count
 
     def vjp(g, acc):
-        if q[label] > PROB_FLOOR:
-            at_q = np.zeros(class_count)
-            at_q[label] = g * factor / clipped[label]
-            acc += _softmax_vjp(at_q, q)
+        grad = e / total
+        grad[label] -= 1.0
+        grad *= g * factor
+        acc += grad
 
-    return np.log(clipped)[label] * factor, floored, vjp
+    return (np.log(total) - shifted[label]) * factor, vjp
 
 
 def _structure(stage: PoolStage):
@@ -168,7 +166,6 @@ class LossParts:
     l_epsilon: float
     l_p: float
     total: float
-    floored: bool = False  # q[label] at PROB_FLOOR: no classification gradient
 
 
 def graph_loss(result: ForwardResult, label: int, class_count: int,
@@ -183,7 +180,7 @@ def graph_loss(result: ForwardResult, label: int, class_count: int,
     if stage_mode not in STAGE_MODES:
         raise ContractViolationError(
             f"stage_mode must be one of {STAGE_MODES}, got {stage_mode!r}")
-    ce, floored, ce_vjp = _cross_entropy(label, result.logits, class_count)
+    ce, ce_vjp = _cross_entropy(label, result.logits, class_count)
     stages = []
     if beta != 0.0:
         stages = result.stages[:1] if stage_mode == "first" else result.stages
@@ -203,7 +200,7 @@ def graph_loss(result: ForwardResult, label: int, class_count: int,
 
     inputs = (result.logits,) + tuple(
         var for stage in stages for var in (stage.adjacency, stage.assignment))
-    return ad.node(total, inputs, vjp), LossParts(float(ce), float(lp), float(total), floored)
+    return ad.node(total, inputs, vjp), LossParts(float(ce), float(lp), float(total))
 
 
 # -- optimizers -----------------------------------------------------------
@@ -338,7 +335,7 @@ class _NonFinite(Exception):
 
 def _run_lane(model: CrossScaleModel, graphs, config: TrainConfig, indices):
     """Forward, loss and backward for each graph at ``indices`` in turn.
-    Returns the per-graph (l_epsilon, l_p, total, correct, floored) and the
+    Returns the per-graph (l_epsilon, l_p, total, correct) and the
     gradients added, by parameter name, taken off the parameters; raises
     ``_NonFinite`` at the first non-finite loss, before its backward."""
     parts = []
@@ -348,7 +345,7 @@ def _run_lane(model: CrossScaleModel, graphs, config: TrainConfig, indices):
                              config.beta, config.lp_stage_mode)
         if not np.isfinite(p.total):
             raise _NonFinite
-        parts.append((p.l_epsilon, p.l_p, p.total, result.prediction == graph.label, p.floored))
+        parts.append((p.l_epsilon, p.l_p, p.total, result.prediction == graph.label))
         ad.backward(loss)
     params = model.params
     grads = {name: var.grad for name, var in params.items() if var.grad is not None}
@@ -504,14 +501,13 @@ def evaluate_accuracy(model: CrossScaleModel, dataset: GraphDataset) -> float:
         return _accuracy(graphs, pass_lanes, "in a process forked for this pass")
 
 
-def _log_epoch(record: EpochRecord, norms: list[float], clip: float | None, floored: int,
+def _log_epoch(record: EpochRecord, norms: list[float], clip: float | None,
                lane_s: float, val_s: float) -> None:
     clipped = 0 if clip is None else sum(norm > clip for norm in norms)
     log.debug("epoch %d: l_epsilon %.6g, l_p %.6g, l_total %.6g; pre-clip gradient norm "
-              "max %.4g, median %.4g; %d of %d steps clipped; %d graphs at the probability "
-              "floor; lanes %.3f s, validation %.3f s",
+              "max %.4g, median %.4g; %d of %d steps clipped; lanes %.3f s, validation %.3f s",
               record.epoch, record.l_epsilon, record.l_p, record.l_total, max(norms),
-              float(np.median(norms)), clipped, len(norms), floored, lane_s, val_s)
+              float(np.median(norms)), clipped, len(norms), lane_s, val_s)
 
 
 @_one_blas_thread()
@@ -545,7 +541,7 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
         for epoch in range(config.epochs):
             order = rng.permutation(count) if config.shuffle else np.arange(count)
             sums = np.zeros(3)
-            correct = floored = 0
+            correct = 0
             diverged = False
             norms = []
             lane_s = 0.0
@@ -556,10 +552,9 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
                 if parts is None:
                     diverged = True
                     break
-                for l_epsilon, l_p, total, hit, at_floor in parts:
+                for l_epsilon, l_p, total, hit in parts:
                     sums += (l_epsilon, l_p, total)
                     correct += hit
-                    floored += at_floor
                 try:
                     norms.append(optimizer.step(model.params, len(batch)))
                 except NumericError:
@@ -580,8 +575,7 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
                 val_acc=val_acc,
             ))
             if watch:
-                _log_epoch(report.epochs[-1], norms, config.grad_clip_norm, floored, lane_s,
-                           val_s)
+                _log_epoch(report.epochs[-1], norms, config.grad_clip_norm, lane_s, val_s)
             if val_acc > best_val:
                 best_val = val_acc
                 best_state = model.state()

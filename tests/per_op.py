@@ -18,7 +18,7 @@ from wavepool.errors import ContractViolationError, NumericError
 from wavepool.layers import GcnInput
 from wavepool.model import ForwardResult, PoolStage, mid_pool_size
 from wavepool.spectral import cosine_transform
-from wavepool.training import PROB_FLOOR, STAGE_MODES
+from wavepool.training import STAGE_MODES
 
 # -- operations -----------------------------------------------------------
 
@@ -108,10 +108,10 @@ def log(a):
     return ad.node(np.log(a.value), (a,), lambda g, grads: grads[0].__iadd__(g / a.value))
 
 
-def clip_min(a, lo: float):
+def exp(a):
     a = ad.as_var(a)
-    return ad.node(np.maximum(a.value, lo), (a,),
-                   lambda g, grads: grads[0].__iadd__(g * (a.value > lo)))
+    e = np.exp(a.value)
+    return ad.node(e, (a,), lambda g, grads: grads[0].__iadd__(g * e))
 
 
 def rsqrt(a):
@@ -307,11 +307,11 @@ def classify(x_final, weight, bias):
 
 
 def cross_entropy_loss(label, logits, class_count):
-    probs = reshape(row_softmax(reshape(logits, (1, class_count))), (class_count,))
-    onehot = np.zeros(class_count)
-    onehot[label] = 1.0
-    picked = sum_all(mul(ad.constant(onehot), log(clip_min(probs, PROB_FLOOR))))
-    return scale(picked, -1.0 / class_count)
+    """(logsumexp(z) - z[label]) / c, with the max of z shifted out as a
+    constant; the shift leaves the gradient unchanged."""
+    shifted = sub(logits, ad.constant(logits.value.max()))
+    lse = log(sum_all(exp(shifted)))
+    return scale(sub(lse, getitem(shifted, label)), 1.0 / class_count)
 
 
 def link_prediction_loss(stage):

@@ -104,7 +104,7 @@ def test_negative_seed_exits_2_and_names_it(bench_dir, tmp_path, capsys, command
 @pytest.mark.parametrize("spec", [
     {"family": "er", "p": 1.5}, {"family": "er", "p": -0.1},
     {"family": "ws", "k": 3}, {"family": "ws", "k": -2}, {"family": "ws", "p_rewire": 1.5},
-    {"family": "ba", "m": 0},
+    {"family": "ws", "k": 1200}, {"family": "ba", "m": 0}, {"family": "ba", "m": 1000},
 ], ids=lambda spec: "-".join(map(str, spec.values())))
 def test_bad_family_parameter_exits_2_before_any_output(tmp_path, capsys, spec):
     cfg = tmp_path / "c.json"
@@ -473,7 +473,6 @@ def test_debug_shows_each_epoch_and_evaluation_pass(bench_dir, tmp_path):
     assert lines[0].startswith("INFO wavepool.training: lane 1 runs ")
     assert [line.split(":")[1] for line in epochs] == [" epoch 0", " epoch 1"]  # --epochs 2
     assert "pre-clip gradient norm max " in epochs[0] and "steps clipped" in epochs[0]
-    assert re.search(r"; \d+ graphs at the probability floor;", epochs[0])
     builds = [line for line in lines if line.startswith("DEBUG wavepool.training: built ")]
     assert len(passes) == 3  # two validation passes and the test split
     assert len(lines) == 1 + len(epochs) + len(passes) + len(builds)

@@ -779,10 +779,10 @@ def test_predict_records_no_tape(variant, rng, monkeypatch):
 # degree features, some of whose columns are all zero; any change to the
 # pipeline's arithmetic, or to which parameters a stage reads, changes these
 PIPELINE_DIGESTS = {
-    "gcn_diffpool": "554b446becb8f43ba7f41defce9faaec0a93c7b6fda6e4ac0545f847a6b564b4",
-    "gcn_spectral": "fe1565e276bb1a2265ffaf84364525ad704560c38ec830d0fccee17c894c468a",
-    "wavelet_diffpool": "1aabe327592d272ca9d7a820bc934a8eda2bb70253b78894bc8d5d79471bce65",
-    "wavelet_spectral": "d02df6493ebb136210b3c35b0e33dee32ee6f8dd454716510968466ba669bf58",
+    "gcn_diffpool": "2cd5dcfc8ef31476cec1fddc66f79767407359db26c0755f0d9d688d149e14ca",
+    "gcn_spectral": "794395810a7768361fc1e2854814eb8447b6a885fe4c4e719a7527f67dfb38fd",
+    "wavelet_diffpool": "938123cab4ed0b530b99198f5938c34ea478133f691d7cce08e24e35e7559ea7",
+    "wavelet_spectral": "478d1d712987a018c242b2befcf404ce1109e36e2f30da85d0a1af4f003ec98a",
 }
 
 

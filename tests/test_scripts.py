@@ -62,6 +62,17 @@ def test_size_range_outside_the_generator_bounds_exits_2(tmp_path, capsys, name)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["synthetic_benchmark", "sensitivity_sweeps"])
+@pytest.mark.parametrize("flag", ["--seeds", "--epochs"])
+def test_no_seed_or_no_epoch_exits_2_before_any_output(tmp_path, capsys, name, flag):
+    out = tmp_path / "o"
+    assert load_script(name).main(["--out", str(out), flag, "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_fetch_tu_dataset_help_needs_no_network(capsys):
     with pytest.raises(SystemExit) as exit_info:
         load_script("fetch_tu_dataset").main(["--help"])

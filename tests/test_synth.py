@@ -206,6 +206,21 @@ def test_build_respects_size_range_with_family_minimums():
     assert all(g.node_count == 4 for g in build_msg(ba_only).graphs)
 
 
+@pytest.mark.parametrize("spec", [dict(family="ws", k=1200), dict(family="ws", k=100_000),
+                                  dict(family="ba", m=1000)],
+                         ids=lambda spec: "-".join(map(str, spec.values())))
+def test_family_minimum_past_the_size_ceiling_fails_at_construction(monkeypatch, spec):
+    """The generator raises n to k + 1 (ws) or m + 2 (ba); past 1000 nodes
+    the spec is rejected before any graph is drawn."""
+    def unreachable(*args):
+        raise AssertionError("a generator ran")
+
+    monkeypatch.setattr("wavepool.synth.gen_ws", unreachable)
+    monkeypatch.setattr("wavepool.synth.gen_ba", unreachable)
+    with pytest.raises(ConfigError, match=", 998\\]"):
+        build_msg(MsgConfig(classes=(ClassSpec(count=1, size_range=(8, 12), **spec),)))
+
+
 def test_build_drops_unsourced_empirical_with_lite_label():
     with pytest.warns(UserWarning, match="-lite"):
         ds = build_msg(MsgConfig(seed=0))
