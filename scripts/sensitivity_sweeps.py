@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from wavepool.cli import exit_code, parse_span
+from wavepool.cli import _parse_at_least, exit_code, parse_span
 from wavepool.harness import (
     ExperimentPlan,
     run_sensitivity,
@@ -37,11 +37,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="runs/sweeps", help="output directory")
     parser.add_argument("--axes", nargs="+", choices=sorted(GRIDS),
                         default=["F", "M", "beta"])
-    parser.add_argument("--per-class", type=int, default=60)
+    parser.add_argument("--per-class", type=_parse_at_least(1), default=60)
     parser.add_argument("--size-range", type=parse_span, default="20:200",
                         help="node range LO:HI")
-    parser.add_argument("--seeds", type=int, default=5, help="use seeds 0..N-1")
-    parser.add_argument("--epochs", type=int, default=200)
+    parser.add_argument("--seeds", type=_parse_at_least(0), default=5,
+                        help="use seeds 0..N-1")
+    parser.add_argument("--epochs", type=_parse_at_least(0), default=200)
     args = parser.parse_args(argv)
     return exit_code(lambda: run(args))
 

@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from wavepool.cli import exit_code, parse_span
+from wavepool.cli import _parse_at_least, exit_code, parse_span
 from wavepool.graphs import SplitSpec, split_dataset
 from wavepool.harness import (
     ExperimentPlan,
@@ -33,12 +33,13 @@ from wavepool.training import TrainConfig
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="runs/synthetic", help="output directory")
-    parser.add_argument("--per-class", type=int, default=60)
+    parser.add_argument("--per-class", type=_parse_at_least(1), default=60)
     parser.add_argument("--size-range", type=parse_span, default="20:200",
                         help="node range LO:HI")
-    parser.add_argument("--seeds", type=int, default=5, help="use seeds 0..N-1")
-    parser.add_argument("--epochs", type=int, default=200)
-    parser.add_argument("--data-seed", type=int, default=0)
+    parser.add_argument("--seeds", type=_parse_at_least(0), default=5,
+                        help="use seeds 0..N-1")
+    parser.add_argument("--epochs", type=_parse_at_least(0), default=200)
+    parser.add_argument("--data-seed", type=_parse_at_least(0), default=0)
     args = parser.parse_args(argv)
     return exit_code(lambda: run(args))
 

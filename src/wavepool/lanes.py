@@ -1,7 +1,13 @@
 """Two lanes on two CPUs: the lane rule (``lanes``), the OpenBLAS pin
 (``_one_blas_thread``, so that the numbers do not depend on the thread count
 the process started with) and ``Lanes``, the only code that forks a worker,
-writes it a request, reads its reply and reaps it."""
+writes it a request, reads its reply and reaps it.
+
+A worker may serve many jobs and outlive the call that forked it, so every
+live one is kept in ``_LIVE`` until ``Lanes.close`` reaps it. A process
+forked while workers live, a worker or anyone else's child, closes their
+pipe ends at once (``_forget_workers``): a worker leaves at EOF, which it
+would never see while another process held its request pipe open."""
 
 from __future__ import annotations
 
@@ -20,7 +26,12 @@ from itertools import accumulate
 
 import numpy as np
 
+# why a worker's exchange failed, in ``Lanes.fault``; a worker that dies
+# raises ``ChildProcessError(DIED)`` in the caller
 DIED = "the lane worker exited unexpectedly"
+CUT_SHORT = "a request did not finish cleanly"
+
+_LIVE: set[Lanes] = set()  # every Lanes whose worker is forked and not yet reaped
 
 
 def lanes(sizes) -> tuple[list[int], list[int]]:
@@ -119,32 +130,51 @@ def _shipped(error: Exception) -> tuple[Exception, str]:
 
 
 def _serve(inbox, outbox, handlers: dict) -> None:
-    """A worker's loop: answer each ``(kind, payload)`` request read from
-    ``inbox`` with ``(handlers[kind](payload), None)``, or ``(None, shipped
-    error)`` when the handler raises. Returns at EOF."""
+    """A worker's loop: answer each ``(kind, args, indices)`` request read
+    from ``inbox`` with ``(handlers[kind](*args, indices), None)``, or
+    ``(None, shipped error)`` when the handler raises. Returns at EOF."""
     while True:
         try:
-            kind, payload = pickle.load(inbox)
+            kind, args, indices = pickle.load(inbox)
         except EOFError:
             return
         try:
-            reply = handlers[kind](payload), None
+            reply = handlers[kind](*args, indices), None
         except Exception as exc:
             reply = None, _shipped(exc)
         _send(outbox, reply)
+
+
+def _forget_workers() -> None:
+    """In a newly forked process: close the pipe ends of every live worker,
+    which belong to the parent, and forget them, so that the parent alone
+    decides when each worker sees EOF and reaps it."""
+    for other in _LIVE:
+        for pipe in other.pipes:
+            with suppress(OSError):
+                pipe.close()
+        other.pid = other.pipes = None
+    _LIVE.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 class Lanes:
     """Two lanes whose lane 1 runs in one forked worker where
     ``worker_plan(count)`` allows it (``forked``, ``reason``), else here
     after lane 0, with the same numbers. ``handlers`` maps each kind of job
-    to the function that runs one lane of it, given the lane's indices.
-    Call ``fork`` once, then ``run`` jobs, then ``close`` to reap the worker."""
+    to the function that runs one lane of it in the worker, given the
+    request's arguments and the lane's indices. Call ``fork`` once, then
+    ``run`` any number of jobs, then ``close`` to reap the worker. A job whose
+    exchange with the worker fails sets ``fault``; the worker is then of no
+    further use, and only ``close`` remains."""
 
     def __init__(self, count: int, handlers: dict):
         self.forked, self.reason = worker_plan(count)
         self.handlers = handlers
-        self.pid = self.pipes = None
+        self.pid = self.pipes = self.fault = None
 
     def fork(self, prepare=None) -> None:
         """Where lane 1 forks: call ``prepare``, which builds what the worker
@@ -152,7 +182,10 @@ class Lanes:
         memory as it was at the fork, copy-on-write, apart from shared
         mappings. It ignores SIGINT (the parent handles Ctrl-C) and warnings,
         never logs, and leaves with ``os._exit`` at EOF or on a broken pipe,
-        so it also ends when its parent is killed."""
+        so it also ends when its parent is killed. This process drops the
+        handlers, so that a handler bound to an object does not keep it
+        alive here."""
+        handlers, self.handlers = self.handlers, None
         if not self.forked:
             return
         if prepare is not None:
@@ -173,7 +206,7 @@ class Lanes:
                 os.close(to_worker)
                 os.close(from_worker)
                 with os.fdopen(from_parent, "rb") as inbox, os.fdopen(to_parent, "wb") as outbox:
-                    _serve(inbox, outbox, self.handlers)
+                    _serve(inbox, outbox, handlers)
                 status = 0
             finally:
                 os._exit(status)
@@ -181,24 +214,27 @@ class Lanes:
         os.close(to_parent)
         self.pid = pid
         self.pipes = (os.fdopen(to_worker, "wb"), os.fdopen(from_worker, "rb"))
+        _LIVE.add(self)
 
-    def run(self, graphs, indices, kind: str, here=None):
+    def run(self, graphs, indices, kind: str, here, args=()):
         """Split the graphs at ``indices`` into two ``lanes`` and return each
         lane's positions in ``indices`` and its result. Lane 0 is ``here(its
-        indices)``, by default ``handlers[kind]``. Lane 1 goes to the
-        worker's ``kind`` handler, sent before lane 0 starts and received
-        after it ends, even when lane 0 raises; with no worker it is ``here``
-        after lane 0. The first error in lane order is raised, and a worker
-        that dies as ``ChildProcessError``."""
-        here = self.handlers[kind] if here is None else here
+        indices)``. Lane 1 goes to the worker's ``kind`` handler with
+        ``args``, sent before lane 0 starts and received after it ends, even
+        when lane 0 raises; with no worker it is ``here`` after lane 0. The
+        first error in lane order is raised, and a worker that dies as
+        ``ChildProcessError``. Unless the worker's reply arrives whole and
+        carries no error, ``fault`` says why."""
         positions = lanes([graphs[i].node_count for i in indices])
         first, second = ([indices[p] for p in lane] for lane in positions)
         if self.pipes is None:
             return positions, [here(first), here(second)]
         requests, replies = self.pipes
+        self.fault = CUT_SHORT  # until a whole reply without an error arrives
         try:
-            _send(requests, (kind, second))
+            _send(requests, (kind, args, second))
         except BrokenPipeError:
+            self.fault = DIED
             raise ChildProcessError(DIED) from None
         try:
             mine = here(first)
@@ -206,7 +242,10 @@ class Lanes:
             try:
                 theirs, error = pickle.load(replies)
             except (EOFError, pickle.UnpicklingError):  # no reply, or one cut short
+                self.fault = DIED
                 raise ChildProcessError(DIED) from None
+            if error is None:
+                self.fault = None
         if error is not None:
             error, text = error
             if hasattr(error, "add_note"):  # Python 3.11 on
@@ -215,14 +254,14 @@ class Lanes:
         return positions, [mine, theirs]
 
     def close(self) -> None:
-        """Drop the handlers, and close the pipes, so that the worker leaves,
-        and reap it. A request that a dead worker left unread fails to flush,
-        and its pipe closes all the same."""
-        self.handlers = None  # a handler bound to the caller would hold it in a cycle
+        """Close the pipes, so that the worker leaves, and reap it. A request
+        that a dead worker left unread fails to flush, and its pipe closes
+        all the same."""
         if self.pipes is None:
             return
         requests, replies = self.pipes
         self.pipes = None
+        _LIVE.discard(self)
         try:
             with suppress(BrokenPipeError):
                 requests.close()

@@ -66,8 +66,10 @@ from .layers import (
 )
 from .settings import check_fields, decode
 from .spectral import (
+    BESSEL_MAX_ARG,
     MODE_CLOSED_FORM,
     MODE_FITTED_KERNEL,
+    ORDER_MAX,
     cosine_transform,
     normalized_laplacian,
     wavelet_bases,
@@ -107,10 +109,14 @@ class ModelConfig:
             raise ContractViolationError("need 1 <= m_out <= n_max")
         if len(self.scales) < 1 or not all(0 < s < math.inf for s in self.scales):
             raise ContractViolationError("scales must be finite, positive and nonempty")
-        if self.order < 1:
-            raise ContractViolationError("order must be >= 1")
+        if not 1 <= self.order <= ORDER_MAX:
+            raise ContractViolationError(f"order must lie in [1, {ORDER_MAX}], got {self.order}")
         if self.basis_mode not in (MODE_CLOSED_FORM, MODE_FITTED_KERNEL):
             raise ContractViolationError(f"unknown basis mode {self.basis_mode!r}")
+        if self.basis_mode == MODE_CLOSED_FORM and max(self.scales) > BESSEL_MAX_ARG:
+            raise ContractViolationError(
+                f"scales must be at most {BESSEL_MAX_ARG} in {MODE_CLOSED_FORM} mode, whose "
+                f"Bessel series holds there; got {max(self.scales)}")
         if self.activation not in ACTIVATIONS:
             raise ContractViolationError(f"unknown activation {self.activation!r}")
 

@@ -44,6 +44,9 @@ _MODES = (MODE_CLOSED_FORM, MODE_FITTED_KERNEL)
 
 BESSEL_MAX_ARG = 50.0
 BESSEL_TERM_TOL = 1e-16
+# the highest Chebyshev order a model may ask for: ``bessel_i`` starts its
+# series at (x/2)^i / i!, and 171! is past the float range
+ORDER_MAX = 170
 
 
 @dataclass(frozen=True)

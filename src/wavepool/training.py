@@ -18,14 +18,22 @@ Validation goes through ``CrossScaleModel.predict`` and records no tape.
 
 Training batches, validation passes, ``evaluate_accuracy`` passes and the
 operand build before a fork (``_build_operands``) each run in two lanes
-through ``wavepool.lanes.Lanes``: ``train`` forks one worker for its
-batches and validation, any other evaluation pass one of its own, and a
-build a builder. A batch's gradient is lane 0's sum plus lane 1's, and a
-pass adds the lanes' hit counts. Each ``train`` call logs one INFO line on the
-``wavepool.training`` logger saying where lane 1 runs and why, and at DEBUG
-one record per epoch (losses, gradient norms, clipped steps, seconds in
-the lanes and in validation), one line per evaluation pass and one per
-build of any wavelet operand.
+through ``wavepool.lanes.Lanes``. A batch's gradient is lane 0's sum plus
+lane 1's, and a pass adds the lanes' hit counts. Where lane 1 forks, each
+model keeps one lane worker (``_LaneWorker``), forked the first time a
+``train`` or ``evaluate_accuracy`` call needs it, over that call's graphs;
+later calls reuse it while it holds every graph they name. It is retired
+(its pipes closed, its process reaped) when the model is collected or the
+interpreter exits, when a call needs graphs it does not hold (a new one is
+then forked over those), and when a request does not finish cleanly. An
+operand build forks a builder of its own.
+
+Each ``train`` call logs one INFO line on the ``wavepool.training`` logger
+saying where lane 1 runs, whether it reuses the model's worker, and why.
+At DEBUG it logs one record per epoch (losses, gradient norms, clipped
+steps, seconds in the lanes and in validation), one line per evaluation
+pass, one per build of any wavelet operand and one per worker forked or
+retired, with the graphs it holds and the reason.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import logging
 import mmap
 import time
 import warnings
+import weakref
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
@@ -41,6 +50,7 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
+from . import lanes
 from .autodiff import Var
 from .errors import ConfigError, ContractViolationError, NumericError
 from .graphs import GraphDataset
@@ -330,7 +340,7 @@ def _batches(order: np.ndarray, size: int):
 
 
 class _NonFinite(Exception):
-    """A lane met a non-finite loss; ``_TrainingLanes.run`` turns it into None."""
+    """A lane met a non-finite loss; ``_batch`` turns it into None."""
 
 
 def _run_lane(model: CrossScaleModel, graphs, config: TrainConfig, indices):
@@ -398,107 +408,179 @@ def _build_operands(model: CrossScaleModel, graphs) -> None:
                   builder.reason)
 
 
-class _TrainingLanes:
-    """``train``'s ``Lanes``: ``run`` takes one mini-batch, and ``accuracy``
-    one validation pass. Where lane 1 forks, one worker serves both for the
-    ``train`` call; it reads the parameters from, and writes lane 1's
-    gradients to, one anonymous shared mapping."""
+def _serve_batch(model: CrossScaleModel, graphs, shared_grads: dict, config: TrainConfig,
+                 indices):
+    """Lane 1 of a batch, in the worker: its per-graph parts and the names
+    of the parameters it reached, whose gradients it leaves in the shared
+    buffers."""
+    parts, grads = _run_lane(model, graphs, config, indices)
+    for name, grad in grads.items():
+        shared_grads[name][...] = grad
+    return parts, list(grads)
 
-    def __init__(self, model: CrossScaleModel, train_set: GraphDataset,
-                 val_set: GraphDataset, config: TrainConfig):
-        self.model = model
-        self.graphs = train_set.graphs
-        self.val_graphs = val_set.graphs
-        self.lane = partial(_run_lane, model, self.graphs, config)
-        self.lanes = Lanes(config.batch_size, {
-            "train": self._serve_lane, "predict": partial(_hits, model, self.val_graphs)})
-        log.info("lane 1 runs %s: %s", "in a forked worker, for batches and validation"
-                 if self.lanes.forked else "in-process", self.lanes.reason)
-        self.lanes.fork(self._share)
 
-    def _share(self) -> None:
-        """Build every graph's operands, then move the parameters into one
-        shared mapping next to lane 1's gradient buffers."""
-        _build_operands(self.model, self.graphs + self.val_graphs)
-        params = self.model.params
-        shapes = [var.value.shape for var in params.values()]
-        self.mapping, arrays, spans = _shared_arrays(shapes + shapes)
-        for var, value in zip(params.values(), arrays):
-            value[...] = var.value
-            var.value = value
-        self.shared_grads = dict(zip(params, arrays[len(shapes):]))
-        self.grad_spans = dict(zip(params, spans[len(shapes):]))
+# every model's latest lane worker; a retired one stays until replaced
+_WORKERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    def _serve_lane(self, indices: list[int]):
-        """Lane 1 of a batch, in the worker: its per-graph parts and the
-        names of the parameters it reached, whose gradients it leaves in the
-        shared buffers."""
-        parts, grads = self.lane(indices)
-        for name, grad in grads.items():
-            self.shared_grads[name][...] = grad
-        return parts, list(grads)
 
-    def run(self, batch: np.ndarray):
-        """The parts of every graph in batch order, leaving lane 0's gradient
-        sum plus lane 1's on the parameters, or None when a lane met a
-        non-finite loss; the first error in lane order is raised."""
-        try:
-            positions, results = self.lanes.run(self.graphs, [int(i) for i in batch], "train",
-                                                self.lane)
-        except _NonFinite:
-            return None
-        (_, grads), (_, more) = results
+class _LaneWorker:
+    """Lane 1 of a model's jobs over ``graphs``, each job naming its graphs
+    by their indices there: in one worker forked over them where
+    ``Lanes(count)`` forks, else here after lane 0.
+
+    Before a fork, every graph's operands are built (``_build_operands``)
+    and the parameters move into one anonymous shared mapping, next to lane
+    1's gradient buffers, where the optimizer updates them in place for both
+    processes. A forked worker holds no reference to the model, so that
+    ``weakref.finalize`` retires it when the model goes, or at exit.
+    """
+
+    def __init__(self, model: CrossScaleModel, graphs, count: int):
+        self.graphs = tuple(graphs)
+        self.index = {}
+        for i, graph in enumerate(self.graphs):
+            self.index.setdefault(id(graph), i)
+        self.lanes = Lanes(count, {
+            "train": lambda config, indices: _serve_batch(model, self.graphs, self.grads,
+                                                          config, indices),
+            "predict": lambda indices: _hits(model, self.graphs, indices)})
+        self.lanes.fork(partial(self._share, model))
         if self.lanes.forked:
-            more = {name: self.shared_grads[name] for name in more}
-        params = self.model.params
-        for name, grad in grads.items():
-            params[name].grad = grad
-        for name, grad in more.items():  # lane 0's sum plus lane 1's
-            var = params[name]
-            if var.grad is None:
-                var.grad = grad.copy()
-            else:
-                var.grad += grad
-            if self.lanes.forked:
-                # drop the pages just read from this process's memory (the
-                # worker keeps them), so that lane 1's buffers cost the
-                # parent one tensor at a time
-                self.mapping.madvise(mmap.MADV_DONTNEED, *self.grad_spans[name])
-        ordered = [None] * len(batch)
-        for lane, (parts, _) in zip(positions, results):
-            for pos, part in zip(lane, parts):
-                ordered[pos] = part
-        return ordered
+            self.finalizer = weakref.finalize(model, self.retire, "its model was dropped")
 
-    def accuracy(self) -> float:
-        """The validation set's accuracy, equal to ``evaluate_accuracy``'s."""
-        return _accuracy(self.val_graphs, self.lanes, "in the training worker")
+    def _share(self, model: CrossScaleModel) -> None:
+        """What the worker should find at the fork: every graph's operands,
+        and the parameters in the shared mapping."""
+        _build_operands(model, self.graphs)
+        names = list(model.params)
+        shapes = [model.params[name].value.shape for name in names]
+        self.mapping, arrays, spans = _shared_arrays(shapes + shapes)
+        self.params = dict(zip(names, arrays))
+        self.grads = dict(zip(names, arrays[len(names):]))
+        self.grad_spans = dict(zip(names, spans[len(names):]))
+        self.rebind(model)
 
-    def close(self) -> None:
-        """End the worker, if any. The parameters stay in the shared mapping
-        until ``load_state`` replaces them, as ``train`` does on return."""
+    def rebind(self, model: CrossScaleModel) -> None:
+        """Copy every parameter array replaced since the fork (``load_state``
+        replaces them all) into the shared mapping, and rebind it there."""
+        for name, var in model.params.items():
+            shared = self.params[name]
+            if var.value is not shared:
+                shared[...] = var.value
+                var.value = shared
+
+    @property
+    def live(self) -> bool:
+        return self.lanes.pipes is not None
+
+    def holds(self, graphs) -> bool:
+        return all(id(graph) in self.index for graph in graphs)
+
+    def places(self, graphs) -> list[int]:
+        """Each graph's index among the graphs this worker holds."""
+        return [self.index[id(graph)] for graph in graphs]
+
+    def run(self, model: CrossScaleModel, indices, kind: str, here, *args):
+        """``Lanes.run`` of the graphs at ``indices``; a live worker first
+        takes any replaced parameter (``rebind``), and is retired when the
+        exchange fails."""
+        if self.live:
+            self.rebind(model)
+        try:
+            return self.lanes.run(self.graphs, indices, kind, here, args)
+        finally:
+            if self.lanes.fault is not None:
+                self.retire(self.lanes.fault)
+
+    def retire(self, why: str) -> None:
+        """Close the worker's pipes and reap it, and log why."""
+        if not self.live:
+            return
+        log.debug("retired the lane worker %d over %d graphs: %s", self.lanes.pid,
+                  len(self.graphs), why)
+        self.finalizer.detach()
         self.lanes.close()
 
 
-def _accuracy(graphs, pass_lanes: Lanes, where: str) -> float:
-    """The share of ``graphs`` that the lanes' "predict" handler counts
-    right; logs lane 1 as running ``where`` when it forks, else in-process."""
+def _lane_worker(model: CrossScaleModel, graphs, count: int,
+                 announce: bool = False) -> tuple[_LaneWorker, str]:
+    """Lane 1 of a job of ``count`` graphs out of ``graphs``, and why it
+    runs where it does, for the log. Where lane 1 forks, that is the model's
+    worker: reused if it holds every graph, else forked now over ``graphs``
+    once the old one is retired. Elsewhere lane 1 runs here after lane 0,
+    and the model's worker, if any, waits for a later call. ``announce``
+    logs ``train``'s INFO line, before any fork."""
+    forked, reason = lanes.worker_plan(count)
+    old = _WORKERS.get(model)
+    reuse = forked and old is not None and old.live and old.holds(graphs)
+    if announce:
+        log.info("lane 1 runs %s, for batches and validation: %s",
+                 "in-process" if not forked else "in the model's lane worker, "
+                 + ("reused" if reuse else "forked for this call"), reason)
+    if reuse:
+        return old, reason
+    if forked and old is not None and old.live:
+        old.retire("a call needs graphs it does not hold")
+    worker = _LaneWorker(model, graphs, count)
+    if worker.lanes.forked:
+        _WORKERS[model] = worker
+        log.debug("forked a lane worker %d over %d graphs: %s", worker.lanes.pid,
+                  len(worker.graphs), "the model had none" if old is None
+                  else "its last one was retired")
+    return worker, worker.lanes.reason
+
+
+def _batch(model: CrossScaleModel, worker: _LaneWorker, indices, config: TrainConfig):
+    """The parts of every graph of a batch, at ``indices`` in the worker's
+    graphs, in batch order, leaving lane 0's gradient sum plus lane 1's on
+    the parameters, or None when a lane met a non-finite loss; the first
+    error in lane order is raised."""
+    try:
+        positions, results = worker.run(model, indices, "train",
+                                        partial(_run_lane, model, worker.graphs, config), config)
+    except _NonFinite:
+        return None
+    (_, grads), (_, more) = results
+    if worker.lanes.forked:
+        more = {name: worker.grads[name] for name in more}
+    params = model.params
+    for name, grad in grads.items():
+        params[name].grad = grad
+    for name, grad in more.items():  # lane 0's sum plus lane 1's
+        var = params[name]
+        if var.grad is None:
+            var.grad = grad.copy()
+        else:
+            var.grad += grad
+        if worker.lanes.forked:
+            # drop the pages just read from this process's memory (the
+            # worker keeps them), so that lane 1's buffers cost the
+            # parent one tensor at a time
+            worker.mapping.madvise(mmap.MADV_DONTNEED, *worker.grad_spans[name])
+    ordered = [None] * len(indices)
+    for lane, (parts, _) in zip(positions, results):
+        for pos, part in zip(lane, parts):
+            ordered[pos] = part
+    return ordered
+
+
+def _accuracy(model: CrossScaleModel, worker: _LaneWorker, graphs, reason: str) -> float:
+    """The share of ``graphs``, all held by ``worker``, that ``predict``
+    labels right; logs where lane 1 runs and why."""
     log.debug("evaluating %d graphs: lane 1 runs %s: %s", len(graphs),
-              where if pass_lanes.forked else "in-process", pass_lanes.reason)
-    _, counts = pass_lanes.run(graphs, range(len(graphs)), "predict")
+              "in the model's lane worker" if worker.lanes.forked else "in-process", reason)
+    _, counts = worker.run(model, worker.places(graphs), "predict",
+                           partial(_hits, model, worker.graphs))
     return sum(counts) / len(graphs)
 
 
 @_one_blas_thread()
 def evaluate_accuracy(model: CrossScaleModel, dataset: GraphDataset) -> float:
     """Share of graphs whose ``predict`` (no tape) matches the label, the
-    same wherever each lane runs. Where lane 1 forks, every graph's operands
-    are first built and kept here (``_build_operands``), so that the process
-    forked for it builds none."""
-    graphs = dataset.graphs
-    with closing(Lanes(len(graphs), {"predict": partial(_hits, model, graphs)})) as pass_lanes:
-        pass_lanes.fork(partial(_build_operands, model, graphs))
-        return _accuracy(graphs, pass_lanes, "in a process forked for this pass")
+    same wherever each lane runs. Lane 1 runs in the model's lane worker
+    where it forks (``_lane_worker``)."""
+    worker, reason = _lane_worker(model, dataset.graphs, len(dataset.graphs))
+    return _accuracy(model, worker, dataset.graphs, reason)
 
 
 def _log_epoch(record: EpochRecord, norms: list[float], clip: float | None,
@@ -536,7 +618,9 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
     start = time.perf_counter()
     count = len(train_set.graphs)
     watch = log.isEnabledFor(logging.DEBUG)
-    runner = _TrainingLanes(model, train_set, val_set, config)
+    worker, reason = _lane_worker(model, train_set.graphs + val_set.graphs, config.batch_size,
+                                  announce=True)
+    places = worker.places(train_set.graphs)
     try:
         for epoch in range(config.epochs):
             order = rng.permutation(count) if config.shuffle else np.arange(count)
@@ -547,7 +631,7 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
             lane_s = 0.0
             for batch in _batches(order, config.batch_size):
                 tick = time.perf_counter()
-                parts = runner.run(batch)
+                parts = _batch(model, worker, [places[i] for i in batch], config)
                 lane_s += time.perf_counter() - tick
                 if parts is None:
                     diverged = True
@@ -564,7 +648,7 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
                 report.diverged = True
                 break
             tick = time.perf_counter()
-            val_acc = runner.accuracy()
+            val_acc = _accuracy(model, worker, val_set.graphs, reason)
             val_s = time.perf_counter() - tick
             report.epochs.append(EpochRecord(
                 epoch=epoch,
@@ -582,7 +666,6 @@ def train(model: CrossScaleModel, train_set: GraphDataset, val_set: GraphDataset
                 report.best_epoch = epoch
                 report.best_val_acc = val_acc
     finally:
-        runner.close()
         for var in model.params.values():  # a batch that diverged or raised leaves some
             var.grad = None
     report.seconds = time.perf_counter() - start

@@ -1,7 +1,20 @@
+import gc
+
 import numpy as np
 import pytest
 
+from wavepool import lanes
 from wavepool.graphs import Graph, GraphDataset, degree_onehot_features
+
+
+@pytest.fixture(autouse=True, scope="module")
+def no_lane_worker_outlives_its_module(request):
+    """Every lane worker a test module forks is reaped by the time the
+    module's objects are collected: a model's worker goes with the model."""
+    yield
+    gc.collect()
+    left = sorted(worker.pid for worker in lanes._LIVE)
+    assert not left, f"{request.module.__name__} left lane workers alive: pids {left}"
 
 
 def path_adjacency(n: int) -> np.ndarray:

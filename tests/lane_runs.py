@@ -37,8 +37,9 @@ output is one JSON object. Scenarios:
   for that, so the reply arrives cut short. Reports the error that reached
   each caller.
 * ``collect CPUS``: trains with the garbage collector off, and reports
-  whether ``train``'s lanes, and where lane 1 forks their shared mapping,
-  are still alive once it returns.
+  whether the model's lane worker, and where lane 1 forks its shared
+  mapping, are still alive once ``train`` returns, and once the model is
+  dropped.
 * ``evaluate CPUS``: ``evaluate_accuracy`` of all four variants on a corpus
   of 1 to 30 nodes, next to the hits ``predict`` counts one graph at a time,
   in total and over lane 1 alone.
@@ -47,7 +48,8 @@ output is one JSON object. Scenarios:
   traceback as a note.
 * ``rebuild CPUS``: two evaluation passes of a wavelet model; reports how
   many wavelet bases each pass built in this process and in the processes
-  it forked, and how many processes each operand build forked.
+  it forked, and how many processes each operand build forked, one entry
+  per build.
 * ``build CPUS``: builds the operands of the 1-to-30-node corpus for all
   four variants, and reports per variant whether every wavelet operand and
   every logit equals an in-process build bit for bit, whether the operands
@@ -59,6 +61,19 @@ output is one JSON object. Scenarios:
 * ``kill CPUS``: trains twice, and SIGKILLs the idle training worker once
   after the first batch and once before the first validation pass; reports
   the error that reached each caller.
+* ``drop CPUS``: with the garbage collector off, two models evaluate the
+  1-to-30-node corpus, each forking a worker; drops the first and reports
+  whether its worker was reaped at once, which workers are left, and
+  whether the other model's next pass gives the same accuracy without a
+  fork.
+* ``idle-kill CPUS``: trains, SIGKILLs the idle worker, evaluates (and
+  reports the error that arrived), then trains again; reports whether that
+  last run's CSV, states and accuracy equal a run without the kill, and how
+  many processes each last run forked.
+* ``bench-loop CPUS``: sets up two models as the benchmark does (one warm
+  pass over the corpus each), then twice trains each on its training and
+  validation splits and evaluates its test split, and evaluates the corpus
+  with both; reports the numbers and how many processes the loop forked.
 * ``orphan``: builds the operands, then trains; prints the lane worker's
   pid, then hangs in lane 0 until killed.
 
@@ -283,16 +298,24 @@ def count_dcts():
     return counter, cached.cache_clear
 
 
-def count_build_forks() -> list[int]:
-    """How many processes each later operand build forks, one entry per
-    ``_build_operands`` call."""
-    forks, calls = [0], []
-    fork, build = os.fork, training._build_operands
+def count_forks() -> list[int]:
+    """How many processes this process forks from now on, at [0]."""
+    forks, fork = [0], os.fork
 
     def counting_fork():
         pid = fork()
         forks[0] += pid != 0
         return pid
+
+    os.fork = counting_fork
+    return forks
+
+
+def count_build_forks() -> list[int]:
+    """How many processes each later operand build forks, one entry per
+    ``_build_operands`` call."""
+    forks, calls = count_forks(), []
+    build = training._build_operands
 
     def counting_build(*args):
         before = forks[0]
@@ -301,7 +324,7 @@ def count_build_forks() -> list[int]:
         finally:
             calls.append(forks[0] - before)
 
-    os.fork, training._build_operands = counting_fork, counting_build
+    training._build_operands = counting_build
     return calls
 
 
@@ -491,7 +514,7 @@ def run_cut() -> dict:
 def run_collect() -> dict:
     gc.disable()
     refs = []
-    init = training._TrainingLanes.__init__
+    init = training._LaneWorker.__init__
 
     def recording(self, *args):
         init(self, *args)
@@ -499,10 +522,80 @@ def run_collect() -> dict:
         if self.lanes.forked:
             refs.append(weakref.ref(self.mapping))
 
-    training._TrainingLanes.__init__ = recording
+    training._LaneWorker.__init__ = recording
     model, train_set, val_set = setup()
     training.train(model, train_set, val_set, training.TrainConfig(epochs=1, batch_size=BATCH))
-    return {"alive": [ref() is not None for ref in refs]}
+    held = [ref() is not None for ref in refs]
+    del model
+    return {"held": held, "alive": [ref() is not None for ref in refs]}
+
+
+def reaped(pid: int) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def run_drop() -> dict:
+    gc.disable()
+    signal.alarm(60)  # a drop that waits on a worker that never sees EOF ends the run
+    dataset = mixed_corpus()
+    models = [model_for(variant, dataset.feature_dim) for variant in ("wavelet_spectral",
+                                                                      "gcn_diffpool")]
+    first = [training.evaluate_accuracy(model, dataset) for model in models]
+    pids = [training._WORKERS[model].lanes.pid for model in models]
+    live = len(lanes._LIVE)
+    del models[0]
+    result = {"workers": live, "reaped": [reaped(pid) for pid in pids],
+              "left": sorted(worker.pid for worker in lanes._LIVE) == pids[1:]}
+    forks = count_forks()
+    result["same"] = training.evaluate_accuracy(models[0], dataset) == first[1]
+    result["forks"] = forks[0]
+    signal.alarm(0)
+    return result
+
+
+def run_idle_kill() -> dict:
+    config = training.TrainConfig(epochs=2, batch_size=BATCH, seed=1)
+    forks = count_forks()
+    runs, errors, forked = [], [], []
+    for kill in (True, False):
+        model, train_set, val_set = setup()
+        training.train(model, train_set, val_set, config)
+        if kill:
+            kill_idle(training._WORKERS[model].lanes.pid)
+            errors.append(arrivals({"evaluate": lambda: training.evaluate_accuracy(
+                model, train_set)})["errors"]["evaluate"])
+        before = forks[0]
+        outcome = training.train(model, train_set, val_set, config)
+        forked.append(forks[0] - before)
+        runs.append({"csv": outcome.report.to_csv(), "best_state": digest(outcome.best_state),
+                     "params": digest(model.state()),
+                     "accuracy": training.evaluate_accuracy(model, val_set)})
+    return {"errors": errors, "same": runs[0] == runs[1], "forks": forked}
+
+
+def run_bench_loop() -> dict:
+    dataset = corpus()
+    runs = []
+    for seed, variant in enumerate(("wavelet_spectral", "gcn_diffpool")):
+        splits = split_dataset(dataset, SplitSpec(seed=seed))
+        model = model_for(variant, dataset.feature_dim)
+        training.evaluate_accuracy(model, dataset)  # the set-up's warm pass
+        runs.append((seed, model, splits, model.state()))
+    forks = count_forks()
+    results = []
+    for _ in range(2):
+        for seed, model, (train_set, val_set, test_set), initial in runs:
+            model.load_state(initial)
+            outcome = training.train(model, train_set, val_set, training.TrainConfig(
+                epochs=2, batch_size=BATCH, seed=seed))
+            results.append([outcome.report.to_csv(), digest(model.state()),
+                            training.evaluate_accuracy(model, test_set)])
+        results.append([training.evaluate_accuracy(model, dataset) for _, model, _, _ in runs])
+    return {"forks": forks[0], "results": results}
 
 
 def kill_idle(pid: int) -> None:
@@ -576,7 +669,8 @@ def main(argv: list[str]) -> None:
               "late-pin": run_late_pin, "error": run_error, "diverge": run_diverge,
               "evaluate": run_evaluate, "evaluate-error": run_evaluate_error,
               "rebuild": run_rebuild, "build": run_build, "die": run_die,
-              "cut": run_cut, "collect": run_collect, "kill": run_kill}[scenario](*args[:-1])
+              "cut": run_cut, "collect": run_collect, "kill": run_kill, "drop": run_drop,
+              "idle-kill": run_idle_kill, "bench-loop": run_bench_loop}[scenario](*args[:-1])
     result["plan"] = lanes.worker_plan(BATCH)
     result["children_left"] = children_left()
     print(json.dumps(result))

@@ -143,6 +143,24 @@ def test_bad_model_settings_exit_2_before_any_seed(bench_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", [{"order": 100000}, {"order": 171},
+                                   {"basis_mode": "closed_form", "scales": [60]}])
+def test_an_order_or_scale_no_basis_can_take_exits_2_before_any_seed(bench_dir, tmp_path,
+                                                                     capsys, model):
+    """An order past ``ORDER_MAX`` (100000 would ask NumPy for 298 GiB) and a
+    closed-form scale past the Bessel series' window are settings faults."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "model": model}))
+    out = tmp_path / "o"
+    code = main(["train", "--config", str(cfg), "--data", str(bench_dir),
+                 "--out", str(out), "--epochs", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad model settings: ")
+    assert ("scales" if "scales" in model else "order") in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "train"])
 @pytest.mark.parametrize("model, message", [
     ({"activation": "identity", "softmax_rows": False, "bogus": 3, "order": 6},
@@ -460,7 +478,10 @@ def test_verbose_shows_where_lane_1_runs(bench_dir, tmp_path, verbose):
 
 def test_debug_shows_each_epoch_and_evaluation_pass(bench_dir, tmp_path):
     """``-vv`` adds one DEBUG record per epoch and one line per evaluation
-    pass to the INFO line, and where lane 1 forks one per operand build."""
+    pass to the INFO line, and where lane 1 forks one per operand build and
+    one per lane worker forked or retired: the training worker holds no test
+    graph, so the test split's pass retires it and forks its own, which goes
+    with the model."""
     proc = subprocess.run(
         [sys.executable, "-m", "wavepool", "train", "--data", str(bench_dir),
          "--out", str(tmp_path / "run"), "--seed", "1", *FAST, "-vv"],
@@ -474,8 +495,15 @@ def test_debug_shows_each_epoch_and_evaluation_pass(bench_dir, tmp_path):
     assert [line.split(":")[1] for line in epochs] == [" epoch 0", " epoch 1"]  # --epochs 2
     assert "pre-clip gradient norm max " in epochs[0] and "steps clipped" in epochs[0]
     builds = [line for line in lines if line.startswith("DEBUG wavepool.training: built ")]
+    forks = [line for line in lines
+             if line.startswith("DEBUG wavepool.training: forked a lane worker ")]
+    retired = [line.rsplit(": ", 1)[1] for line in lines
+               if line.startswith("DEBUG wavepool.training: retired the lane worker ")]
     assert len(passes) == 3  # two validation passes and the test split
-    assert len(lines) == 1 + len(epochs) + len(passes) + len(builds)
+    assert len(lines) == 1 + len(epochs) + len(passes) + len(builds) + len(forks) + len(retired)
+    if WORKER_POSSIBLE:
+        assert len(forks) == 2
+        assert retired == ["a call needs graphs it does not hold", "its model was dropped"]
 
 
 @pytest.mark.parametrize("verbosity", [["-vv"], []])

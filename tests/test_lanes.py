@@ -148,7 +148,7 @@ def test_worker_and_in_process_runs_are_byte_identical():
     assert worker["runs"] == in_process["runs"]
     for run in worker["runs"].values():
         assert len(run["norms"]) == 3 * 3  # 3 epochs of three batches (19 graphs)
-    assert worker["validation"] == ["in the training worker"] * 6
+    assert worker["validation"] == ["in the model's lane worker"] * 6
     assert in_process["validation"] == ["in-process"] * 6
 
 
@@ -161,7 +161,7 @@ def test_unpinned_and_pinned_starts_fork_and_agree_bit_for_bit():
     unpinned = scenario("agree", "2")
     pinned = scenario("agree", "2", env={"OPENBLAS_NUM_THREADS": "1"})
     assert unpinned["largest"] >= 150
-    assert unpinned["validation"] == pinned["validation"] == ["in the training worker"] * 6
+    assert unpinned["validation"] == pinned["validation"] == ["in the model's lane worker"] * 6
     assert unpinned["runs"] == pinned["runs"]
 
 
@@ -180,7 +180,7 @@ def test_evaluation_lanes_count_every_hit(cpus):
     """All four variants, on graphs of 1 to 30 nodes: the accuracy is the
     hits of one graph at a time over the corpus, lane 1's included."""
     result = scenario("evaluate", cpus)
-    where = "in a process forked for this pass" if cpus == "2" else "in-process"
+    where = "in the model's lane worker" if cpus == "2" else "in-process"
     assert result["where"] == [where] * 4
     for run in result["runs"].values():
         assert run["lane_1_hits"] > 0
@@ -207,13 +207,13 @@ def test_an_evaluation_lane_error_reaches_the_caller(cpus, lanes, raised):
 def test_a_forked_evaluation_builds_operands_here_once(cpus):
     """The first pass builds each graph's wavelet bases once, counted per
     process: with a worker, lane 1's in a builder forked for that, before the
-    pass forks its own lane 1. The second pass forks no builder and builds
-    nothing."""
+    model's worker forks. The second pass reuses that worker, so it runs no
+    operand build and builds nothing."""
     result = scenario("rebuild", cpus)
     graphs, lane_1 = result["graphs"], result["lane_1"]
     if cpus == "2":
         assert result["builds"] == [[graphs - lane_1, lane_1], [0, 0]]
-        assert result["build_forks"] == [1, 0]
+        assert result["build_forks"] == [1]
     else:  # no pass forks, so the forward passes build the operands here
         assert result["builds"] == [[graphs, 0], [0, 0]]
         assert result["build_forks"] == []
@@ -291,10 +291,46 @@ def test_a_worker_that_dies_mid_reply_reaches_the_caller_and_is_reaped():
 
 @pytest.mark.parametrize("cpus", CPUS)
 def test_train_leaves_its_lanes_to_reference_counting(cpus):
-    """With the garbage collector off, ``train``'s lanes, and where lane 1
-    forks their shared mapping, are freed once it returns: no reference
-    cycle holds them."""
-    assert scenario("collect", cpus)["alive"] == [False] * (2 if cpus == "2" else 1)
+    """With the garbage collector off, the model's lane worker and its
+    shared mapping outlive ``train`` and are freed, the worker reaped, once
+    the model is dropped; in-process lanes are freed once ``train`` returns.
+    No reference cycle holds them."""
+    result = scenario("collect", cpus)
+    assert result["held"] == ([True, True] if cpus == "2" else [False])
+    assert result["alive"] == [False] * len(result["held"])
+
+
+@needs_worker
+def test_dropping_a_model_reaps_its_worker_while_another_serves():
+    """Two models' workers live; with the garbage collector off, dropping
+    the first reaps its worker at once, although the second worker was
+    forked while the first lived, and the second model's worker serves its
+    next pass without a fork."""
+    result = scenario("drop", "2")
+    assert result["workers"] == 2
+    assert result["reaped"] == [True, False] and result["left"] is True
+    assert result["same"] is True and result["forks"] == 0
+
+
+@needs_worker
+def test_a_worker_killed_between_calls_fails_the_next_call_and_is_replaced():
+    """A SIGKILL to a worker idle between calls fails the next call with a
+    ChildProcessError; the call after that forks one worker afresh and gives
+    the same numbers, bit for bit, as a model whose worker lived on."""
+    result = scenario("idle-kill", "2")
+    assert result["errors"] == [["ChildProcessError", "the lane worker exited unexpectedly"]]
+    assert result["same"] is True and result["forks"] == [1, 0]
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_a_benchmark_loop_forks_nothing_after_set_up(cpus):
+    """After each model's warm pass over the corpus, training on its splits
+    and evaluating its test split and the corpus reuse its worker: no
+    process forks, and the numbers equal in-process lanes'."""
+    result = scenario("bench-loop", cpus)
+    assert result["forks"] == 0
+    if cpus == "2":
+        assert result["results"] == scenario("bench-loop", "1")["results"]
 
 
 @needs_worker

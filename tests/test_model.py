@@ -27,7 +27,7 @@ from wavepool.model import (
     parameter_shapes,
     save_checkpoint,
 )
-from wavepool.spectral import normalized_laplacian, wavelet_bases
+from wavepool.spectral import BESSEL_MAX_ARG, ORDER_MAX, normalized_laplacian, wavelet_bases
 from wavepool.training import evaluate_accuracy, graph_loss
 
 from . import per_op as ops
@@ -77,6 +77,27 @@ def test_config_validation():
         small_config(basis_mode="magic")
     with pytest.raises(ContractViolationError):
         small_config(activation="tanh")
+
+
+def test_order_above_the_cap_fails_at_construction():
+    """Orders up to ``ORDER_MAX`` build a basis in both modes; one past it,
+    or 100000 (whose quadrature table alone would take 298 GiB), is refused
+    before anything is allocated."""
+    for mode in ("fitted_kernel", "closed_form"):
+        config = small_config(order=ORDER_MAX, basis_mode=mode)
+        basis = wavelet_bases(normalized_laplacian(np.eye(4, k=1) + np.eye(4, k=-1)),
+                              config.scales, config.order, mode)
+        assert np.all(np.isfinite(basis.values))
+        for order in (ORDER_MAX + 1, 100000):
+            with pytest.raises(ContractViolationError, match=f"order must lie in .*got {order}"):
+                small_config(order=order, basis_mode=mode)
+
+
+def test_closed_form_scale_past_the_bessel_window_fails_at_construction():
+    small_config(basis_mode="closed_form", scales=(1.0, BESSEL_MAX_ARG))
+    small_config(scales=(1.0, 60.0))  # the quadrature fit takes any finite scale
+    with pytest.raises(ContractViolationError, match="scales must be at most 50.0 .* got 60.0"):
+        small_config(basis_mode="closed_form", scales=(1.0, 60.0))
 
 
 def test_mid_pool_size_values():

@@ -73,6 +73,24 @@ def test_no_seed_or_no_epoch_exits_2_before_any_output(tmp_path, capsys, name, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, flag", [
+    ("synthetic_benchmark", "--data-seed"), ("synthetic_benchmark", "--seeds"),
+    ("synthetic_benchmark", "--epochs"), ("synthetic_benchmark", "--per-class"),
+    ("sensitivity_sweeps", "--seeds"), ("sensitivity_sweeps", "--epochs"),
+    ("sensitivity_sweeps", "--per-class")])
+def test_negative_count_or_seed_exits_2_and_names_the_flag(tmp_path, capsys, name, flag):
+    """The scripts parse their integers as the CLI does: a negative one (and
+    a class size of 0) is a usage error, not NumPy's ValueError."""
+    out = tmp_path / "o"
+    for value in ["-1"] + (["0"] if flag == "--per-class" else []):
+        with pytest.raises(SystemExit) as exit_info:
+            load_script(name).main(["--out", str(out), flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be at least" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_fetch_tu_dataset_help_needs_no_network(capsys):
     with pytest.raises(SystemExit) as exit_info:
         load_script("fetch_tu_dataset").main(["--help"])

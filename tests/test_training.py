@@ -578,8 +578,6 @@ def test_validation_through_the_training_lanes_equals_evaluate_accuracy(monkeypa
     train_set, val_set, _ = toy_splits()
     model = CrossScaleModel(toy_model_config(), seed=3)
     monkeypatch.setattr(lanes, "worker_plan", lambda count: (False, "in-process here"))
-    runner = training._TrainingLanes(model, train_set, val_set, TrainConfig(epochs=1, batch_size=8))
-    try:
-        assert runner.accuracy() == evaluate_accuracy(model, val_set)
-    finally:
-        runner.close()
+    outcome = train(model, train_set, val_set, TrainConfig(epochs=1, batch_size=8))
+    # after one epoch the model holds the parameters its one validation pass read
+    assert outcome.report.epochs[0].val_acc == evaluate_accuracy(model, val_set)
