@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from wavepool.cli import _parse_at_least, exit_code, parse_span
+from wavepool.graphs import SplitSpec, split_dataset
 from wavepool.harness import (
     ExperimentPlan,
     run_sensitivity,
@@ -54,6 +55,8 @@ def run(args) -> int:
     )
     dataset = build_msg(three_class_config(
         per_class=args.per_class, size_range=args.size_range, seed=0))
+    # a split fails on class counts alone, so the first seed's speaks for all
+    split_dataset(dataset, SplitSpec(seed=plan.seeds[0]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

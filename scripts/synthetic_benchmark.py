@@ -51,6 +51,8 @@ def run(args) -> int:
     )
     dataset = build_msg(three_class_config(
         per_class=args.per_class, size_range=args.size_range, seed=args.data_seed))
+    # a split fails on class counts alone, so the first seed's speaks for all
+    train_ds, _, test_ds = split_dataset(dataset, SplitSpec(seed=plan.seeds[0]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_tu(dataset, out / "dataset", dataset.name)
@@ -67,7 +69,6 @@ def run(args) -> int:
     table = ablation_text_table(result)
     (out / "ablation.txt").write_text(table)
 
-    train_ds, _, test_ds = split_dataset(dataset, SplitSpec(seed=plan.seeds[0]))
     print(table)
     print(f"majority baseline: {majority_baseline(train_ds, test_ds):.4f}")
     print(f"total wall time: {elapsed:.0f}s; outputs in {out}")

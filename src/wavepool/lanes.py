@@ -26,10 +26,8 @@ from itertools import accumulate
 
 import numpy as np
 
-# why a worker's exchange failed, in ``Lanes.fault``; a worker that dies
-# raises ``ChildProcessError(DIED)`` in the caller
+# a worker that dies raises ``ChildProcessError(DIED)`` in the caller
 DIED = "the lane worker exited unexpectedly"
-CUT_SHORT = "a request did not finish cleanly"
 
 _LIVE: set[Lanes] = set()  # every Lanes whose worker is forked and not yet reaped
 
@@ -165,31 +163,28 @@ class Lanes:
     """Two lanes whose lane 1 runs in one forked worker where
     ``worker_plan(count)`` allows it (``forked``, ``reason``), else here
     after lane 0, with the same numbers. ``handlers`` maps each kind of job
-    to the function that runs one lane of it in the worker, given the
+    to the function that runs lane 1 of it, wherever it runs, given the
     request's arguments and the lane's indices. Call ``fork`` once, then
-    ``run`` any number of jobs, then ``close`` to reap the worker. A job whose
-    exchange with the worker fails sets ``fault``; the worker is then of no
-    further use, and only ``close`` remains."""
+    ``run`` any number of jobs, then ``close`` to reap the worker. After a
+    job raises, the worker may hold an unread reply, so only ``close``
+    remains."""
 
     def __init__(self, count: int, handlers: dict):
         self.forked, self.reason = worker_plan(count)
         self.handlers = handlers
-        self.pid = self.pipes = self.fault = None
+        self.pid = self.pipes = None
 
-    def fork(self, prepare=None) -> None:
-        """Where lane 1 forks: call ``prepare``, which builds what the worker
-        should find built, then fork the worker. It sees this process's
-        memory as it was at the fork, copy-on-write, apart from shared
-        mappings. It ignores SIGINT (the parent handles Ctrl-C) and warnings,
-        never logs, and leaves with ``os._exit`` at EOF or on a broken pipe,
-        so it also ends when its parent is killed. This process drops the
+    def fork(self) -> None:
+        """Where lane 1 forks, fork the worker. It sees this process's memory
+        as it was at the fork, copy-on-write, apart from shared mappings. It
+        ignores SIGINT (the parent handles Ctrl-C) and warnings, never logs,
+        and leaves with ``os._exit`` at EOF or on a broken pipe, so it also
+        ends when its parent is killed. This process then drops the
         handlers, so that a handler bound to an object does not keep it
         alive here."""
-        handlers, self.handlers = self.handlers, None
         if not self.forked:
             return
-        if prepare is not None:
-            prepare()
+        handlers, self.handlers = self.handlers, None
         from_parent, to_worker = os.pipe()
         from_worker, to_parent = os.pipe()
         try:
@@ -219,22 +214,19 @@ class Lanes:
     def run(self, graphs, indices, kind: str, here, args=()):
         """Split the graphs at ``indices`` into two ``lanes`` and return each
         lane's positions in ``indices`` and its result. Lane 0 is ``here(its
-        indices)``. Lane 1 goes to the worker's ``kind`` handler with
-        ``args``, sent before lane 0 starts and received after it ends, even
-        when lane 0 raises; with no worker it is ``here`` after lane 0. The
-        first error in lane order is raised, and a worker that dies as
-        ``ChildProcessError``. Unless the worker's reply arrives whole and
-        carries no error, ``fault`` says why."""
+        indices)``, lane 1 ``handlers[kind](*args, its indices)``. The
+        worker's request is sent before lane 0 starts and its reply received
+        after lane 0 ends, even when lane 0 raises; with no worker, lane 1
+        runs here after lane 0. The first error in lane order is raised, and
+        a worker that dies as ``ChildProcessError``."""
         positions = lanes([graphs[i].node_count for i in indices])
         first, second = ([indices[p] for p in lane] for lane in positions)
-        if self.pipes is None:
-            return positions, [here(first), here(second)]
+        if not self.forked:
+            return positions, [here(first), self.handlers[kind](*args, second)]
         requests, replies = self.pipes
-        self.fault = CUT_SHORT  # until a whole reply without an error arrives
         try:
             _send(requests, (kind, args, second))
         except BrokenPipeError:
-            self.fault = DIED
             raise ChildProcessError(DIED) from None
         try:
             mine = here(first)
@@ -242,10 +234,7 @@ class Lanes:
             try:
                 theirs, error = pickle.load(replies)
             except (EOFError, pickle.UnpicklingError):  # no reply, or one cut short
-                self.fault = DIED
                 raise ChildProcessError(DIED) from None
-            if error is None:
-                self.fault = None
         if error is not None:
             error, text = error
             if hasattr(error, "add_note"):  # Python 3.11 on

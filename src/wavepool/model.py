@@ -73,6 +73,7 @@ from .spectral import (
     cosine_transform,
     normalized_laplacian,
     wavelet_bases,
+    wavelet_coefficients,
 )
 
 # Ablation grid in fixed reporting order: convolution x pooling.
@@ -117,6 +118,13 @@ class ModelConfig:
             raise ContractViolationError(
                 f"scales must be at most {BESSEL_MAX_ARG} in {MODE_CLOSED_FORM} mode, whose "
                 f"Bessel series holds there; got {max(self.scales)}")
+        for scale in self.scales:
+            with np.errstate(all="ignore"):  # a huge scale overflows, and every term is 0
+                coefficients = wavelet_coefficients(scale, self.order, self.basis_mode)
+            if not (np.all(np.isfinite(coefficients)) and np.any(coefficients)):
+                raise ContractViolationError(
+                    f"scales must give a nonzero, finite Chebyshev series at order "
+                    f"{self.order}; scale {scale} gives none")
         if self.activation not in ACTIVATIONS:
             raise ContractViolationError(f"unknown activation {self.activation!r}")
 

@@ -18,15 +18,17 @@ Validation goes through ``CrossScaleModel.predict`` and records no tape.
 
 Training batches, validation passes, ``evaluate_accuracy`` passes and the
 operand build before a fork (``_build_operands``) each run in two lanes
-through ``wavepool.lanes.Lanes``. A batch's gradient is lane 0's sum plus
-lane 1's, and a pass adds the lanes' hit counts. Where lane 1 forks, each
-model keeps one lane worker (``_LaneWorker``), forked the first time a
-``train`` or ``evaluate_accuracy`` call needs it, over that call's graphs;
-later calls reuse it while it holds every graph they name. It is retired
-(its pipes closed, its process reaped) when the model is collected or the
-interpreter exits, when a call needs graphs it does not hold (a new one is
-then forked over those), and when a request does not finish cleanly. An
-operand build forks a builder of its own.
+through ``wavepool.lanes.Lanes``, whose lane 1 is the same handler
+(``_serve_batch``, ``_hits``, the build's ``"build"``) in a forked process
+or here. A batch's gradient is lane 0's sum plus lane 1's, and a pass adds
+the lanes' hit counts. Where lane 1 forks, each model keeps one lane worker
+(``_LaneWorker``), forked the first time a ``train`` or
+``evaluate_accuracy`` call needs it, over that call's graphs; later calls
+reuse it while it holds every graph they name. It is retired (its pipes
+closed, its process reaped) when the model is collected or the interpreter
+exits, when a call needs graphs it does not hold (a new one is then forked
+over those), and when a request raises, in either lane. An operand build
+forks a builder of its own.
 
 Each ``train`` call logs one INFO line on the ``wavepool.training`` logger
 saying where lane 1 runs, whether it reuses the model's worker, and why.
@@ -354,7 +356,7 @@ def _run_lane(model: CrossScaleModel, graphs, config: TrainConfig, indices):
         loss, p = graph_loss(result, graph.label, model.config.class_count,
                              config.beta, config.lp_stage_mode)
         if not np.isfinite(p.total):
-            raise _NonFinite
+            raise _NonFinite("a non-finite loss")
         parts.append((p.l_epsilon, p.l_p, p.total, result.prediction == graph.label))
         ad.backward(loss)
     params = model.params
@@ -375,9 +377,9 @@ def _build_operands(model: CrossScaleModel, graphs) -> None:
     process forked afterwards finds it built; a graph the forward pass
     rejects is left for it to reject. The graphs whose wavelet operand is
     not yet memoised go through ``Lanes``: lane 0 builds every DCT matrix
-    spectral pooling will ask for, then its graphs' operands, and lane 1's
-    go into each graph's memo here, read-only. Then every graph's GCN and
-    renormalized operands are built here."""
+    spectral pooling will ask for, then its graphs' operands, and the
+    operands lane 1 returns go into each graph's memo here, read-only. Then
+    every graph's GCN and renormalized operands are built here."""
     cfg = model.config
     start = time.perf_counter()
     graphs = [g for g in graphs if g.node_count <= cfg.n_max and g.feature_dim == cfg.feature_dim]
@@ -408,14 +410,13 @@ def _build_operands(model: CrossScaleModel, graphs) -> None:
                   builder.reason)
 
 
-def _serve_batch(model: CrossScaleModel, graphs, shared_grads: dict, config: TrainConfig,
+def _serve_batch(model: CrossScaleModel, graphs, lane_grads: dict, config: TrainConfig,
                  indices):
-    """Lane 1 of a batch, in the worker: its per-graph parts and the names
-    of the parameters it reached, whose gradients it leaves in the shared
-    buffers."""
+    """Lane 1 of a batch: its per-graph parts and the names of the
+    parameters it reached, whose gradients it leaves in ``lane_grads``."""
     parts, grads = _run_lane(model, graphs, config, indices)
     for name, grad in grads.items():
-        shared_grads[name][...] = grad
+        lane_grads[name][...] = grad
     return parts, list(grads)
 
 
@@ -428,11 +429,12 @@ class _LaneWorker:
     by their indices there: in one worker forked over them where
     ``Lanes(count)`` forks, else here after lane 0.
 
-    Before a fork, every graph's operands are built (``_build_operands``)
-    and the parameters move into one anonymous shared mapping, next to lane
-    1's gradient buffers, where the optimizer updates them in place for both
-    processes. A forked worker holds no reference to the model, so that
-    ``weakref.finalize`` retires it when the model goes, or at exit.
+    Lane 1 leaves a batch's gradients in buffers of one anonymous shared
+    mapping. Before a fork, every graph's operands are built
+    (``_build_operands``) and the parameters move into the same mapping,
+    where the optimizer updates them in place for both processes. A forked
+    worker holds no reference to the model, so that ``weakref.finalize``
+    retires it when the model goes, or at exit.
     """
 
     def __init__(self, model: CrossScaleModel, graphs, count: int):
@@ -440,25 +442,19 @@ class _LaneWorker:
         self.index = {}
         for i, graph in enumerate(self.graphs):
             self.index.setdefault(id(graph), i)
-        self.lanes = Lanes(count, {
-            "train": lambda config, indices: _serve_batch(model, self.graphs, self.grads,
-                                                          config, indices),
-            "predict": lambda indices: _hits(model, self.graphs, indices)})
-        self.lanes.fork(partial(self._share, model))
-        if self.lanes.forked:
-            self.finalizer = weakref.finalize(model, self.retire, "its model was dropped")
-
-    def _share(self, model: CrossScaleModel) -> None:
-        """What the worker should find at the fork: every graph's operands,
-        and the parameters in the shared mapping."""
-        _build_operands(model, self.graphs)
         names = list(model.params)
         shapes = [model.params[name].value.shape for name in names]
         self.mapping, arrays, spans = _shared_arrays(shapes + shapes)
         self.params = dict(zip(names, arrays))
         self.grads = dict(zip(names, arrays[len(names):]))
         self.grad_spans = dict(zip(names, spans[len(names):]))
-        self.rebind(model)
+        self.lanes = Lanes(count, {"train": partial(_serve_batch, model, self.graphs, self.grads),
+                                   "predict": partial(_hits, model, self.graphs)})
+        if self.lanes.forked:
+            _build_operands(model, self.graphs)
+            self.rebind(model)
+            self.lanes.fork()
+            self.finalizer = weakref.finalize(model, self.retire, "its model was dropped")
 
     def rebind(self, model: CrossScaleModel) -> None:
         """Copy every parameter array replaced since the fork (``load_state``
@@ -483,14 +479,14 @@ class _LaneWorker:
     def run(self, model: CrossScaleModel, indices, kind: str, here, *args):
         """``Lanes.run`` of the graphs at ``indices``; a live worker first
         takes any replaced parameter (``rebind``), and is retired when the
-        exchange fails."""
+        job raises."""
         if self.live:
             self.rebind(model)
         try:
             return self.lanes.run(self.graphs, indices, kind, here, args)
-        finally:
-            if self.lanes.fault is not None:
-                self.retire(self.lanes.fault)
+        except BaseException as exc:
+            self.retire(str(exc) or type(exc).__name__)
+            raise
 
     def retire(self, why: str) -> None:
         """Close the worker's pipes and reap it, and log why."""
@@ -540,23 +536,20 @@ def _batch(model: CrossScaleModel, worker: _LaneWorker, indices, config: TrainCo
                                         partial(_run_lane, model, worker.graphs, config), config)
     except _NonFinite:
         return None
-    (_, grads), (_, more) = results
-    if worker.lanes.forked:
-        more = {name: worker.grads[name] for name in more}
+    (_, grads), (_, reached) = results
     params = model.params
     for name, grad in grads.items():
         params[name].grad = grad
-    for name, grad in more.items():  # lane 0's sum plus lane 1's
-        var = params[name]
+    for name in reached:  # lane 0's sum plus lane 1's
+        var, grad = params[name], worker.grads[name]
         if var.grad is None:
             var.grad = grad.copy()
         else:
             var.grad += grad
-        if worker.lanes.forked:
-            # drop the pages just read from this process's memory (the
-            # worker keeps them), so that lane 1's buffers cost the
-            # parent one tensor at a time
-            worker.mapping.madvise(mmap.MADV_DONTNEED, *worker.grad_spans[name])
+        # drop the pages just read from this process's memory (the shared
+        # mapping keeps them), so that lane 1's buffers cost this process
+        # one tensor at a time
+        worker.mapping.madvise(mmap.MADV_DONTNEED, *worker.grad_spans[name])
     ordered = [None] * len(indices)
     for lane, (parts, _) in zip(positions, results):
         for pos, part in zip(lane, parts):

@@ -74,6 +74,14 @@ output is one JSON object. Scenarios:
   pass over the corpus each), then twice trains each on its training and
   validation splits and evaluates its test split, and evaluates the corpus
   with both; reports the numbers and how many processes the loop forked.
+* ``handlers CPUS``: builds the operands of the training and validation
+  graphs, then trains one epoch; reports how many times each kind of lane-1
+  handler ran, in this process and in the processes it forked.
+* ``retire CPUS``: evaluates the 1-to-30-node corpus, then evaluates it
+  again with a forward pass that raises ``NumericError("boom in lane 0")``
+  on a graph of lane 0, then once more as at first; reports the error that
+  arrived, whether the first worker was reaped, how many processes the last
+  pass forked and whether it gave the first pass's accuracy.
 * ``orphan``: builds the operands, then trains; prints the lane worker's
   pid, then hangs in lane 0 until killed.
 
@@ -326,6 +334,55 @@ def count_build_forks() -> list[int]:
 
     training._build_operands = counting_build
     return calls
+
+
+def count_handlers() -> dict:
+    """Counts each kind's lane-1 handler calls from now on, as ``counting``
+    does, one counter per kind."""
+    counters = {kind: np.frombuffer(mmap.mmap(-1, 16), np.int64)
+                for kind in ("build", "train", "predict")}
+    parent, init = os.getpid(), lanes.Lanes.__init__
+
+    def counted(kind, handler, *args):
+        counters[kind][int(os.getpid() != parent)] += 1
+        return handler(*args)
+
+    def recording(self, count, handlers):
+        init(self, count, {kind: functools.partial(counted, kind, handler)
+                           for kind, handler in handlers.items()})
+
+    lanes.Lanes.__init__ = recording
+    return counters
+
+
+def run_handlers() -> dict:
+    counters = count_handlers()
+    model, train_set, val_set = setup()
+    training._build_operands(model, train_set.graphs + val_set.graphs)
+    training.train(model, train_set, val_set, training.TrainConfig(epochs=1, batch_size=BATCH))
+    return {kind: counter.tolist() for kind, counter in counters.items()}
+
+
+def run_retire() -> dict:
+    dataset = mixed_corpus()
+    model = model_for("wavelet_spectral", dataset.feature_dim)
+    first = training.evaluate_accuracy(model, dataset)
+    pid = training._WORKERS[model].lanes.pid
+    target = dataset.graphs[pass_lanes(dataset)[0][0]]
+    forward = CrossScaleModel.forward
+
+    def failing(self, graph):
+        if graph is target:
+            raise NumericError("boom in lane 0")
+        return forward(self, graph)
+
+    CrossScaleModel.forward = failing
+    error = arrivals({"evaluate": lambda: training.evaluate_accuracy(model, dataset)})
+    CrossScaleModel.forward = forward
+    forks = count_forks()
+    last = training.evaluate_accuracy(model, dataset)
+    return {"error": error["errors"]["evaluate"], "reaped": reaped(pid), "forks": forks[0],
+            "same": last == first}
 
 
 def run_rebuild() -> dict:
@@ -670,7 +727,8 @@ def main(argv: list[str]) -> None:
               "evaluate": run_evaluate, "evaluate-error": run_evaluate_error,
               "rebuild": run_rebuild, "build": run_build, "die": run_die,
               "cut": run_cut, "collect": run_collect, "kill": run_kill, "drop": run_drop,
-              "idle-kill": run_idle_kill, "bench-loop": run_bench_loop}[scenario](*args[:-1])
+              "idle-kill": run_idle_kill, "bench-loop": run_bench_loop,
+              "handlers": run_handlers, "retire": run_retire}[scenario](*args[:-1])
     result["plan"] = lanes.worker_plan(BATCH)
     result["children_left"] = children_left()
     print(json.dumps(result))

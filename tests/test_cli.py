@@ -143,12 +143,16 @@ def test_bad_model_settings_exit_2_before_any_seed(bench_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("model", [{"order": 100000}, {"order": 171},
-                                   {"basis_mode": "closed_form", "scales": [60]}])
+                                   {"basis_mode": "closed_form", "scales": [60]},
+                                   {"scales": [1e7]}, {"scales": [1.0, 1e308]}])
 def test_an_order_or_scale_no_basis_can_take_exits_2_before_any_seed(bench_dir, tmp_path,
                                                                      capsys, model):
-    """An order past ``ORDER_MAX`` (100000 would ask NumPy for 298 GiB) and a
-    closed-form scale past the Bessel series' window are settings faults."""
+    """An order past ``ORDER_MAX`` (100000 would ask NumPy for 298 GiB), a
+    closed-form scale past the Bessel series' window and a scale whose every
+    Chebyshev coefficient underflows to zero (from 1e7 at order 16) are
+    settings faults, rejected without a warning."""
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"schema_version": 1, "model": model}))
     out = tmp_path / "o"

@@ -271,6 +271,30 @@ def test_an_error_in_lane_0_is_raised_over_a_nonfinite_loss_in_lane_1(cpus):
     assert (result["error"], result["message"]) == ("NumericError", "boom in lane 0")
 
 
+@pytest.mark.parametrize("cpus", CPUS)
+def test_lane_1_runs_its_jobs_handler_wherever_it_runs(cpus):
+    """An operand build, each of an epoch's three batches and its validation
+    pass hand lane 1 to the handler of their kind: in this process without
+    a worker, else in the builder or the model's worker. With a worker,
+    ``train``'s own build has nothing left to build and runs in-process."""
+    result = scenario("handlers", cpus)
+    counts = {kind: result[kind] for kind in ("build", "train", "predict")}
+    if cpus == "2":
+        assert counts == {"build": [1, 1], "train": [0, 3], "predict": [0, 1]}
+    else:
+        assert counts == {"build": [1, 0], "train": [3, 0], "predict": [1, 0]}
+
+
+@needs_worker
+def test_a_lane_0_error_retires_the_worker_and_the_next_call_forks_one():
+    """Any error from a job retires the model's worker, lane 0's too; the
+    next pass forks exactly one worker and gives the accuracy it gave
+    before the error."""
+    result = scenario("retire", "2")
+    assert result["error"] == ["NumericError", "boom in lane 0"]
+    assert result["reaped"] is True and result["forks"] == 1 and result["same"] is True
+
+
 @needs_worker
 def test_a_worker_that_dies_reaches_the_caller_and_is_reaped():
     """Lane 1's forward pass ends the worker of ``train`` and the process an

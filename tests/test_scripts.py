@@ -91,6 +91,19 @@ def test_negative_count_or_seed_exits_2_and_names_the_flag(tmp_path, capsys, nam
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["synthetic_benchmark", "sensitivity_sweeps"])
+def test_a_corpus_too_small_to_split_exits_2_before_any_output(tmp_path, capsys, name):
+    """One graph per class cannot fill a stratified split, whatever the seed."""
+    out = tmp_path / "o"
+    argv = ["--out", str(out), "--per-class", "1", "--seeds", "1", "--epochs", "1",
+            "--size-range", "8:16"]
+    assert load_script(name).main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: class 0 has only 1 graph(s)")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_fetch_tu_dataset_help_needs_no_network(capsys):
     with pytest.raises(SystemExit) as exit_info:
         load_script("fetch_tu_dataset").main(["--help"])
