@@ -357,10 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated wavelet scales, e.g. 1,2,3")
     training.add_argument("--order", type=int, help="polynomial approximation order")
     training.add_argument("--m-out", type=int, help="final pooled size")
-    training.add_argument("--n-max", type=int, help="largest supported graph size")
-    training.add_argument("--basis-mode", choices=("closed_form", "fitted_kernel"),
-                          help="Chebyshev coefficients of exp(-f lambda): exact Bessel-I "
-                          "series (closed_form) or quadrature fit (fitted_kernel, default)")
     training.add_argument("--epochs", type=int)
     training.add_argument("--batch-size", type=int)
     training.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import ConfigError, ContractViolationError, WavepoolError
 from .graphs import GraphDataset, SplitSpec, split_dataset
 from .model import VARIANTS, CrossScaleModel, ModelConfig
-from .spectral import MODE_FITTED_KERNEL
 from .svgplot import line_plot
 from .training import RunReport, TrainConfig, TrainOutcome, evaluate_accuracy, train
 
@@ -45,8 +44,6 @@ class ExperimentPlan:
     m_out: int = 4
     scales: tuple[float, ...] = (1.0, 2.0, 3.0)
     order: int = 16
-    basis_mode: str = MODE_FITTED_KERNEL
-    n_max: int | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -93,26 +90,20 @@ def aggregate(values: list[float]) -> tuple[float, float, int]:
 
 
 def model_config_for(dataset: GraphDataset, plan: ExperimentPlan) -> ModelConfig:
-    """The plan's model settings for this dataset; invalid settings, or an
-    ``n_max`` below the largest graph, raise ``ConfigError``."""
-    largest = int(dataset.sizes.max())
+    """The plan's model settings for this dataset, allocated for its largest
+    graph; invalid settings raise ``ConfigError``."""
     try:
-        config = ModelConfig(
+        return ModelConfig(
             feature_dim=dataset.feature_dim,
             class_count=dataset.class_count,
             variant=plan.variant,
-            n_max=plan.n_max if plan.n_max is not None else largest,
+            n_max=int(dataset.sizes.max()),
             m_out=plan.m_out,
             scales=plan.scales,
             order=plan.order,
-            basis_mode=plan.basis_mode,
         )
     except ValueError as exc:  # ContractViolationError names the field
         raise ConfigError(f"bad model settings: {exc}") from exc
-    if config.n_max < largest:
-        raise ConfigError(f"bad model settings: n_max {config.n_max} is below the "
-                          f"largest graph's {largest} nodes")
-    return config
 
 
 class SeedRun(NamedTuple):

@@ -181,14 +181,15 @@ def _softmax_vjp(g: np.ndarray, sm: np.ndarray) -> np.ndarray:
     return sm * (g - (g * sm).sum(axis=-1, keepdims=True))
 
 
-def spectral_pool_assign(theta: Var, xi_n: np.ndarray, xi_m: np.ndarray,
-                         softmax_rows: bool) -> Var:
-    """Assignment matrix S = xi_m theta[:m, :n] xi_n^T, optionally row-softmaxed.
+def spectral_pool_assign(theta: Var, xi_n: np.ndarray, xi_m: np.ndarray) -> Var:
+    """Assignment matrix S = softmax(xi_m theta[:m, :n] xi_n^T), the softmax
+    taken along each row, so every pooled node's row is a distribution
+    over the graph's nodes.
 
     ``xi_n`` and ``xi_m`` are the n- and m-point cosine transforms; the
     pooled size m must be strictly smaller than n. The vjp adds
     xi_m^T G xi_n into the filter's leading m x n block, G being the
-    gradient at the raw (pre-softmax) assignment.
+    gradient at the pre-softmax assignment.
     """
     m, n = xi_m.shape[0], xi_n.shape[0]
     if m >= n:
@@ -198,14 +199,10 @@ def spectral_pool_assign(theta: Var, xi_n: np.ndarray, xi_m: np.ndarray,
         raise ContractViolationError(
             f"pool filter allocation {theta.value.shape} too small for ({m}, {n})"
         )
-    s = xi_m @ theta.value[:m, :n] @ xi_n.T
-    if softmax_rows:
-        s = _softmax(s)
+    s = _softmax(xi_m @ theta.value[:m, :n] @ xi_n.T)
 
     def vjp(g, grads):
-        if softmax_rows:
-            g = _softmax_vjp(g, s)
-        grads[0][:m, :n] += xi_m.T @ (g @ xi_n)
+        grads[0][:m, :n] += xi_m.T @ (_softmax_vjp(g, s) @ xi_n)
 
     return ad.node(s, (theta,), vjp)
 

@@ -17,8 +17,8 @@ misshapen or non-finite.
 
 ``CrossScaleModel.inputs_for`` builds what a forward pass reads of the graph
 alone and keeps each operand on the ``Graph`` in its own memo slot, and only
-the operands the variant reads: the wavelet operand, keyed by scales, order
-and basis mode; the GCN operand (``layers.gcn_input``: Â X on X's non-zero
+the operands the variant reads: the wavelet operand, keyed by scales and
+order; the GCN operand (``layers.gcn_input``: Â X on X's non-zero
 columns, n k floats), which the first convolution of both GCN variants
 reads; and the renormalized adjacency (``layers.renormalize``: the graph's
 own A and the n floats of D^{-1/2}, no n x n array of its own), which
@@ -32,7 +32,9 @@ and no dense psi_f or psi_f^+ is stored. The first pooling stage records
 structure loss reuses.
 
 Checkpoints are a single binary file: a JSON manifest (configuration plus
-tensor shapes) followed by raw little-endian float64 tensor data.
+tensor shapes) followed by raw little-endian float64 tensor data. A manifest
+written before ``basis_mode`` and ``softmax_rows`` left ``ModelConfig``
+still loads when they hold what the model now always does.
 """
 
 from __future__ import annotations
@@ -64,11 +66,8 @@ from .layers import (
     spectral_pool_assign,
     wavelet_input,
 )
-from .settings import check_fields, decode
+from .settings import check_fields, decode, typed
 from .spectral import (
-    BESSEL_MAX_ARG,
-    MODE_CLOSED_FORM,
-    MODE_FITTED_KERNEL,
     ORDER_MAX,
     cosine_transform,
     normalized_laplacian,
@@ -94,9 +93,7 @@ class ModelConfig:
     m_out: int = 4
     scales: tuple[float, ...] = (1.0, 2.0, 3.0)
     order: int = 16
-    basis_mode: str = MODE_FITTED_KERNEL
     activation: str = "relu"
-    softmax_rows: bool = True
 
     def __post_init__(self):
         check_fields(self, ContractViolationError)
@@ -112,15 +109,9 @@ class ModelConfig:
             raise ContractViolationError("scales must be finite, positive and nonempty")
         if not 1 <= self.order <= ORDER_MAX:
             raise ContractViolationError(f"order must lie in [1, {ORDER_MAX}], got {self.order}")
-        if self.basis_mode not in (MODE_CLOSED_FORM, MODE_FITTED_KERNEL):
-            raise ContractViolationError(f"unknown basis mode {self.basis_mode!r}")
-        if self.basis_mode == MODE_CLOSED_FORM and max(self.scales) > BESSEL_MAX_ARG:
-            raise ContractViolationError(
-                f"scales must be at most {BESSEL_MAX_ARG} in {MODE_CLOSED_FORM} mode, whose "
-                f"Bessel series holds there; got {max(self.scales)}")
         for scale in self.scales:
             with np.errstate(all="ignore"):  # a huge scale overflows, and every term is 0
-                coefficients = wavelet_coefficients(scale, self.order, self.basis_mode)
+                coefficients = wavelet_coefficients(scale, self.order)
             if not (np.all(np.isfinite(coefficients)) and np.any(coefficients)):
                 raise ContractViolationError(
                     f"scales must give a nonzero, finite Chebyshev series at order "
@@ -144,8 +135,8 @@ class ModelConfig:
     @property
     def wavelet_key(self) -> tuple:
         """What the wavelet operand depends on besides the graph: models with
-        equal scales, order and basis mode share it."""
-        return (self.scales, self.order, self.basis_mode)
+        equal scales and order share it."""
+        return (self.scales, self.order)
 
 
 def mid_pool_size(n: int, m_out: int) -> int:
@@ -288,8 +279,8 @@ class CrossScaleModel:
     def inputs_for(self, graph: Graph) -> GraphInputs:
         """What this variant's forward pass reads of the graph alone. Each
         operand is built once per graph and shared by every model that reads
-        it: the wavelet operand by models with the same scales, order and
-        basis mode, the GCN operand and the renormalized adjacency by all."""
+        it: the wavelet operand by models with the same scales and order, the
+        GCN operand and the renormalized adjacency by all."""
         cfg = self.config
         wavelets = gcn = renormalized = None
         if cfg.uses_wavelets:
@@ -317,7 +308,7 @@ class CrossScaleModel:
         cfg = self.config
         if cfg.uses_spectral_pool:
             return spectral_pool_assign(self.params[f"pool{stage}.theta"], cosine_transform(n),
-                                        cosine_transform(m), cfg.softmax_rows)
+                                        cosine_transform(m))
         return diffpool_assign(gcn_adjacency, features, self.params[f"pool{stage}.assign"], m)
 
     def forward(self, graph: Graph) -> ForwardResult:
@@ -373,7 +364,22 @@ def config_to_dict(config: ModelConfig) -> dict:
     return d
 
 
+# settings a checkpoint written before their removal carries, each with its
+# type and the values that load as today's model: either coefficient mode
+# (they agree to rounding), and the row softmax on
+_RETIRED = {"basis_mode": (str, ("closed_form", "fitted_kernel")), "softmax_rows": (bool, (True,))}
+
+
 def config_from_dict(d: dict) -> ModelConfig:
+    if isinstance(d, dict):
+        d = dict(d)
+        for key, (hint, kept) in _RETIRED.items():
+            if key not in d:
+                continue
+            value = typed(hint, d.pop(key), f"config.{key}", FormatError)
+            if value not in kept:
+                raise FormatError(f"config.{key} must be one of {list(kept)} since the "
+                                  f"setting was removed, got {value!r}")
     try:
         return decode(ModelConfig, d, "config", error=FormatError)
     except ContractViolationError as exc:  # a well-typed value out of range

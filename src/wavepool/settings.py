@@ -5,8 +5,8 @@ settings dataclass from a JSON object, ``check_fields`` checks a built one."""
 from __future__ import annotations
 
 import dataclasses
-import math
 import numbers
+import sys
 import types
 import typing
 
@@ -16,8 +16,10 @@ _SCALARS = {  # annotation: (description, test)
     bool: ("true or false", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    # NaN fails the comparison, and an integer past the float range fails it
+    # exactly, where converting it would raise OverflowError
     float: ("a finite number", lambda v: isinstance(v, numbers.Real)
-            and not isinstance(v, bool) and math.isfinite(v)),
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
 }
 
 

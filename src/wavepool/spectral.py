@@ -16,12 +16,13 @@ Two coefficient modes exist:
 
 * ``fitted_kernel`` - Chebyshev-Gauss quadrature fit of the low-pass kernel
   ``g(x) = exp(-f (x + 1))``, i.e. ``exp(-f lambda)`` on the Laplacian
-  spectrum. This is the default and converges to the dense eigendecomposition
-  reference as M grows.
+  spectrum. This is the default, the one the model uses, and converges to
+  the dense eigendecomposition reference as M grows.
 * ``closed_form`` - the exact Chebyshev series of the same kernel,
   ``c_i = 2 exp(-f) I_i(-f)`` with the modified Bessel function ``I``
   (Abramowitz & Stegun 9.6.34: e^{z cos t} = I_0(z) + 2 sum_k I_k(z) cos kt).
-  It needs no quadrature and agrees with ``fitted_kernel`` to rounding.
+  It needs no quadrature and agrees with ``fitted_kernel`` to rounding; it
+  is the reference the fit is checked against.
 
 ``cosine_transform`` returns the read-only n x n DCT-II matrix itself and
 caches it per size for the life of the process; the entries are bounded by
@@ -44,8 +45,10 @@ _MODES = (MODE_CLOSED_FORM, MODE_FITTED_KERNEL)
 
 BESSEL_MAX_ARG = 50.0
 BESSEL_TERM_TOL = 1e-16
-# the highest Chebyshev order a model may ask for: ``bessel_i`` starts its
-# series at (x/2)^i / i!, and 171! is past the float range
+# the highest Chebyshev order a model may ask for: the quadrature fit's
+# (order + 1) x 4 (order + 1) cosine table would take 298 GiB at order
+# 100000, and ``bessel_i`` starts its series at (x/2)^i / i!, and 171! is
+# past the float range
 ORDER_MAX = 170
 
 

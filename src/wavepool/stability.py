@@ -16,13 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, ContractViolationError
 from .layers import activation_lipschitz, gwc_forward, wavelet_input
-from .spectral import (
-    MODE_FITTED_KERNEL,
-    WaveletBasis,
-    cosine_transform,
-    normalized_laplacian,
-    wavelet_bases,
-)
+from .spectral import WaveletBasis, cosine_transform, normalized_laplacian, wavelet_bases
 from .synth import gen_er
 
 RATIO_SLACK = 1e-9  # relative tolerance on the bound per trial
@@ -189,7 +183,6 @@ def run_stability_suite(
     trials: int = 10_000,
     scale: float = 1.0,
     order: int = 16,
-    mode: str = MODE_FITTED_KERNEL,
     edge_probability: float = 0.3,
     feature_dim: int = 8,
     composition_trials: int = 1_000,
@@ -210,7 +203,7 @@ def run_stability_suite(
     for gi in range(graph_count):
         n = int(rng.integers(size_range[0], size_range[1] + 1))
         adj = gen_er(n, edge_probability, rng)
-        basis = wavelet_bases(normalized_laplacian(adj), (scale,), order, mode)
+        basis = wavelet_bases(normalized_laplacian(adj), (scale,), order)
         k_psi = max(k_psi, coefficient_bound(basis))
 
         theta = rng.standard_normal((n, n)) / math.sqrt(n)

@@ -5,15 +5,14 @@ The objective blends a scaled cross-entropy with a structure-recovery term:
     total = (1 - beta) * classification + beta * structure
 
 where the structure term is the Frobenius distance between each pre-pool
-adjacency and S^T S for that stage's m x n assignment S, reduced over
-stages by ``lp_stage_mode`` ("mean" by default, or "sum" / "first"). At
-beta = 0 the structure term is skipped outright (no residual graph is
-built). The first stage pools the graph's constant adjacency and records
-S A, so its term is taken from S A and S S^T without the n x n residual;
-only the pooled second stage, whose adjacency takes a gradient, forms it.
-``graph_loss`` is the only loss: one tape node over the logits and each
-counted stage's (adjacency, assignment), with a hand-written vjp. Its
-cross-entropy is log-softmax of the logits, finite for any finite logits.
+adjacency and S^T S for that stage's m x n assignment S, averaged over the
+graph's pooling stages. At beta = 0 the structure term is skipped outright
+(no residual graph is built). The first stage pools the graph's constant
+adjacency and records S A, so its term is taken from S A and S S^T without
+the n x n residual; only the pooled second stage, whose adjacency takes a
+gradient, forms it. ``graph_loss`` is the only loss: one tape node over the
+logits and each stage's (adjacency, assignment), with a hand-written vjp.
+Its cross-entropy is log-softmax of the logits, finite for any finite logits.
 Validation goes through ``CrossScaleModel.predict`` and records no tape.
 
 Training batches, validation passes, ``evaluate_accuracy`` passes and the
@@ -63,8 +62,6 @@ from .spectral import cosine_transform
 
 OPTIMIZERS = ("adam", "momentum")
 
-STAGE_MODES = ("mean", "sum", "first")
-
 _SHUFFLE_STREAM = 0x53485546
 
 log = logging.getLogger(__name__)
@@ -82,7 +79,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     grad_clip_norm: float | None = 5.0
-    lp_stage_mode: str = "mean"
     seed: int = 0
     shuffle: bool = True
 
@@ -100,9 +96,6 @@ class TrainConfig:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
             raise ConfigError(f"grad_clip_norm must be positive or None, got {self.grad_clip_norm}")
-        if self.lp_stage_mode not in STAGE_MODES:
-            raise ConfigError(
-                f"lp_stage_mode must be one of {STAGE_MODES}, got {self.lp_stage_mode!r}")
 
 
 # -- losses ---------------------------------------------------------------
@@ -181,23 +174,14 @@ class LossParts:
 
 
 def graph_loss(result: ForwardResult, label: int, class_count: int,
-               beta: float, stage_mode: str = "mean") -> tuple[Var, LossParts]:
+               beta: float) -> tuple[Var, LossParts]:
     """Blended objective for one graph as one node over the logits and
-    every counted stage's (adjacency, assignment); beta = 0 never touches
-    the stages.
-
-    ``stage_mode`` picks how multi-stage structure terms combine: "mean"
-    (default), "sum", or "first" (only the initial pooling step).
-    """
-    if stage_mode not in STAGE_MODES:
-        raise ContractViolationError(
-            f"stage_mode must be one of {STAGE_MODES}, got {stage_mode!r}")
+    every stage's (adjacency, assignment), the structure terms averaged
+    over the stages; beta = 0 never touches the stages."""
     ce, ce_vjp = _cross_entropy(label, result.logits, class_count)
-    stages = []
-    if beta != 0.0:
-        stages = result.stages[:1] if stage_mode == "first" else result.stages
+    stages = result.stages if beta != 0.0 else []
     terms = [_structure(stage) for stage in stages]
-    share = 1.0 / len(terms) if terms and stage_mode == "mean" else 1.0
+    share = 1.0 / len(terms) if terms else 1.0
     total, lp = ce * (1.0 - beta), 0.0
     if terms:
         lp = sum(value for value, _ in terms) * share
@@ -353,8 +337,7 @@ def _run_lane(model: CrossScaleModel, graphs, config: TrainConfig, indices):
     parts = []
     for graph in (graphs[i] for i in indices):
         result = model.forward(graph)
-        loss, p = graph_loss(result, graph.label, model.config.class_count,
-                             config.beta, config.lp_stage_mode)
+        loss, p = graph_loss(result, graph.label, model.config.class_count, config.beta)
         if not np.isfinite(p.total):
             raise _NonFinite("a non-finite loss")
         parts.append((p.l_epsilon, p.l_p, p.total, result.prediction == graph.label))
@@ -376,10 +359,11 @@ def _build_operands(model: CrossScaleModel, graphs) -> None:
     """Everything a forward pass reads of each graph alone, so that a
     process forked afterwards finds it built; a graph the forward pass
     rejects is left for it to reject. The graphs whose wavelet operand is
-    not yet memoised go through ``Lanes``: lane 0 builds every DCT matrix
-    spectral pooling will ask for, then its graphs' operands, and the
-    operands lane 1 returns go into each graph's memo here, read-only. Then
-    every graph's GCN and renormalized operands are built here."""
+    not yet memoised, if any, go through ``Lanes``: lane 0 builds every DCT
+    matrix spectral pooling will ask for, then its graphs' operands, and the
+    operands lane 1 returns go into each graph's memo here, read-only. With
+    none, the DCT matrices are built here and no job runs. Then every
+    graph's GCN and renormalized operands are built here."""
     cfg = model.config
     start = time.perf_counter()
     graphs = [g for g in graphs if g.node_count <= cfg.n_max and g.feature_dim == cfg.feature_dim]
@@ -393,21 +377,24 @@ def _build_operands(model: CrossScaleModel, graphs) -> None:
             cosine_transform(size)
         return [model.inputs_for(unbuilt[i]).wavelets for i in indices]
 
-    build = {"build": lambda indices: [model.wavelet_operand(unbuilt[i]) for i in indices]}
-    with closing(Lanes(len(unbuilt), build)) as builder:
-        builder.fork()
-        (_, second), (_, operands) = builder.run(unbuilt, range(len(unbuilt)), "build", build_here)
-    for i, operand in zip(second, operands):
-        for array in operand:
-            array.setflags(write=False)
-        unbuilt[i].memoised("wavelets", cfg.wavelet_key, lambda operand=operand: operand)
-    for graph in graphs:
-        model.inputs_for(graph)
     if unbuilt:
+        build = {"build": lambda indices: [model.wavelet_operand(unbuilt[i]) for i in indices]}
+        with closing(Lanes(len(unbuilt), build)) as builder:
+            builder.fork()
+            (_, second), (_, operands) = builder.run(unbuilt, range(len(unbuilt)), "build",
+                                                     build_here)
+        for i, operand in zip(second, operands):
+            for array in operand:
+                array.setflags(write=False)
+            unbuilt[i].memoised("wavelets", cfg.wavelet_key, lambda operand=operand: operand)
         log.debug("built %d wavelet operands in %.3f s: %d in lane 0 here, %d in lane 1 %s: %s",
                   len(unbuilt), time.perf_counter() - start, len(unbuilt) - len(second),
                   len(second), "in a forked builder" if builder.forked else "here",
                   builder.reason)
+    else:  # no job: only the DCT matrices are left to build
+        build_here(())
+    for graph in graphs:
+        model.inputs_for(graph)
 
 
 def _serve_batch(model: CrossScaleModel, graphs, lane_grads: dict, config: TrainConfig,

@@ -14,11 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from wavepool import autodiff as ad
-from wavepool.errors import ContractViolationError, NumericError
+from wavepool.errors import NumericError
 from wavepool.layers import GcnInput
 from wavepool.model import ForwardResult, PoolStage, mid_pool_size
 from wavepool.spectral import cosine_transform
-from wavepool.training import STAGE_MODES
 
 # -- operations -----------------------------------------------------------
 
@@ -234,10 +233,10 @@ def dense_gwc_forward(bases, x):
     return forward
 
 
-def spectral_pool_assign(theta, xi_n, xi_m, softmax_rows):
+def spectral_pool_assign(theta, xi_n, xi_m):
     m, n = xi_m.shape[0], xi_n.shape[0]
     raw = matmul(matmul(ad.constant(xi_m), getitem(theta, np.s_[:m, :n])), ad.constant(xi_n.T))
-    return row_softmax(raw) if softmax_rows else raw
+    return row_softmax(raw)
 
 
 def pool_apply(s, adjacency, features):
@@ -319,18 +318,14 @@ def link_prediction_loss(stage):
     return frobenius_norm(sub(stage.adjacency, matmul(s_nm, transpose(s_nm))))
 
 
-def graph_loss(result, label, class_count, beta, stage_mode="mean"):
-    if stage_mode not in STAGE_MODES:
-        raise ContractViolationError(f"unknown stage mode {stage_mode!r}")
+def graph_loss(result, label, class_count, beta):
     ce = cross_entropy_loss(label, result.logits, class_count)
     if beta == 0.0 or not result.stages:
         return ce if beta == 0.0 else scale(ce, 1.0 - beta)
-    stages = result.stages[:1] if stage_mode == "first" else result.stages
-    lp = link_prediction_loss(stages[0])
-    for stage in stages[1:]:
+    lp = link_prediction_loss(result.stages[0])
+    for stage in result.stages[1:]:
         lp = add(lp, link_prediction_loss(stage))
-    if stage_mode == "mean":
-        lp = scale(lp, 1.0 / len(stages))
+    lp = scale(lp, 1.0 / len(result.stages))
     return add(scale(ce, 1.0 - beta), scale(lp, beta))
 
 
@@ -343,7 +338,7 @@ def forward(model, graph):
     def assign(stage, adjacency, gcn_adjacency, features, n, m):
         if cfg.uses_spectral_pool:
             s = spectral_pool_assign(p[f"pool{stage}.theta"], cosine_transform(n),
-                                     cosine_transform(m), cfg.softmax_rows)
+                                     cosine_transform(m))
         else:
             s = diffpool_assign(gcn_adjacency, features, p[f"pool{stage}.assign"], m)
         return PoolStage(adjacency, s)

@@ -1,5 +1,6 @@
 import json
 import re
+import resource
 import subprocess
 import sys
 
@@ -144,13 +145,12 @@ def test_bad_model_settings_exit_2_before_any_seed(bench_dir, tmp_path, capsys,
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("model", [{"order": 100000}, {"order": 171},
-                                   {"basis_mode": "closed_form", "scales": [60]},
+@pytest.mark.parametrize("model", [{"order": 100000}, {"order": 171}, {"scales": [1.0, -1.0]},
                                    {"scales": [1e7]}, {"scales": [1.0, 1e308]}])
 def test_an_order_or_scale_no_basis_can_take_exits_2_before_any_seed(bench_dir, tmp_path,
                                                                      capsys, model):
     """An order past ``ORDER_MAX`` (100000 would ask NumPy for 298 GiB), a
-    closed-form scale past the Bessel series' window and a scale whose every
+    negative scale, whose kernel e^{s lambda} grows, and a scale whose every
     Chebyshev coefficient underflows to zero (from 1e7 at order 16) are
     settings faults, rejected without a warning."""
     cfg = tmp_path / "c.json"
@@ -205,6 +205,8 @@ NAN, INF = float("nan"), float("inf")
     ("train", {"train": {"learning_rate": INF}}, "train.learning_rate"),
     ("train", {"train": {"grad_clip_norm": NAN}}, "train.grad_clip_norm"),
     ("train", {"split": {"train_fraction": NAN}}, "split.train_fraction"),
+    # an integer past the float range once escaped as OverflowError
+    ("train", {"split": {"train_fraction": 10**400}}, "split.train_fraction"),
 ])
 def test_mistyped_config_values_exit_2_and_name_the_key(bench_dir, tmp_path, capsys,
                                                         command, section, names):
@@ -261,13 +263,41 @@ def test_main_maps_package_and_os_errors_and_lets_bugs_escape(monkeypatch, tmp_p
         assert main(argv) == code
 
 
+def capped_run(argv: list[str]) -> subprocess.CompletedProcess:
+    """``wavepool`` in a child process whose address space is capped at
+    2 GiB, so that an input that makes it allocate fails there."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run([sys.executable, "-m", "wavepool", *argv], capture_output=True,
+                          text=True, env={**lane_env(), "OPENBLAS_NUM_THREADS": "1"},
+                          preexec_fn=cap, timeout=120)
+
+
 @pytest.mark.parametrize("command", ["evaluate", "train"])
-def test_n_max_below_the_largest_graph_exits_2(bench_dir, tmp_path, capsys, command):
+@pytest.mark.parametrize("settings, named", [
+    ({"model": {"n_max": 1000000}}, "'model' has unknown keys ['n_max']"),
+    ({"model": {"n_max": 30000}}, "'model' has unknown keys ['n_max']"),
+    ({"model": {"basis_mode": "closed_form"}}, "'model' has unknown keys ['basis_mode']"),
+    ({"train": {"lp_stage_mode": "sum"}}, "'train' has unknown keys ['lp_stage_mode']"),
+    (["--n-max", "30000"], "unrecognized arguments: --n-max 30000"),
+    (["--basis-mode", "closed_form"], "unrecognized arguments: --basis-mode closed_form"),
+], ids=["n_max-1000000", "n_max-30000", "basis_mode", "lp_stage_mode", "--n-max",
+        "--basis-mode"])
+def test_removed_settings_exit_2_and_are_named(bench_dir, tmp_path, command, settings, named):
+    """The node allocation comes from the data, and the basis mode and the
+    stage reduction are fixed: their keys and flags exit 2, leaving no
+    output. An allocation of n_max = 30000 nodes once got the process
+    killed, and 1000000 asked NumPy for 7.28 TiB."""
+    argv = settings
+    if isinstance(settings, dict):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"schema_version": 1, **settings}))
+        argv = ["--config", str(cfg)]
     out = tmp_path / "o"
-    code = main([command, "--data", str(bench_dir), "--out", str(out), "--n-max", "7",
-                 *FAST])
-    assert code == 2
-    assert "n_max 7" in capsys.readouterr().err
+    proc = capped_run([command, "--data", str(bench_dir), "--out", str(out), *FAST, *argv])
+    assert proc.returncode == 2, proc.stderr
+    assert named in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
 
 

@@ -86,16 +86,6 @@ def test_model_config_infers_n_max_from_data():
     assert cfg.n_max == int(ds.sizes.max())
     assert cfg.feature_dim == ds.feature_dim
     assert cfg.class_count == 2
-    cfg_fixed = model_config_for(ds, quick_plan(n_max=64))
-    assert cfg_fixed.n_max == 64
-
-
-def test_model_config_rejects_n_max_below_the_largest_graph():
-    ds = toy_dataset(per_class=5)
-    largest = int(ds.sizes.max())
-    assert model_config_for(ds, quick_plan(n_max=largest)).n_max == largest
-    with pytest.raises(ConfigError, match=f"n_max {largest - 1} .* {largest} nodes"):
-        model_config_for(ds, quick_plan(n_max=largest - 1))
 
 
 @pytest.mark.parametrize("settings", [{"order": 0}, {"m_out": "2"}, {"scales": (-1.0,)}])

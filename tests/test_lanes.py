@@ -276,11 +276,11 @@ def test_lane_1_runs_its_jobs_handler_wherever_it_runs(cpus):
     """An operand build, each of an epoch's three batches and its validation
     pass hand lane 1 to the handler of their kind: in this process without
     a worker, else in the builder or the model's worker. With a worker,
-    ``train``'s own build has nothing left to build and runs in-process."""
+    ``train``'s own build has nothing left to build and runs no job."""
     result = scenario("handlers", cpus)
     counts = {kind: result[kind] for kind in ("build", "train", "predict")}
     if cpus == "2":
-        assert counts == {"build": [1, 1], "train": [0, 3], "predict": [0, 1]}
+        assert counts == {"build": [0, 1], "train": [0, 3], "predict": [0, 1]}
     else:
         assert counts == {"build": [1, 0], "train": [3, 0], "predict": [1, 0]}
 

@@ -262,40 +262,36 @@ def pool_theta(m_max, n_max, rng):
 
 def test_spectral_pool_rows_stochastic(rng):
     n, m = 7, 3
-    s = spectral_pool_assign(pool_theta(m, n, rng), cosine_transform(n), cosine_transform(m),
-                             True)
+    s = spectral_pool_assign(pool_theta(m, n, rng), cosine_transform(n), cosine_transform(m))
     assert s.value.shape == (m, n)
     assert np.allclose(s.value.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(s.value > 0)
 
 
-def test_spectral_pool_raw_matches_numpy(rng):
+def test_spectral_pool_matches_numpy(rng):
+    """S is the row softmax of xi_m theta xi_n^T."""
     n, m = 6, 2
     theta = pool_theta(m, n, rng)
-    s = spectral_pool_assign(theta, cosine_transform(n), cosine_transform(m), False)
-    expected = cosine_transform(m) @ theta.value @ cosine_transform(n).T
-    assert np.allclose(s.value, expected, atol=1e-12)
+    s = spectral_pool_assign(theta, cosine_transform(n), cosine_transform(m))
+    raw = np.exp(cosine_transform(m) @ theta.value @ cosine_transform(n).T)
+    assert np.allclose(s.value, raw / raw.sum(axis=1, keepdims=True), atol=1e-12)
 
 
 def test_spectral_pool_degenerate_sizes(rng):
     with pytest.raises(PoolingDegenerateError):
-        spectral_pool_assign(pool_theta(3, 3, rng), cosine_transform(3), cosine_transform(3),
-                             True)
+        spectral_pool_assign(pool_theta(3, 3, rng), cosine_transform(3), cosine_transform(3))
     with pytest.raises(PoolingDegenerateError):
-        spectral_pool_assign(pool_theta(4, 4, rng), cosine_transform(2), cosine_transform(4),
-                             True)
+        spectral_pool_assign(pool_theta(4, 4, rng), cosine_transform(2), cosine_transform(4))
 
 
 def test_spectral_pool_validation(rng):
     with pytest.raises(ContractViolationError, match="allocation"):
-        spectral_pool_assign(pool_theta(2, 5, rng), cosine_transform(8), cosine_transform(2),
-                             True)
+        spectral_pool_assign(pool_theta(2, 5, rng), cosine_transform(8), cosine_transform(2))
 
 
 def test_pool_apply_shapes_and_symmetry(rng):
     n, m, width = 6, 2, 3
-    s = spectral_pool_assign(pool_theta(m, n, rng), cosine_transform(n), cosine_transform(m),
-                             True)
+    s = spectral_pool_assign(pool_theta(m, n, rng), cosine_transform(n), cosine_transform(m))
     adj = ad.constant(cycle_adjacency(n))
     feats = ad.constant(rng.standard_normal((n, width)))
     pooled_adj, pooled_feats, product = pool_apply(s, adj, feats)
@@ -323,7 +319,7 @@ def test_pool_gradients_match_finite_differences(rng):
     theta0 = rng.standard_normal((m, n))
 
     def run(theta):
-        s = spectral_pool_assign(ad.as_var(theta), cosine_transform(n), cosine_transform(m), True)
+        s = spectral_pool_assign(ad.as_var(theta), cosine_transform(n), cosine_transform(m))
         pooled_adj, pooled_feats, _ = pool_apply(s, ad.constant(adj), ad.constant(feats))
         return ops.add(ops.frobenius_norm(pooled_adj), ops.frobenius_norm(pooled_feats))
 
@@ -495,10 +491,8 @@ def stage_cases(rng):
     adj = 0.5 * (adj + adj.T)
     xi_n, xi_m = cosine_transform(n), cosine_transform(m)
 
-    def spectral(softmax):
-        def build(layer):
-            return lambda theta: (layer.spectral_pool_assign(theta, xi_n, xi_m, softmax),)
-        return build
+    def spectral(layer):
+        return lambda theta: (layer.spectral_pool_assign(theta, xi_n, xi_m),)
 
     def apply(layer):
         return lambda s, a, x: layer.pool_apply(s, a, x)[:2]
@@ -529,8 +523,9 @@ def stage_cases(rng):
 
     s_mn = rng.random((m, n))
     return [
-        ("spectral softmax", spectral(True), [rng.standard_normal((m + 1, n + 2))]),
-        ("spectral raw", spectral(False), [rng.standard_normal((m, n))]),
+        ("spectral", spectral, [rng.standard_normal((m + 1, n + 2))]),
+        # a filter of exactly m x n: the vjp fills the whole buffer
+        ("spectral exact allocation", spectral, [rng.standard_normal((m, n))]),
         ("apply", apply, [s_mn, adj, rng.standard_normal((n, width))]),
         # DiffPool's assignment is the transpose of a C-ordered n x m array
         ("apply column-major", apply,

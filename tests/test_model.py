@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wavepool import autodiff as ad
 from wavepool import model as model_module
-from wavepool.errors import ContractViolationError, FormatError, NumericError
+from wavepool.errors import ContractViolationError, FormatError
 from wavepool.graphs import Graph, GraphDataset, degree_onehot_features
 from wavepool.model import (
     CHECKPOINT_MAGIC,
@@ -27,7 +27,7 @@ from wavepool.model import (
     parameter_shapes,
     save_checkpoint,
 )
-from wavepool.spectral import BESSEL_MAX_ARG, ORDER_MAX, normalized_laplacian, wavelet_bases
+from wavepool.spectral import ORDER_MAX, normalized_laplacian, wavelet_bases
 from wavepool.training import evaluate_accuracy, graph_loss
 
 from . import per_op as ops
@@ -74,30 +74,21 @@ def test_config_validation():
     with pytest.raises(ContractViolationError):
         small_config(order=0)
     with pytest.raises(ContractViolationError):
-        small_config(basis_mode="magic")
-    with pytest.raises(ContractViolationError):
         small_config(activation="tanh")
 
 
 def test_order_above_the_cap_fails_at_construction():
-    """Orders up to ``ORDER_MAX`` build a basis in both modes; one past it,
-    or 100000 (whose quadrature table alone would take 298 GiB), is refused
-    before anything is allocated."""
+    """Orders up to ``ORDER_MAX`` build a basis in both coefficient modes;
+    one past it, or 100000 (whose quadrature table alone would take
+    298 GiB), is refused before anything is allocated."""
+    config = small_config(order=ORDER_MAX)
     for mode in ("fitted_kernel", "closed_form"):
-        config = small_config(order=ORDER_MAX, basis_mode=mode)
         basis = wavelet_bases(normalized_laplacian(np.eye(4, k=1) + np.eye(4, k=-1)),
                               config.scales, config.order, mode)
         assert np.all(np.isfinite(basis.values))
-        for order in (ORDER_MAX + 1, 100000):
-            with pytest.raises(ContractViolationError, match=f"order must lie in .*got {order}"):
-                small_config(order=order, basis_mode=mode)
-
-
-def test_closed_form_scale_past_the_bessel_window_fails_at_construction():
-    small_config(basis_mode="closed_form", scales=(1.0, BESSEL_MAX_ARG))
-    small_config(scales=(1.0, 60.0))  # the quadrature fit takes any finite scale
-    with pytest.raises(ContractViolationError, match="scales must be at most 50.0 .* got 60.0"):
-        small_config(basis_mode="closed_form", scales=(1.0, 60.0))
+    for order in (ORDER_MAX + 1, 100000):
+        with pytest.raises(ContractViolationError, match=f"order must lie in .*got {order}"):
+            small_config(order=order)
 
 
 def test_mid_pool_size_values():
@@ -228,21 +219,6 @@ def test_forward_deterministic_across_instances(rng):
     a = CrossScaleModel(small_config(), seed=3).forward(graph)
     b = CrossScaleModel(small_config(), seed=3).forward(graph)
     assert np.array_equal(a.logits.value, b.logits.value)
-
-
-def test_forward_without_row_softmax(rng):
-    # raw assignments carry signs: normalization can legitimately fail when a
-    # pooled A + I row sums nonpositive (seed 0), and succeeds otherwise (2)
-    graph = random_graph(9, 2, rng)
-    with pytest.raises(NumericError, match="nonpositive"):
-        CrossScaleModel(small_config(softmax_rows=False), seed=0).forward(graph)
-    result = CrossScaleModel(small_config(softmax_rows=False), seed=2).forward(graph)
-    assert np.all(np.isfinite(result.logits.value))
-
-
-def test_closed_form_basis_mode_runs(rng):
-    model = CrossScaleModel(small_config(basis_mode="closed_form"), seed=0)
-    assert model.forward(random_graph(7, 2, rng)).logits.value.shape == (2,)
 
 
 # -- parameter management -------------------------------------------------
@@ -486,7 +462,7 @@ def test_gcn_memo_keeps_only_what_the_variant_reads(variant, renormalized, rng):
 
 
 def test_config_dict_roundtrip():
-    cfg = small_config(scales=(0.5, 1.5), basis_mode="closed_form")
+    cfg = small_config(scales=(0.5, 1.5))
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
@@ -512,6 +488,41 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     restored = model_from_checkpoint(path)
     assert np.array_equal(restored.forward(graph).logits.value,
                           model.forward(graph).logits.value)
+
+
+def save_with_removed_settings(monkeypatch, path, model, **removed):
+    """``save_checkpoint`` as it wrote while ``ModelConfig`` still had
+    ``basis_mode`` and ``softmax_rows``: their values sit in its config."""
+    to_dict = model_module.config_to_dict
+    monkeypatch.setattr(model_module, "config_to_dict", lambda cfg: dict(to_dict(cfg), **removed))
+    save_checkpoint(path, model.config, model.state())
+
+
+@pytest.mark.parametrize("basis_mode", ["fitted_kernel", "closed_form"])
+def test_a_checkpoint_with_the_removed_settings_loads(tmp_path, monkeypatch, rng, basis_mode):
+    """Either coefficient mode and the row softmax on load as today's model,
+    which fits the coefficients by quadrature."""
+    cfg = small_config(scales=(1.0, 2.0))
+    model = CrossScaleModel(cfg, seed=5)
+    path = tmp_path / "model.bin"
+    save_with_removed_settings(monkeypatch, path, model, basis_mode=basis_mode,
+                               softmax_rows=True)
+    assert b'"softmax_rows": true' in path.read_bytes()
+    assert load_checkpoint(path)[0] == cfg
+    graph = random_graph(9, 2, rng)
+    assert np.array_equal(model_from_checkpoint(path).forward(graph).logits.value,
+                          model.forward(graph).logits.value)
+
+
+@pytest.mark.parametrize("key, value", [("softmax_rows", False), ("softmax_rows", 1),
+                                        ("basis_mode", "magic")])
+def test_a_removed_setting_the_model_cannot_honour_is_a_format_error(tmp_path, monkeypatch,
+                                                                    key, value):
+    path = tmp_path / "model.bin"
+    removed = dict({"basis_mode": "fitted_kernel", "softmax_rows": True}, **{key: value})
+    save_with_removed_settings(monkeypatch, path, CrossScaleModel(small_config()), **removed)
+    with pytest.raises(FormatError, match=f"config.{key}"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -657,8 +668,7 @@ def close_relative(a, b, tol=1e-10):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("stage_mode", ["mean", "sum", "first"])
-def test_fused_pipeline_matches_per_op_composition(variant, stage_mode, rng):
+def test_fused_pipeline_matches_per_op_composition(variant, rng):
     """Forward values are bit-identical to the per-op pipeline; the loss and
     every parameter gradient agree within 1e-10 relative."""
     cfg = small_config(variant=variant, n_max=20, m_out=3, scales=(1.0, 2.0),
@@ -670,7 +680,7 @@ def test_fused_pipeline_matches_per_op_composition(variant, stage_mode, rng):
                               (ops.forward, ops.graph_loss)):
             model = CrossScaleModel(cfg, seed=3)
             result = forward(model, graph)
-            total = loss(result, graph.label, 2, 0.3, stage_mode)
+            total = loss(result, graph.label, 2, 0.3)
             total = total[0] if isinstance(total, tuple) else total
             ad.backward(total)
             runs.append((result, total, model))

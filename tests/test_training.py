@@ -137,29 +137,13 @@ def test_graph_loss_averages_stages():
     assert parts.l_p == pytest.approx((1.0 + 2.0) / 2.0, abs=1e-12)
 
 
-def test_graph_loss_stage_modes():
-    def result():
-        stage1 = PoolStage(ad.constant(np.eye(2)), ad.constant(np.array([[1.0, 0.0]])))
-        stage2 = PoolStage(ad.constant(np.zeros((2, 2))),
-                           ad.constant(np.array([[1.0, 1.0]])))
-        return fabricated_result([0.0, 0.0], [stage1, stage2])
-
-    _, summed = graph_loss(result(), 0, 2, beta=1.0, stage_mode="sum")
-    assert summed.l_p == pytest.approx(3.0, abs=1e-12)
-    _, first = graph_loss(result(), 0, 2, beta=1.0, stage_mode="first")
-    assert first.l_p == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ContractViolationError, match="stage_mode"):
-        graph_loss(result(), 0, 2, beta=1.0, stage_mode="last")
-
-
 def random_stage(rng, n, m):
     adj = rng.random((n, n))
     return adj + adj.T, rng.random((m, n))
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
-@pytest.mark.parametrize("stage_mode", ["mean", "sum", "first"])
-def test_fused_loss_matches_per_op_composition(beta, stage_mode, rng):
+def test_fused_loss_matches_per_op_composition(beta, rng):
     stages = [random_stage(rng, 6, 3), random_stage(rng, 3, 2)]
     logits0 = rng.standard_normal(3)
     runs = []
@@ -167,7 +151,7 @@ def test_fused_loss_matches_per_op_composition(beta, stage_mode, rng):
         logits = ad.parameter(logits0)
         vars_ = [(ad.parameter(a), ad.parameter(s)) for a, s in stages]
         result = ForwardResult(logits, [PoolStage(a, s) for a, s in vars_])
-        total = loss(result, 1, 3, beta, stage_mode)
+        total = loss(result, 1, 3, beta)
         total = total[0] if isinstance(total, tuple) else total
         ad.backward(total)
         runs.append((total, [logits] + [v for pair in vars_ for v in pair]))
@@ -326,9 +310,6 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(grad_clip_norm=0.0)
     assert TrainConfig(grad_clip_norm=None).grad_clip_norm is None
-    with pytest.raises(ConfigError):
-        TrainConfig(lp_stage_mode="last")
-    assert TrainConfig(lp_stage_mode="sum").lp_stage_mode == "sum"
 
 
 # -- optimizer ------------------------------------------------------------
