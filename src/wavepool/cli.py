@@ -43,7 +43,15 @@ from .model import VARIANTS, config_to_dict, save_checkpoint
 from .settings import decode, typed
 from .stability import run_stability_suite, suite_to_json
 from .svgplot import bar_chart
-from .synth import ClassSpec, MsgConfig, build_msg, export_tu, size_histogram, three_class_config
+from .synth import (
+    SIZE_MAX,
+    ClassSpec,
+    MsgConfig,
+    build_msg,
+    export_tu,
+    size_histogram,
+    three_class_config,
+)
 from .training import TrainConfig
 
 SCHEMA_VERSION = 1
@@ -129,8 +137,8 @@ def parse_span(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_at_least(lowest: int):
-    """An argparse ``type`` for an integer of at least ``lowest``."""
+def _parse_at_least(lowest: int, highest: float = float("inf")):
+    """An argparse ``type`` for an integer of at least ``lowest``, at most ``highest``."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -138,6 +146,8 @@ def _parse_at_least(lowest: int):
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
         if value < lowest:
             raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        if value > highest:
+            raise argparse.ArgumentTypeError(f"must be at most {highest}, got {value}")
         return value
 
     return parse
@@ -361,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     training.add_argument("--batch-size", type=int)
     training.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
     training.add_argument("--beta", type=float, help="structure-loss mixing weight")
-    training.add_argument("--optimizer", choices=("adam", "momentum"))
     training.add_argument("--grad-clip", dest="grad_clip_norm", type=float,
                           help="global gradient-norm cap")
     training.add_argument("--no-stratify", dest="stratified", action="store_const", const=False,
@@ -387,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=("default", "three-class", "three_class"))
     p.add_argument("--per-class", type=int)
     p.add_argument("--size-range", type=parse_span, help="node-count range LO:HI")
-    p.add_argument("--bins", type=_parse_at_least(1), default=20, help="histogram bins")
+    p.add_argument("--bins", type=_parse_at_least(1, SIZE_MAX), default=20, help="histogram bins")
 
     command("train", cmd_train, "train one model on a TU-format dataset", [training, seed])
     command("evaluate", cmd_evaluate, "multi-seed accuracy for one variant", [grid])

@@ -280,7 +280,7 @@ def _attribute_table(path: Path, n_nodes: int) -> np.ndarray:
     raise FormatError(f"{path.name}: cannot parse as a table of numbers")
 
 
-def load_tu_dataset(directory_path: str | Path, degree_cap: int = DEGREE_CAP) -> GraphDataset:
+def load_tu_dataset(directory_path: str | Path) -> GraphDataset:
     """Load a dataset in the TU benchmark text format.
 
     The directory must contain ``<DS>_A.txt`` (1-indexed "row, col" edge
@@ -288,7 +288,7 @@ def load_tu_dataset(directory_path: str | Path, degree_cap: int = DEGREE_CAP) ->
     ``<DS>_node_labels.txt`` and ``<DS>_node_attributes.txt`` are optional.
     Node labels are one-hot encoded; when neither labels nor attributes
     exist, features fall back to one-hot degree encodings capped at
-    ``degree_cap`` with an overflow bucket.
+    ``DEGREE_CAP`` with an overflow bucket.
 
     Files are UTF-8 text, one row per line. Integers are base-10 ASCII
     digits with an optional sign, within int64; attributes are finite
@@ -395,7 +395,7 @@ def load_tu_dataset(directory_path: str | Path, degree_cap: int = DEGREE_CAP) ->
             first = rows[0]
             feats = all_feats[first:first + n] if rows[-1] == first + n - 1 else all_feats[rows]
         else:
-            feats = degree_onehot_features(adj, cap=degree_cap)
+            feats = degree_onehot_features(adj)
         graphs.append(Graph(adj, feats, label, id=f"{prefix}-{gid}"))
 
     return GraphDataset(tuple(graphs), len(label_values), graphs[0].feature_dim, name=prefix)

@@ -255,7 +255,6 @@ class CrossScaleModel:
     def __init__(self, config: ModelConfig, seed: int = 0,
                  tensors: dict[str, np.ndarray] | None = None):
         self.config = config
-        self.seed = seed
         if tensors is None:
             tensors = init_parameters(config, seed)
         _check_tensors(config, tensors)
@@ -451,6 +450,6 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
     return config, tensors, manifest.get("extra", {})
 
 
-def model_from_checkpoint(path, seed: int = 0) -> CrossScaleModel:
+def model_from_checkpoint(path) -> CrossScaleModel:
     config, tensors, _ = load_checkpoint(path)
-    return CrossScaleModel(config, seed=seed, tensors=tensors)
+    return CrossScaleModel(config, tensors=tensors)

@@ -20,6 +20,10 @@ from .spectral import WaveletBasis, cosine_transform, normalized_laplacian, wave
 from .synth import gen_er
 
 RATIO_SLACK = 1e-9  # relative tolerance on the bound per trial
+SUITE_SCALE = 1.0  # the suite's one wavelet scale
+SUITE_ORDER = 16  # and its Chebyshev order
+SUITE_EDGE_PROBABILITY = 0.3  # each suite graph's Erdos-Renyi edge probability
+SUITE_FEATURE_DIM = 8  # and its input feature columns
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
@@ -67,9 +71,9 @@ def perturbation_check(
 ) -> PerturbationOutcome:
     """Sample perturbations and verify ||layer(x+d) - layer(x)|| <= K ||d||.
 
-    Directions are random with log-uniform Frobenius magnitude; any
-    ``extra_directions`` are applied verbatim (for adversarial alignment).
-    A zero perturbation counts as ratio 0.
+    Directions are random with log-uniform Frobenius magnitude, each checked
+    as it is drawn; any ``extra_directions`` are then applied verbatim (for
+    adversarial alignment). A zero perturbation counts as ratio 0.
     """
     if trials < 1:
         raise ContractViolationError(f"need trials >= 1, got {trials}")
@@ -80,19 +84,19 @@ def perturbation_check(
     if not 0 < lo <= hi:
         raise ContractViolationError(f"bad magnitude range {magnitude_range}")
     base = np.asarray(layer(x0))
-    deltas = []
-    for _ in range(trials):
-        direction = rng.standard_normal(x0.shape)
-        norm = float(np.linalg.norm(direction))
-        if norm == 0.0:
-            deltas.append(direction)
-            continue
-        magnitude = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
-        deltas.append(direction * (magnitude / norm))
-    deltas.extend(np.asarray(d, dtype=float) for d in extra_directions)
+
+    def deltas():
+        for _ in range(trials):
+            direction = rng.standard_normal(x0.shape)
+            norm = float(np.linalg.norm(direction))
+            if norm != 0.0:  # a zero direction has ratio 0 and draws no magnitude
+                magnitude = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+                yield direction * (magnitude / norm)
+        yield from (np.asarray(d, dtype=float) for d in extra_directions)
+
     violations = 0
     max_ratio = 0.0
-    for delta in deltas:
+    for delta in deltas():
         dnorm = float(np.linalg.norm(delta))
         if dnorm == 0.0:
             continue  # ratio defined as 0; cannot violate
@@ -105,7 +109,7 @@ def perturbation_check(
         max_ratio = max(max_ratio, ratio)
         if ratio > 1.0 + RATIO_SLACK:
             violations += 1
-    return PerturbationOutcome(trials=len(deltas), violations=violations, max_ratio=max_ratio)
+    return PerturbationOutcome(trials + len(extra_directions), violations, max_ratio)
 
 
 @dataclass(frozen=True)
@@ -181,10 +185,6 @@ def run_stability_suite(
     graph_count: int = 5,
     size_range: tuple[int, int] = (8, 32),
     trials: int = 10_000,
-    scale: float = 1.0,
-    order: int = 16,
-    edge_probability: float = 0.3,
-    feature_dim: int = 8,
     composition_trials: int = 1_000,
 ) -> tuple[LipschitzReport, list[LayerCheck], tuple[str, ...]]:
     """Check K_1, K_2, and their product on random graphs.
@@ -202,15 +202,15 @@ def run_stability_suite(
     max_ratio = 0.0
     for gi in range(graph_count):
         n = int(rng.integers(size_range[0], size_range[1] + 1))
-        adj = gen_er(n, edge_probability, rng)
-        basis = wavelet_bases(normalized_laplacian(adj), (scale,), order)
+        adj = gen_er(n, SUITE_EDGE_PROBABILITY, rng)
+        basis = wavelet_bases(normalized_laplacian(adj), (SUITE_SCALE,), SUITE_ORDER)
         k_psi = max(k_psi, coefficient_bound(basis))
 
         theta = rng.standard_normal((n, n)) / math.sqrt(n)
-        bias = rng.standard_normal((n, feature_dim)) * 0.1
+        bias = rng.standard_normal((n, SUITE_FEATURE_DIM)) * 0.1
         bound1 = lipschitz_bound_gwc(basis, theta, "relu")
         layer1 = make_gwc_layer(basis, theta, bias)
-        x0 = rng.standard_normal((n, feature_dim))
+        x0 = rng.standard_normal((n, SUITE_FEATURE_DIM))
         out1 = perturbation_check(layer1, x0, bound1, trials, rng=rng)
         checks.append(LayerCheck(
             layer="gwc", graph_index=gi, size=n, bound=bound1,

@@ -20,6 +20,7 @@ from .graphs import Graph, GraphDataset, degree_onehot_features, load_tu_dataset
 from .settings import check_fields
 
 FAMILIES = ("er", "ws", "ba", "empirical")
+SIZE_MAX = 1000  # the largest graph a class generates
 
 
 def _graph_from_adjacency(adj: np.ndarray, label: int, graph_id: str) -> Graph:
@@ -102,7 +103,7 @@ class ClassSpec:
 
     family: str
     count: int = 35
-    size_range: tuple[int, int] = (4, 1000)
+    size_range: tuple[int, int] = (4, SIZE_MAX)
     p: float = 0.35          # er edge probability
     k: int = 4               # ws ring degree
     p_rewire: float = 0.1    # ws rewire probability
@@ -116,8 +117,8 @@ class ClassSpec:
         if self.count < 1:
             raise ConfigError(f"class count must be >= 1, got {self.count}")
         lo, hi = self.size_range
-        if not (4 <= lo <= hi <= 1000):
-            raise ConfigError(f"size range must satisfy 4 <= lo <= hi <= 1000, got {self.size_range}")
+        if not (4 <= lo <= hi <= SIZE_MAX):
+            raise ConfigError(f"size range must satisfy 4 <= lo <= hi <= {SIZE_MAX}, got {self.size_range}")
         # the generators' own rules, for the parameters this family reads; a graph
         # has at least k + 1 (ws) or m + 2 (ba) nodes, so these stay within 1000
         if self.family == "er" and not 0.0 <= self.p <= 1.0:

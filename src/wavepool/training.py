@@ -1,4 +1,4 @@
-"""Losses, optimizers, and the training loop.
+"""Losses, the Adam update, and the training loop.
 
 The objective blends a scaled cross-entropy with a structure-recovery term:
 
@@ -60,7 +60,10 @@ from .model import CrossScaleModel, ForwardResult, PoolStage, mid_pool_size
 from .settings import check_fields
 from .spectral import cosine_transform
 
-OPTIMIZERS = ("adam", "momentum")
+# Adam's decay rates and denominator floor (Kingma & Ba 2015), the same for every run
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 _SHUFFLE_STREAM = 0x53485546
 
@@ -73,11 +76,6 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 1e-3
     beta: float = 0.1
-    optimizer: str = "adam"
-    momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip_norm: float | None = 5.0
     seed: int = 0
     shuffle: bool = True
@@ -92,8 +90,6 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
             raise ConfigError(f"grad_clip_norm must be positive or None, got {self.grad_clip_norm}")
 
@@ -199,11 +195,11 @@ def graph_loss(result: ForwardResult, label: int, class_count: int,
     return ad.node(total, inputs, vjp), LossParts(float(ce), float(lp), float(total))
 
 
-# -- optimizers -----------------------------------------------------------
+# -- optimizer ------------------------------------------------------------
 
 
 class Optimizer:
-    """Adam or heavy-ball SGD with global-norm gradient clipping.
+    """Adam at the ``ADAM_*`` constants, with global-norm gradient clipping.
 
     ``step`` consumes the gradients accumulated on the parameter Vars
     (dividing by the batch size to form the batch mean) and clears them.
@@ -242,29 +238,23 @@ class Optimizer:
         self.step_count += 1
         for name, g in grads.items():
             var = params[name]
-            if cfg.optimizer == "adam":
-                m = self._m.setdefault(name, np.zeros_like(var.value))
-                v = self._v.setdefault(name, np.zeros_like(var.value))
-                t = g * (1.0 - cfg.adam_beta1)
-                m *= cfg.adam_beta1
-                m += t
-                np.multiply(g, 1.0 - cfg.adam_beta2, out=t)
-                t *= g
-                v *= cfg.adam_beta2
-                v += t
-                # lr m_hat / (sqrt(v_hat) + eps), with g as the denominator
-                np.divide(m, 1.0 - cfg.adam_beta1 ** self.step_count, out=t)
-                t *= cfg.learning_rate
-                d = np.divide(v, 1.0 - cfg.adam_beta2 ** self.step_count, out=g)
-                np.sqrt(d, out=d)
-                d += cfg.adam_eps
-                t /= d
-                var.value -= t
-            else:
-                buf = self._m.setdefault(name, np.zeros_like(var.value))
-                buf *= cfg.momentum
-                buf += g
-                var.value -= np.multiply(buf, cfg.learning_rate, out=g)
+            m = self._m.setdefault(name, np.zeros_like(var.value))
+            v = self._v.setdefault(name, np.zeros_like(var.value))
+            t = g * (1.0 - ADAM_BETA1)
+            m *= ADAM_BETA1
+            m += t
+            np.multiply(g, 1.0 - ADAM_BETA2, out=t)
+            t *= g
+            v *= ADAM_BETA2
+            v += t
+            # lr m_hat / (sqrt(v_hat) + eps), with g as the denominator
+            np.divide(m, 1.0 - ADAM_BETA1 ** self.step_count, out=t)
+            t *= cfg.learning_rate
+            d = np.divide(v, 1.0 - ADAM_BETA2 ** self.step_count, out=g)
+            np.sqrt(d, out=d)
+            d += ADAM_EPS
+            t /= d
+            var.value -= t
             var.grad = None
         return norm
 

@@ -282,13 +282,19 @@ def capped_run(argv: list[str]) -> subprocess.CompletedProcess:
     ({"train": {"lp_stage_mode": "sum"}}, "'train' has unknown keys ['lp_stage_mode']"),
     (["--n-max", "30000"], "unrecognized arguments: --n-max 30000"),
     (["--basis-mode", "closed_form"], "unrecognized arguments: --basis-mode closed_form"),
+    ({"train": {"optimizer": "momentum"}}, "'train' has unknown keys ['optimizer']"),
+    ({"train": {"momentum": 0.9}}, "'train' has unknown keys ['momentum']"),
+    ({"train": {"adam_beta1": 1.0}}, "'train' has unknown keys ['adam_beta1']"),
+    ({"train": {"adam_eps": -1e-8}}, "'train' has unknown keys ['adam_eps']"),
+    (["--optimizer", "momentum"], "unrecognized arguments: --optimizer momentum"),
 ], ids=["n_max-1000000", "n_max-30000", "basis_mode", "lp_stage_mode", "--n-max",
-        "--basis-mode"])
+        "--basis-mode", "optimizer", "momentum", "adam_beta1-1", "adam_eps", "--optimizer"])
 def test_removed_settings_exit_2_and_are_named(bench_dir, tmp_path, command, settings, named):
-    """The node allocation comes from the data, and the basis mode and the
-    stage reduction are fixed: their keys and flags exit 2, leaving no
-    output. An allocation of n_max = 30000 nodes once got the process
-    killed, and 1000000 asked NumPy for 7.28 TiB."""
+    """The node allocation comes from the data, and the basis mode, the
+    stage reduction and the update rule (Adam at fixed constants) are
+    fixed: their keys and flags exit 2, leaving no output. An allocation of
+    n_max = 30000 nodes once got the process killed, and 1000000 asked NumPy
+    for 7.28 TiB; adam_beta1 = 1.0 once ran as a diverged run that exited 0."""
     argv = settings
     if isinstance(settings, dict):
         cfg = tmp_path / "c.json"
@@ -299,6 +305,20 @@ def test_removed_settings_exit_2_and_are_named(bench_dir, tmp_path, command, set
     assert proc.returncode == 2, proc.stderr
     assert named in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_generate_takes_at_most_one_bin_per_graph_size(tmp_path):
+    """``--bins`` above the largest graph size exits 2 before any output;
+    it once asked NumPy for 7.45 GiB after the corpus was written."""
+    argv = ["generate", "--preset", "three-class", "--per-class", "2", "--size-range", "8:12"]
+    out = tmp_path / "o"
+    proc = capped_run([*argv, "--bins", "1000000000", "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert "argument --bins: must be at most 1000, got 1000000000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+    assert main([*argv, "--bins", "1000", "--out", str(out)]) == 0
+    assert len((out / "size_hist.csv").read_text().splitlines()) == 1 + 1000
 
 
 def test_sweep_rejects_a_bad_axis_value_before_any_cell(bench_dir, tmp_path, capsys):

@@ -388,11 +388,14 @@ def _state(pid: int) -> str:
     return stat.rsplit(")", 1)[1].split()[0]
 
 
-def _wait_for(pid: int, states: str) -> str:
-    deadline = time.monotonic() + 30
+def _wait_for(pid: int, states: str) -> tuple[str, float]:
+    """The process's state once it is one of ``states`` or 30 s have passed,
+    and the seconds waited."""
+    start = time.monotonic()
+    deadline = start + 30
     while _state(pid) not in states and time.monotonic() < deadline:
         time.sleep(0.05)
-    return _state(pid)
+    return _state(pid), time.monotonic() - start
 
 
 @needs_worker
@@ -405,10 +408,14 @@ def test_worker_exits_when_its_parent_is_killed():
     try:
         assert select.select([proc.stdout], [], [], 60)[0], "no worker pid within 60 s"
         worker = int(proc.stdout.readline())
-        assert _wait_for(worker, "S") == "S"  # idle, reading its pipe
+        state, waited = _wait_for(worker, "S")
+        assert state == "S", (  # idle, reading its pipe
+            f"before the kill: worker {worker} read state {state!r} after {waited:.2f} s")
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
-        assert _wait_for(worker, "ZX") in "ZX"
+        state, waited = _wait_for(worker, "ZX")
+        assert state in "ZX", (
+            f"after the kill: worker {worker} read state {state!r} after {waited:.2f} s")
     finally:
         proc.kill()
         proc.wait()

@@ -66,11 +66,32 @@ def accepted_keys(section: str) -> list[str]:
     return ast.literal_eval(str(info.value).split("accepted: ")[1])
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 @pytest.mark.parametrize("name", ["model", "split"])
 def test_readme_lists_the_keys_each_section_accepts(name):
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     (listed,) = re.findall(rf"^- `{name}`: (.*?);$", text, re.M | re.S)
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(accepted_keys(name))
+
+
+def test_readme_lists_the_shared_training_flags():
+    """The flags that ``train``, ``evaluate``, ``ablate`` and ``sweep`` all
+    take, less those that ``generate`` or ``stats`` take too (``--config``,
+    ``--data``, ``--out``, ``-v``, ``-h``), are the shared training group's."""
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+
+    def flags(name):
+        return set(commands[name]._option_string_actions)
+
+    shared = set.intersection(*map(flags, ["train", "evaluate", "ablate", "sweep"]))
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    (listed,) = re.findall(r"`train`, `evaluate`, `ablate` and `sweep` take the model and "
+                           r"training flags (.*?)\. ", text)
+    assert sorted(re.findall(r"`(--[\w-]+)`", listed)) == sorted(
+        shared - flags("generate") - flags("stats"))
 
 
 TINY = toy_dataset(per_class=3)
@@ -82,7 +103,8 @@ HOSTILE = st.sampled_from([-1, 0, 10**18, -(10**18), 10**400, float("nan"), floa
                            "1", True, None, [], {}])
 
 # settings that have been removed, keys the CLI fixes itself, and a stranger
-UNKNOWN = ["n_max", "basis_mode", "softmax_rows", "lp_stage_mode", "seed", "seeds", "bogus"]
+UNKNOWN = ["n_max", "basis_mode", "softmax_rows", "lp_stage_mode", "optimizer", "momentum",
+           "adam_beta1", "adam_beta2", "adam_eps", "seed", "seeds", "bogus"]
 
 
 def values(hint, default=dataclasses.MISSING):

@@ -10,6 +10,9 @@ from wavepool.errors import ConfigError, ContractViolationError, NumericError
 from wavepool.graphs import Graph, SplitSpec, degree_onehot_features, split_dataset
 from wavepool.model import CrossScaleModel, ForwardResult, ModelConfig, PoolStage, init_parameters
 from wavepool.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     EpochRecord,
     Optimizer,
     RunReport,
@@ -306,8 +309,6 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(beta=-0.1)
     with pytest.raises(ConfigError):
-        TrainConfig(optimizer="sgd")
-    with pytest.raises(ConfigError):
         TrainConfig(grad_clip_norm=0.0)
     assert TrainConfig(grad_clip_norm=None).grad_clip_norm is None
 
@@ -321,7 +322,7 @@ def one_param(value):
 
 def test_optimizer_zero_gradients_warn_once_and_noop():
     params = one_param([1.0, 2.0])
-    opt = Optimizer(TrainConfig(optimizer="momentum", learning_rate=1.0))
+    opt = Optimizer(TrainConfig(learning_rate=1.0))
     with pytest.warns(UserWarning, match="received no gradient"):
         norm = opt.step(params, batch_size=1)
     assert norm == 0.0
@@ -333,7 +334,7 @@ def test_optimizer_zero_gradients_warn_once_and_noop():
 
 def test_adam_single_step_hand_check():
     params = one_param([1.0])
-    opt = Optimizer(TrainConfig(optimizer="adam", learning_rate=0.1))
+    opt = Optimizer(TrainConfig(learning_rate=0.1))
     params["w"].grad = np.array([2.0])
     opt.step(params, batch_size=1)
     expected = 1.0 - 0.1 * 2.0 / (math.sqrt(4.0) + 1e-8)
@@ -341,35 +342,39 @@ def test_adam_single_step_hand_check():
     assert params["w"].grad is None  # consumed
 
 
-def test_momentum_two_steps_hand_check():
+def test_adam_two_steps_hand_check():
+    """A constant gradient moves the parameter by lr / (1 + eps) per step, up
+    to rounding: the bias corrections make m_hat = g and v_hat = g^2."""
     params = one_param([0.0])
-    opt = Optimizer(TrainConfig(optimizer="momentum", learning_rate=0.5,
-                                momentum=0.9, grad_clip_norm=None))
+    opt = Optimizer(TrainConfig(learning_rate=0.5, grad_clip_norm=None))
     params["w"].grad = np.array([1.0])
     opt.step(params, batch_size=1)
-    assert params["w"].value[0] == pytest.approx(-0.5, abs=1e-15)
+    assert params["w"].value[0] == pytest.approx(-0.5 / (1.0 + ADAM_EPS), abs=1e-14)
     params["w"].grad = np.array([1.0])
     opt.step(params, batch_size=1)
-    assert params["w"].value[0] == pytest.approx(-0.5 - 0.5 * 1.9, abs=1e-15)
+    assert params["w"].value[0] == pytest.approx(-1.0 / (1.0 + ADAM_EPS), abs=1e-14)
 
 
 def test_gradient_clipping_rescales_global_norm():
+    """The norm returned is taken before clipping; the first moment after
+    one step is (1 - beta1) times the clipped gradient."""
     params = one_param([0.0, 0.0])
-    opt = Optimizer(TrainConfig(optimizer="momentum", learning_rate=1.0,
-                                momentum=0.0, grad_clip_norm=5.0))
+    opt = Optimizer(TrainConfig(learning_rate=1.0, grad_clip_norm=5.0))
     params["w"].grad = np.array([6.0, 8.0])
     norm = opt.step(params, batch_size=1)
-    assert norm == pytest.approx(10.0)  # reported norm is pre-clip
-    assert np.allclose(params["w"].value, [-3.0, -4.0], atol=1e-12)
+    assert norm == 10.0
+    assert np.array_equal(opt._m["w"], np.array([3.0, 4.0]) * (1.0 - ADAM_BETA1))
 
 
 def test_batch_size_divides_gradients():
+    """The step takes the batch mean: the first moment after one step is
+    (1 - beta1) times the summed gradient over the batch size, whose norm
+    is returned."""
     params = one_param([0.0])
-    opt = Optimizer(TrainConfig(optimizer="momentum", learning_rate=1.0,
-                                momentum=0.0, grad_clip_norm=None))
+    opt = Optimizer(TrainConfig(learning_rate=1.0, grad_clip_norm=None))
     params["w"].grad = np.array([4.0])
-    opt.step(params, batch_size=2)
-    assert params["w"].value[0] == pytest.approx(-2.0, abs=1e-15)
+    assert opt.step(params, batch_size=2) == 2.0
+    assert np.array_equal(opt._m["w"], np.array([2.0]) * (1.0 - ADAM_BETA1))
 
 
 def test_optimizer_rejects_nonfinite_gradient():
@@ -391,23 +396,17 @@ def reference_updates(config, values, grad_steps, batch_size):
         if config.grad_clip_norm is not None and norm > config.grad_clip_norm:
             grads = [g * (config.grad_clip_norm / norm) for g in grads]
         for i, g in enumerate(grads):
-            if config.optimizer == "adam":
-                m[i] = config.adam_beta1 * m[i] + (1.0 - config.adam_beta1) * g
-                s[i] = config.adam_beta2 * s[i] + (1.0 - config.adam_beta2) * g * g
-                m_hat = m[i] / (1.0 - config.adam_beta1 ** step)
-                v_hat = s[i] / (1.0 - config.adam_beta2 ** step)
-                values[i] = values[i] - config.learning_rate * m_hat / (np.sqrt(v_hat)
-                                                                       + config.adam_eps)
-            else:
-                m[i] = m[i] * config.momentum + g
-                values[i] = values[i] - config.learning_rate * m[i]
+            m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
+            s[i] = ADAM_BETA2 * s[i] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = m[i] / (1.0 - ADAM_BETA1 ** step)
+            v_hat = s[i] / (1.0 - ADAM_BETA2 ** step)
+            values[i] = values[i] - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return values
 
 
 @pytest.mark.parametrize("config", [
-    TrainConfig(optimizer="adam", learning_rate=0.01, grad_clip_norm=3.0),
-    TrainConfig(optimizer="adam", learning_rate=0.3, grad_clip_norm=None),
-    TrainConfig(optimizer="momentum", learning_rate=0.05, momentum=0.9, grad_clip_norm=2.0),
+    TrainConfig(learning_rate=0.01, grad_clip_norm=3.0),
+    TrainConfig(learning_rate=0.3, grad_clip_norm=None),
 ])
 def test_in_place_updates_match_the_allocating_formula_bit_for_bit(config, rng):
     values = [rng.standard_normal((5, 4)), rng.standard_normal(3)]
@@ -427,7 +426,7 @@ def test_step_leaves_an_earlier_state_snapshot_unchanged(rng):
     model = CrossScaleModel(toy_model_config(), seed=0)
     before = model.state()
     copies = {name: value.copy() for name, value in before.items()}
-    opt = Optimizer(TrainConfig(optimizer="adam", learning_rate=0.1))
+    opt = Optimizer(TrainConfig(learning_rate=0.1))
     for name, var in model.params.items():
         var.grad = rng.standard_normal(var.value.shape)
     opt.step(model.params, batch_size=1)
@@ -507,8 +506,8 @@ def test_train_zero_learning_rate_freezes_parameters():
 def test_train_divergence_is_reported_not_raised():
     train_set, val_set, _ = toy_splits()
     model = CrossScaleModel(toy_model_config(), seed=0)
-    config = TrainConfig(epochs=3, batch_size=16, optimizer="momentum",
-                         learning_rate=1e200, grad_clip_norm=None, seed=0)
+    config = TrainConfig(epochs=3, batch_size=16, learning_rate=1e200, grad_clip_norm=None,
+                         seed=0)
     outcome = train(model, train_set, val_set, config)
     assert outcome.report.diverged is True
     assert len(outcome.report.epochs) < 3
