@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, WavepoolError
-from .graphs import SplitSpec, dataset_statistics, load_tu_dataset
+from .graphs import SplitSpec, dataset_statistics, load_tu_dataset, split_dataset
 from .harness import (
     ExperimentPlan,
     ablation_text_table,
@@ -283,6 +283,10 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     dataset, plan = _grid(args)
     result = run_ablation(dataset, plan)
+    baselines = []  # one per seed, from the seed's own split
+    for seed in plan.seeds:
+        train_ds, _, test_ds = split_dataset(dataset, replace(plan.split, seed=seed))
+        baselines.append(majority_baseline(train_ds, test_ds))
     out = _outdir(args)
     all_rows = [r for cell in result.rows for r in cell.results]
     _write_text(out / "ablation_per_seed.csv", per_seed_csv(all_rows, timing=args.timing))
@@ -293,6 +297,7 @@ def cmd_ablate(args) -> int:
         "rows": [{"variant": r.variant, "mean": r.mean, "std": r.std, "n": r.n}
                  for r in result.rows],
         "seeds": list(plan.seeds),
+        "majority_baseline": baselines,
     })
     print(table, end="")
     return 0
@@ -408,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("stability", cmd_stability, "perturbation-bound checks", [seed],
                 out_required=False)
-    p.add_argument("--trials", type=_parse_at_least(1), default=10_000)
+    p.add_argument("--trials", type=_parse_at_least(1, 100_000), default=10_000)
     p.add_argument("--graphs", type=_parse_at_least(1), default=5)
     p.add_argument("--size-range", type=parse_span, help="graph size range LO:HI (default 8:32)")
 

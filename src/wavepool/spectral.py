@@ -143,7 +143,9 @@ def bessel_i(order: int, x: float) -> float:
 
 
 def wavelet_coefficients(scale: float, order: int, mode: str = MODE_FITTED_KERNEL) -> np.ndarray:
-    """Chebyshev expansion coefficients c_0 .. c_order for scale ``scale``.
+    """Chebyshev expansion coefficients c_0 .. c_order for scale ``scale``,
+    read-only and computed once per (scale, order, mode) for the life of the
+    process.
 
     closed_form: c_i = 2 exp(-f) I_i(-f), the exact series of exp(-f (x + 1)).
     fitted_kernel: Chebyshev-Gauss quadrature of exp(-f (x + 1)) on [-1, 1]
@@ -155,13 +157,22 @@ def wavelet_coefficients(scale: float, order: int, mode: str = MODE_FITTED_KERNE
         raise ContractViolationError(f"order must be >= 1, got {order}")
     if mode not in _MODES:
         raise ContractViolationError(f"unknown mode {mode!r}")
+    return _coefficients(scale, order, mode)
+
+
+@cache
+def _coefficients(scale: float, order: int, mode: str) -> np.ndarray:
     if mode == MODE_CLOSED_FORM:
-        return np.array([2.0 * math.exp(-scale) * bessel_i(i, -scale) for i in range(order + 1)])
-    nodes = 4 * (order + 1)
-    theta = math.pi * (np.arange(nodes) + 0.5) / nodes
-    values = np.exp(-scale * (np.cos(theta) + 1.0))
-    i = np.arange(order + 1)
-    return (2.0 / nodes) * (np.cos(np.outer(i, theta)) @ values)
+        coefficients = np.array(
+            [2.0 * math.exp(-scale) * bessel_i(i, -scale) for i in range(order + 1)])
+    else:
+        nodes = 4 * (order + 1)
+        theta = math.pi * (np.arange(nodes) + 0.5) / nodes
+        values = np.exp(-scale * (np.cos(theta) + 1.0))
+        i = np.arange(order + 1)
+        coefficients = (2.0 / nodes) * (np.cos(np.outer(i, theta)) @ values)
+    coefficients.setflags(write=False)
+    return coefficients
 
 
 def pseudoinverse(matrix: np.ndarray) -> np.ndarray:

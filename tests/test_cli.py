@@ -3,12 +3,15 @@ import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from wavepool import cli
 from wavepool.cli import build_parser, load_config_file, main, plan_from
 from wavepool.errors import ConfigError, NumericError
+from wavepool.graphs import SplitSpec, load_tu_dataset, split_dataset
+from wavepool.harness import majority_baseline
 
 from .test_lanes import WORKER_POSSIBLE, lane_env
 
@@ -27,6 +30,9 @@ def bench_dir(tmp_path_factory):
 
 FAST = ["--epochs", "2", "--order", "6", "--m-out", "2", "--scales", "1",
         "--batch-size", "8"]
+
+# the flags each multi-seed command needs beyond --data, --out and FAST
+GRID = {"evaluate": [], "ablate": [], "sweep": ["--axis", "beta", "--values", "0"]}
 
 
 # -- exit code 2: configuration problems ----------------------------------
@@ -86,11 +92,40 @@ def test_config_file_wrong_schema_version(tmp_path):
                                    ["--seeds", "1,1"], ["--seeds", ""],
                                    ["--seeds", "1,2", "--num-seeds", "5"]])
 def test_bad_seed_flags_exit_2(bench_dir, tmp_path, capsys, flags):
-    code = main(["evaluate", "--data", str(bench_dir), "--out", str(tmp_path / "o"),
-                 *flags, *FAST])
+    for command, needs in GRID.items():
+        code = main([command, "--data", str(bench_dir), "--out", str(tmp_path / "o"),
+                     *flags, *FAST, *needs])
+        assert code == 2, command
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["ablate", "sweep"])
+@pytest.mark.parametrize("epochs", ["0", "-1"])
+def test_no_epoch_exits_2_before_any_output(bench_dir, tmp_path, capsys, command, epochs):
+    out = tmp_path / "o"
+    code = main([command, "--data", str(bench_dir), "--out", str(out), "--seeds", "0",
+                 *FAST, *GRID[command], "--epochs", epochs])
     assert code == 2
-    assert "seed" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "per_seed.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: epochs must be >= 1, got {epochs}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ablate", "sweep"])
+def test_a_corpus_too_small_to_split_exits_2_before_any_output(tmp_path, capsys, command):
+    """One graph per class cannot fill a stratified split, whatever the seed."""
+    data = tmp_path / "d"
+    assert main(["generate", "--preset", "three-class", "--per-class", "1",
+                 "--size-range", "8:16", "--out", str(data)]) == 0
+    out = tmp_path / "o"
+    code = main([command, "--data", str(data), "--out", str(out), "--seeds", "0",
+                 *FAST, *GRID[command]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: class 0 has only 1 graph(s)")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "train", "stability"])
@@ -224,11 +259,28 @@ def test_mistyped_config_values_exit_2_and_name_the_key(bench_dir, tmp_path, cap
     (["generate", "--bins", "0"], "--bins"),
     (["stability", "--size-range", "10:5"], "--size-range"),
     (["stability", "--trials", "0"], "--trials"),
+    (["stability", "--trials", "100001"], "--trials"),
+    (["generate", "--size-range", "5"], "--size-range"),
+    (["generate", "--size-range", "200:20"], "--size-range"),
+    (["generate", "--size-range", "a:b"], "--size-range"),
 ])
 def test_out_of_range_flags_exit_2_and_name_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 2
     assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--size-range", "2:5"], "size range must satisfy 4 <= lo <= hi <= 1000, got (2, 5)"),
+    (["--per-class", "0"], "class count must be >= 1, got 0"),
+    (["--per-class", "-1"], "class count must be >= 1, got -1"),
+], ids=["size-range-2:5", "per-class-0", "per-class--1"])
+def test_bad_class_sizes_exit_2_before_any_output(tmp_path, capsys, flags, message):
+    out = tmp_path / "o"
+    assert main(["generate", "--preset", "three-class", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -437,7 +489,7 @@ def test_evaluate_timing_flag_fills_seconds(bench_dir, tmp_path):
 def test_ablate_command(bench_dir, tmp_path, capsys):
     out = tmp_path / "abl"
     code = main(["ablate", "--data", str(bench_dir), "--out", str(out),
-                 "--seeds", "0", *FAST])
+                 "--seeds", "1,0", *FAST])
     assert code == 0
     table = (out / "ablation.txt").read_text()
     assert capsys.readouterr().out == table
@@ -446,23 +498,31 @@ def test_ablate_command(bench_dir, tmp_path, capsys):
     assert [line.split(",")[0] for line in agg[1:]] == [
         "gcn_diffpool", "gcn_spectral", "wavelet_diffpool", "wavelet_spectral"]
     per_seed = (out / "ablation_per_seed.csv").read_text().splitlines()
-    assert len(per_seed) == 5  # header + one seed per variant
+    assert len(per_seed) == 1 + 2 * 4  # header + two seeds per variant
+    summary = json.loads((out / "summary.json").read_text())
+    dataset = load_tu_dataset(bench_dir)
+    expected = []
+    for seed in (1, 0):  # in seed order, each from its own split
+        train_ds, _, test_ds = split_dataset(dataset, SplitSpec(seed=seed))
+        expected.append(majority_baseline(train_ds, test_ds))
+    assert summary["majority_baseline"] == expected
 
 
 def test_sweep_command(bench_dir, tmp_path, capsys):
-    out = tmp_path / "sw"
-    code = main(["sweep", "--data", str(bench_dir), "--out", str(out),
-                 "--axis", "beta", "--values", "0,0.5", "--seeds", "0", *FAST])
-    assert code == 0
-    printed = capsys.readouterr().out
-    assert "beta=0:" in printed and "beta=0.5:" in printed
-    csv_lines = (out / f"sweep_beta.csv").read_text().splitlines()
-    assert csv_lines[0] == "axis,value,mean,std"
-    assert len(csv_lines) == 3
-    svg = (out / "sweep_beta.svg").read_text()
-    assert svg.startswith("<svg")
-    summary = json.loads((out / "summary.json").read_text())
-    assert [c["value"] for c in summary["cells"]] == [0.0, 0.5]
+    for axis, cells in [("beta", [0.0, 0.5]), ("F", [1.0, 2.0]), ("M", [2.0, 4.0])]:
+        out = tmp_path / axis
+        code = main(["sweep", "--data", str(bench_dir), "--out", str(out), "--axis", axis,
+                     "--values", ",".join(f"{v:g}" for v in cells), "--seeds", "0", *FAST])
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in printed] == [f"{axis}={v:g}" for v in cells]
+        csv_lines = (out / f"sweep_{axis}.csv").read_text().splitlines()
+        assert csv_lines[0] == "axis,value,mean,std"
+        assert len(csv_lines) == 3
+        svg = (out / f"sweep_{axis}.svg").read_text()
+        assert svg.startswith("<svg")
+        summary = json.loads((out / "summary.json").read_text())
+        assert [c["value"] for c in summary["cells"]] == cells
 
 
 def test_stability_command(tmp_path, capsys):
@@ -502,6 +562,14 @@ def test_config_file_flag_precedence(bench_dir, tmp_path):
     assert summary["train"]["epochs"] == 2          # flag wins
     assert summary["train"]["learning_rate"] == 0.001  # file kept
     assert summary["model"]["m_out"] == 2
+
+
+def test_fetch_tu_dataset_help_needs_no_network():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fetch_tu_dataset.py"
+    proc = subprocess.run([sys.executable, str(script), "--help"], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "TU" in proc.stdout
 
 
 def test_module_entry_point(tmp_path):

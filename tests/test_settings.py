@@ -4,6 +4,7 @@ import argparse
 import ast
 import dataclasses
 import re
+import shlex
 import types
 import typing
 import warnings
@@ -92,6 +93,27 @@ def test_readme_lists_the_shared_training_flags():
                            r"training flags (.*?)\. ", text)
     assert sorted(re.findall(r"`(--[\w-]+)`", listed)) == sorted(
         shared - flags("generate") - flags("stats"))
+
+
+def recipes(text: str) -> list[list[str]]:
+    """The arguments of every ``wavepool`` line in ``text``'s shell blocks."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.replace("\\\n", " ").splitlines() if line.startswith("wavepool ")]
+
+
+def test_readme_recipes_parse():
+    """Every ``wavepool`` line of the README's shell blocks parses with the
+    command's own parser, and its "Experiments" section runs the comparison
+    and the three sweeps, each into its own directory."""
+    text = README.read_text(encoding="utf-8")
+    for argv in recipes(text):
+        assert cli.build_parser().parse_args(argv).command == argv[0]
+    experiments = text[text.index("## Experiments\n"):text.index("## Tests\n")]
+    runs = [cli.build_parser().parse_args(argv) for argv in recipes(experiments)]
+    assert [run.command for run in runs] == ["generate", "ablate", "sweep", "sweep", "sweep"]
+    assert [run.axis for run in runs[2:]] == ["F", "M", "beta"]
+    assert len({run.out for run in runs}) == len(runs)
 
 
 TINY = toy_dataset(per_class=3)

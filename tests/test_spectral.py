@@ -219,6 +219,15 @@ def test_coefficient_validation():
         wavelet_coefficients(1.0, 8, mode="nope")
 
 
+@pytest.mark.parametrize("mode", [MODE_FITTED_KERNEL, MODE_CLOSED_FORM])
+def test_coefficients_are_fitted_once_and_read_only(mode):
+    """Every graph's bank reads the same scales, so each (scale, order,
+    mode) is fitted once and shared; no caller can write into the share."""
+    coeffs = wavelet_coefficients(2.5, 12, mode)
+    assert wavelet_coefficients(2.5, 12, mode) is coeffs
+    assert not coeffs.flags.writeable
+
+
 # -- pseudoinverse --------------------------------------------------------
 
 
